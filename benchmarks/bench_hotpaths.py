@@ -2,7 +2,9 @@
 
 Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
-loop implementations kept in ``tests/reference_kernels.py``.
+loop implementations kept in ``tests/reference_kernels.py``, and likewise
+the Gibbs sweep, network build, ToPMine merge, role attribution and TPFG
+kernels against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -26,15 +28,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
 from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
+                               reference_document_topic_frequencies,
                                reference_posterior_link_split,
-                               reference_scatter, reference_segment_chunk)
+                               reference_scatter, reference_segment_chunk,
+                               reference_tpfg_ranking)
 
 from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy.em import (flat_scatter_index, posterior_link_split,
                             scatter_expectations)
+from repro.datasets import DBLPConfig, generate_dblp
+from repro.hierarchy import Topic
 from repro.network import HeterogeneousNetwork
 from repro.phrases import (make_merge_scorer,
                            mine_frequent_phrases_from_chunks, segment_chunk)
+from repro.relations import (TPFG, CollaborationNetwork, TPFGResult,
+                             build_candidate_graph)
+from repro.roles.analyzer import attribute_documents
 
 from conftest import fmt_row, report
 
@@ -44,9 +53,17 @@ TOPICS = int(os.environ.get("REPRO_BENCH_TOPICS", 5))
 GIBBS_DOCS = int(os.environ.get("REPRO_BENCH_DOCS", 300))
 CHUNKS = int(os.environ.get("REPRO_BENCH_CHUNKS", 600))
 
+#: Role attribution documents and TPFG authors follow the edge and node
+#: knobs: 10,000 documents and a 1,000-author synthetic DBLP candidate
+#: graph at full size, about the scale of the ``mine_dblp`` perfbench
+#: workload.
+ROLE_DOCS = EDGES // 10
+TPFG_AUTHORS = NODES // 2
+
 #: The acceptance thresholds only bind at the full problem sizes; the CI
 #: smoke pass shrinks the knobs and asserts plain correctness instead.
 FULL_SIZE = 100_000
+FULL_NODES = 2_000
 FULL_DOCS = 300
 FULL_CHUNKS = 600
 
@@ -343,6 +360,114 @@ def test_hotpath_topmine_merge(benchmark):
     assert fast <= SANITY_SECONDS
     if CHUNKS >= FULL_CHUNKS:
         assert speedup >= 5.0
+
+
+def _role_problem(rng):
+    """A 6x3 tree, per-topic phrase tables and per-document instances.
+
+    Instances are Zipf-drawn from 2,000 phrases (so documents repeat
+    phrases), and each topic's table keeps a random share of them (so
+    some phrases reach no child, and some documents stop early).
+    """
+    root = Topic(path=())
+    root.children = [Topic(path=(a,)) for a in range(6)]
+    for area in root.children:
+        area.children = [Topic(path=area.path + (b,)) for b in range(3)]
+    phrases = [(w,) if w % 3 else (w, w + 1) for w in range(2_000)]
+    table = {}
+    stack = [(root, 1.0)]
+    while stack:
+        topic, keep = stack.pop()
+        kept = rng.random(len(phrases)) < keep
+        table[topic.notation] = {
+            phrase: float(f) for phrase, f, k in zip(
+                phrases, rng.uniform(2.0, 50.0, len(phrases)), kept) if k}
+        stack.extend((child, keep * 0.45) for child in topic.children)
+    ranks = np.minimum(rng.zipf(1.3, size=ROLE_DOCS * 40), len(phrases)) - 1
+    lengths = rng.integers(0, 30, size=ROLE_DOCS)
+    instances, cursor = [], 0
+    for length in lengths:
+        instances.append([phrases[r] for r in ranks[cursor:cursor + length]])
+        cursor += length
+    return root, table, instances
+
+
+def test_hotpath_role_attribution(benchmark):
+    """Per-topic instance-CSR products vs the per-document descent."""
+    root, table, instances = _role_problem(np.random.default_rng(5))
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def run():
+        fast = _time(lambda: attribute_documents(root, table, instances),
+                     span_name="bench.roles.csr")
+        slow = _time(lambda: reference_document_topic_frequencies(
+            root, table, instances), repeats=1,
+            span_name="bench.roles.descent")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    report("hotpath_role_attribution", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("instance-CSR product/topic", [fast, 1.0]),
+        fmt_row("per-document descent", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.roles.csr", "bench.roles.descent"}) + [
+        f"docs={ROLE_DOCS} instances={sum(map(len, instances))} "
+        f"topics={len(table)}",
+        "acceptance: >= 5x at 10,000 documents",
+    ])
+
+    def bits(doc_freqs):
+        return [[(t, f.hex()) for t, f in freqs.items()]
+                for freqs in doc_freqs]
+
+    assert bits(attribute_documents(root, table, instances)) == bits(
+        reference_document_topic_frequencies(root, table, instances))
+    assert fast <= SANITY_SECONDS
+    if EDGES >= FULL_SIZE:
+        assert speedup >= 5.0
+
+
+def test_hotpath_tpfg(benchmark):
+    """Flat-array max-sum rounds vs the per-edge message dict loop."""
+    dataset = generate_dblp(DBLPConfig(max_authors=TPFG_AUTHORS), seed=6)
+    graph = build_candidate_graph(
+        CollaborationNetwork.from_corpus(dataset.corpus))
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def run():
+        fast = _time(lambda: TPFG().fit(graph),
+                     span_name="bench.tpfg.flat")
+        slow = _time(lambda: reference_tpfg_ranking(graph), repeats=1,
+                     span_name="bench.tpfg.dict")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    report("hotpath_tpfg", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("flat bincount/reduceat", [fast, 1.0]),
+        fmt_row("per-edge message dict", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.tpfg.flat", "bench.tpfg.dict"}) + [
+        f"authors={TPFG_AUTHORS} edges={graph.num_edges()} iterations=25",
+        "acceptance: >= 20x at 1,000 authors",
+    ])
+
+    result = TPFG().fit(graph)
+    ref = reference_tpfg_ranking(graph)
+    for author, pairs in ref.items():
+        got = result.ranking[author]
+        assert [name for name, _ in got] == [name for name, _ in pairs]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, pairs)) \
+            <= 1e-12
+    assert result.predictions() == TPFGResult(ranking=ref).predictions()
+    assert fast <= SANITY_SECONDS
+    if NODES >= FULL_NODES:
+        assert speedup >= 20.0
 
 
 def test_no_kernel_fallbacks_recorded():

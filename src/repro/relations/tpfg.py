@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DataError
 from ..obs import span, timed_function, trace
 from ..utils import EPS
 from .preprocess import Candidate, CandidateGraph
@@ -103,133 +103,232 @@ class TPFG:
                 resumed fit replays the remaining flooding iterations
                 bit for bit (message passing is deterministic).
             resume: continue from the checkpoint file when it exists.
+
+        Raises:
+            DataError: an author has no candidate (not even the virtual
+                root) or names one advisor twice, or the checkpoint's
+                message table belongs to a different candidate graph.
         """
-        authors = graph.authors
-        domain: Dict[str, List[Candidate]] = {
-            a: graph.advisors_of(a) for a in authors}
-        unary: Dict[str, np.ndarray] = {
-            a: np.log(np.maximum(
-                np.array([c.likelihood for c in domain[a]]), EPS))
-            for a in authors}
-        index_in_domain: Dict[str, Dict[str, int]] = {
-            a: {c.advisor: idx for idx, c in enumerate(domain[a])}
-            for a in authors}
-
-        # Factor edges: (advisee x, advisor i) for every real candidate of
-        # x whose advisor node exists in the graph.
-        edges: List[Tuple[str, str]] = []
-        for x in authors:
-            for cand in domain[x]:
-                if cand.advisor != ROOT and cand.advisor in domain:
-                    edges.append((x, cand.advisor))
-
-        # allowed[x, i][j-index of i's domain]: True when i choosing its
-        # j-th advisor does not conflict with advising x.
-        allowed: Dict[Tuple[str, str], np.ndarray] = {}
-        start_of: Dict[Tuple[str, str], int] = {}
-        for x, i in edges:
-            st_xi = domain[x][index_in_domain[x][i]].start
-            start_of[(x, i)] = st_xi
-            mask = np.array([
-                c.advisor == ROOT or c.end < st_xi for c in domain[i]],
-                dtype=bool)
-            allowed[(x, i)] = mask
-
-        messages: Dict[Tuple[str, str, str], np.ndarray] = {}
-        for x, i in edges:
-            messages[("down", x, i)] = np.zeros(len(domain[i]))
-            messages[("up", i, x)] = np.zeros(len(domain[x]))
+        layout = _FactorLayout(graph)
+        down = np.zeros(len(layout.down_pos))
+        up = np.zeros(len(layout.up_pos))
 
         start_iter = 0
         if checkpoint is not None and resume:
             document = checkpoint.load()
             if document is not None:
                 saved = document["state"]
-                messages.update(saved["messages"])
+                down, up = layout.unpack(saved["messages"])
                 start_iter = int(saved["iteration"]) + 1
 
-        neighbors_down: Dict[str, List[str]] = {a: [] for a in authors}
-        neighbors_up: Dict[str, List[str]] = {a: [] for a in authors}
-        for x, i in edges:
-            neighbors_down[x].append(i)   # x sends "down" messages to i
-            neighbors_up[i].append(x)     # i sends "up" messages to x
-
-        def node_belief(a: str, exclude: Optional[Tuple[str, str]] = None,
-                        ) -> np.ndarray:
-            belief = np.array(unary[a])
-            for i in neighbors_down[a]:
-                if exclude != ("up", i):
-                    belief = belief + messages[("up", i, a)]
-            for x in neighbors_up[a]:
-                if exclude != ("down", x):
-                    belief = belief + messages[("down", x, a)]
-            return belief
-
-        tracer = trace("tpfg.message_passing", num_authors=len(authors),
-                       num_edges=len(edges), max_iter=self.max_iter,
+        tracer = trace("tpfg.message_passing",
+                       num_authors=len(layout.authors),
+                       num_edges=len(layout.edges), max_iter=self.max_iter,
                        damping=self.damping)
         for iteration in range(start_iter, self.max_iter):
-            new_messages: Dict[Tuple[str, str, str], np.ndarray] = {}
             with span("tpfg.message_round", iteration=iteration):
-                for x, i in edges:
-                    # Message from advisee x to advisor i over y_i.
-                    base = node_belief(x, exclude=("up", i))
-                    xi = index_in_domain[x][i]
-                    others = np.delete(base, xi)
-                    best_other = others.max() if len(others) else -np.inf
-                    s_choose_i = base[xi]
-                    mask = allowed[(x, i)]
-                    msg = np.where(
-                        mask,
-                        np.maximum(best_other, s_choose_i),
-                        np.maximum(best_other, s_choose_i - self.penalty))
-                    msg = msg - msg.max()
-                    new_messages[("down", x, i)] = msg
-
-                    # Message from advisor i to advisee x over y_x.
-                    base_i = node_belief(i, exclude=("down", x))
-                    best_all = base_i.max()
-                    allowed_scores = base_i[mask]
-                    best_allowed = (allowed_scores.max()
-                                    if len(allowed_scores) else
-                                    best_all - self.penalty)
-                    msg_up = np.full(len(domain[x]), best_all)
-                    msg_up[xi] = max(best_allowed, best_all - self.penalty)
-                    msg_up = msg_up - msg_up.max()
-                    new_messages[("up", i, x)] = msg_up
+                new_down, new_up = layout.round(down, up, self.penalty)
 
             if tracer.active:
                 # Max message change — the flooding-schedule residual.
-                delta = 0.0
-                for key, value in new_messages.items():
-                    old = messages[key]
-                    if old.size:
-                        step = float(np.max(np.abs(value - old)))
-                        if step > delta:
-                            delta = step
-                tracer.record(residual=delta)
+                tracer.record(residual=float(max(
+                    np.max(np.abs(new_down - down), initial=0.0),
+                    np.max(np.abs(new_up - up), initial=0.0))))
             else:
                 tracer.record()
 
             if self.damping > 0:
-                for key, value in new_messages.items():
-                    messages[key] = (self.damping * messages[key]
-                                     + (1 - self.damping) * value)
+                down = self.damping * down + (1 - self.damping) * new_down
+                up = self.damping * up + (1 - self.damping) * new_up
             else:
-                messages.update(new_messages)
+                down, up = new_down, new_up
             if checkpoint is not None:
                 checkpoint.maybe_save(iteration, lambda: {  # noqa: E731
-                    "iteration": iteration, "messages": dict(messages)})
+                    "iteration": iteration,
+                    "messages": layout.pack(down, up)})
         tracer.finish("max_iter")
+        return TPFGResult(ranking=layout.ranking(down, up))
 
+
+class _FactorLayout:
+    """TPFG's pairwise MRF on flat arrays over the concatenated domains.
+
+    Every author's candidate list occupies one segment of the flat
+    domain axis.  Each factor edge (advisee x, advisor i) carries a
+    *down* message x -> i over i's segment and an *up* message i -> x
+    over x's segment; the messages of all edges are concatenated in edge
+    order, and ``down_pos`` / ``up_pos`` map each message entry to its
+    flat domain position.  One ``np.bincount`` per direction then sums
+    every belief of a round, a leave-one-out belief is the full belief
+    minus the excluded message, and ``np.maximum.reduceat`` takes the
+    per-segment maxima.
+    """
+
+    def __init__(self, graph: CandidateGraph) -> None:
+        self.authors = graph.authors
+        self.domain: Dict[str, List[Candidate]] = {}
+        for author in self.authors:
+            candidates = graph.advisors_of(author)
+            if not candidates:
+                raise DataError(
+                    f"TPFG: author {author!r} has an empty candidate list "
+                    "(every author needs at least the virtual root)")
+            advisors = [c.advisor for c in candidates]
+            if len(set(advisors)) != len(advisors):
+                raise DataError(
+                    f"TPFG: author {author!r} lists an advisor twice")
+            self.domain[author] = candidates
+        self.sizes = sizes = np.array(
+            [len(self.domain[a]) for a in self.authors], dtype=np.int64)
+        self.starts = _segment_starts(sizes)
+        flat = [c for a in self.authors for c in self.domain[a]]
+        self.unary = np.log(np.maximum(
+            np.array([c.likelihood for c in flat], dtype=np.float64), EPS))
+        is_root = np.array([c.advisor == ROOT for c in flat], dtype=bool)
+        ends = np.array([c.end for c in flat], dtype=np.int64)
+
+        # Factor edges: (advisee x, advisor i) for every real candidate of
+        # x whose advisor node exists in the graph.
+        index = {a: k for k, a in enumerate(self.authors)}
+        self.edges: List[Tuple[str, str]] = []
+        edge_x, edge_i, chosen, start_xi = [], [], [], []
+        for x in self.authors:
+            for position, cand in enumerate(self.domain[x]):
+                if cand.advisor != ROOT and cand.advisor in index:
+                    self.edges.append((x, cand.advisor))
+                    edge_x.append(index[x])
+                    edge_i.append(index[cand.advisor])
+                    chosen.append(position)
+                    start_xi.append(cand.start)
+        edge_x_arr = np.array(edge_x, dtype=np.int64)
+        edge_i_arr = np.array(edge_i, dtype=np.int64)
+        self.up_size = sizes[edge_x_arr]
+        self.down_size = sizes[edge_i_arr]
+        self.up_start, self.up_pos = _segments(self.starts[edge_x_arr],
+                                               self.up_size)
+        self.down_start, self.down_pos = _segments(self.starts[edge_i_arr],
+                                                   self.down_size)
+        # Entry of x's up segment where y_x = i.
+        self.choose = self.up_start + np.array(chosen, dtype=np.int64)
+        # allowed[j]: i choosing its j-th advisor does not conflict with
+        # advising x (Eq. 6.9).
+        self.allowed = is_root[self.down_pos] | (
+            ends[self.down_pos] < np.repeat(
+                np.array(start_xi, dtype=np.int64), self.down_size))
+
+    def belief(self, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Every author's belief: unary plus all incoming messages."""
+        size = len(self.unary)
+        return (self.unary
+                + np.bincount(self.up_pos, weights=up, minlength=size)
+                + np.bincount(self.down_pos, weights=down, minlength=size))
+
+    def round(self, down: np.ndarray, up: np.ndarray, penalty: float,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """One flooding round: every message recomputed from the old ones."""
+        belief = self.belief(down, up)
+
+        # Advisee x to advisor i over y_i, from x's belief without i's
+        # up message.
+        base = belief[self.up_pos] - up
+        choose_i = base[self.choose]
+        others = base.copy()
+        others[self.choose] = -np.inf
+        best_other = np.maximum.reduceat(others, self.up_start)
+        new_down = np.where(
+            self.allowed,
+            np.repeat(np.maximum(best_other, choose_i), self.down_size),
+            np.repeat(np.maximum(best_other, choose_i - penalty),
+                      self.down_size))
+        new_down -= np.repeat(np.maximum.reduceat(new_down, self.down_start),
+                              self.down_size)
+
+        # Advisor i to advisee x over y_x, from i's belief without x's
+        # down message.
+        base_i = belief[self.down_pos] - down
+        best_all = np.maximum.reduceat(base_i, self.down_start)
+        best_allowed = np.maximum.reduceat(
+            np.where(self.allowed, base_i, -np.inf), self.down_start)
+        new_up = np.repeat(best_all, self.up_size)
+        new_up[self.choose] = np.maximum(best_allowed, best_all - penalty)
+        new_up -= np.repeat(np.maximum.reduceat(new_up, self.up_start),
+                            self.up_size)
+        return new_down, new_up
+
+    def ranking(self, down: np.ndarray, up: np.ndarray,
+                ) -> Dict[str, List[Tuple[str, float]]]:
+        """Normalized max-marginal beliefs r_ij (Eq. 6.10), best first."""
+        belief = self.belief(down, up)
+        belief -= np.repeat(np.maximum.reduceat(belief, self.starts),
+                            self.sizes)
+        probs = np.exp(belief)
+        probs /= np.repeat(np.maximum(np.add.reduceat(probs, self.starts),
+                                      EPS), self.sizes)
+        values = probs.tolist()
         ranking: Dict[str, List[Tuple[str, float]]] = {}
-        for a in authors:
-            belief = node_belief(a)
-            belief = belief - belief.max()
-            probs = np.exp(belief)
-            probs = probs / max(probs.sum(), EPS)
-            pairs = sorted(
-                ((c.advisor, float(p)) for c, p in zip(domain[a], probs)),
+        for a, start in zip(self.authors, self.starts.tolist()):
+            ranking[a] = sorted(
+                ((c.advisor, values[start + k])
+                 for k, c in enumerate(self.domain[a])),
                 key=lambda pair: (-pair[1], pair[0]))
-            ranking[a] = pairs
-        return TPFGResult(ranking=ranking)
+        return ranking
+
+    # ------------------------------------------------------ checkpoint state
+    def pack(self, down: np.ndarray, up: np.ndarray,
+             ) -> Dict[Tuple[str, str, str], np.ndarray]:
+        """The checkpoint's message table: one array per directed edge."""
+        table: Dict[Tuple[str, str, str], np.ndarray] = {}
+        for (x, i), to_i, to_x in zip(self.edges,
+                                      np.split(down, self.down_start[1:]),
+                                      np.split(up, self.up_start[1:])):
+            table[("down", x, i)] = to_i
+            table[("up", i, x)] = to_x
+        return table
+
+    def unpack(self, table: Dict[Tuple[str, str, str], np.ndarray],
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat message arrays from a checkpoint's table.
+
+        Raises:
+            DataError: the table's keys or message lengths do not match
+                this candidate graph (a checkpoint of another graph).
+        """
+        expected = {("down", x, i) for x, i in self.edges} | \
+            {("up", i, x) for x, i in self.edges}
+        if set(table) != expected:
+            missing = len(expected - set(table))
+            extra = len(set(table) - expected)
+            raise DataError(
+                "TPFG checkpoint does not match the candidate graph: "
+                f"{missing} message(s) missing, {extra} unexpected")
+        down, up = [np.zeros(0)], [np.zeros(0)]
+        for e, (x, i) in enumerate(self.edges):
+            for key, size, out in ((("down", x, i), self.down_size[e], down),
+                                   (("up", i, x), self.up_size[e], up)):
+                message = np.asarray(table[key], dtype=np.float64)
+                if message.shape != (size,):
+                    raise DataError(
+                        f"TPFG checkpoint does not match the candidate "
+                        f"graph: message {key!r} has shape "
+                        f"{message.shape}, expected ({size},)")
+                out.append(message)
+        return np.concatenate(down), np.concatenate(up)
+
+
+def _segment_starts(sizes: np.ndarray) -> np.ndarray:
+    """Offset of each segment when segments of ``sizes`` are concatenated."""
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    starts[1:] = np.cumsum(sizes)[:-1]
+    return starts
+
+
+def _segments(bases: np.ndarray, sizes: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment starts, and each entry's flat domain position.
+
+    Segment e mirrors the domain positions ``bases[e] .. bases[e] +
+    sizes[e]``.
+    """
+    starts = _segment_starts(sizes)
+    positions = np.repeat(bases - starts, sizes) + np.arange(sizes.sum())
+    return starts, positions

@@ -12,9 +12,11 @@ topical hierarchy:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..corpus import Corpus
 from ..errors import ConfigurationError
@@ -23,6 +25,7 @@ from ..phrases import (PhraseCounts, compute_topic_phrase_frequencies,
                        document_phrase_instances, phrase_rank_score,
                        render_phrase)
 from ..phrases.frequent import Phrase
+from ..phrases.hierarchy_ranking import TopicPhraseFrequencies
 from ..utils import EPS
 
 
@@ -61,38 +64,10 @@ class RoleAnalyzer:
         phrase frequency TPF, and documents with no frequent phrase in
         any child contribute nothing below that topic.
         """
-        if self._doc_freq is not None:
-            return self._doc_freq
-        result: List[Dict[str, float]] = []
-        for doc_id in range(len(self.corpus)):
-            freqs: Dict[str, float] = {}
-            self._descend_document(self.hierarchy.root, doc_id, 1.0, freqs)
-            result.append(freqs)
-        self._doc_freq = result
-        return result
-
-    def _descend_document(self, topic: Topic, doc_id: int, mass: float,
-                          out: Dict[str, float]) -> None:
-        out[topic.notation] = mass
-        if not topic.children or mass <= 0:
-            return
-        phrases = self._doc_instances[doc_id]
-        if not phrases:
-            return
-        child_tables = [self._table.get(c.notation, {})
-                        for c in topic.children]
-        tpf = np.zeros(len(topic.children))
-        for phrase in phrases:
-            shares = np.array([table.get(phrase, 0.0)
-                               for table in child_tables])
-            total = shares.sum()
-            if total > 0:
-                tpf += shares / total
-        tpf_total = tpf.sum()
-        if tpf_total <= 0:
-            return
-        for child, share in zip(topic.children, tpf / tpf_total):
-            self._descend_document(child, doc_id, mass * float(share), out)
+        if self._doc_freq is None:
+            self._doc_freq = attribute_documents(
+                self.hierarchy.root, self._table, self._doc_instances)
+        return self._doc_freq
 
     # ------------------------------------------------------- entity position
     def entity_topic_frequencies(self, entity_type: str,
@@ -224,3 +199,62 @@ class RoleAnalyzer:
             scored.append((name, score))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:top_k]
+
+
+def attribute_documents(root: Topic, table: TopicPhraseFrequencies,
+                        doc_instances: Sequence[Sequence[Phrase]],
+                        ) -> List[Dict[str, float]]:
+    """Eq. 5.4–5.5 for every document at once, topic by topic.
+
+    Each internal topic costs one sparse product: a document x phrase
+    CSR with one unit entry per phrase instance times the phrase x child
+    share matrix (each phrase's child frequencies over their sum) gives
+    every document's TPF row.  Masses and key presence then pass down
+    the tree as arrays.
+
+    The CSR keeps its entries in document order and is never
+    duplicate-summed, so scipy's ``csr @ dense`` adds each document's
+    instances one by one in the order the per-document descent does:
+    the returned dicts equal that loop's bit for bit, key order (topic
+    pre-order) included.
+    """
+    num_docs = len(doc_instances)
+    phrase_ids: Dict[Phrase, int] = {}
+    columns = [phrase_ids.setdefault(phrase, len(phrase_ids))
+               for phrases in doc_instances for phrase in phrases]
+    indptr = np.zeros(num_docs + 1, dtype=np.int64)
+    np.cumsum([len(phrases) for phrases in doc_instances], out=indptr[1:])
+    instances = csr_matrix(
+        (np.ones(len(columns)), np.asarray(columns, dtype=np.int64), indptr),
+        shape=(num_docs, len(phrase_ids)))
+
+    result: List[Dict[str, float]] = [{} for _ in range(num_docs)]
+    stack = [(root, np.ones(num_docs), np.ones(num_docs, dtype=bool))]
+    while stack:
+        topic, mass, present = stack.pop()
+        notation = topic.notation
+        rows = np.flatnonzero(present)
+        for doc_id, value in zip(rows.tolist(), mass[rows].tolist()):
+            result[doc_id][notation] = value
+        if not topic.children:
+            continue
+        shares = np.column_stack([
+            np.fromiter(map(table.get(child.notation, {}).get, phrase_ids,
+                            repeat(0.0)),
+                        dtype=np.float64, count=len(phrase_ids))
+            for child in topic.children])
+        totals = shares.sum(axis=1)
+        hit = totals > 0
+        shares[hit] /= totals[hit, None]
+        shares[~hit] = 0.0
+        tpf = instances @ shares
+        tpf_total = tpf.sum(axis=1)
+        descend = present & (mass > 0) & (tpf_total > 0)
+        rows = np.flatnonzero(descend)
+        child_mass = np.zeros((num_docs, len(topic.children)))
+        child_mass[rows] = mass[rows, None] * (tpf[rows]
+                                              / tpf_total[rows, None])
+        for index in reversed(range(len(topic.children))):
+            stack.append((topic.children[index], child_mass[:, index],
+                          descend))
+    return result

@@ -77,3 +77,13 @@ def news_small():
 def planted_small():
     return generate_planted_lda(num_docs=600, num_topics=4, vocab_size=80,
                                 doc_length=40, seed=11)
+
+
+@pytest.fixture(scope="session")
+def mined():
+    """A 6x3 hierarchy with phrases and roles fitted on 100 authors."""
+    from repro.core import LatentEntityMiner, MinerConfig
+    dataset = generate_dblp(DBLPConfig(max_authors=100), seed=3)
+    miner = LatentEntityMiner(
+        MinerConfig(num_children=[6, 3], max_depth=2), seed=0)
+    return dataset, miner.fit(dataset.corpus)

@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Three families live here:
+Five families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -17,7 +17,12 @@ Three families live here:
   ``Generator.choice``) for honest before/after benchmarking;
 * network bookkeeping (:class:`ReferenceDictNetwork`) and the
   rescanning ToPMine merge (:func:`reference_segment_chunk`) — the
-  pre-CSR / pre-heap data paths.
+  pre-CSR / pre-heap data paths;
+* the per-document role attribution descent
+  (:func:`reference_document_topic_frequencies`, bit-identical to its
+  sparse kernel);
+* the per-edge TPFG message loop (:func:`reference_tpfg_ranking`,
+  1e-12 to the flat-array kernel).
 """
 
 from __future__ import annotations
@@ -231,3 +236,124 @@ def reference_segment_chunk(chunk: Sequence[int], counts,
         phrases[best_at:best_at + 2] = [phrases[best_at]
                                         + phrases[best_at + 1]]
     return phrases
+
+
+# --------------------------------------------------------------------- roles
+def reference_document_topic_frequencies(root, table,
+                                         doc_instances,
+                                         ) -> List[Dict[str, float]]:
+    """The original ``RoleAnalyzer.document_topic_frequencies`` descent.
+
+    One recursive walk per document: a topic's mass splits among its
+    children by the summed per-instance normalized phrase shares (TPF),
+    instance by instance in document order (Eq. 5.4–5.5).
+    """
+    def descend(topic, phrases, mass: float, out: Dict[str, float]) -> None:
+        out[topic.notation] = mass
+        if not topic.children or mass <= 0:
+            return
+        if not phrases:
+            return
+        child_tables = [table.get(c.notation, {}) for c in topic.children]
+        tpf = np.zeros(len(topic.children))
+        for phrase in phrases:
+            shares = np.array([child_table.get(phrase, 0.0)
+                               for child_table in child_tables])
+            total = shares.sum()
+            if total > 0:
+                tpf += shares / total
+        tpf_total = tpf.sum()
+        if tpf_total <= 0:
+            return
+        for child, share in zip(topic.children, tpf / tpf_total):
+            descend(child, phrases, mass * float(share), out)
+
+    result: List[Dict[str, float]] = []
+    for phrases in doc_instances:
+        freqs: Dict[str, float] = {}
+        descend(root, phrases, 1.0, freqs)
+        result.append(freqs)
+    return result
+
+
+# --------------------------------------------------------------------- TPFG
+def reference_tpfg_ranking(graph, max_iter: int = 25, penalty: float = 50.0,
+                           damping: float = 0.0,
+                           ) -> Dict[str, List[Tuple[str, float]]]:
+    """The original ``TPFG.fit`` message loop (without checkpointing).
+
+    Per-edge max-sum messages stored in a dict keyed by direction and
+    endpoints; every belief is re-summed from the message table, so a
+    round costs O(edges x degree) interpreter work.
+    """
+    root = ""  # CandidateGraph.ROOT
+    authors = graph.authors
+    domain = {a: graph.advisors_of(a) for a in authors}
+    unary = {a: np.log(np.maximum(
+        np.array([c.likelihood for c in domain[a]]), EPS)) for a in authors}
+    index_in_domain = {a: {c.advisor: idx for idx, c in enumerate(domain[a])}
+                       for a in authors}
+    edges = [(x, cand.advisor) for x in authors for cand in domain[x]
+             if cand.advisor != root and cand.advisor in domain]
+    allowed = {}
+    for x, i in edges:
+        st_xi = domain[x][index_in_domain[x][i]].start
+        allowed[(x, i)] = np.array([c.advisor == root or c.end < st_xi
+                                    for c in domain[i]], dtype=bool)
+    messages = {}
+    for x, i in edges:
+        messages[("down", x, i)] = np.zeros(len(domain[i]))
+        messages[("up", i, x)] = np.zeros(len(domain[x]))
+    neighbors_down = {a: [] for a in authors}
+    neighbors_up = {a: [] for a in authors}
+    for x, i in edges:
+        neighbors_down[x].append(i)
+        neighbors_up[i].append(x)
+
+    def node_belief(a, exclude=None):
+        belief = np.array(unary[a])
+        for i in neighbors_down[a]:
+            if exclude != ("up", i):
+                belief = belief + messages[("up", i, a)]
+        for x in neighbors_up[a]:
+            if exclude != ("down", x):
+                belief = belief + messages[("down", x, a)]
+        return belief
+
+    for _ in range(max_iter):
+        new_messages = {}
+        for x, i in edges:
+            base = node_belief(x, exclude=("up", i))
+            xi = index_in_domain[x][i]
+            others = np.delete(base, xi)
+            best_other = others.max() if len(others) else -np.inf
+            s_choose_i = base[xi]
+            mask = allowed[(x, i)]
+            msg = np.where(mask, np.maximum(best_other, s_choose_i),
+                           np.maximum(best_other, s_choose_i - penalty))
+            new_messages[("down", x, i)] = msg - msg.max()
+
+            base_i = node_belief(i, exclude=("down", x))
+            best_all = base_i.max()
+            allowed_scores = base_i[mask]
+            best_allowed = (allowed_scores.max() if len(allowed_scores)
+                            else best_all - penalty)
+            msg_up = np.full(len(domain[x]), best_all)
+            msg_up[xi] = max(best_allowed, best_all - penalty)
+            new_messages[("up", i, x)] = msg_up - msg_up.max()
+        if damping > 0:
+            for key, value in new_messages.items():
+                messages[key] = damping * messages[key] + (1 - damping) * value
+        else:
+            messages.update(new_messages)
+
+    ranking = {}
+    for a in authors:
+        belief = node_belief(a)
+        belief = belief - belief.max()
+        probs = np.exp(belief)
+        probs = probs / max(probs.sum(), EPS)
+        ranking[a] = sorted(
+            ((c.advisor, float(p)) for c, p in zip(domain[a], probs)),
+            key=lambda pair: (-pair[1], pair[0]))
+    return ranking

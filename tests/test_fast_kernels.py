@@ -11,15 +11,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
+from repro.hierarchy import Topic
 from repro.phrases import (make_merge_scorer, merge_significance,
                            mine_frequent_phrases_from_chunks, segment_chunk)
+from repro.relations import (ROOT, TPFG, Candidate, CandidateGraph,
+                             CollaborationNetwork, TPFGResult,
+                             build_candidate_graph)
+from repro.roles.analyzer import attribute_documents
 from .reference_kernels import (legacy_gibbs_sweep,
+                                reference_document_topic_frequencies,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
-                                reference_scatter, reference_segment_chunk)
+                                reference_scatter, reference_segment_chunk,
+                                reference_tpfg_ranking)
+from .test_tpfg_exactness import random_chain_graph
 
 pytest.importorskip("scipy")
 
@@ -201,3 +211,89 @@ class TestMergeScorerEquivalence:
                 via_function = merge_significance(counts, left, right)
                 assert via_scorer == via_function  # bit-identical
         scorer.flush()
+
+
+def _bits(doc_freqs):
+    """Every (topic, f_t(d)) pair as exact float bits, in key order."""
+    return [[(notation, value.hex()) for notation, value in freqs.items()]
+            for freqs in doc_freqs]
+
+
+class TestRoleAttributionEquivalence:
+    def test_matches_reference_bitwise_on_mined(self, mined):
+        _, result = mined
+        roles = result.roles
+        fast = roles.document_topic_frequencies()
+        ref = reference_document_topic_frequencies(
+            roles.hierarchy.root, roles._table, roles._doc_instances)
+        assert _bits(fast) == _bits(ref)
+
+    def test_matches_reference_on_hand_built_tree(self):
+        """Empty documents, phrases no child knows, a zero-share child
+        and repeated instances, on a two-level tree."""
+        root = Topic(path=())
+        first, second, third = (Topic(path=(z,)) for z in range(3))
+        first.children = [Topic(path=(0, 0)), Topic(path=(0, 1))]
+        root.children = [first, second, third]
+        p, q, unknown = (1,), (2, 3), (4,)
+        table = {"o": {p: 5.0, q: 3.0},
+                 "o/1": {p: 2.0, q: 1.0}, "o/2": {p: 1.0},
+                 "o/1/1": {p: 1.5}, "o/1/2": {q: 0.5}}
+        instances = [[], [unknown], [p, p, q], [q, unknown], [p]]
+        fast = attribute_documents(root, table, instances)
+        assert _bits(fast) == _bits(
+            reference_document_topic_frequencies(root, table, instances))
+        assert fast[0] == {"o": 1.0}
+        assert fast[1] == {"o": 1.0}
+        assert list(fast[2]) == ["o", "o/1", "o/1/1", "o/1/2", "o/2",
+                                 "o/3"]
+        assert fast[2]["o/3"] == 0.0
+        # q alone sends everything to o/1, so o/2 is present at 0.0 and
+        # o/3 (no table) too; o/1's children then split by q only.
+        assert fast[3]["o/2"] == 0.0 and fast[3]["o/1/2"] == 1.0
+
+    def test_no_documents_and_no_phrases(self):
+        root = Topic(path=())
+        root.children = [Topic(path=(0,)), Topic(path=(1,))]
+        assert attribute_documents(root, {}, []) == []
+        assert attribute_documents(root, {}, [[], []]) == \
+            [{"o": 1.0}, {"o": 1.0}]
+
+
+def _assert_tpfg_matches(fast: TPFGResult, ref):
+    assert set(fast.ranking) == set(ref)
+    for author, pairs in ref.items():
+        got = fast.ranking[author]
+        assert [name for name, _ in got] == [name for name, _ in pairs]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, pairs)) \
+            <= 1e-12
+    assert fast.predictions() == TPFGResult(ranking=ref).predictions()
+
+
+class TestTPFGEquivalence:
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6),
+           num_authors=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_random_graphs(self, damping, seed,
+                                                num_authors):
+        graph = random_chain_graph(np.random.default_rng(seed), num_authors)
+        fast = TPFG(max_iter=12, damping=damping).fit(graph)
+        _assert_tpfg_matches(fast, reference_tpfg_ranking(
+            graph, max_iter=12, damping=damping))
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_matches_reference_on_synthetic_dblp(self, dblp_small, damping):
+        graph = build_candidate_graph(
+            CollaborationNetwork.from_corpus(dblp_small.corpus))
+        assert graph.num_edges() > 0
+        _assert_tpfg_matches(TPFG(damping=damping).fit(graph),
+                             reference_tpfg_ranking(graph, damping=damping))
+
+    def test_root_only_graph(self):
+        graph = CandidateGraph()
+        for name in "abc":
+            graph.candidates[name] = [Candidate(name, ROOT, 2000, 2010, 1.0)]
+        fast = TPFG(max_iter=5).fit(graph)
+        assert fast.ranking == {name: [(ROOT, 1.0)] for name in "abc"}
+        _assert_tpfg_matches(fast, reference_tpfg_ranking(graph, max_iter=5))

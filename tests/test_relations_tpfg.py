@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import DataError
 from repro.relations import (Candidate, CandidateGraph, CollaborationNetwork,
                              IndMaxBaseline, ROOT, RuleBaseline, TPFG,
                              build_candidate_graph, evaluate_predictions,
@@ -64,6 +65,19 @@ class TestTPFGInference:
         damped = TPFG(max_iter=20, damping=0.3).fit(manual_graph())
         assert plain.predicted_advisor("junior") == \
             damped.predicted_advisor("junior")
+
+    def test_empty_candidate_list_is_a_data_error(self):
+        graph = manual_graph()
+        graph.candidates["orphan"] = []
+        with pytest.raises(DataError, match="'orphan'"):
+            TPFG(max_iter=10).fit(graph)
+
+    def test_repeated_advisor_is_a_data_error(self):
+        graph = manual_graph()
+        graph.candidates["junior"].append(
+            Candidate("junior", "prof", 2001, 2003, 0.1))
+        with pytest.raises(DataError, match="'junior'"):
+            TPFG(max_iter=10).fit(graph)
 
 
 class TestOnSyntheticData:

@@ -22,7 +22,7 @@ from repro.eval import held_out_perplexity
 from repro.network import build_collapsed_network, build_term_network
 from repro.parallel import pmap, pool_scope
 from repro.phrases.ranking import FlatTopicModel
-from repro.relations import TPFG
+from repro.relations import ROOT, TPFG
 from repro.resilience import (CheckpointWriter, atomic_write_bytes,
                               atomic_write_json, checkpoint_in,
                               load_checkpoint, save_checkpoint)
@@ -417,6 +417,24 @@ class TestKillResumeEquivalence:
             checkpoint=CheckpointWriter(path, "relations.tpfg"),
             resume=True)
         assert resumed.ranking == reference.ranking
+
+    @pytest.mark.parametrize("dropped", ["prof", ROOT],
+                             ids=["advisor", "root"])
+    def test_tpfg_refuses_checkpoint_of_other_graph(self, tmp_path,
+                                                    dropped):
+        """Dropping junior's candidate "prof" changes the message keys;
+        dropping its root option keeps the keys but shortens a message."""
+        path = str(tmp_path / "tpfg.ckpt")
+        TPFG(max_iter=10).fit(
+            manual_graph(),
+            checkpoint=CheckpointWriter(path, "relations.tpfg"))
+        graph = manual_graph()
+        graph.candidates["junior"] = [c for c in graph.candidates["junior"]
+                                      if c.advisor != dropped]
+        with pytest.raises(DataError, match="does not match"):
+            TPFG(max_iter=10).fit(
+                graph, checkpoint=CheckpointWriter(path, "relations.tpfg"),
+                resume=True)
 
     def test_corrupted_checkpoint_refuses_resume(self, tmp_path,
                                                  term_network):

@@ -2,18 +2,8 @@
 
 import pytest
 
-from repro.core import LatentEntityMiner, MinerConfig
 from repro.errors import ConfigurationError
 from repro.roles import RoleAnalyzer
-
-
-@pytest.fixture(scope="module")
-def mined():
-    from repro.datasets import DBLPConfig, generate_dblp
-    dataset = generate_dblp(DBLPConfig(max_authors=100), seed=3)
-    miner = LatentEntityMiner(
-        MinerConfig(num_children=[6, 3], max_depth=2), seed=0)
-    return dataset, miner.fit(dataset.corpus)
 
 
 class TestDocumentDistribution:
