@@ -4,7 +4,7 @@ Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, ToPMine merge, role attribution and TPFG
-kernels against theirs.
+kernels, and the serving engine's uncached topic detail, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -16,6 +16,7 @@ with a self-time/RSS breakdown (see :mod:`repro.obs.profile`) — the
 same table ``repro fit --profile`` produces for a full run.
 """
 
+import json
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
                                reference_document_topic_frequencies,
                                reference_posterior_link_split,
                                reference_scatter, reference_segment_chunk,
-                               reference_tpfg_ranking)
+                               reference_topic_detail, reference_tpfg_ranking)
 
 from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy.em import (flat_scatter_index, posterior_link_split,
@@ -44,7 +45,9 @@ from repro.phrases import (make_merge_scorer,
 from repro.relations import (TPFG, CollaborationNetwork, TPFGResult,
                              build_candidate_graph)
 from repro.roles.analyzer import attribute_documents
+from repro.serve import ModelQueryEngine, load_model, save_model_document
 
+from bench_serve import synthetic_document
 from conftest import fmt_row, report
 
 EDGES = int(os.environ.get("REPRO_BENCH_EDGES", 100_000))
@@ -59,6 +62,10 @@ CHUNKS = int(os.environ.get("REPRO_BENCH_CHUNKS", 600))
 #: workload.
 ROLE_DOCS = EDGES // 10
 TPFG_AUTHORS = NODES // 2
+
+#: Topic-detail phi rows follow the node knob: 20,000 terms at full
+#: size, the vocabulary of the ``query_keepalive`` perfbench model.
+DETAIL_TERMS = NODES * 10
 
 #: The acceptance thresholds only bind at the full problem sizes; the CI
 #: smoke pass shrinks the knobs and asserts plain correctness instead.
@@ -465,6 +472,52 @@ def test_hotpath_tpfg(benchmark):
         assert max(abs(a - b) for (_, a), (_, b) in zip(got, pairs)) \
             <= 1e-12
     assert result.predictions() == TPFGResult(ranking=ref).predictions()
+    assert fast <= SANITY_SECONDS
+    if NODES >= FULL_NODES:
+        assert speedup >= 20.0
+
+
+def test_hotpath_topic_detail(benchmark, tmp_path):
+    """Partition-then-sort top terms vs the full-row sort, end to end
+    through the engine's uncached topic detail on a v2 artifact."""
+    document = synthetic_document(num_terms=DETAIL_TERMS, num_authors=2_000)
+    path = str(tmp_path / "model.rmv2")
+    save_model_document(document, path, format="v2")
+    model = load_model(path)
+    engine = ModelQueryEngine(model, cache_size=0)
+    notations = ["o"] + [child["notation"] for child
+                         in document["model"]["hierarchy"]["children"]]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def run():
+        fast = _time(lambda: [engine.topic(n) for n in notations],
+                     span_name="bench.topic.partition")
+        slow = _time(lambda: [reference_topic_detail(model, n)
+                              for n in notations], repeats=1,
+                     span_name="bench.topic.full_sort")
+        return fast / len(notations), slow / len(notations)
+
+    try:
+        fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+        speedup = slow / max(fast, 1e-9)
+        report("hotpath_topic_detail", [
+            fmt_row("kernel (per topic)", ["ms", "speedup"]),
+            fmt_row("partition + sort kept", [fast * 1e3, 1.0]),
+            fmt_row("full-row sort", [slow * 1e3, speedup]),
+            "",
+        ] + _profiled_rows({"bench.topic.partition",
+                            "bench.topic.full_sort"}) + [
+            f"topics={len(notations)} terms/row={DETAIL_TERMS} "
+            f"(each value tied ~{DETAIL_TERMS // 997 + 1}x) "
+            f"sizes=router defaults, cache_size=0, v2 artifact",
+            "acceptance: >= 20x at 20,000 terms",
+        ])
+        for notation in notations:
+            assert json.dumps(engine.topic(notation)) == json.dumps(
+                reference_topic_detail(model, notation))
+    finally:
+        engine.close()
     assert fast <= SANITY_SECONDS
     if NODES >= FULL_NODES:
         assert speedup >= 20.0

@@ -5,14 +5,15 @@ Exports a model fitted on the synthetic DBLP corpus, then measures
 * cold start: ``load_model`` + index build + first ``top_phrases`` query,
 * warm path: the same query answered from the engine's LRU cache,
 * HTTP overhead: p50/p99 round-trip latency against a live server —
-  client-observed, cross-checked against the server's own
+  client-observed over a fresh connection per request and over one
+  keep-alive connection, cross-checked against the server's own
   ``serve.http.latency`` quantile sketch as scraped from ``/metrics``
   in Prometheus text format,
 * v1 vs v2 cold load on a deliberately large synthetic model — the v2
   zero-copy path must amortize the JSON parse away,
 * concurrent p99 against the threaded and asyncio servers under a
-  multi-threaded client (recorded, not asserted: absolute numbers are
-  machine-dependent).
+  multi-threaded client, one keep-alive connection per thread
+  (recorded, not asserted: absolute numbers are machine-dependent).
 
 Acceptance: a warm-cache ``top_phrases`` query must be >= 10x faster
 than a cold artifact load, and a v2 cold load must be >= 10x faster
@@ -20,6 +21,7 @@ than the v1 cold load of the same model.
 """
 
 import concurrent.futures
+import http.client
 import json
 import os
 import statistics
@@ -47,6 +49,22 @@ def _time(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _p50_p99(latencies):
+    latencies = sorted(latencies)
+    return (statistics.median(latencies),
+            latencies[int(len(latencies) * 0.99) - 1])
+
+
+def _keepalive_get(connection, path) -> float:
+    """One request on an open keep-alive connection; its round trip."""
+    start = time.perf_counter()
+    connection.request("GET", path)
+    response = connection.getresponse()
+    response.read()
+    assert response.status == 200
+    return time.perf_counter() - start
 
 
 def _canonical(model) -> bytes:
@@ -144,6 +162,13 @@ def test_serve_cold_vs_warm(benchmark, dblp, tmp_path):
             with urllib.request.urlopen(url, timeout=10) as response:
                 json.loads(response.read())
             latencies.append(time.perf_counter() - start)
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            keepalive = [_keepalive_get(connection, "/v1/topics/o/1")
+                         for _ in range(HTTP_REQUESTS)]
+        finally:
+            connection.close()
         # The server's own view: quantile sketch via Prometheus text.
         metrics_url = f"{base}/metrics?format=prometheus"
         with urllib.request.urlopen(metrics_url, timeout=10) as response:
@@ -153,9 +178,8 @@ def test_serve_cold_vs_warm(benchmark, dblp, tmp_path):
         if line.startswith('repro_serve_http_latency_seconds{quantile='):
             q = line.split('"')[1]
             server_quantiles[q] = float(line.rsplit(None, 1)[1])
-    latencies.sort()
-    p50 = statistics.median(latencies)
-    p99 = latencies[int(len(latencies) * 0.99) - 1]
+    p50, p99 = _p50_p99(latencies)
+    keepalive_p50, keepalive_p99 = _p50_p99(keepalive)
 
     report("serve_query_latency", [
         fmt_row("path", ["seconds", "speedup"]),
@@ -165,6 +189,8 @@ def test_serve_cold_vs_warm(benchmark, dblp, tmp_path):
         fmt_row("http round trip", ["p50_ms", "p99_ms"]),
         fmt_row(f"GET /v1/topics/o/1 x{HTTP_REQUESTS} (client)",
                 [p50 * 1e3, p99 * 1e3]),
+        fmt_row("same, one keep-alive connection",
+                [keepalive_p50 * 1e3, keepalive_p99 * 1e3]),
         fmt_row("server sketch (/metrics summary)",
                 [server_quantiles.get("0.5", 0.0) * 1e3,
                  server_quantiles.get("0.99", 0.0) * 1e3]),
@@ -235,26 +261,20 @@ def test_serve_concurrent_p99(benchmark, tmp_path):
              "/v1/entities/author00042?type=author"]
 
     def hammer(server):
-        base = f"http://{server.host}:{server.port}"
-
         def client(worker):
-            latencies = []
-            for i in range(REQUESTS_PER_CLIENT):
-                url = base + paths[(worker + i) % len(paths)]
-                start = time.perf_counter()
-                with urllib.request.urlopen(url, timeout=30) as response:
-                    assert response.status == 200
-                    response.read()
-                latencies.append(time.perf_counter() - start)
-            return latencies
+            connection = http.client.HTTPConnection(server.host,
+                                                    server.port, timeout=30)
+            try:
+                return [_keepalive_get(connection,
+                                       paths[(worker + i) % len(paths)])
+                        for i in range(REQUESTS_PER_CLIENT)]
+            finally:
+                connection.close()
 
         with concurrent.futures.ThreadPoolExecutor(
                 max_workers=CONCURRENT_CLIENTS) as pool:
             rounds = list(pool.map(client, range(CONCURRENT_CLIENTS)))
-        latencies = sorted(x for chunk in rounds for x in chunk)
-        p50 = statistics.median(latencies)
-        p99 = latencies[int(len(latencies) * 0.99) - 1]
-        return p50, p99
+        return _p50_p99([x for chunk in rounds for x in chunk])
 
     def measure():
         with ModelServer(ModelQueryEngine(load_model(v2_path)),
@@ -276,7 +296,8 @@ def test_serve_concurrent_p99(benchmark, tmp_path):
         fmt_row("asyncio (4 shards)", [a50 * 1e3, a99 * 1e3]),
         f"load: {CONCURRENT_CLIENTS} client threads x "
         f"{REQUESTS_PER_CLIENT} requests = {total} per server, "
-        f"mixed topic/search/entity endpoints",
+        f"mixed topic/search/entity endpoints, one keep-alive "
+        f"connection per thread",
         "recorded for trend tracking; no latency assertion "
         "(machine-dependent)",
     ])

@@ -42,7 +42,9 @@ The header is one JSON object::
 
 Numeric sections are CSR-style ragged arrays over the topic list (or the
 entity list, for role tables): an ``indptr`` span array plus parallel
-``ids`` / value arrays whose ids index the string tables above.  The
+``ids`` / value arrays whose ids index the string tables above.  Every
+name table is written sorted, so ids order exactly as names do; the
+query engine breaks top-term ties by id and relies on this.  The
 phrase inverted index — for every phrase, its ``(topic, score)`` pairs
 ranked best-first — is precomputed at save time and stored the same
 way, so the query engine does not have to walk the hierarchy at load.

@@ -38,12 +38,15 @@ All answers are plain JSON data.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 import zlib
 from bisect import bisect_left
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError, DataError
 from ..obs import get_logger, inc, observe, span, timed
@@ -64,6 +67,40 @@ logger = get_logger("serve.engine")
 def _shard_of(phrase: str, shards: int) -> int:
     """Stable shard assignment (CRC32, identical in every process)."""
     return zlib.crc32(phrase.encode("utf-8")) % shards
+
+
+def _size(name: str, value: Any) -> int:
+    """A request's size argument, negatives clamped to 0.
+
+    Sizes arrive from JSON batch bodies as well as from code, so a
+    float, string, ``null`` or boolean gets a typed error naming the
+    parameter here instead of failing deep inside a slice or a sort.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}")
+    return max(value, 0)
+
+
+def _top_entries(ids: np.ndarray, values: np.ndarray,
+                 k: int) -> np.ndarray:
+    """Positions of a row's ``k`` best entries, best first.
+
+    The answer equals the first ``k`` positions of a full sort by
+    ``(-value, id)``, but only entries at or above the k-th largest
+    value are sorted: ``np.partition`` finds that cut in linear time
+    and keeps every entry tied at it, so the id tie-break stays exact.
+    """
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    negated = -values
+    if k < len(values):
+        cut = np.partition(negated, k - 1)[k - 1]
+        kept = np.flatnonzero(negated <= cut)
+    else:
+        kept = np.arange(len(values))
+    order = np.lexsort((ids[kept], negated[kept]))
+    return kept[order[:k]]
 
 
 class _DictBackend:
@@ -100,22 +137,21 @@ class _DictBackend:
     def meta(self, notation: str) -> Optional[Dict[str, Any]]:
         return self._meta.get(notation)
 
-    def phrases(self, notation: str) -> List[List[Any]]:
-        return self._records[notation]["phrases"]
+    def phrases(self, notation: str, limit: int) -> List[List[Any]]:
+        return self._records[notation]["phrases"][:limit]
 
-    def top_terms(self, notation: str) -> List[Tuple[str, float]]:
+    def num_phrases(self, notation: str) -> int:
+        return len(self._records[notation]["phrases"])
+
+    def top_terms(self, notation: str, limit: int) -> List[List[Any]]:
         terms = self._records[notation]["phi"].get("term", {})
-        return sorted(terms.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [[name, p] for name, p in heapq.nsmallest(
+            limit, terms.items(), key=lambda kv: (-kv[1], kv[0]))]
 
-    def entity_ranks(self, notation: str) -> Dict[str, List[List[Any]]]:
-        return self._records[notation]["entity_ranks"]
-
-    def label(self, notation: str) -> str:
-        record = self._records[notation]
-        if record["phrases"]:
-            return record["phrases"][0][0]
-        top = self.top_terms(notation)
-        return top[0][0] if top else ""
+    def entity_ranks(self, notation: str,
+                     limit: int) -> Dict[str, List[List[Any]]]:
+        return {etype: ranks[:limit] for etype, ranks
+                in self._records[notation]["entity_ranks"].items()}
 
     def phrase_topics(self, phrase: str) -> List[List[Any]]:
         return [[notation, score]
@@ -174,23 +210,28 @@ class _MappedBackend:
                          for c in meta["children"]],
         }
 
-    def phrases(self, notation: str) -> List[List[Any]]:
+    def phrases(self, notation: str, limit: int) -> List[List[Any]]:
         ids, scores = _row(self._model, "phrases", self._index[notation],
                            "scores")
         table = self.phrase_list
-        return [[table[int(i)], float(s)] for i, s in zip(ids, scores)]
+        return [[table[int(i)], float(s)]
+                for i, s in zip(ids[:limit], scores[:limit])]
 
-    def top_terms(self, notation: str) -> List[Tuple[str, float]]:
-        meta = self._topics[self._index[notation]]
-        if "term" not in meta["phi_types"]:
+    def num_phrases(self, notation: str) -> int:
+        return len(_row(self._model, "phrases", self._index[notation],
+                        "scores")[0])
+
+    def top_terms(self, notation: str, limit: int) -> List[List[Any]]:
+        index = self._index[notation]
+        if "term" not in self._topics[index]["phi_types"]:
             return []
         names = self._phi_names["term"]
-        ids, values = _row(self._model, "phi.term", self._index[notation])
-        terms = [(names[int(i)], float(v)) for i, v in zip(ids, values)]
-        terms.sort(key=lambda kv: (-kv[1], kv[0]))
-        return terms
+        ids, values = _row(self._model, "phi.term", index)
+        return [[names[int(ids[i])], float(values[i])]
+                for i in _top_entries(ids, values, limit)]
 
-    def entity_ranks(self, notation: str) -> Dict[str, List[List[Any]]]:
+    def entity_ranks(self, notation: str,
+                     limit: int) -> Dict[str, List[List[Any]]]:
         index = self._index[notation]
         meta = self._topics[index]
         ranks: Dict[str, List[List[Any]]] = {}
@@ -199,15 +240,8 @@ class _MappedBackend:
             ids, scores = _row(self._model, f"entity_ranks.{etype}",
                                index, "scores")
             ranks[etype] = [[names[int(i)], float(s)]
-                            for i, s in zip(ids, scores)]
+                            for i, s in zip(ids[:limit], scores[:limit])]
         return ranks
-
-    def label(self, notation: str) -> str:
-        phrases = self.phrases(notation)
-        if phrases:
-            return phrases[0][0]
-        top = self.top_terms(notation)
-        return top[0][0] if top else ""
 
     def _phrase_index(self, phrase: str) -> int:
         index = bisect_left(self.phrase_list, phrase)
@@ -413,6 +447,9 @@ class ModelQueryEngine:
     def topic(self, topic_id: str, max_phrases: int = 10,
               max_entities: int = 5, max_terms: int = 10) -> Dict[str, Any]:
         """Full detail of one topic node."""
+        max_phrases = _size("max_phrases", max_phrases)
+        max_entities = _size("max_entities", max_entities)
+        max_terms = _size("max_terms", max_terms)
         key = ("topic", topic_id, max_phrases, max_entities, max_terms)
         return self._cached(key, lambda: self._compute_topic(
             topic_id, max_phrases, max_entities, max_terms))
@@ -420,22 +457,17 @@ class ModelQueryEngine:
     def _compute_topic(self, topic_id: str, max_phrases: int,
                        max_entities: int, max_terms: int) -> Dict[str, Any]:
         meta = self._meta_of(topic_id)
-        phrases = self._backend.phrases(topic_id)
-        top_terms = self._backend.top_terms(topic_id)
+        backend = self._backend
         return {
             "topic": topic_id,
             "level": len(meta["path"]),
             "rho": meta["rho"],
             "parent": meta["parent"],
             "children": meta["children"],
-            "phrases": phrases[:max(max_phrases, 0)],
-            "num_phrases": len(phrases),
-            "top_terms": [[name, p] for name, p
-                          in top_terms[:max(max_terms, 0)]],
-            "entity_ranks": {
-                etype: ranks[:max(max_entities, 0)]
-                for etype, ranks
-                in self._backend.entity_ranks(topic_id).items()},
+            "phrases": backend.phrases(topic_id, max_phrases),
+            "num_phrases": backend.num_phrases(topic_id),
+            "top_terms": backend.top_terms(topic_id, max_terms),
+            "entity_ranks": backend.entity_ranks(topic_id, max_entities),
         }
 
     def children(self, topic_id: str) -> Dict[str, Any]:
@@ -449,18 +481,25 @@ class ModelQueryEngine:
         for child in meta["children"]:
             summaries.append({"topic": child,
                               "rho": self._meta[child]["rho"],
-                              "label": self._backend.label(child)})
+                              "label": self._label(child)})
         return {"topic": topic_id, "children": summaries}
+
+    def _label(self, topic_id: str) -> str:
+        """The best phrase, else the top term, else ``""``."""
+        best = (self._backend.phrases(topic_id, 1)
+                or self._backend.top_terms(topic_id, 1))
+        return best[0][0] if best else ""
 
     def top_phrases(self, topic_id: str, k: int = 10) -> Dict[str, Any]:
         """The ``k`` best ranked phrases of one topic."""
+        k = _size("k", k)
         return self._cached(("top_phrases", topic_id, k),
                             lambda: self._compute_top_phrases(topic_id, k))
 
     def _compute_top_phrases(self, topic_id: str, k: int) -> Dict[str, Any]:
         self._meta_of(topic_id)
         return {"topic": topic_id,
-                "phrases": self._backend.phrases(topic_id)[:max(k, 0)]}
+                "phrases": self._backend.phrases(topic_id, k)}
 
     # --------------------------------------------------------------- search
     def search_phrases(self, query: str, mode: str = "prefix",
@@ -476,6 +515,7 @@ class ModelQueryEngine:
         if mode not in _SEARCH_MODES:
             raise ConfigurationError(
                 f"unsupported search mode {mode!r} (one of {_SEARCH_MODES})")
+        limit = _size("limit", limit)
         key = ("search_phrases", query, mode, limit)
         return self._cached(key, lambda: self._compute_search(
             query, mode, limit))

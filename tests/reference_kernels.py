@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Five families live here:
+Six families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -22,12 +22,15 @@ Five families live here:
   (:func:`reference_document_topic_frequencies`, bit-identical to its
   sparse kernel);
 * the per-edge TPFG message loop (:func:`reference_tpfg_ranking`,
-  1e-12 to the flat-array kernel).
+  1e-12 to the flat-array kernel);
+* the full-row topic-detail sort (:func:`reference_top_terms`,
+  :func:`reference_topic_detail`), byte-identical to the serving
+  engine's partition-then-sort selection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -357,3 +360,60 @@ def reference_tpfg_ranking(graph, max_iter: int = 25, penalty: float = 50.0,
             ((c.advisor, float(p)) for c, p in zip(domain[a], probs)),
             key=lambda pair: (-pair[1], pair[0]))
     return ranking
+
+
+# -------------------------------------------------------------------- serve
+def reference_top_terms(terms: Iterable[Tuple[str, float]],
+                        k: int) -> List[List[Any]]:
+    """The original topic-detail ``top_terms``: sort the whole phi row.
+
+    Every ``(term, probability)`` pair is sorted by descending
+    probability, ties by term name, and the first ``k`` are kept.
+    """
+    ranked = sorted(terms, key=lambda kv: (-kv[1], kv[0]))
+    return [[name, p] for name, p in ranked[:max(k, 0)]]
+
+
+def reference_topic_detail(model, notation: str, max_phrases: int = 10,
+                           max_entities: int = 5,
+                           max_terms: int = 10) -> Dict[str, Any]:
+    """The original uncached topic detail over a mapped v2 model.
+
+    Every row of the topic is turned into Python lists first (all
+    phrases, all entity ranks, every phi entry for the full sort), and
+    each list is cut to its requested size afterwards.
+    """
+    from repro.serve.artifact_v2 import _row
+
+    strings = model.strings
+    topics = strings["topics"]
+    index = next(i for i, meta in enumerate(topics)
+                 if meta["notation"] == notation)
+    meta = topics[index]
+    ids, scores = _row(model, "phrases", index, "scores")
+    phrases = [[strings["phrases"][int(i)], float(s)]
+               for i, s in zip(ids, scores)]
+    terms: List[Tuple[str, float]] = []
+    if "term" in meta["phi_types"]:
+        names = strings["phi_names"]["term"]
+        ids, values = _row(model, "phi.term", index)
+        terms = [(names[int(i)], float(v)) for i, v in zip(ids, values)]
+    ranks = {}
+    for etype in meta["rank_types"]:
+        names = strings["rank_names"][etype]
+        ids, scores = _row(model, f"entity_ranks.{etype}", index, "scores")
+        ranks[etype] = [[names[int(i)], float(s)]
+                        for i, s in zip(ids, scores)]
+    return {
+        "topic": notation,
+        "level": len(meta["path"]),
+        "rho": meta["rho"],
+        "parent": (None if meta["parent"] is None
+                   else topics[meta["parent"]]["notation"]),
+        "children": [topics[c]["notation"] for c in meta["children"]],
+        "phrases": phrases[:max(max_phrases, 0)],
+        "num_phrases": len(phrases),
+        "top_terms": reference_top_terms(terms, max_terms),
+        "entity_ranks": {etype: entries[:max(max_entities, 0)]
+                         for etype, entries in ranks.items()},
+    }

@@ -7,7 +7,10 @@ draws.  These tests are the contract that lets ``bench_hotpaths.py``
 honestly claim speedups: same numbers, less time.
 """
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,18 +19,22 @@ from hypothesis import strategies as st
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
-from repro.hierarchy import Topic
+from repro.hierarchy import Topic, TopicalHierarchy
 from repro.phrases import (make_merge_scorer, merge_significance,
                            mine_frequent_phrases_from_chunks, segment_chunk)
 from repro.relations import (ROOT, TPFG, Candidate, CandidateGraph,
                              CollaborationNetwork, TPFGResult,
                              build_candidate_graph)
 from repro.roles.analyzer import attribute_documents
+from repro.serve import (ModelQueryEngine, ServedModel, load_model,
+                         save_model_document)
+from repro.serve.artifact import build_document_from_parts
 from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_document_topic_frequencies,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
                                 reference_scatter, reference_segment_chunk,
+                                reference_top_terms, reference_topic_detail,
                                 reference_tpfg_ranking)
 from .test_tpfg_exactness import random_chain_graph
 
@@ -297,3 +304,128 @@ class TestTPFGEquivalence:
         fast = TPFG(max_iter=5).fit(graph)
         assert fast.ranking == {name: [(ROOT, 1.0)] for name in "abc"}
         _assert_tpfg_matches(fast, reference_tpfg_ranking(graph, max_iter=5))
+
+
+#: Phi values for heavily tied rows: zero of both signs, the smallest
+#: subnormal, and a few normal probabilities.
+TIED_VALUES = (0.0, -0.0, 5e-324, 1e-300, 0.125, 0.25, 0.5)
+
+ROOT_PHRASES = [("query processing", 0.9), ("vector machines", 0.5),
+                ("feature selection", 0.5)]
+ROOT_RANKS = {"author": [("bob", 0.7), ("amy", 0.7), ("cat", 0.1)],
+              "venue": [("VLDB", 1.0)]}
+
+
+def _tied_row(rng, num_terms, pool):
+    """``num_terms`` terms named ``t<j>`` in shuffled order (so insertion,
+    numeric and name order all differ), each valued from ``pool``."""
+    values = rng.choice(np.array(pool), size=num_terms)
+    return {f"t{j}": float(v)
+            for j, v in zip(rng.permutation(num_terms), values)}
+
+
+def _engine_pair(rows, directory):
+    """v1 and v2 engines (uncached) over one model whose root carries
+    ``ROOT_PHRASES``, ``ROOT_RANKS`` and ``rows[0]``, and whose children
+    carry the other rows and no phrases."""
+    root = Topic(path=(), phi={"term": rows[0]}, phrases=ROOT_PHRASES,
+                 entity_ranks=ROOT_RANKS)
+    root.children = [Topic(path=(c,), phi={"term": row})
+                     for c, row in enumerate(rows[1:])]
+    vocabulary = sorted({name for row in rows for name in row})
+    document = build_document_from_parts(
+        vocabulary, TopicalHierarchy(root=root), {}, num_documents=0)
+    path = os.path.join(directory, "model.rmv2")
+    save_model_document(document, path, format="v2")
+    v1 = ModelQueryEngine(ServedModel(manifest=document["manifest"],
+                                      model=document["model"]),
+                          cache_size=0)
+    return v1, ModelQueryEngine(load_model(path), cache_size=0)
+
+
+def _json(value):
+    return json.dumps(value).encode("utf-8")
+
+
+class TestTopicDetailSelection:
+    """Partition-then-sort top terms vs the full-row reference sort."""
+
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6),
+           sizes=st.lists(st.integers(min_value=0, max_value=3_000),
+                          min_size=1, max_size=3),
+           pool=st.lists(st.sampled_from(TIED_VALUES), min_size=1,
+                         max_size=4, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_engines_match_full_sort(self, seed, sizes, pool):
+        rng = np.random.default_rng(seed)
+        rows = [_tied_row(rng, n, pool) for n in sizes]
+        with tempfile.TemporaryDirectory() as directory:
+            v1, v2 = _engine_pair(rows, directory)
+            try:
+                notations = ["o"] + [f"o/{c}" for c in range(1, len(rows))]
+                for notation, row in zip(notations, rows):
+                    n = len(row)
+                    for k in (0, 1, n - 1, n, n + 3,
+                              int(rng.integers(0, n + 4))):
+                        expected = _json(reference_top_terms(row.items(), k))
+                        for engine in (v1, v2):
+                            answer = engine.topic(notation, max_terms=k)
+                            assert _json(answer["top_terms"]) == expected
+                        sizes = dict(max_phrases=k, max_entities=k,
+                                     max_terms=k)
+                        assert _json(v2.topic(notation, **sizes)) == \
+                            _json(v1.topic(notation, **sizes)) == \
+                            _json(reference_topic_detail(
+                                v2.model, notation, **sizes))
+                labels = [reference_top_terms(row.items(), 1)
+                          for row in rows[1:]]
+                expected = [top[0][0] if top else "" for top in labels]
+                for engine in (v1, v2):
+                    children = engine.children("o")["children"]
+                    assert [c["label"] for c in children] == expected
+            finally:
+                v2.close()
+
+    def test_label_falls_back_to_top_term_by_name(self, tmp_path):
+        """A phrase-less topic is labelled by its top term; among terms
+        tied at the top the smallest name wins."""
+        rows = [{"a": 0.5}, {"t9": 0.25, "t10": 0.25, "t2": 0.125},
+                {"z": 5e-324, "y": 5e-324}, {}]
+        v1, v2 = _engine_pair(rows, str(tmp_path))
+        try:
+            for engine in (v1, v2):
+                labels = [c["label"]
+                          for c in engine.children("o")["children"]]
+                assert labels == ["t10", "y", ""]
+        finally:
+            v2.close()
+
+    def test_num_phrases_is_the_full_count(self, tmp_path):
+        v1, v2 = _engine_pair([{"a": 0.5}, {"b": 0.5}], str(tmp_path))
+        try:
+            for engine in (v1, v2):
+                root = engine.topic("o", max_phrases=1)
+                assert root["phrases"] == [["query processing", 0.9]]
+                assert root["num_phrases"] == len(ROOT_PHRASES)
+                assert engine.topic("o", max_phrases=0)["num_phrases"] == \
+                    len(ROOT_PHRASES)
+                assert engine.topic("o/1", max_phrases=5)["num_phrases"] == 0
+                assert engine.top_phrases("o", k=2)["phrases"] == \
+                    [list(pair) for pair in ROOT_PHRASES[:2]]
+        finally:
+            v2.close()
+
+    def test_v2_name_tables_are_sorted(self, tmp_path):
+        """The engine breaks ties by id, which is name order only
+        because the v2 writer emits every name table sorted."""
+        rows = [{"t9": 0.5, "t10": 0.5, "b": 0.25}, {"a": 0.5, "t1": 0.0}]
+        _, v2 = _engine_pair(rows, str(tmp_path))
+        try:
+            strings = v2.model.strings
+            for table in [strings["phrases"], strings["role_keys"],
+                          *strings["phi_names"].values(),
+                          *strings["rank_names"].values(),
+                          *strings["entities"].values()]:
+                assert table == sorted(table)
+        finally:
+            v2.close()

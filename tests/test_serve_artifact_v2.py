@@ -72,6 +72,15 @@ def _http_get(server, path):
         return json.loads(response.read())
 
 
+def _http_post(server, path, payload):
+    url = f"http://{server.host}:{server.port}{path}"
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
+
+
 class TestManifestContract:
     def test_schema_is_v2_but_fingerprints_carry_over(self, fitted,  # noqa: F811
                                                       tmp_path):
@@ -407,3 +416,65 @@ class TestPageSharing:
             if holder.stdin is not None:
                 holder.stdin.close()
             holder.wait(timeout=30)
+
+
+class TestSizeArguments:
+    """A size that is not an integer is a typed 400 naming it, with one
+    error record from a v1 engine, a v2 engine and ``POST /v1/batch``."""
+
+    SIZED = [("topic", {"topic_id": "o/1"}, "max_phrases"),
+             ("topic", {"topic_id": "o/1"}, "max_terms"),
+             ("topic", {"topic_id": "o/1"}, "max_entities"),
+             ("top_phrases", {"topic_id": "o"}, "k"),
+             ("search_phrases", {"query": "s"}, "limit")]
+    BAD = [2.5, "3", None, True, False]
+
+    def test_same_400_record_from_every_path(self, fitted,  # noqa: F811
+                                             v2_server):
+        miner, result = fitted
+        v1 = ModelQueryEngine.from_result(result,
+                                          config=miner._artifact_config())
+        cases = [(op, args, name, bad) for op, args, name in self.SIZED
+                 for bad in self.BAD]
+        requests = [{"op": op, "args": dict(args, **{name: bad})}
+                    for op, args, name, bad in cases]
+        over_http = _http_post(v2_server, "/v1/batch", requests)
+        expected = {"results": [
+            {"ok": False, "status": 400,
+             "error": f"{name} must be an integer, got {bad!r}"}
+            for _, _, name, bad in cases]}
+        for answer in (v1.batch(requests), v2_server.engine.batch(requests),
+                       over_http):
+            assert json.dumps(answer) == json.dumps(expected)
+
+    def test_direct_calls_raise_configuration_error(self, pristine_v2):
+        engine = ModelQueryEngine(load_model(pristine_v2))
+        try:
+            with pytest.raises(ConfigurationError, match="max_terms"):
+                engine.topic("o", max_terms=2.5)
+            with pytest.raises(ConfigurationError, match="^k must"):
+                engine.top_phrases("o", k="3")
+            with pytest.raises(ConfigurationError, match="limit"):
+                engine.search_phrases("s", limit=True)
+        finally:
+            engine.close()
+
+    def test_negative_sizes_clamp_to_zero(self, fitted,  # noqa: F811
+                                          pristine_v2):
+        miner, result = fitted
+        v1 = ModelQueryEngine.from_result(result,
+                                          config=miner._artifact_config())
+        v2 = ModelQueryEngine(load_model(pristine_v2))
+        try:
+            for engine in (v1, v2):
+                answer = engine.topic("o/1", max_phrases=-1,
+                                      max_entities=-2, max_terms=-3)
+                assert answer == engine.topic("o/1", max_phrases=0,
+                                              max_entities=0, max_terms=0)
+                assert answer["phrases"] == answer["top_terms"] == []
+                assert engine.top_phrases("o", k=-1)["phrases"] == []
+                assert engine.search_phrases("s", limit=-1)["matches"] == []
+            assert json.dumps(v1.topic("o/1", max_terms=-3)) == \
+                json.dumps(v2.topic("o/1", max_terms=-3))
+        finally:
+            v2.close()
