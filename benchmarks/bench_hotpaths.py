@@ -4,7 +4,8 @@ Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, ToPMine merge, role attribution and TPFG
-kernels, and the serving engine's uncached topic detail, against theirs.
+kernels, the serving engine's uncached topic detail and the STROD
+moments, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -30,14 +31,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
                                reference_document_topic_frequencies,
+                               reference_document_topics,
+                               reference_first_moment,
                                reference_posterior_link_split,
-                               reference_scatter, reference_segment_chunk,
-                               reference_topic_detail, reference_tpfg_ranking)
+                               reference_scatter, reference_second_moment,
+                               reference_segment_chunk,
+                               reference_topic_detail, reference_tpfg_ranking,
+                               reference_whitened_third_moment,
+                               reference_word_count_rows)
 
 from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy.em import (flat_scatter_index, posterior_link_split,
                             scatter_expectations)
-from repro.datasets import DBLPConfig, generate_dblp
+from repro.datasets import DBLPConfig, generate_dblp, generate_planted_lda
 from repro.hierarchy import Topic
 from repro.network import HeterogeneousNetwork
 from repro.phrases import (make_merge_scorer,
@@ -46,6 +52,9 @@ from repro.relations import (TPFG, CollaborationNetwork, TPFGResult,
                              build_candidate_graph)
 from repro.roles.analyzer import attribute_documents
 from repro.serve import ModelQueryEngine, load_model, save_model_document
+from repro.strod import (STROD, compute_whitener, first_moment,
+                         second_moment, whitened_third_moment)
+from repro.strod.moments import count_matrix
 
 from bench_serve import synthetic_document
 from conftest import fmt_row, report
@@ -66,6 +75,12 @@ TPFG_AUTHORS = NODES // 2
 #: Topic-detail phi rows follow the node knob: 20,000 terms at full
 #: size, the vocabulary of the ``query_keepalive`` perfbench model.
 DETAIL_TERMS = NODES * 10
+
+#: STROD moment documents follow the node knob: 10,000 planted-LDA
+#: documents of 10 tokens over 500 words at full size.
+STROD_DOCS = NODES * 5
+STROD_VOCAB = 500
+STROD_TOPICS = 5
 
 #: The acceptance thresholds only bind at the full problem sizes; the CI
 #: smoke pass shrinks the knobs and asserts plain correctness instead.
@@ -521,6 +536,85 @@ def test_hotpath_topic_detail(benchmark, tmp_path):
     assert fast <= SANITY_SECONDS
     if NODES >= FULL_NODES:
         assert speedup >= 20.0
+
+
+def test_hotpath_strod_moments(benchmark):
+    """Count-matrix STROD moments vs the per-document loops: word
+    counts, M1, dense M2 and whitened M3 over one node's documents."""
+    planted = generate_planted_lda(num_docs=STROD_DOCS,
+                                   num_topics=STROD_TOPICS,
+                                   vocab_size=STROD_VOCAB, doc_length=10,
+                                   seed=8)
+    docs, vocab = planted.docs, planted.vocab_size
+    alpha0 = float(planted.alpha.sum())
+    ref_rows = reference_word_count_rows(docs, vocab)
+    counts = count_matrix(docs, vocab)
+    ref_m1 = reference_first_moment(ref_rows, vocab)
+    ref_m2 = reference_second_moment(ref_rows, vocab, alpha0)
+    whitener, _ = compute_whitener(ref_m2, STROD_TOPICS)
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    stages = [
+        ("word counts", lambda: count_matrix(docs, vocab),
+         lambda: reference_word_count_rows(docs, vocab)),
+        ("M1", lambda: first_moment(counts, vocab),
+         lambda: reference_first_moment(ref_rows, vocab)),
+        ("M2 (dense)", lambda: second_moment(counts, vocab, alpha0),
+         lambda: reference_second_moment(ref_rows, vocab, alpha0)),
+        ("whitened M3",
+         lambda: whitened_third_moment(counts, whitener, ref_m1, alpha0),
+         lambda: reference_whitened_third_moment(ref_rows, whitener,
+                                                 ref_m1, alpha0)),
+    ]
+
+    def run():
+        return [(_time(fast, span_name="bench.strod.count_matrix"),
+                 _time(slow, repeats=1, span_name="bench.strod.per_document"))
+                for _, fast, slow in stages]
+
+    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    fast = sum(f for f, _ in timings)
+    slow = sum(s for _, s in timings)
+    speedup = slow / max(fast, 1e-9)
+    report("hotpath_strod_moments", [
+        fmt_row("kernel", ["count_csr_s", "loop_s", "speedup"]),
+    ] + [fmt_row(name, [f, s, s / max(f, 1e-9)])
+         for (name, _, _), (f, s) in zip(stages, timings)] + [
+        fmt_row("total", [fast, slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.strod.count_matrix",
+                        "bench.strod.per_document"}) + [
+        f"docs={STROD_DOCS} tokens/doc=10 vocab={STROD_VOCAB} "
+        f"k={STROD_TOPICS} (W built once, outside the timed region)",
+        "acceptance: >= 10x in total at 10,000 documents",
+    ])
+
+    bounds = counts.indptr
+    assert len(ref_rows) == counts.shape[0]
+    for d, (ids, cnt) in enumerate(ref_rows):
+        assert np.array_equal(counts.indices[bounds[d]:bounds[d + 1]], ids)
+        assert np.array_equal(counts.data[bounds[d]:bounds[d + 1]], cnt)
+    assert np.array_equal(first_moment(counts, vocab), ref_m1)
+    m2 = second_moment(counts, vocab, alpha0)
+    assert np.abs(m2 - ref_m2).max() <= 1e-12 * np.abs(ref_m2).max()
+    ref_t = reference_whitened_third_moment(ref_rows, whitener, ref_m1,
+                                            alpha0)
+    t = whitened_third_moment(counts, whitener, ref_m1, alpha0)
+    assert np.abs(t - ref_t).max() <= 1e-12 * np.abs(ref_t).max()
+
+    strod = STROD(num_topics=STROD_TOPICS, alpha0=alpha0, seed=0)
+    model = strod.fit(docs, vocab)
+    theta = strod.document_topics(docs)
+    ref_theta = reference_document_topics(model.alpha, model.phi, docs)
+    assert np.abs(theta - ref_theta).max() <= 1e-12
+    top_two = np.sort(ref_theta, axis=1)[:, -2:]
+    clear = (top_two[:, 1] - top_two[:, 0]) > 1e-9 * top_two.sum(axis=1)
+    assert np.array_equal(theta.argmax(axis=1)[clear],
+                          ref_theta.argmax(axis=1)[clear])
+    assert fast <= SANITY_SECONDS
+    if NODES >= FULL_NODES:
+        assert speedup >= 10.0
 
 
 def test_no_kernel_fallbacks_recorded():

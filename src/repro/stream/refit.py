@@ -139,7 +139,7 @@ class StreamRefitter:
         rng = ensure_rng(self.seed)
         with span("stream.refit", num_documents=len(docs)):
             self._expand(hierarchy.root, corpus, docs,
-                         list(range(len(docs))), 0, prev_nodes, state,
+                         np.arange(len(docs)), 0, prev_nodes, state,
                          doc_notations, stats, rng)
         inc("stream.refit.nodes_solved", stats.nodes_solved)
         inc("stream.refit.nodes_reused", stats.nodes_reused)
@@ -150,7 +150,7 @@ class StreamRefitter:
 
     # ------------------------------------------------------------ internals
     def _expand(self, topic: Topic, corpus: Corpus,
-                docs: List[List[int]], doc_ids: List[int], level: int,
+                docs: List[List[int]], doc_ids: np.ndarray, level: int,
                 prev_nodes: Dict[str, Any], state: Dict[str, Any],
                 doc_notations: List[str], stats: RefitStats,
                 rng) -> None:
@@ -158,7 +158,7 @@ class StreamRefitter:
         config = self.config
         if level >= config.max_depth:
             return
-        subset = [docs[i] for i in doc_ids]
+        subset = [docs[i] for i in doc_ids.tolist()]
         long_enough = [d for d in subset if len(d) >= 3]
         if len(long_enough) < max(config.min_documents,
                                   config.num_children):
@@ -190,10 +190,10 @@ class StreamRefitter:
             child = Topic(rho=float(model.alpha[z] / model.alpha.sum()),
                           phi={"term": phi_dict})
             topic.add_child(child)
-            child_doc_ids = [doc_ids[i] for i in range(len(doc_ids))
-                             if assignment[i] == z]
-            for doc_id in child_doc_ids:
-                doc_notations[doc_id] = child.notation
+            child_doc_ids = doc_ids[np.flatnonzero(assignment == z)]
+            child_notation = child.notation
+            for doc_id in child_doc_ids.tolist():
+                doc_notations[doc_id] = child_notation
             self._expand(child, corpus, docs, child_doc_ids, level + 1,
                          prev_nodes, state, doc_notations, stats, rng)
 

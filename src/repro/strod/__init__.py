@@ -2,9 +2,9 @@
 
 from .hierarchy import STRODHierarchyBuilder, STRODTreeConfig
 from .moments import (MOMENT_SKETCH_SCHEMA, MomentSketch, compute_whitener,
-                      first_moment, second_moment, whitened_third_moment,
-                      word_count_rows)
-from .sparse import compute_whitener_sparse, sparse_pair_moment
+                      first_moment, second_moment, sparse_pair_moment,
+                      whitened_third_moment, word_count_rows)
+from .sparse import compute_whitener_sparse
 from .strod import STROD, STRODModel
 from .tensor_power import (TensorEigenpair, power_iteration,
                            reconstruction_error,

@@ -51,17 +51,17 @@ class STRODHierarchyBuilder:
         """Construct the hierarchy for ``corpus``."""
         hierarchy = TopicalHierarchy()
         docs = [doc.tokens for doc in corpus]
-        doc_ids = list(range(len(docs)))
+        doc_ids = np.arange(len(docs))
         self._expand(hierarchy.root, corpus, docs, doc_ids, level=0)
         return hierarchy
 
     def _expand(self, topic: Topic, corpus: Corpus,
-                docs: List[List[int]], doc_ids: List[int],
+                docs: List[List[int]], doc_ids: np.ndarray,
                 level: int) -> None:
         config = self.config
         if level >= config.max_depth:
             return
-        subset = [docs[i] for i in doc_ids]
+        subset = [docs[i] for i in doc_ids.tolist()]
         long_enough = [d for d in subset if len(d) >= 3]
         if len(long_enough) < max(config.min_documents,
                                   config.num_children):
@@ -83,6 +83,5 @@ class STRODHierarchyBuilder:
             child = Topic(rho=float(model.alpha[z] / model.alpha.sum()),
                           phi={"term": phi_dict})
             topic.add_child(child)
-            child_doc_ids = [doc_ids[i] for i in range(len(doc_ids))
-                             if assignment[i] == z]
+            child_doc_ids = doc_ids[np.flatnonzero(assignment == z)]
             self._expand(child, corpus, docs, child_doc_ids, level + 1)

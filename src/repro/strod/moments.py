@@ -12,18 +12,55 @@ where x1, x2, x3 are distinct word draws of one document.  The empirical
 estimators debias repeated-word effects with the standard count-correction
 identities; M3 is never materialized — it is only ever *applied* to the
 (V, k) whitening matrix, which is the scalability improvement of
-Section 7.3.2 (per-document cost O(nnz * k + k^3)).
+Section 7.3.2 (cost O(nnz * k + (D + V) * k^3) over D documents).
+
+Every estimator runs on one CSR count matrix C (documents x words,
+sorted word ids per row): a solve builds it once with
+:func:`count_matrix`, and a sequence of per-document ``(ids, counts)``
+rows (a :class:`MomentSketch`, :func:`word_count_rows`) is concatenated
+into one.  Each moment is then a handful of sparse and dense matrix
+products over all documents at once instead of a loop over documents.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Sequence, Tuple
+from itertools import chain, compress
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags, issparse
 
 from ..contracts import MOMENT_SKETCH_V1
 from ..errors import ConfigurationError, DataError
+
+#: Per-document word counts: a CSR count matrix (documents x words) or
+#: a sequence of ``(word ids, counts)`` rows, one per document.
+CountRows = Union[csr_matrix, Sequence[Tuple[np.ndarray, np.ndarray]]]
+
+
+def count_matrix(docs: Sequence[Sequence[int]], vocab_size: int,
+                 min_length: int = 3) -> csr_matrix:
+    """Word counts of every document of ``min_length`` or more tokens.
+
+    One CSR row per kept document, in input order, with sorted word ids
+    and float counts.  The tokens are read into one flat array; there
+    are no per-document arrays.  Token ids outside ``[0, vocab_size)``
+    in a kept document raise :class:`DataError`.
+    """
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    keep = lengths >= min_length
+    lengths = lengths[keep]
+    tokens = np.fromiter(chain.from_iterable(compress(docs, keep.tolist())),
+                         dtype=np.int64, count=int(lengths.sum()))
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        raise DataError("token id outside vocabulary")
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    counts = csr_matrix((np.ones(tokens.size), tokens.astype(np.int32),
+                         indptr), shape=(len(lengths), vocab_size))
+    counts.sum_duplicates()
+    return counts
 
 
 def word_count_rows(docs: Sequence[Sequence[int]], vocab_size: int,
@@ -32,18 +69,32 @@ def word_count_rows(docs: Sequence[Sequence[int]], vocab_size: int,
 
     Documents with fewer than ``min_length`` tokens cannot contribute to
     the third moment and are dropped (the estimator needs three distinct
-    draws).
+    draws).  The rows are views into one :func:`count_matrix`.
     """
-    rows = []
-    for doc in docs:
-        doc = np.asarray(doc, dtype=np.int64)
-        if len(doc) < min_length:
-            continue
-        if len(doc) and (doc.min() < 0 or doc.max() >= vocab_size):
-            raise DataError("token id outside vocabulary")
-        ids, counts = np.unique(doc, return_counts=True)
-        rows.append((ids, counts.astype(float)))
-    return rows
+    counts = count_matrix(docs, vocab_size, min_length)
+    bounds = counts.indptr.tolist()
+    return [(counts.indices[start:stop], counts.data[start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def _as_count_matrix(rows: CountRows, vocab_size: int) -> csr_matrix:
+    """``rows`` as one CSR count matrix (a CSR input is returned as is)."""
+    if issparse(rows):
+        return rows
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids, _ in rows], out=indptr[1:])
+    if rows:
+        indices = np.concatenate([ids for ids, _ in rows])
+        data = np.concatenate([counts for _, counts in rows])
+    else:
+        indices, data = np.zeros(0, dtype=np.int32), np.zeros(0)
+    return csr_matrix((data.astype(float, copy=False), indices, indptr),
+                      shape=(len(rows), vocab_size))
+
+
+def _doc_lengths(counts: csr_matrix) -> np.ndarray:
+    """Tokens per document: row sums, exact for integer counts."""
+    return np.asarray(counts.sum(axis=1), dtype=float).ravel()
 
 
 MOMENT_SKETCH_SCHEMA = MOMENT_SKETCH_V1
@@ -203,40 +254,56 @@ class MomentSketch:
                 f"-s{self.num_skipped}-{crc & 0xFFFFFFFF:08x}")
 
 
-def first_moment(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-                 vocab_size: int) -> np.ndarray:
-    """M1: the expected single-word distribution."""
-    m1 = np.zeros(vocab_size)
-    for ids, counts in rows:
-        length = counts.sum()
-        m1[ids] += counts / length
-    return m1 / max(len(rows), 1)
+def first_moment(rows: CountRows, vocab_size: int) -> np.ndarray:
+    """M1: the expected single-word distribution.
+
+    One ``np.bincount`` adds every document's ``counts / length`` in row
+    order, the order a per-document accumulation adds them in, so the
+    result is bit-identical to it (drift detection compares M1s).
+    """
+    counts = _as_count_matrix(rows, vocab_size)
+    lengths = np.repeat(_doc_lengths(counts), np.diff(counts.indptr))
+    m1 = np.bincount(counts.indices, weights=counts.data / lengths,
+                     minlength=vocab_size)
+    return m1 / max(counts.shape[0], 1)
 
 
-def second_moment(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-                  vocab_size: int, alpha0: float) -> np.ndarray:
+def sparse_pair_moment(rows: CountRows, vocab_size: int) -> csr_matrix:
+    """The empirical E[x1 (x) x2] as a sparse symmetric matrix.
+
+    Per document (c c^T - diag(c)) / (l (l-1)), averaged: with the
+    weights w_d = 1 / (l_d (l_d - 1) n) that is
+
+        C^T diag(w) C  -  diag(C^T w),
+
+    one sparse product over the count matrix C.
+    """
+    counts = _as_count_matrix(rows, vocab_size)
+    if counts.shape[0] == 0:
+        return csr_matrix((vocab_size, vocab_size))
+    lengths = _doc_lengths(counts)
+    weights = 1.0 / (lengths * (lengths - 1) * counts.shape[0])
+    pair = counts.T @ (diags(weights) @ counts)
+    return (pair - diags(counts.T @ weights)).tocsr()
+
+
+def second_moment(rows: CountRows, vocab_size: int,
+                  alpha0: float) -> np.ndarray:
     """M2 (dense, V x V): pair moment with the Dirichlet correction.
 
     E[x1 (x) x2] is estimated per document as
     (c c^T - diag(c)) / (l (l-1)) — the unbiased estimator over ordered
-    pairs of *distinct* token positions.
+    pairs of *distinct* token positions — by densifying
+    :func:`sparse_pair_moment`.
     """
-    pair = np.zeros((vocab_size, vocab_size))
-    for ids, counts in rows:
-        length = counts.sum()
-        denom = length * (length - 1)
-        outer = np.outer(counts, counts)
-        outer[np.diag_indices_from(outer)] -= counts
-        pair[np.ix_(ids, ids)] += outer / denom
-    pair /= max(len(rows), 1)
-    m1 = first_moment(rows, vocab_size)
+    counts = _as_count_matrix(rows, vocab_size)
+    pair = sparse_pair_moment(counts, vocab_size).toarray()
+    m1 = first_moment(counts, vocab_size)
     return pair - (alpha0 / (alpha0 + 1)) * np.outer(m1, m1)
 
 
-def whitened_third_moment(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-                          whitener: np.ndarray,
-                          m1: np.ndarray,
-                          alpha0: float) -> np.ndarray:
+def whitened_third_moment(rows: CountRows, whitener: np.ndarray,
+                          m1: np.ndarray, alpha0: float) -> np.ndarray:
     """T = M3(W, W, W) in R^{k x k x k} without materializing M3.
 
     Uses the debiased per-document estimator of E[x1 (x) x2 (x) x3]
@@ -246,35 +313,37 @@ def whitened_third_moment(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
 
     with y = W^T c and w_i the i-th row of W, followed by the alpha0
     cross-term and M1^(x)3 corrections, all in the whitened k-dim space.
+    All documents are handled at once from Y = C W (every y), with
+    a_d = 1 / (l_d (l_d-1) (l_d-2)): the w-w-y term is
+    sum_v w_v (x) w_v (x) z_v with Z = C^T diag(a) Y, its two
+    permutations are transposes of it, and the w^(x)3 term weighs each
+    word by u = C^T a.  Nothing of size documents x k^2 is built.
     """
-    k = whitener.shape[1]
-    tensor = np.zeros((k, k, k))
-    pair_with_m1 = np.zeros((k, k))   # E[x1 (x) x2] (W, W) for cross terms
-    num_docs = len(rows)
+    vocab_size, k = whitener.shape
+    counts = _as_count_matrix(rows, vocab_size)
+    num_docs = counts.shape[0]
     if num_docs == 0:
         raise DataError("no documents long enough for third-moment estimation")
+    lengths = _doc_lengths(counts)
+    inv_pairs = 1.0 / (lengths * (lengths - 1))
+    inv_triples = 1.0 / (lengths * (lengths - 1) * (lengths - 2))
+    w_outer = (whitener[:, :, None] * whitener[:, None, :]).reshape(
+        vocab_size, k * k)
+    y = counts @ whitener                             # (n, k)
+    weighted_y = y * inv_triples[:, None]
 
-    for ids, counts in rows:
-        length = counts.sum()
-        w_rows = whitener[ids]                        # (n, k)
-        y = w_rows.T @ counts                         # (k,)
+    # Third-moment core.
+    yyy = np.stack([(weighted_y * y[:, [i]]).T @ y for i in range(k)])
+    wwy = (w_outer.T @ (counts.T @ weighted_y)).reshape(k, k, k)
+    www = ((w_outer * (counts.T @ inv_triples)[:, None]).T
+           @ whitener).reshape(k, k, k)
+    tensor = (yyy - (wwy + wwy.transpose(0, 2, 1) + wwy.transpose(2, 0, 1))
+              + 2.0 * www) / num_docs
 
-        # Third-moment core.
-        denom3 = length * (length - 1) * (length - 2)
-        yyy = np.einsum("i,j,l->ijl", y, y, y)
-        cw = w_rows * counts[:, None]                 # c_i * w_i rows
-        wwy = np.einsum("ni,nj,l->ijl", cw, w_rows, y)
-        wyw = np.einsum("ni,j,nl->ijl", cw, y, w_rows)
-        yww = np.einsum("i,nj,nl->ijl", y, cw, w_rows)
-        www = np.einsum("ni,nj,nl->ijl", cw, w_rows, w_rows)
-        tensor += (yyy - (wwy + wyw + yww) + 2.0 * www) / denom3
-
-        # Pair moment in whitened space (for the M1 cross terms).
-        denom2 = length * (length - 1)
-        pair_with_m1 += (np.outer(y, y) - w_rows.T @ cw) / denom2
-
-    tensor /= num_docs
-    pair_with_m1 /= num_docs
+    # Pair moment in whitened space (for the M1 cross terms).
+    pair_with_m1 = ((y * inv_pairs[:, None]).T @ y
+                    - (whitener * (counts.T @ inv_pairs)[:, None]).T
+                    @ whitener) / num_docs
 
     wm1 = whitener.T @ m1                             # (k,)
     c1 = alpha0 / (alpha0 + 2)

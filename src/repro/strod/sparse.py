@@ -8,51 +8,23 @@ eigendecomposition needed for whitening can run on a
 
     M2 @ v  =  S @ v  -  c * m1 * (m1 @ v),      c = alpha0/(alpha0+1)
 
-with S the sparse debiased pair-moment matrix.
+with S the sparse debiased pair-moment matrix
+(:func:`repro.strod.moments.sparse_pair_moment`, the same kernel the
+dense M2 densifies).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ..errors import ConfigurationError
-from .moments import first_moment
+from .moments import CountRows, first_moment, sparse_pair_moment
 
 
-def sparse_pair_moment(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-                       vocab_size: int) -> csr_matrix:
-    """The empirical E[x1 (x) x2] as a sparse symmetric matrix.
-
-    Per document: (c c^T - diag(c)) / (l (l-1)), accumulated in COO
-    triplets over the document's distinct words only.
-    """
-    data, row_idx, col_idx = [], [], []
-    num_docs = max(len(rows), 1)
-    for ids, counts in rows:
-        length = counts.sum()
-        denom = length * (length - 1) * num_docs
-        outer = np.outer(counts, counts)
-        outer[np.diag_indices_from(outer)] -= counts
-        outer /= denom
-        n = len(ids)
-        row_idx.append(np.repeat(ids, n))
-        col_idx.append(np.tile(ids, n))
-        data.append(outer.ravel())
-    if not data:
-        return csr_matrix((vocab_size, vocab_size))
-    matrix = coo_matrix(
-        (np.concatenate(data),
-         (np.concatenate(row_idx), np.concatenate(col_idx))),
-        shape=(vocab_size, vocab_size))
-    return matrix.tocsr()
-
-
-def compute_whitener_sparse(rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-                            vocab_size: int,
+def compute_whitener_sparse(rows: CountRows, vocab_size: int,
                             alpha0: float,
                             num_topics: int,
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..errors import ConfigurationError, NotFittedError
 from ..obs import get_logger, set_gauge, span
 from ..phrases.ranking import FlatTopicModel
 from ..utils import EPS, RandomState, ensure_rng
-from .moments import (compute_whitener, first_moment, second_moment,
-                      whitened_third_moment, word_count_rows)
+from .moments import (compute_whitener, count_matrix, first_moment,
+                      second_moment, whitened_third_moment)
 from .tensor_power import (TensorEigenpair, reconstruction_error,
                            robust_tensor_decomposition)
 
@@ -110,14 +111,14 @@ class STROD:
                 checkpoint file cannot disambiguate grid candidates.
             resume: continue from the checkpoint file when it exists.
         """
-        rows = word_count_rows(docs, vocab_size)
-        if len(rows) < self.num_topics:
+        counts = count_matrix(docs, vocab_size)
+        if counts.shape[0] < self.num_topics:
             raise ConfigurationError(
                 "need at least k documents of length >= 3")
 
         with span("strod.fit"):
             if self.alpha0 is not None:
-                model = self._fit_alpha0(rows, vocab_size, self.alpha0,
+                model = self._fit_alpha0(counts, vocab_size, self.alpha0,
                                          checkpoint=checkpoint,
                                          resume=resume)
             else:
@@ -125,7 +126,7 @@ class STROD:
                     logger.debug("alpha0 grid search ignores checkpointing")
                 best = None
                 for alpha0 in self.alpha0_grid:
-                    candidate = self._fit_alpha0(rows, vocab_size, alpha0)
+                    candidate = self._fit_alpha0(counts, vocab_size, alpha0)
                     if best is None or candidate.residual < best.residual:
                         best = candidate
                 model = best
@@ -134,19 +135,20 @@ class STROD:
         self.model_ = model
         return model
 
-    def _fit_alpha0(self, rows, vocab_size: int, alpha0: float,
-                    checkpoint=None, resume: bool = False) -> STRODModel:
+    def _fit_alpha0(self, counts: csr_matrix, vocab_size: int,
+                    alpha0: float, checkpoint=None,
+                    resume: bool = False) -> STRODModel:
         with span("strod.whitening"):
             if self.sparse:
                 from .sparse import compute_whitener_sparse
                 whitener, unwhitener, m1 = compute_whitener_sparse(
-                    rows, vocab_size, alpha0, self.num_topics)
+                    counts, vocab_size, alpha0, self.num_topics)
             else:
-                m1 = first_moment(rows, vocab_size)
-                m2 = second_moment(rows, vocab_size, alpha0)
+                m1 = first_moment(counts, vocab_size)
+                m2 = second_moment(counts, vocab_size, alpha0)
                 whitener, unwhitener = compute_whitener(m2, self.num_topics)
         with span("strod.third_moment"):
-            tensor = whitened_third_moment(rows, whitener, m1, alpha0)
+            tensor = whitened_third_moment(counts, whitener, m1, alpha0)
         with span("strod.tensor_decomposition"):
             pairs = robust_tensor_decomposition(
                 tensor, self.num_topics, num_restarts=self.num_restarts,
@@ -200,16 +202,20 @@ class STROD:
         Words vote with p(z | w) proportional to alpha_z phi_z(w); the
         document distribution is the normalized vote total — the cheap
         deterministic assignment used by the recursive tree construction.
+        A word whose total weight sum_z alpha_z phi_z(w) is below ``EPS``
+        is unknown to the model and casts no vote; a document without a
+        vote (empty, or made only of such words) gets the prior
+        alpha / sum(alpha).  All documents are folded in at once: one
+        token-count CSR times the (V, k) vote weights.
         """
         model = self.require_model()
         weights = model.alpha[:, None] * model.phi  # (k, V)
-        weights = weights / np.maximum(weights.sum(axis=0, keepdims=True),
-                                       EPS)
-        result = np.zeros((len(docs), self.num_topics))
-        for d, doc in enumerate(docs):
-            if len(doc) == 0:
-                result[d] = model.alpha / model.alpha.sum()
-                continue
-            votes = weights[:, np.asarray(doc, dtype=np.int64)].sum(axis=1)
-            result[d] = votes / max(votes.sum(), EPS)
-        return result
+        totals = weights.sum(axis=0)
+        weights = np.where(totals >= EPS,
+                           weights / np.maximum(totals, EPS), 0.0)
+        tokens = count_matrix(docs, weights.shape[1], min_length=0)
+        votes = tokens @ weights.T  # (n, k)
+        num_votes = votes.sum(axis=1, keepdims=True)
+        prior = model.alpha / model.alpha.sum()
+        return np.where(num_votes > 0, votes / np.maximum(num_votes, EPS),
+                        prior)

@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Six families live here:
+Seven families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -25,7 +25,13 @@ Six families live here:
   1e-12 to the flat-array kernel);
 * the full-row topic-detail sort (:func:`reference_top_terms`,
   :func:`reference_topic_detail`), byte-identical to the serving
-  engine's partition-then-sort selection.
+  engine's partition-then-sort selection;
+* the per-document STROD moment and fold-in loops
+  (:func:`reference_word_count_rows`, :func:`reference_first_moment`,
+  :func:`reference_second_moment`, :func:`reference_sparse_pair_moment`,
+  :func:`reference_whitened_third_moment`,
+  :func:`reference_document_topics`): counts equal and M1 bit-identical
+  to the count-matrix kernels, M2, T and fold-in rows within 1e-12.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+
+from repro.errors import DataError
 
 EPS = 1e-12
 
@@ -417,3 +426,129 @@ def reference_topic_detail(model, notation: str, max_phrases: int = 10,
         "entity_ranks": {etype: entries[:max(max_entities, 0)]
                          for etype, entries in ranks.items()},
     }
+
+
+# -------------------------------------------------------------------- strod
+def reference_word_count_rows(docs, vocab_size: int, min_length: int = 3,
+                              ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-document ``np.unique`` counts, dropping short documents."""
+    rows = []
+    for doc in docs:
+        doc = np.asarray(doc, dtype=np.int64)
+        if len(doc) < min_length:
+            continue
+        if len(doc) and (doc.min() < 0 or doc.max() >= vocab_size):
+            raise DataError("token id outside vocabulary")
+        ids, counts = np.unique(doc, return_counts=True)
+        rows.append((ids, counts.astype(float)))
+    return rows
+
+
+def reference_first_moment(rows, vocab_size: int) -> np.ndarray:
+    """M1, one document at a time."""
+    m1 = np.zeros(vocab_size)
+    for ids, counts in rows:
+        length = counts.sum()
+        m1[ids] += counts / length
+    return m1 / max(len(rows), 1)
+
+
+def reference_second_moment(rows, vocab_size: int,
+                            alpha0: float) -> np.ndarray:
+    """Dense M2: one ``np.outer`` plus an ``np.ix_`` scatter per document."""
+    pair = np.zeros((vocab_size, vocab_size))
+    for ids, counts in rows:
+        length = counts.sum()
+        denom = length * (length - 1)
+        outer = np.outer(counts, counts)
+        outer[np.diag_indices_from(outer)] -= counts
+        pair[np.ix_(ids, ids)] += outer / denom
+    pair /= max(len(rows), 1)
+    m1 = reference_first_moment(rows, vocab_size)
+    return pair - (alpha0 / (alpha0 + 1)) * np.outer(m1, m1)
+
+
+def reference_sparse_pair_moment(rows, vocab_size: int):
+    """Sparse E[x1 (x) x2] from per-document COO triplets."""
+    data, row_idx, col_idx = [], [], []
+    num_docs = max(len(rows), 1)
+    for ids, counts in rows:
+        length = counts.sum()
+        denom = length * (length - 1) * num_docs
+        outer = np.outer(counts, counts)
+        outer[np.diag_indices_from(outer)] -= counts
+        outer /= denom
+        n = len(ids)
+        row_idx.append(np.repeat(ids, n))
+        col_idx.append(np.tile(ids, n))
+        data.append(outer.ravel())
+    if not data:
+        return csr_matrix((vocab_size, vocab_size))
+    matrix = coo_matrix(
+        (np.concatenate(data),
+         (np.concatenate(row_idx), np.concatenate(col_idx))),
+        shape=(vocab_size, vocab_size))
+    return matrix.tocsr()
+
+
+def reference_whitened_third_moment(rows, whitener: np.ndarray,
+                                    m1: np.ndarray,
+                                    alpha0: float) -> np.ndarray:
+    """T = M3(W, W, W): five ``einsum`` calls per document."""
+    k = whitener.shape[1]
+    tensor = np.zeros((k, k, k))
+    pair_with_m1 = np.zeros((k, k))
+    num_docs = len(rows)
+    if num_docs == 0:
+        raise DataError("no documents long enough for third-moment "
+                        "estimation")
+
+    for ids, counts in rows:
+        length = counts.sum()
+        w_rows = whitener[ids]
+        y = w_rows.T @ counts
+
+        denom3 = length * (length - 1) * (length - 2)
+        yyy = np.einsum("i,j,l->ijl", y, y, y)
+        cw = w_rows * counts[:, None]
+        wwy = np.einsum("ni,nj,l->ijl", cw, w_rows, y)
+        wyw = np.einsum("ni,j,nl->ijl", cw, y, w_rows)
+        yww = np.einsum("i,nj,nl->ijl", y, cw, w_rows)
+        www = np.einsum("ni,nj,nl->ijl", cw, w_rows, w_rows)
+        tensor += (yyy - (wwy + wyw + yww) + 2.0 * www) / denom3
+
+        denom2 = length * (length - 1)
+        pair_with_m1 += (np.outer(y, y) - w_rows.T @ cw) / denom2
+
+    tensor /= num_docs
+    pair_with_m1 /= num_docs
+
+    wm1 = whitener.T @ m1
+    c1 = alpha0 / (alpha0 + 2)
+    cross = (np.einsum("ij,l->ijl", pair_with_m1, wm1)
+             + np.einsum("il,j->ijl", pair_with_m1, wm1)
+             + np.einsum("jl,i->ijl", pair_with_m1, wm1))
+    m1_cube = np.einsum("i,j,l->ijl", wm1, wm1, wm1)
+    c2 = 2.0 * alpha0 ** 2 / ((alpha0 + 1) * (alpha0 + 2))
+    return tensor - c1 * cross + c2 * m1_cube
+
+
+def reference_document_topics(alpha: np.ndarray, phi: np.ndarray,
+                              docs) -> np.ndarray:
+    """STROD fold-in, one fancy-indexed vote sum per document.
+
+    A word whose total weight sum_z alpha_z phi_z(w) is below ``EPS``
+    casts no vote, and a document without a vote gets the prior.
+    """
+    weights = alpha[:, None] * phi
+    totals = weights.sum(axis=0, keepdims=True)
+    weights = np.where(totals >= EPS, weights / np.maximum(totals, EPS),
+                       0.0)
+    result = np.zeros((len(docs), len(alpha)))
+    for d, doc in enumerate(docs):
+        votes = weights[:, np.asarray(doc, dtype=np.int64)].sum(axis=1)
+        if votes.sum() > 0:
+            result[d] = votes / votes.sum()
+        else:
+            result[d] = alpha / alpha.sum()
+    return result

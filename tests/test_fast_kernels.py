@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
+from repro.errors import DataError
 from repro.hierarchy import Topic, TopicalHierarchy
 from repro.phrases import (make_merge_scorer, merge_significance,
                            mine_frequent_phrases_from_chunks, segment_chunk)
@@ -29,13 +30,23 @@ from repro.roles.analyzer import attribute_documents
 from repro.serve import (ModelQueryEngine, ServedModel, load_model,
                          save_model_document)
 from repro.serve.artifact import build_document_from_parts
+from repro.strod import (STROD, MomentSketch, STRODModel, compute_whitener,
+                         first_moment, second_moment, sparse_pair_moment,
+                         whitened_third_moment, word_count_rows)
+from repro.strod.moments import count_matrix
 from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_document_topic_frequencies,
+                                reference_document_topics,
+                                reference_first_moment,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
-                                reference_scatter, reference_segment_chunk,
+                                reference_scatter, reference_second_moment,
+                                reference_segment_chunk,
+                                reference_sparse_pair_moment,
                                 reference_top_terms, reference_topic_detail,
-                                reference_tpfg_ranking)
+                                reference_tpfg_ranking,
+                                reference_whitened_third_moment,
+                                reference_word_count_rows)
 from .test_tpfg_exactness import random_chain_graph
 
 pytest.importorskip("scipy")
@@ -429,3 +440,125 @@ class TestTopicDetailSelection:
                 assert table == sorted(table)
         finally:
             v2.close()
+
+
+# ------------------------------------------------------------------- STROD
+MIN_LENGTH = 3
+
+
+@st.composite
+def strod_corpora(draw):
+    """Token documents over a vocabulary whose top ids no document uses.
+
+    Besides random documents (short ones included, which the moments
+    drop) every corpus holds a document of exactly ``MIN_LENGTH`` tokens
+    that repeats a word, and one that is a single word repeated.
+    """
+    k = draw(st.sampled_from([2, 4, 6]))
+    used = draw(st.integers(min_value=k + 1, max_value=30))
+    vocab_size = used + draw(st.integers(min_value=1, max_value=5))
+    word = st.integers(min_value=0, max_value=used - 1)
+    docs = draw(st.lists(st.lists(word, max_size=12), max_size=25))
+    a, b = draw(word), draw(word)
+    docs += [[a, b, a], [b] * draw(st.integers(MIN_LENGTH, 8))]
+    order = draw(st.permutations(range(len(docs))))
+    return [docs[i] for i in order], vocab_size, k
+
+
+def _assert_close(fast, ref):
+    """Within 1e-12 of the reference's largest magnitude."""
+    assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestSTRODMomentEquivalence:
+    """Count-matrix moment kernels vs the per-document loops."""
+
+    @given(corpus=strod_corpora(),
+           seed=st.integers(min_value=0, max_value=10 ** 6),
+           alpha0=st.sampled_from([0.5, 1.0, 5.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_moments_match_loops(self, corpus, seed, alpha0):
+        docs, vocab_size, k = corpus
+        ref_rows = reference_word_count_rows(docs, vocab_size, MIN_LENGTH)
+        rows = word_count_rows(docs, vocab_size, MIN_LENGTH)
+        counts = count_matrix(docs, vocab_size, MIN_LENGTH)
+        assert len(rows) == len(ref_rows) == counts.shape[0]
+        for (ids, cnt), (ref_ids, ref_cnt) in zip(rows, ref_rows):
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(cnt, ref_cnt)
+
+        ref_m1 = reference_first_moment(ref_rows, vocab_size)
+        sketch = MomentSketch.from_docs(docs, vocab_size, MIN_LENGTH)
+        for m1 in (first_moment(counts, vocab_size),
+                   first_moment(rows, vocab_size), sketch.first_moment()):
+            assert np.array_equal(m1, ref_m1)
+
+        _assert_close(second_moment(counts, vocab_size, alpha0),
+                      reference_second_moment(ref_rows, vocab_size, alpha0))
+        _assert_close(
+            sparse_pair_moment(counts, vocab_size).toarray(),
+            reference_sparse_pair_moment(ref_rows, vocab_size).toarray())
+
+        whitener = np.random.default_rng(seed).standard_normal(
+            (vocab_size, k))
+        _assert_close(
+            whitened_third_moment(counts, whitener, ref_m1, alpha0),
+            reference_whitened_third_moment(ref_rows, whitener, ref_m1,
+                                            alpha0))
+
+    def test_moments_match_loops_on_planted_corpus(self, planted_small):
+        docs, vocab_size = planted_small.docs, planted_small.vocab_size
+        ref_rows = reference_word_count_rows(docs, vocab_size)
+        counts = count_matrix(docs, vocab_size)
+        ref_m1 = reference_first_moment(ref_rows, vocab_size)
+        assert np.array_equal(first_moment(counts, vocab_size), ref_m1)
+        ref_m2 = reference_second_moment(ref_rows, vocab_size, 1.0)
+        _assert_close(second_moment(counts, vocab_size, 1.0), ref_m2)
+        whitener, _ = compute_whitener(ref_m2, 4)
+        _assert_close(
+            whitened_third_moment(counts, whitener, ref_m1, 1.0),
+            reference_whitened_third_moment(ref_rows, whitener, ref_m1,
+                                            1.0))
+
+    def test_out_of_vocabulary_tokens(self):
+        """Ids outside the vocabulary raise in kept documents only."""
+        for bad in ([1, 2, 10], [-1, 2, 3]):
+            with pytest.raises(DataError):
+                count_matrix([[0, 1, 2], bad], vocab_size=10)
+            with pytest.raises(DataError):
+                reference_word_count_rows([[0, 1, 2], bad], 10)
+        short = [[0, 1, 2], [99, 98]]
+        assert count_matrix(short, vocab_size=10).shape == (1, 10)
+        assert len(reference_word_count_rows(short, 10)) == 1
+        with pytest.raises(DataError):
+            whitened_third_moment(count_matrix([[1, 2]], 10),
+                                  np.ones((10, 2)), np.zeros(10), 1.0)
+
+    @given(corpus=strod_corpora(),
+           seed=st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_in_matches_loop(self, corpus, seed):
+        """Rows within 1e-12 and the same argmax unless the top two
+        votes are within 1e-9 of their sum; words with no weight, or
+        weight below ``EPS``, cast no vote."""
+        docs, vocab_size, k = corpus
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.1, 2.0, size=k)
+        phi = rng.dirichlet(np.ones(vocab_size), size=k)
+        unknown = rng.choice(vocab_size, size=vocab_size // 4,
+                             replace=False)
+        phi[:, unknown[::2]] = 0.0
+        phi[:, unknown[1::2]] = 1e-40
+        strod = STROD(num_topics=k)
+        strod.model_ = STRODModel(alpha=alpha, phi=phi, alpha0=1.0,
+                                  eigenvalues=np.ones(k), residual=0.0)
+        docs = docs + [[], unknown[:2].tolist(), unknown[:2].tolist() * 3]
+
+        fast = strod.document_topics(docs)
+        ref = reference_document_topics(alpha, phi, docs)
+        assert np.allclose(fast.sum(axis=1), 1.0, atol=1e-9)
+        assert np.abs(fast - ref).max() <= 1e-12
+        top_two = np.sort(ref, axis=1)[:, -2:]
+        clear = (top_two[:, 1] - top_two[:, 0]) > 1e-9 * top_two.sum(axis=1)
+        assert np.array_equal(fast.argmax(axis=1)[clear],
+                              ref.argmax(axis=1)[clear])

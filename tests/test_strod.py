@@ -158,9 +158,13 @@ class TestSTROD:
         assert model.alpha0 <= 4.0  # true alpha0 is 1.0
 
     def test_document_topics_are_distributions(self, planted_small):
+        # One vocabulary word more than the documents use: the model
+        # does not know it, so a document made only of it has no vote.
+        unknown = planted_small.vocab_size
         strod = STROD(num_topics=4, alpha0=1.0, seed=0)
-        strod.fit(planted_small.docs, planted_small.vocab_size)
-        theta = strod.document_topics(planted_small.docs[:50])
+        strod.fit(planted_small.docs, unknown + 1)
+        theta = strod.document_topics(planted_small.docs[:50]
+                                      + [[unknown] * 3])
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-9)
 
     def test_errors(self):
