@@ -3,9 +3,9 @@
 Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
-the Gibbs sweep, network build, ToPMine merge, role attribution and TPFG
-kernels, the serving engine's uncached topic detail and the STROD
-moments, against theirs.
+the Gibbs sweep, network build, ToPMine merge, frequent-phrase mining,
+role attribution, candidate graph and TPFG kernels, the serving engine's
+uncached topic detail and the STROD moments, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -30,9 +30,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
 from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
+                               reference_build_candidate_graph,
+                               reference_document_phrase_instances,
                                reference_document_topic_frequencies,
                                reference_document_topics,
                                reference_first_moment,
+                               reference_mine_chunks,
                                reference_posterior_link_split,
                                reference_scatter, reference_second_moment,
                                reference_segment_chunk,
@@ -46,7 +49,8 @@ from repro.cathy.em import (flat_scatter_index, posterior_link_split,
 from repro.datasets import DBLPConfig, generate_dblp, generate_planted_lda
 from repro.hierarchy import Topic
 from repro.network import HeterogeneousNetwork
-from repro.phrases import (make_merge_scorer,
+from repro.phrases import (PhraseCounts, document_phrase_instances,
+                           make_merge_scorer, mine_frequent_phrases,
                            mine_frequent_phrases_from_chunks, segment_chunk)
 from repro.relations import (TPFG, CollaborationNetwork, TPFGResult,
                              build_candidate_graph)
@@ -71,6 +75,11 @@ CHUNKS = int(os.environ.get("REPRO_BENCH_CHUNKS", 600))
 #: workload.
 ROLE_DOCS = EDGES // 10
 TPFG_AUTHORS = NODES // 2
+
+#: Phrase-mining corpus authors follow the chunk knob: a 1,000-author
+#: synthetic DBLP corpus (~11k titles, ~91k tokens) at full size, the
+#: ``mine_dblp`` perfbench input without its long tail of title words.
+PHRASE_AUTHORS = CHUNKS * 5 // 3
 
 #: Topic-detail phi rows follow the node knob: 20,000 terms at full
 #: size, the vocabulary of the ``query_keepalive`` perfbench model.
@@ -382,6 +391,98 @@ def test_hotpath_topmine_merge(benchmark):
     assert fast <= SANITY_SECONDS
     if CHUNKS >= FULL_CHUNKS:
         assert speedup >= 5.0
+
+
+def test_hotpath_phrase_mining(benchmark):
+    """Algorithm 1 and phrase instances over one flat token array vs the
+    per-chunk, per-position loops."""
+    corpus = generate_dblp(DBLPConfig(max_authors=PHRASE_AUTHORS),
+                           seed=9).corpus
+    chunks = [chunk for doc in corpus for chunk in doc.chunks]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def mine_fast():
+        counts = mine_frequent_phrases(corpus, min_support=5)
+        return counts, document_phrase_instances(corpus, counts)
+
+    def mine_slow():
+        counts = PhraseCounts(reference_mine_chunks(chunks, 5, 6),
+                              min_support=5, num_documents=len(corpus),
+                              num_tokens=corpus.num_tokens)
+        return counts, reference_document_phrase_instances(corpus, counts)
+
+    def run():
+        fast = _time(mine_fast, span_name="bench.phrases.flat")
+        slow = _time(mine_slow, repeats=1, span_name="bench.phrases.loop")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    counts, instances = mine_fast()
+    report("hotpath_phrase_mining", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("flat np.unique rounds", [fast, 1.0]),
+        fmt_row("per-position loops", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.phrases.flat", "bench.phrases.loop"}) + [
+        f"docs={len(corpus)} chunks={len(chunks)} "
+        f"tokens={corpus.num_tokens} phrases={len(counts)} "
+        f"instances={sum(map(len, instances))} min_support=5 max_length=6",
+        "timed: Algorithm 1 + document instances",
+        "acceptance: >= 4x at 1,000 authors",
+    ])
+
+    ref = reference_mine_chunks(chunks, 5, 6)
+    assert list(counts.counts.items()) == list(ref.items())
+    assert instances == reference_document_phrase_instances(corpus, counts)
+    assert fast <= SANITY_SECONDS
+    if CHUNKS >= FULL_CHUNKS:
+        assert speedup >= 4.0
+
+
+def test_hotpath_candidate_graph(benchmark):
+    """Indexed coauthors and cumulative-count curves vs the pair scan and
+    per-year sums of the original Stage 1."""
+    dataset = generate_dblp(DBLPConfig(max_authors=TPFG_AUTHORS), seed=6)
+    network = CollaborationNetwork.from_corpus(dataset.corpus)
+    # A fresh network per timed build, so each one indexes coauthors.
+    fresh = [CollaborationNetwork.from_corpus(dataset.corpus)
+             for _ in range(3)]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def run():
+        fast = _time(lambda: build_candidate_graph(fresh.pop()),
+                     span_name="bench.candidates.indexed")
+        slow = _time(lambda: reference_build_candidate_graph(network),
+                     repeats=1, span_name="bench.candidates.scan")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    graph = build_candidate_graph(network)
+    report("hotpath_candidate_graph", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("indexed, cumulative lookups", [fast, 1.0]),
+        fmt_row("pair scan, per-year sums", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.candidates.indexed",
+                        "bench.candidates.scan"}) + [
+        f"authors={len(network.authors)} "
+        f"pairs={len(network.pair_series)} edges={graph.num_edges()}",
+        "acceptance: >= 3x at 1,000 authors",
+    ])
+
+    def bits(candidate_graph):
+        return [(advisee, [(c.advisor, c.start, c.end, c.likelihood.hex())
+                           for c in candidates])
+                for advisee, candidates in candidate_graph.candidates.items()]
+
+    assert bits(graph) == bits(reference_build_candidate_graph(network))
+    assert fast <= SANITY_SECONDS
+    if NODES >= FULL_NODES:
+        assert speedup >= 3.0
 
 
 def _role_problem(rng):

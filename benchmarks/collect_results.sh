@@ -13,6 +13,3 @@ target="${1:-/root/repo/bench_output.txt}"
   done
 } >> "$target"
 echo "appended $(ls /root/repo/benchmarks/results/*.txt | wc -l) tables to $target"
-# Machine-readable companion: per-benchmark wall-time + key metric.
-python3 /root/repo/benchmarks/summarize.py || \
-  python /root/repo/benchmarks/summarize.py

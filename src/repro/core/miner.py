@@ -153,8 +153,7 @@ class LatentEntityMiner:
                 attach_entity_rankings(hierarchy, top_k=config.top_k)
             with span("miner.roles"):
                 roles = RoleAnalyzer(
-                    hierarchy, corpus, counts=counts,
-                    min_support=config.min_support,
+                    hierarchy, corpus, counts,
                     max_phrase_length=config.max_phrase_length)
         report = self._finish_report(corpus)
         return MiningResult(corpus=corpus, network=network,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator, List, Optional, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from ..errors import DataError
 from .topic import Path, Topic, notation_to_path
@@ -14,12 +15,20 @@ class TopicalHierarchy:
 
     Provides path lookup, traversal, and the tree-shape quantities of
     Section 3.1 (width K, height h, topic count T).
+
+    Attributes:
+        root: the root topic ``o``.
+        phrase_frequencies: f_t(P) per topic notation, the table the
+            topics' phrase rankings were computed from; set by
+            :func:`~repro.phrases.attach_phrases`, None before.
     """
 
     def __init__(self, root: Optional[Topic] = None) -> None:
         self.root = root if root is not None else Topic(path=())
         if self.root.path != ():
             raise DataError("hierarchy root must have the empty path")
+        self.phrase_frequencies: Optional[
+            Dict[str, Dict[Tuple[int, ...], float]]] = None
 
     # ------------------------------------------------------------- traversal
     def topics(self) -> Iterator[Topic]:

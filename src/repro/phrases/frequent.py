@@ -11,15 +11,23 @@ minimum support threshold, using two prunings:
 Chunks (text between phrase-invariant punctuation) are processed
 independently, so phrases never cross punctuation, and the worst case per
 chunk is quadratic in the (small) chunk length — linear overall.
+
+The kernel runs over the whole corpus as one flat token array, one
+phrase length per round: both prunings become one boolean mask per
+round, and counting is one ``np.unique`` over integer n-gram keys
+(see :func:`_mine_flat`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..corpus import Corpus
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DataError
 from ..obs import inc, timed
 
 Phrase = Tuple[int, ...]
@@ -97,15 +105,15 @@ def mine_frequent_phrases(corpus: Corpus,
             naturally well before this on real text).
         merge_cache_capacity: LRU bound of the merge-significance memo
             carried by the returned counts.
+
+    Raises:
+        ConfigurationError: ``min_support`` or ``max_length`` below 1.
     """
-    if min_support < 1:
-        raise ConfigurationError("min_support must be >= 1")
-    chunks: List[List[int]] = [list(chunk) for doc in corpus
-                               for chunk in doc.chunks if chunk]
-    return mine_frequent_phrases_from_chunks(
-        chunks, min_support=min_support, max_length=max_length,
-        num_documents=len(corpus), num_tokens=corpus.num_tokens,
-        merge_cache_capacity=merge_cache_capacity)
+    _check_thresholds(min_support, max_length)
+    tokens, lengths, _ = corpus_token_array(corpus)
+    return _mine(tokens, lengths, min_support, max_length,
+                 num_documents=len(corpus), num_tokens=len(tokens),
+                 merge_cache_capacity=merge_cache_capacity)
 
 
 def mine_frequent_phrases_from_chunks(chunks: Sequence[Sequence[int]],
@@ -115,71 +123,141 @@ def mine_frequent_phrases_from_chunks(chunks: Sequence[Sequence[int]],
                                       num_tokens: int = 0,
                                       merge_cache_capacity: int =
                                       MERGE_CACHE_CAPACITY) -> PhraseCounts:
-    """Algorithm 1 on raw token-id chunks (corpus-free entry point)."""
+    """Algorithm 1 on raw token-id chunks (corpus-free entry point).
+
+    Raises:
+        ConfigurationError: ``min_support`` or ``max_length`` below 1.
+        DataError: a token id that is not a non-negative integer.
+    """
+    _check_thresholds(min_support, max_length)
+    lengths = np.fromiter(map(len, chunks), dtype=np.int64,
+                          count=len(chunks))
+    tokens = np.asarray(list(chain.from_iterable(chunks)))
+    if tokens.size == 0:
+        tokens = np.zeros(0, dtype=np.int64)
+    elif tokens.dtype.kind not in "iu":
+        raise DataError("token ids must be integers")
+    elif tokens.min() < 0:
+        raise DataError("token ids must be non-negative")
+    return _mine(tokens, lengths, min_support, max_length,
+                 num_documents=num_documents, num_tokens=num_tokens,
+                 merge_cache_capacity=merge_cache_capacity)
+
+
+def corpus_token_array(corpus: Corpus,
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corpus as one flat token array plus its chunk structure.
+
+    Returns ``(tokens, chunk_lengths, doc_chunks)``: every token id in
+    document and chunk order (int64), the length of every chunk in that
+    order (empty chunks included), and each document's chunk count.
+    """
+    doc_chunks = np.fromiter((len(doc.chunks) for doc in corpus),
+                             dtype=np.int64, count=len(corpus))
+    chunks = [chunk for doc in corpus for chunk in doc.chunks]
+    lengths = np.fromiter(map(len, chunks), dtype=np.int64,
+                          count=len(chunks))
+    tokens = np.fromiter(chain.from_iterable(chunks), dtype=np.int64,
+                         count=int(lengths.sum()))
+    return tokens, lengths, doc_chunks
+
+
+def chunk_continues(lengths: np.ndarray) -> np.ndarray:
+    """Per flat position: does the next token belong to the same chunk?"""
+    ends = np.cumsum(lengths)
+    follows = np.ones(int(ends[-1]) if len(ends) else 0, dtype=bool)
+    follows[ends[lengths > 0] - 1] = False
+    return follows
+
+
+def phrase_matrix(phrases: Sequence[Phrase], fill: int,
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Phrase lengths, and the phrases as the rows of one int64 matrix
+    padded with ``fill`` to the longest one."""
+    size = np.fromiter(map(len, phrases), dtype=np.int64,
+                       count=len(phrases))
+    rows = np.full((len(phrases), int(size.max(initial=0))), fill,
+                   dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < size[:, None]] = np.fromiter(
+        chain.from_iterable(phrases), dtype=np.int64, count=int(size.sum()))
+    return size, rows
+
+
+def _check_thresholds(min_support: int, max_length: int) -> None:
+    if min_support < 1:
+        raise ConfigurationError("min_support must be >= 1")
+    if max_length < 1:
+        raise ConfigurationError("max_length must be >= 1")
+
+
+def _mine(tokens: np.ndarray, lengths: np.ndarray, min_support: int,
+          max_length: int, num_documents: int, num_tokens: int,
+          merge_cache_capacity: int) -> PhraseCounts:
     with timed("topmine.frequent_mining"):
-        counts = _mine_chunks(chunks, min_support, max_length)
+        counts = _mine_flat(tokens, chunk_continues(lengths), min_support,
+                            max_length)
     inc("topmine.frequent_phrases", len(counts))
     return PhraseCounts(counts=counts, min_support=min_support,
                         num_documents=num_documents, num_tokens=num_tokens,
                         merge_cache_capacity=merge_cache_capacity)
 
 
-def _mine_chunks(chunks: Sequence[Sequence[int]], min_support: int,
-                 max_length: int) -> Dict[Phrase, int]:
-    counts: Dict[Phrase, int] = {}
+def _first_seen_frequent(keys: np.ndarray, min_support: int,
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+    """Number the distinct ``keys`` meeting ``min_support`` as first seen.
 
-    # Length-1 counts.
-    for chunk in chunks:
-        for tok in chunk:
-            key = (tok,)
-            counts[key] = counts.get(key, 0) + 1
-    counts = {p: c for p, c in counts.items() if c >= min_support}
+    Returns ``(distinct, kept, counts, ids, inverse)``: the sorted
+    distinct keys; the indices of the frequent ones among them, in the
+    order their first occurrences appear in ``keys``; those keys' counts;
+    per position of ``keys``, the rank of its key in ``kept`` (``-1``
+    when infrequent); and per position, the index of its key in
+    ``distinct``.
+    """
+    distinct, first, inverse, count = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    kept = np.flatnonzero(count >= min_support)
+    kept = kept[np.argsort(first[kept], kind="stable")]
+    rank = np.full(len(distinct), -1, dtype=np.int64)
+    rank[kept] = np.arange(len(kept))
+    return distinct, kept, count[kept], rank[inverse], inverse
 
-    # Active indices per chunk: positions whose length-(n-1) phrase is
-    # frequent.  Start with positions whose unigram is frequent.
-    active: List[Tuple[Sequence[int], List[int]]] = []
-    for chunk in chunks:
-        indices = [i for i, tok in enumerate(chunk) if (tok,) in counts]
-        if indices:
-            active.append((chunk, indices))
 
-    length = 2
-    while active and length <= max_length:
-        new_counts: Dict[Phrase, int] = {}
-        still_active: List[Tuple[Sequence[int], List[int]]] = []
-        for chunk, indices in active:
-            # Keep positions whose length-(n-1) phrase is frequent.
-            kept = [i for i in indices
-                    if i + length - 1 <= len(chunk)
-                    and tuple(chunk[i:i + length - 1]) in counts]
-            # The last kept position cannot start a length-n phrase.
-            kept = [i for i in kept if i + length <= len(chunk)]
-            if not kept:
-                continue  # data antimonotonicity: drop this chunk
-            kept_set = set(kept)
-            counted = []
-            for i in kept:
-                # Count w_i..w_{i+n-1} only when the suffix start i+1 was
-                # also viable (Apriori on both the prefix and the suffix).
-                if i + 1 in kept_set or tuple(
-                        chunk[i + 1:i + length]) in counts:
-                    phrase = tuple(chunk[i:i + length])
-                    new_counts[phrase] = new_counts.get(phrase, 0) + 1
-                    counted.append(i)
-            if counted:
-                still_active.append((chunk, counted))
-        frequent = {p: c for p, c in new_counts.items() if c >= min_support}
-        if not frequent:
+def _mine_flat(tokens: np.ndarray, follows: np.ndarray, min_support: int,
+               max_length: int) -> Dict[Phrase, int]:
+    """Algorithm 1 over one flat token array, one phrase length per round.
+
+    An n-gram is counted at a position exactly when its (n-1)-prefix and
+    its (n-1)-suffix are both frequent (the loop's position-based Apriori
+    on both ends).  Each position carries the dense id of the frequent
+    (n-1)-gram starting there, so a round is one ``np.unique`` over the
+    keys ``prefix_id * V + next_token`` (V distinct tokens): exact
+    integer counts with keys that stay small at any length.  Phrases
+    enter the dict by length, then by first occurrence, the insertion
+    order of the per-chunk loop.
+    """
+    if not len(tokens):
+        return {}
+    distinct, kept, count, gid, token_ids = _first_seen_frequent(
+        tokens, min_support)
+    values = distinct.tolist()
+    phrases: List[Phrase] = [(values[t],) for t in kept.tolist()]
+    counts: Dict[Phrase, int] = dict(zip(phrases, count.tolist()))
+    for length in range(2, max_length + 1):
+        # gid[p + 1] >= 0 also puts the n-gram's last token in p's chunk.
+        start = np.flatnonzero((gid[:-1] >= 0) & (gid[1:] >= 0)
+                               & follows[:-1])
+        if not len(start):
             break
-        counts.update(frequent)
-        # Restrict active positions to those whose length-n phrase is
-        # frequent, for the next round.
-        active = []
-        for chunk, indices in still_active:
-            kept = [i for i in indices
-                    if tuple(chunk[i:i + length]) in frequent]
-            if kept:
-                active.append((chunk, kept))
-        length += 1
-
+        keys = gid[start] * len(values) + token_ids[start + length - 1]
+        distinct, kept, count, ids, _ = _first_seen_frequent(keys,
+                                                             min_support)
+        if not len(kept):
+            break
+        prefix, last = np.divmod(distinct[kept], len(values))
+        phrases = [phrases[p] + (values[t],)
+                   for p, t in zip(prefix.tolist(), last.tolist())]
+        counts.update(zip(phrases, count.tolist()))
+        gid = np.full(len(tokens), -1, dtype=np.int64)
+        gid[start] = ids
     return counts

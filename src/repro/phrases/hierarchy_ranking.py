@@ -22,7 +22,8 @@ from ..hierarchy import Topic, TopicalHierarchy
 from ..network import TERM_TYPE
 from ..obs import timed
 from ..utils import EPS
-from .frequent import Phrase, PhraseCounts, mine_frequent_phrases
+from .frequent import (Phrase, PhraseCounts, mine_frequent_phrases,
+                       phrase_matrix)
 from .kert import completeness_scores
 from .ranking import render_phrase
 
@@ -72,28 +73,42 @@ def compute_topic_phrase_frequencies(hierarchy: TopicalHierarchy,
 
 def split_frequencies(topic: Topic, freq: Dict[Phrase, float],
                       corpus: Corpus) -> List[Dict[Phrase, float]]:
-    """Eq. 4.3: split each phrase's topic-t frequency among the children."""
+    """Eq. 4.3: split each phrase's topic-t frequency among the children.
+
+    One phrase x child log-score matrix: ``log rho`` plus, position by
+    position, the rows of a word x child ``log phi`` matrix, so each
+    phrase's score adds its words in order, exactly as a per-phrase sum
+    would.
+    """
     children = topic.children
-    rhos = np.array([max(child.rho, EPS) for child in children])
-    child_freqs: List[Dict[Phrase, float]] = [{} for _ in children]
-    for phrase, f in freq.items():
-        words = [corpus.vocabulary.word_of(w) for w in phrase]
-        log_scores = np.log(rhos)
-        for word in words:
-            probs = np.array([
-                child.phi.get(TERM_TYPE, {}).get(word, EPS)
-                for child in children])
-            log_scores = log_scores + np.log(np.maximum(probs, EPS))
-        log_scores -= log_scores.max()
-        scores = np.exp(log_scores)
-        total = scores.sum()
-        if total <= 0:
-            continue
-        shares = f * scores / total
-        for z, share in enumerate(shares):
-            if share > 0:
-                child_freqs[z][phrase] = float(share)
-    return child_freqs
+    phrases = list(freq)
+    if not phrases or not children:
+        return [{} for _ in children]
+    # Padding slots hold word 0; no phrase sums past its own length.
+    size, padded = phrase_matrix(phrases, fill=0)
+    word_ids, inverse = np.unique(padded, return_inverse=True)
+    rows_of_words = inverse.reshape(padded.shape)
+    words = map(corpus.vocabulary.word_of, word_ids.tolist())
+    child_phi = [child.phi.get(TERM_TYPE, {}) for child in children]
+    log_phi = np.log(np.maximum(np.array(
+        [[phi.get(word, EPS) for phi in child_phi] for word in words],
+        dtype=float).reshape(len(word_ids), len(children)), EPS))
+
+    log_scores = np.tile(np.log(np.array(
+        [max(child.rho, EPS) for child in children])), (len(phrases), 1))
+    for position in range(padded.shape[1]):
+        rows = np.flatnonzero(size > position)
+        log_scores[rows] = log_scores[rows] \
+            + log_phi[rows_of_words[rows, position]]
+    log_scores -= log_scores.max(axis=1, keepdims=True)
+    scores = np.exp(log_scores)
+    total = scores.sum(axis=1)
+    shares = np.fromiter(freq.values(), dtype=float,
+                         count=len(phrases))[:, None] * scores \
+        / total[:, None]
+    shares[total <= 0] = 0.0
+    return [{phrase: share for phrase, share in zip(phrases, column)
+             if share > 0} for column in shares.T.tolist()]
 
 
 def phrase_rank_score(phrase_freq: float, topic_total: float,
@@ -115,6 +130,10 @@ def attach_phrases(hierarchy: TopicalHierarchy,
                    max_phrase_tokens: Optional[int] = None) -> PhraseCounts:
     """Populate ``topic.phrases`` for every topic of ``hierarchy``.
 
+    The per-topic frequency table the rankings come from is kept as
+    ``hierarchy.phrase_frequencies``, so role analysis over the same
+    counts can reuse it.
+
     Args:
         counts: pre-mined frequent phrases (mined here when omitted).
         min_topical_frequency: phrases whose estimated frequency at a
@@ -135,6 +154,7 @@ def attach_phrases(hierarchy: TopicalHierarchy,
 
     with timed("phrases.ranking"):
         _rank_topics(hierarchy, corpus, table, top_k)
+    hierarchy.phrase_frequencies = table
     return counts
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from ..corpus import Corpus, Vocabulary
 from ..errors import ConfigurationError
 from ..utils import EPS
-from .frequent import Phrase, PhraseCounts
+from .frequent import (Phrase, PhraseCounts, chunk_continues,
+                       corpus_token_array, phrase_matrix)
 
 
 @dataclass
@@ -98,20 +99,93 @@ def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
     """Per document, all frequent-phrase instances (overlapping allowed).
 
     Used to decide which documents "contain at least one frequent topic-t
-    phrase" for the N_t normalizer of Eq. 4.4.
+    phrase" for the N_t normalizer of Eq. 4.4.  Every chunk span of at
+    most ``max_length`` tokens that ``counts`` holds is one instance; a
+    document lists them in (start, length) order, as the counts' own
+    phrase tuples.
+
+    The spans are matched one length at a time against a trie of the
+    counted phrases, so ``counts`` need not be closed under sub-phrases
+    (itemset orders are not): a position moves to the next length while
+    its span so far is a prefix of some counted phrase.
     """
-    instances: List[List[Phrase]] = []
-    for doc in corpus:
-        found: List[Phrase] = []
-        for chunk in doc.chunks:
-            n = len(chunk)
-            for start in range(n):
-                for stop in range(start + 1, min(start + max_length, n) + 1):
-                    phrase = tuple(chunk[start:stop])
-                    if phrase in counts:
-                        found.append(phrase)
-        instances.append(found)
-    return instances
+    tokens, lengths, doc_chunks = corpus_token_array(corpus)
+    phrases = [phrase for phrase in counts.counts
+               if 1 <= len(phrase) <= max_length]
+    if not phrases or not len(tokens):
+        return [[] for _ in range(len(corpus))]
+    trie = _PhraseTrie(phrases, int(tokens.max()) + 1)
+    follows = chunk_continues(lengths)
+
+    starts = [np.zeros(0, dtype=np.int64)]
+    found = [np.zeros(0, dtype=np.int64)]
+    node = np.zeros(len(tokens), dtype=np.int64)
+    at = np.arange(len(tokens))
+    for length in range(1, max_length + 1):
+        if length > 1:
+            # Extend only spans whose next token is in the same chunk.
+            keep = follows[at + length - 2]
+            at, node = at[keep], node[keep]
+        node = trie.step(node, tokens[at + length - 1])
+        live = node >= 0
+        at, node = at[live], node[live]
+        if not len(at):
+            break
+        phrase_index = trie.phrase_of[node]
+        hit = phrase_index >= 0
+        starts.append(at[hit])
+        found.append(phrase_index[hit])
+    # Matches were found length by length: a stable sort by start puts
+    # them in (start, length) order.
+    start = np.concatenate(starts)
+    order = np.argsort(start, kind="stable")
+    flat = [phrases[i] for i in np.concatenate(found)[order].tolist()]
+    chunk_ends = np.concatenate([[0], np.cumsum(lengths)])
+    doc_ends = chunk_ends[np.cumsum(doc_chunks)]
+    bounds = np.searchsorted(start[order], doc_ends).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+
+
+class _PhraseTrie:
+    """Prefix trie over phrases, with edges as sorted integer keys.
+
+    Node 0 is the empty prefix and nodes are numbered depth by depth,
+    so the edge keys ``node * width + token`` come out sorted and the
+    edge in slot ``i`` leads to node ``i + 1``: one ``np.searchsorted``
+    steps many positions at once.  Tokens outside ``[0, width)`` have no
+    edge, so phrases holding one never match.
+    """
+
+    def __init__(self, phrases: Sequence[Phrase], width: int) -> None:
+        self.width = width
+        size, padded = phrase_matrix(phrases, fill=-1)
+        tip = np.zeros(len(phrases), dtype=np.int64)
+        edge_keys = []
+        num_nodes = 1
+        for depth in range(padded.shape[1]):
+            rows = np.flatnonzero(size > depth)
+            token = padded[rows, depth]
+            inside = (token >= 0) & (token < width)
+            size[rows[~inside]] = 0
+            rows, token = rows[inside], token[inside]
+            keys, child = np.unique(tip[rows] * width + token,
+                                    return_inverse=True)
+            tip[rows] = num_nodes + child
+            edge_keys.append(keys)
+            num_nodes += len(keys)
+        self.keys = np.concatenate(edge_keys)
+        self.phrase_of = np.full(num_nodes, -1, dtype=np.int64)
+        whole = np.flatnonzero(size > 0)
+        self.phrase_of[tip[whole]] = whole
+
+    def step(self, node: np.ndarray, token: np.ndarray) -> np.ndarray:
+        """The child of each ``node`` on its ``token`` (-1 when none)."""
+        if not len(self.keys):
+            return np.full(len(node), -1, dtype=np.int64)
+        keys = node * self.width + token
+        slot = np.minimum(np.searchsorted(self.keys, keys),
+                          len(self.keys) - 1)
+        return np.where(self.keys[slot] == keys, slot + 1, -1)
 
 
 def render_phrase(phrase: Iterable[int], vocabulary: Vocabulary) -> str:

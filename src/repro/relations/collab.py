@@ -65,6 +65,8 @@ class CollaborationNetwork:
     def __init__(self) -> None:
         self.author_series: Dict[str, YearSeries] = {}
         self.pair_series: Dict[Pair, YearSeries] = {}
+        #: Sorted collaborators per author, built on first use.
+        self._coauthors: Optional[Dict[str, List[str]]] = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -96,6 +98,7 @@ class CollaborationNetwork:
             self.author_series.setdefault(author, YearSeries()).add(year)
         for a, b in combinations(unique, 2):
             self.pair_series.setdefault((a, b), YearSeries()).add(year)
+        self._coauthors = None
 
     # ------------------------------------------------------------------ views
     @property
@@ -116,14 +119,21 @@ class CollaborationNetwork:
         return self.pair_series.get(key)
 
     def coauthors(self, author: str) -> List[str]:
-        """All collaborators of ``author``."""
-        result = []
-        for (a, b) in self.pair_series:
-            if a == author:
-                result.append(b)
-            elif b == author:
-                result.append(a)
-        return sorted(result)
+        """All collaborators of ``author``, sorted.
+
+        The first call indexes every pair once; :meth:`add_paper` drops
+        the index.
+        """
+        if self._coauthors is None:
+            adjacency: Dict[str, List[str]] = {}
+            for a, b in self.pair_series:
+                adjacency.setdefault(a, []).append(b)
+                if b != a:
+                    adjacency.setdefault(b, []).append(a)
+            for names in adjacency.values():
+                names.sort()
+            self._coauthors = adjacency
+        return list(self._coauthors.get(author, ()))
 
     def __repr__(self) -> str:
         return (f"CollaborationNetwork(authors={len(self.author_series)}, "

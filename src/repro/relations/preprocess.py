@@ -13,7 +13,8 @@ publication year.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, FrozenSet, List, Optional
 
 from ..errors import ConfigurationError
 from ..utils import EPS
@@ -87,20 +88,27 @@ class CandidateGraph:
 def kulczynski(pair: YearSeries, series_i: YearSeries,
                series_j: YearSeries, year: int) -> float:
     """kulc^t_{ij} of Eq. 6.1 at ``year`` (cumulative counts)."""
-    joint = pair.cumulative(year)
-    if joint == 0:
-        return 0.0
-    n_i = max(series_i.cumulative(year), 1)
-    n_j = max(series_j.cumulative(year), 1)
-    return joint / 2.0 * (1.0 / n_i + 1.0 / n_j)
+    return _kulczynski(pair.cumulative(year), series_i.cumulative(year),
+                       series_j.cumulative(year))
 
 
 def imbalance_ratio(pair: YearSeries, series_i: YearSeries,
                     series_j: YearSeries, year: int) -> float:
     """IR^t_{ij} of Eq. 6.2 at ``year``: positive when j out-publishes i."""
-    joint = pair.cumulative(year)
-    n_i = series_i.cumulative(year)
-    n_j = series_j.cumulative(year)
+    return _imbalance_ratio(pair.cumulative(year),
+                            series_i.cumulative(year),
+                            series_j.cumulative(year))
+
+
+def _kulczynski(joint: int, n_i: int, n_j: int) -> float:
+    """Eq. 6.1 from the cumulative joint and per-author counts."""
+    if joint == 0:
+        return 0.0
+    return joint / 2.0 * (1.0 / max(n_i, 1) + 1.0 / max(n_j, 1))
+
+
+def _imbalance_ratio(joint: int, n_i: int, n_j: int) -> float:
+    """Eq. 6.2 from the cumulative joint and per-author counts."""
     denominator = n_i + n_j - joint
     if denominator <= 0:
         return 0.0
@@ -147,12 +155,22 @@ def build_candidate_graph(network: CollaborationNetwork,
     """Run Stage 1: filter pairs, estimate intervals, score likelihoods."""
     config = config or PreprocessConfig()
     graph = CandidateGraph()
+    # Each author's publications up to each of their years, ascending.
+    # A paper adds its year to its pairs' series and its authors' series
+    # together, so every year of a pair series is a key of both authors'.
+    totals: Dict[str, Dict[int, int]] = {}
+    for author, series in network.author_series.items():
+        years = series.years()
+        totals[author] = dict(zip(years, accumulate(
+            series.counts[y] for y in years)))
 
     for advisee in network.authors:
         series_i = network.series_of(advisee)
         raw: List[Candidate] = []
         for advisor in network.coauthors(advisee):
-            candidate = _evaluate_pair(network, advisee, advisor, config)
+            candidate = _evaluate_pair(
+                advisee, advisor, network.pair(advisee, advisor),
+                totals[advisee], totals[advisor], config)
             if candidate is not None:
                 raw.append(candidate)
         # Virtual root option: "no advisor in the data".
@@ -168,25 +186,25 @@ def build_candidate_graph(network: CollaborationNetwork,
     return graph
 
 
-def _evaluate_pair(network: CollaborationNetwork, advisee: str,
-                   advisor: str,
+def _evaluate_pair(advisee: str, advisor: str, pair: Optional[YearSeries],
+                   totals_i: Dict[int, int], totals_j: Dict[int, int],
                    config: PreprocessConfig) -> Optional[Candidate]:
-    series_i = network.series_of(advisee)
-    series_j = network.series_of(advisor)
-    pair = network.pair(advisee, advisor)
     if pair is None or not pair.counts:
         return None
 
     # Assumption 6.2: the advisor publishes strictly earlier.
-    if series_j.first_year is None or series_i.first_year is None or \
-            series_j.first_year >= series_i.first_year:
+    first_j = next(iter(totals_j))
+    if first_j >= next(iter(totals_i)):
         return None
 
     collab_years = pair.years()
-    kulc_curve = [kulczynski(pair, series_i, series_j, y)
-                  for y in collab_years]
-    ir_curve = [imbalance_ratio(pair, series_i, series_j, y)
-                for y in collab_years]
+    kulc_curve: List[float] = []
+    ir_curve: List[float] = []
+    joint = accumulate(pair.counts[y] for y in collab_years)
+    for year, joint_count in zip(collab_years, joint):
+        n_i, n_j = totals_i[year], totals_j[year]
+        kulc_curve.append(_kulczynski(joint_count, n_i, n_j))
+        ir_curve.append(_imbalance_ratio(joint_count, n_i, n_j))
 
     if "R1" in config.rules and any(v < 0 for v in ir_curve):
         return None
@@ -196,7 +214,7 @@ def _evaluate_pair(network: CollaborationNetwork, advisee: str,
         return None
     if "R3" in config.rules and len(collab_years) <= 1:
         return None
-    if "R4" in config.rules and series_j.first_year + 2 > collab_years[0]:
+    if "R4" in config.rules and first_j + 2 > collab_years[0]:
         return None
 
     start = collab_years[0]

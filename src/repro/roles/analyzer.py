@@ -21,37 +21,50 @@ from scipy.sparse import csr_matrix
 from ..corpus import Corpus
 from ..errors import ConfigurationError
 from ..hierarchy import Topic, TopicalHierarchy
-from ..phrases import (PhraseCounts, compute_topic_phrase_frequencies,
-                       document_phrase_instances, phrase_rank_score,
-                       render_phrase)
+from ..phrases import (PhraseCounts, document_phrase_instances,
+                       phrase_rank_score, render_phrase)
 from ..phrases.frequent import Phrase
 from ..phrases.hierarchy_ranking import TopicPhraseFrequencies
 from ..utils import EPS
+
+#: Topic notations in pre-order, then per document x topic the frequency
+#: f_t(d) and whether the document's descent reaches the topic.
+Attribution = Tuple[List[str], np.ndarray, np.ndarray]
 
 
 class RoleAnalyzer:
     """Role analysis over a phrase-decorated topical hierarchy.
 
+    The per-topic phrase frequencies f_t(P) are read from
+    ``hierarchy.phrase_frequencies``, the table the phrase decoration
+    ranked each topic's phrases from.
+
     Args:
         hierarchy: a built hierarchy whose topics carry term phi
-            distributions (from :class:`~repro.cathy.HierarchyBuilder`).
+            distributions (from :class:`~repro.cathy.HierarchyBuilder`)
+            and phrases (from :func:`~repro.phrases.attach_phrases`).
         corpus: the text-attached corpus the hierarchy was mined from.
-        counts: pre-mined phrase counts (mined here when omitted).
-        min_support / max_phrase_length / gamma: forwarded to phrase
-            frequency computation.
+        counts: the phrase counts ``attach_phrases`` returned.
+        max_phrase_length: longest phrase instance to find in documents.
+
+    Raises:
+        ConfigurationError: ``hierarchy`` has not been decorated with
+            phrases.
     """
 
     def __init__(self, hierarchy: TopicalHierarchy, corpus: Corpus,
-                 counts: Optional[PhraseCounts] = None,
-                 min_support: int = 5, max_phrase_length: int = 6,
-                 gamma: float = 0.5) -> None:
+                 counts: PhraseCounts, max_phrase_length: int = 6) -> None:
+        if hierarchy.phrase_frequencies is None:
+            raise ConfigurationError(
+                "role analysis needs a phrase-decorated hierarchy; "
+                "run attach_phrases first")
         self.hierarchy = hierarchy
         self.corpus = corpus
-        self._table, self.counts = compute_topic_phrase_frequencies(
-            hierarchy, corpus, counts=counts, min_support=min_support,
-            max_phrase_length=max_phrase_length, gamma=gamma)
+        self.counts = counts
+        self._table = hierarchy.phrase_frequencies
         self._doc_instances = document_phrase_instances(
             corpus, self.counts, max_length=max_phrase_length)
+        self._attribution: Optional[Attribution] = None
         self._doc_freq: Optional[List[Dict[str, float]]] = None
         self._entity_freq_cache: Dict[str, Dict[str, Dict[str, float]]] = {}
 
@@ -65,9 +78,14 @@ class RoleAnalyzer:
         any child contribute nothing below that topic.
         """
         if self._doc_freq is None:
-            self._doc_freq = attribute_documents(
-                self.hierarchy.root, self._table, self._doc_instances)
+            self._doc_freq = _frequency_dicts(*self._attributed())
         return self._doc_freq
+
+    def _attributed(self) -> Attribution:
+        if self._attribution is None:
+            self._attribution = attribute_document_arrays(
+                self.hierarchy.root, self._table, self._doc_instances)
+        return self._attribution
 
     # ------------------------------------------------------- entity position
     def entity_topic_frequencies(self, entity_type: str,
@@ -79,17 +97,12 @@ class RoleAnalyzer:
         type (the underlying document attribution never changes).
         """
         cached = self._entity_freq_cache.get(entity_type)
-        if cached is not None:
-            return cached
-        doc_freqs = self.document_topic_frequencies()
-        result: Dict[str, Dict[str, float]] = {}
-        for doc_id, doc in enumerate(self.corpus):
-            for name in doc.entity_list(entity_type):
-                bucket = result.setdefault(name, {})
-                for notation, f in doc_freqs[doc_id].items():
-                    bucket[notation] = bucket.get(notation, 0.0) + f
-        self._entity_freq_cache[entity_type] = result
-        return result
+        if cached is None:
+            cached = self._entity_freq_cache[entity_type] = \
+                sum_entity_frequencies(
+                    [doc.entity_list(entity_type) for doc in self.corpus],
+                    self._attributed())
+        return cached
 
     def entity_distribution(self, entity_type: str, name: str,
                             topic: str = "o") -> Dict[str, float]:
@@ -204,19 +217,81 @@ class RoleAnalyzer:
 def attribute_documents(root: Topic, table: TopicPhraseFrequencies,
                         doc_instances: Sequence[Sequence[Phrase]],
                         ) -> List[Dict[str, float]]:
+    """Eq. 5.4–5.5 for every document: ``{topic notation: f_t(d)}``.
+
+    Each dict holds the topics the document's descent reaches, in topic
+    pre-order (see :func:`attribute_document_arrays`).
+    """
+    return _frequency_dicts(*attribute_document_arrays(root, table,
+                                                       doc_instances))
+
+
+def sum_entity_frequencies(names_per_doc: Sequence[Sequence[str]],
+                           attribution: Attribution,
+                           ) -> Dict[str, Dict[str, float]]:
+    """Eq. 5.6: f_t(E), each entity's document frequencies summed.
+
+    ``names_per_doc`` lists each document's entities (a name listed
+    twice counts twice).  Entities come in order of first mention, and
+    each entity's topics in the order its documents first reach them.
+    The sums are one entity x document CSR product with the document x
+    topic frequencies; its entries stay in document order, so scipy adds
+    each entity's documents one by one in corpus order, bit for bit as a
+    per-document accumulation does.
+    """
+    notations, mass, present = attribution
+    entity_ids: Dict[str, int] = {}
+    mentions = [(entity_ids.setdefault(name, len(entity_ids)), doc_id)
+                for doc_id, names in enumerate(names_per_doc)
+                for name in names]
+    if not mentions:
+        return {}
+    entity, docs = np.asarray(mentions, dtype=np.int64).T
+    docs = docs[np.argsort(entity, kind="stable")]
+    indptr = np.zeros(len(entity_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entity), out=indptr[1:])
+    links = csr_matrix((np.ones(len(docs)), docs, indptr),
+                       shape=(len(entity_ids), len(mass)))
+    sums = links @ mass
+    # Per (entity, topic): the first of the entity's mentions to reach it.
+    first = np.minimum.reduceat(
+        np.where(present[docs], np.arange(len(docs))[:, None], len(docs)),
+        indptr[:-1], axis=0)
+    rows, cols = np.nonzero(first < len(docs))
+    order = np.lexsort((cols, first[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    keys = [notations[t] for t in cols.tolist()]
+    values = sums[rows, cols].tolist()
+    bounds = np.cumsum(np.bincount(rows)).tolist()
+    return {name: dict(zip(keys[lo:hi], values[lo:hi]))
+            for name, lo, hi in zip(entity_ids, [0] + bounds[:-1], bounds)}
+
+
+def _frequency_dicts(notations: List[str], mass: np.ndarray,
+                     present: np.ndarray) -> List[Dict[str, float]]:
+    result: List[Dict[str, float]] = [{} for _ in range(len(mass))]
+    for column, notation in enumerate(notations):
+        rows = np.flatnonzero(present[:, column])
+        for doc_id, value in zip(rows.tolist(), mass[rows, column].tolist()):
+            result[doc_id][notation] = value
+    return result
+
+
+def attribute_document_arrays(root: Topic, table: TopicPhraseFrequencies,
+                              doc_instances: Sequence[Sequence[Phrase]],
+                              ) -> Attribution:
     """Eq. 5.4–5.5 for every document at once, topic by topic.
 
     Each internal topic costs one sparse product: a document x phrase
     CSR with one unit entry per phrase instance times the phrase x child
     share matrix (each phrase's child frequencies over their sum) gives
     every document's TPF row.  Masses and key presence then pass down
-    the tree as arrays.
+    the tree as arrays.  A document absent from a topic has mass 0 there.
 
     The CSR keeps its entries in document order and is never
     duplicate-summed, so scipy's ``csr @ dense`` adds each document's
     instances one by one in the order the per-document descent does:
-    the returned dicts equal that loop's bit for bit, key order (topic
-    pre-order) included.
+    the masses equal that loop's bit for bit.
     """
     num_docs = len(doc_instances)
     phrase_ids: Dict[Phrase, int] = {}
@@ -228,14 +303,15 @@ def attribute_documents(root: Topic, table: TopicPhraseFrequencies,
         (np.ones(len(columns)), np.asarray(columns, dtype=np.int64), indptr),
         shape=(num_docs, len(phrase_ids)))
 
-    result: List[Dict[str, float]] = [{} for _ in range(num_docs)]
+    notations: List[str] = []
+    masses: List[np.ndarray] = []
+    reached: List[np.ndarray] = []
     stack = [(root, np.ones(num_docs), np.ones(num_docs, dtype=bool))]
     while stack:
         topic, mass, present = stack.pop()
-        notation = topic.notation
-        rows = np.flatnonzero(present)
-        for doc_id, value in zip(rows.tolist(), mass[rows].tolist()):
-            result[doc_id][notation] = value
+        notations.append(topic.notation)
+        masses.append(mass)
+        reached.append(present)
         if not topic.children:
             continue
         shares = np.column_stack([
@@ -257,4 +333,4 @@ def attribute_documents(root: Topic, table: TopicPhraseFrequencies,
         for index in reversed(range(len(topic.children))):
             stack.append((topic.children[index], child_mass[:, index],
                           descend))
-    return result
+    return notations, np.column_stack(masses), np.column_stack(reached)

@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Seven families live here:
+Eight families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -31,7 +31,15 @@ Seven families live here:
   :func:`reference_second_moment`, :func:`reference_sparse_pair_moment`,
   :func:`reference_whitened_third_moment`,
   :func:`reference_document_topics`): counts equal and M1 bit-identical
-  to the count-matrix kernels, M2, T and fold-in rows within 1e-12.
+  to the count-matrix kernels, M2, T and fold-in rows within 1e-12;
+* the per-item phrase, role and relation loops of the mining pipeline:
+  Algorithm 1 per chunk and position (:func:`reference_mine_chunks`),
+  per-span instance lookup (:func:`reference_document_phrase_instances`),
+  the per-phrase Eq. 4.3 split (:func:`reference_split_frequencies`),
+  per-document entity sums (:func:`reference_entity_topic_frequencies`)
+  and the pair-scanning candidate graph
+  (:func:`reference_build_candidate_graph`), each equal to its flat-array
+  kernel bit for bit, dict order included.
 """
 
 from __future__ import annotations
@@ -250,6 +258,123 @@ def reference_segment_chunk(chunk: Sequence[int], counts,
     return phrases
 
 
+# ------------------------------------------------------------------ phrases
+def reference_mine_chunks(chunks: Sequence[Sequence[int]], min_support: int,
+                          max_length: int) -> Dict[Tuple[int, ...], int]:
+    """Algorithm 1 as the original per-chunk, per-position loop.
+
+    Active positions per chunk, a dict of n-gram tuples per round, and
+    the prefix-and-suffix Apriori test by set membership; phrases enter
+    the dict by length, then by first occurrence.
+    """
+    counts: Dict[Tuple[int, ...], int] = {}
+
+    # Length-1 counts.
+    for chunk in chunks:
+        for tok in chunk:
+            key = (tok,)
+            counts[key] = counts.get(key, 0) + 1
+    counts = {p: c for p, c in counts.items() if c >= min_support}
+
+    # Active indices per chunk: positions whose length-(n-1) phrase is
+    # frequent.  Start with positions whose unigram is frequent.
+    active: List[Tuple[Sequence[int], List[int]]] = []
+    for chunk in chunks:
+        indices = [i for i, tok in enumerate(chunk) if (tok,) in counts]
+        if indices:
+            active.append((chunk, indices))
+
+    length = 2
+    while active and length <= max_length:
+        new_counts: Dict[Tuple[int, ...], int] = {}
+        still_active: List[Tuple[Sequence[int], List[int]]] = []
+        for chunk, indices in active:
+            # Keep positions whose length-(n-1) phrase is frequent.
+            kept = [i for i in indices
+                    if i + length - 1 <= len(chunk)
+                    and tuple(chunk[i:i + length - 1]) in counts]
+            # The last kept position cannot start a length-n phrase.
+            kept = [i for i in kept if i + length <= len(chunk)]
+            if not kept:
+                continue  # data antimonotonicity: drop this chunk
+            kept_set = set(kept)
+            counted = []
+            for i in kept:
+                # Count w_i..w_{i+n-1} only when the suffix start i+1 was
+                # also viable (Apriori on both the prefix and the suffix).
+                if i + 1 in kept_set or tuple(
+                        chunk[i + 1:i + length]) in counts:
+                    phrase = tuple(chunk[i:i + length])
+                    new_counts[phrase] = new_counts.get(phrase, 0) + 1
+                    counted.append(i)
+            if counted:
+                still_active.append((chunk, counted))
+        frequent = {p: c for p, c in new_counts.items() if c >= min_support}
+        if not frequent:
+            break
+        counts.update(frequent)
+        # Restrict active positions to those whose length-n phrase is
+        # frequent, for the next round.
+        active = []
+        for chunk, indices in still_active:
+            kept = [i for i in indices
+                    if tuple(chunk[i:i + length]) in frequent]
+            if kept:
+                active.append((chunk, kept))
+        length += 1
+
+    return counts
+
+
+def reference_document_phrase_instances(corpus, counts,
+                                        max_length: int = 6,
+                                        ) -> List[List[Tuple[int, ...]]]:
+    """Per document, every span of every chunk looked up in ``counts``.
+
+    Spans come in (start, length) order, each a new tuple.
+    """
+    instances: List[List[Tuple[int, ...]]] = []
+    for doc in corpus:
+        found: List[Tuple[int, ...]] = []
+        for chunk in doc.chunks:
+            n = len(chunk)
+            for start in range(n):
+                for stop in range(start + 1, min(start + max_length, n) + 1):
+                    phrase = tuple(chunk[start:stop])
+                    if phrase in counts:
+                        found.append(phrase)
+        instances.append(found)
+    return instances
+
+
+def reference_split_frequencies(topic, freq, corpus,
+                                ) -> List[Dict[Tuple[int, ...], float]]:
+    """Eq. 4.3 phrase by phrase: small per-child arrays per word."""
+    from repro.network import TERM_TYPE
+
+    children = topic.children
+    rhos = np.array([max(child.rho, EPS) for child in children])
+    child_freqs: List[Dict[Tuple[int, ...], float]] = [{} for _ in children]
+    for phrase, f in freq.items():
+        words = [corpus.vocabulary.word_of(w) for w in phrase]
+        log_scores = np.log(rhos)
+        for word in words:
+            probs = np.array([
+                child.phi.get(TERM_TYPE, {}).get(word, EPS)
+                for child in children])
+            log_scores = log_scores + np.log(np.maximum(probs, EPS))
+        log_scores -= log_scores.max()
+        scores = np.exp(log_scores)
+        total = scores.sum()
+        if total <= 0:
+            continue
+        shares = f * scores / total
+        for z, share in enumerate(shares):
+            if share > 0:
+                child_freqs[z][phrase] = float(share)
+    return child_freqs
+
+
 # --------------------------------------------------------------------- roles
 def reference_document_topic_frequencies(root, table,
                                          doc_instances,
@@ -286,6 +411,110 @@ def reference_document_topic_frequencies(root, table,
         descend(root, phrases, 1.0, freqs)
         result.append(freqs)
     return result
+
+
+def reference_entity_topic_frequencies(names_per_doc, doc_freqs,
+                                       ) -> Dict[str, Dict[str, float]]:
+    """The original ``RoleAnalyzer.entity_topic_frequencies`` loop:
+    each document's topic frequencies added into each of its entities'
+    buckets, document by document (Eq. 5.6)."""
+    result: Dict[str, Dict[str, float]] = {}
+    for doc_id, names in enumerate(names_per_doc):
+        for name in names:
+            bucket = result.setdefault(name, {})
+            for notation, f in doc_freqs[doc_id].items():
+                bucket[notation] = bucket.get(notation, 0.0) + f
+    return result
+
+
+# ---------------------------------------------------------------- relations
+def reference_coauthors(network, author: str) -> List[str]:
+    """The original ``CollaborationNetwork.coauthors``: a scan of every
+    coauthor pair."""
+    result = []
+    for (a, b) in network.pair_series:
+        if a == author:
+            result.append(b)
+        elif b == author:
+            result.append(a)
+    return sorted(result)
+
+
+def reference_build_candidate_graph(network, config=None):
+    """The original Stage 1 of TPFG: coauthors by pair scan, and the
+    Kulczynski/IR curves (Eqs. 6.1-6.2) from per-year cumulative sums
+    over each series, pair by pair."""
+    from repro.relations import (Candidate, CandidateGraph,
+                                 PreprocessConfig)
+
+    config = config or PreprocessConfig()
+    graph = CandidateGraph()
+    for advisee in network.authors:
+        series_i = network.series_of(advisee)
+        raw = []
+        for advisor in reference_coauthors(network, advisee):
+            candidate = _reference_evaluate_pair(network, advisee, advisor,
+                                                 config)
+            if candidate is not None:
+                raw.append(candidate)
+        raw.append(Candidate(advisee=advisee, advisor=CandidateGraph.ROOT,
+                             start=series_i.first_year or 0,
+                             end=series_i.last_year or 0,
+                             likelihood=config.root_likelihood))
+        total = sum(c.likelihood for c in raw)
+        if total > 0:
+            for c in raw:
+                c.likelihood = c.likelihood / total
+        graph.candidates[advisee] = raw
+    return graph
+
+
+def _reference_evaluate_pair(network, advisee: str, advisor: str, config):
+    from repro.relations import Candidate, imbalance_ratio, kulczynski
+    from repro.relations.preprocess import _estimate_end_year
+
+    series_i = network.series_of(advisee)
+    series_j = network.series_of(advisor)
+    pair = network.pair(advisee, advisor)
+    if pair is None or not pair.counts:
+        return None
+    if series_j.first_year is None or series_i.first_year is None or \
+            series_j.first_year >= series_i.first_year:
+        return None
+
+    collab_years = pair.years()
+    kulc_curve = [kulczynski(pair, series_i, series_j, y)
+                  for y in collab_years]
+    ir_curve = [imbalance_ratio(pair, series_i, series_j, y)
+                for y in collab_years]
+
+    if "R1" in config.rules and any(v < 0 for v in ir_curve):
+        return None
+    if "R2" in config.rules and len(kulc_curve) > 1 and all(
+            kulc_curve[idx + 1] <= kulc_curve[idx]
+            for idx in range(len(kulc_curve) - 1)):
+        return None
+    if "R3" in config.rules and len(collab_years) <= 1:
+        return None
+    if "R4" in config.rules and series_j.first_year + 2 > collab_years[0]:
+        return None
+
+    start = collab_years[0]
+    end = _estimate_end_year(collab_years, kulc_curve, config.end_year_method)
+    window = [idx for idx, y in enumerate(collab_years) if start <= y <= end]
+    if not window:
+        window = list(range(len(collab_years)))
+    kulc_avg = sum(kulc_curve[idx] for idx in window) / len(window)
+    ir_avg = sum(ir_curve[idx] for idx in window) / len(window)
+    if config.likelihood == "kulc":
+        likelihood = kulc_avg
+    elif config.likelihood == "ir":
+        likelihood = ir_avg
+    else:
+        likelihood = (kulc_avg + ir_avg) / 2.0
+    likelihood = max(likelihood, EPS)
+    return Candidate(advisee=advisee, advisor=advisor, start=start, end=end,
+                     likelihood=likelihood)
 
 
 # --------------------------------------------------------------------- TPFG

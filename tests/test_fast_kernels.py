@@ -19,14 +19,21 @@ from hypothesis import strategies as st
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
+from repro.corpus import Corpus
 from repro.errors import DataError
 from repro.hierarchy import Topic, TopicalHierarchy
-from repro.phrases import (make_merge_scorer, merge_significance,
-                           mine_frequent_phrases_from_chunks, segment_chunk)
+from repro.phrases import (PhraseCounts, document_phrase_instances,
+                           hierarchy_ranking, itemsets_as_phrase_counts,
+                           make_merge_scorer, merge_significance,
+                           mine_frequent_phrases,
+                           mine_frequent_phrases_from_chunks, segment_chunk,
+                           split_frequencies)
 from repro.relations import (ROOT, TPFG, Candidate, CandidateGraph,
-                             CollaborationNetwork, TPFGResult,
-                             build_candidate_graph)
-from repro.roles.analyzer import attribute_documents
+                             CollaborationNetwork, PreprocessConfig,
+                             TPFGResult, build_candidate_graph)
+from repro.roles.analyzer import (attribute_document_arrays,
+                                  attribute_documents,
+                                  sum_entity_frequencies)
 from repro.serve import (ModelQueryEngine, ServedModel, load_model,
                          save_model_document)
 from repro.serve.artifact import build_document_from_parts
@@ -35,14 +42,20 @@ from repro.strod import (STROD, MomentSketch, STRODModel, compute_whitener,
                          whitened_third_moment, word_count_rows)
 from repro.strod.moments import count_matrix
 from .reference_kernels import (legacy_gibbs_sweep,
+                                reference_build_candidate_graph,
+                                reference_coauthors,
+                                reference_document_phrase_instances,
                                 reference_document_topic_frequencies,
                                 reference_document_topics,
+                                reference_entity_topic_frequencies,
                                 reference_first_moment,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
-                                reference_scatter, reference_second_moment,
+                                reference_mine_chunks, reference_scatter,
+                                reference_second_moment,
                                 reference_segment_chunk,
                                 reference_sparse_pair_moment,
+                                reference_split_frequencies,
                                 reference_top_terms, reference_topic_detail,
                                 reference_tpfg_ranking,
                                 reference_whitened_third_moment,
@@ -562,3 +575,257 @@ class TestSTRODMomentEquivalence:
         clear = (top_two[:, 1] - top_two[:, 0]) > 1e-9 * top_two.sum(axis=1)
         assert np.array_equal(fast.argmax(axis=1)[clear],
                               ref.argmax(axis=1)[clear])
+
+
+# ------------------------------------------------- phrases, roles, relations
+TOKEN = st.integers(min_value=0, max_value=5)
+
+#: Chunks as Algorithm 1 meets them: empty and one-token chunks, chunks
+#: longer than any cap, and runs of one repeated token, whose n-grams
+#: overlap.
+CHUNK = st.one_of(
+    st.lists(TOKEN, max_size=12),
+    st.builds(lambda token, size: [token] * size, TOKEN,
+              st.integers(min_value=1, max_value=9)))
+
+
+def _corpus_of(docs, vocab_size: int = 6) -> Corpus:
+    """A corpus over words ``w0..`` holding the given chunked documents."""
+    corpus = Corpus()
+    corpus.vocabulary.encode([f"w{i}" for i in range(vocab_size)],
+                             add_missing=True)
+    for chunks in docs:
+        corpus.add_document(chunks=[list(chunk) for chunk in chunks])
+    return corpus
+
+
+class TestFrequentPhraseEquivalence:
+    @given(chunks=st.lists(CHUNK, max_size=25),
+           min_support=st.integers(min_value=1, max_value=4),
+           max_length=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, chunks, min_support, max_length):
+        fast = mine_frequent_phrases_from_chunks(
+            chunks, min_support=min_support, max_length=max_length).counts
+        ref = reference_mine_chunks(chunks, min_support, max_length)
+        assert fast == ref
+        assert list(fast) == list(ref)  # insertion order is the contract
+
+    def test_overlapping_runs(self):
+        chunks = [[1, 1, 1, 1]] * 3 + [[1], [], [2, 1, 1, 1, 1, 1, 2]]
+        for max_length in range(1, 7):
+            for min_support in range(1, 5):
+                fast = mine_frequent_phrases_from_chunks(
+                    chunks, min_support=min_support,
+                    max_length=max_length).counts
+                ref = reference_mine_chunks(chunks, min_support, max_length)
+                assert list(fast.items()) == list(ref.items())
+
+    def test_matches_reference_on_synthetic_dblp(self, dblp_small):
+        corpus = dblp_small.corpus
+        chunks = [chunk for doc in corpus for chunk in doc.chunks]
+        fast = mine_frequent_phrases(corpus, min_support=5).counts
+        assert list(fast.items()) == list(
+            reference_mine_chunks(chunks, 5, 6).items())
+
+
+class TestPhraseInstanceEquivalence:
+    @given(docs=st.lists(st.lists(CHUNK, max_size=4), max_size=12),
+           min_support=st.integers(min_value=1, max_value=3),
+           max_length=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_mined_counts(self, docs, min_support,
+                                               max_length):
+        corpus = _corpus_of(docs)
+        counts = mine_frequent_phrases(corpus, min_support=min_support)
+        fast = document_phrase_instances(corpus, counts,
+                                         max_length=max_length)
+        assert fast == reference_document_phrase_instances(
+            corpus, counts, max_length=max_length)
+        own = {phrase: phrase for phrase in counts.counts}
+        assert all(phrase is own[phrase] for found in fast
+                   for phrase in found)
+
+    @given(docs=st.lists(st.lists(CHUNK, max_size=4), max_size=12),
+           phrases=st.lists(st.lists(st.integers(min_value=-1,
+                                                 max_value=7),
+                                     max_size=4).map(tuple), max_size=15),
+           max_length=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_counts_not_closed(self, docs, phrases,
+                                                    max_length):
+        """Phrases whose prefixes are not counted, the empty phrase, and
+        ids the corpus never uses (negative or past its largest)."""
+        corpus = _corpus_of(docs)
+        counts = PhraseCounts({phrase: 1 for phrase in phrases},
+                              min_support=1, num_documents=len(corpus),
+                              num_tokens=corpus.num_tokens)
+        assert document_phrase_instances(
+            corpus, counts, max_length=max_length) == \
+            reference_document_phrase_instances(corpus, counts,
+                                                max_length=max_length)
+
+    def test_matches_reference_on_itemset_counts(self, dblp_small):
+        corpus = dblp_small.corpus
+        counts = itemsets_as_phrase_counts(corpus, min_support=5,
+                                           max_size=3)
+        assert document_phrase_instances(corpus, counts) == \
+            reference_document_phrase_instances(corpus, counts)
+
+
+def _items_bits(tables):
+    return [[(key, value.hex()) for key, value in table.items()]
+            for table in tables]
+
+
+class TestSplitFrequencyEquivalence:
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6),
+           num_children=st.integers(min_value=1, max_value=10),
+           num_phrases=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, seed, num_children, num_phrases):
+        """Words missing from a child's phi (or a child with no term
+        phi), a child with rho 0, and probabilities small enough that
+        some shares underflow to zero and drop out."""
+        rng = np.random.default_rng(seed)
+        vocab_size = 12
+        corpus = _corpus_of([], vocab_size)
+        topic = Topic(path=())
+        for z in range(num_children):
+            child = Topic(rho=0.0 if z == 0 else float(rng.uniform(0, 2)))
+            if rng.random() < 0.9:
+                known = rng.random(vocab_size) < 0.7
+                probs = 10.0 ** rng.uniform(-300, 0, size=vocab_size)
+                child.phi = {"term": {f"w{w}": float(p) for w, p
+                                      in enumerate(probs) if known[w]}}
+            topic.add_child(child)
+        freq = {}
+        for _ in range(num_phrases):
+            size = int(rng.integers(1, 7))
+            phrase = tuple(rng.integers(0, vocab_size, size=size).tolist())
+            freq[phrase] = float(rng.uniform(0.5, 50.0))
+        fast = split_frequencies(topic, freq, corpus)
+        ref = reference_split_frequencies(topic, freq, corpus)
+        assert _items_bits(fast) == _items_bits(ref)
+
+
+@st.composite
+def collaboration_papers(draw):
+    """(authors, year) records over a small author pool and year span."""
+    pool = [f"a{i}" for i in range(draw(st.integers(2, 12)))]
+    paper = st.tuples(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=4),
+                      st.integers(min_value=1990, max_value=2004))
+    return draw(st.lists(paper, max_size=60))
+
+
+def _candidate_bits(graph):
+    return [(advisee, [(c.advisee, c.advisor, c.start, c.end,
+                        c.likelihood.hex()) for c in candidates])
+            for advisee, candidates in graph.candidates.items()]
+
+
+class TestCandidateGraphEquivalence:
+    @given(papers=collaboration_papers(),
+           rules=st.sets(st.sampled_from(["R1", "R2", "R3", "R4"])),
+           end_year_method=st.sampled_from(["YEAR", "YEAR1", "YEAR2"]),
+           likelihood=st.sampled_from(["kulc", "ir", "avg"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, papers, rules, end_year_method,
+                               likelihood):
+        network = CollaborationNetwork.from_papers(papers)
+        config = PreprocessConfig(rules=frozenset(rules),
+                                  end_year_method=end_year_method,
+                                  likelihood=likelihood)
+        assert _candidate_bits(build_candidate_graph(network, config)) == \
+            _candidate_bits(reference_build_candidate_graph(network, config))
+
+    def test_matches_reference_on_synthetic_dblp(self, dblp_small):
+        network = CollaborationNetwork.from_corpus(dblp_small.corpus)
+        graph = build_candidate_graph(network)
+        assert graph.num_edges() > 0
+        assert _candidate_bits(graph) == \
+            _candidate_bits(reference_build_candidate_graph(network))
+
+    def test_coauthors_match_pair_scan(self, dblp_small):
+        network = CollaborationNetwork.from_corpus(dblp_small.corpus)
+        for author in network.authors + ["nobody"]:
+            assert network.coauthors(author) == \
+                reference_coauthors(network, author)
+
+
+def _entity_bits(frequencies):
+    return [(name, [(notation, value.hex())
+                    for notation, value in bucket.items()])
+            for name, bucket in frequencies.items()]
+
+
+class TestEntityFrequencyEquivalence:
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6),
+           num_docs=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_random_attribution(self, seed, num_docs):
+        """Documents stopping at different depths (so entities reach
+        topics in different orders), names listed twice in a document,
+        and documents with no entity."""
+        rng = np.random.default_rng(seed)
+        root = Topic(path=())
+        for _ in range(int(rng.integers(1, 4))):
+            child = root.add_child(Topic())
+            for _ in range(int(rng.integers(0, 3))):
+                child.add_child(Topic())
+        phrases = [(w,) for w in range(6)]
+        table = {topic.notation: {p: float(rng.uniform(0.5, 5.0))
+                                  for p in phrases if rng.random() < 0.5}
+                 for topic in TopicalHierarchy(root).topics()}
+        instances = [[phrases[i] for i in rng.integers(
+            0, len(phrases), size=int(rng.integers(0, 4))).tolist()]
+            for _ in range(num_docs)]
+        pool = ["ann", "ben", "cy", "dee"]
+        names = [[pool[i] for i in rng.integers(
+            0, len(pool), size=int(rng.integers(0, 4))).tolist()]
+            for _ in range(num_docs)]
+        fast = sum_entity_frequencies(
+            names, attribute_document_arrays(root, table, instances))
+        ref = reference_entity_topic_frequencies(
+            names, attribute_documents(root, table, instances))
+        assert _entity_bits(fast) == _entity_bits(ref)
+
+    def test_matches_reference_on_mined(self, mined):
+        dataset, result = mined
+        roles = result.roles
+        for entity_type in dataset.corpus.entity_types():
+            names = [doc.entity_list(entity_type) for doc in roles.corpus]
+            assert _entity_bits(roles.entity_topic_frequencies(
+                entity_type)) == _entity_bits(
+                reference_entity_topic_frequencies(
+                    names, roles.document_topic_frequencies()))
+
+
+class TestMiningPipelineEquivalence:
+    """The phrase, role and relation kernels of one small fitted DBLP
+    corpus, each against its reference loop at pipeline scale."""
+
+    def test_phrase_and_role_kernels(self, mined, monkeypatch):
+        dataset, result = mined
+        corpus, roles = dataset.corpus, result.roles
+        chunks = [chunk for doc in corpus for chunk in doc.chunks]
+        assert list(result.counts.counts.items()) == list(
+            reference_mine_chunks(chunks, 5, 6).items())
+        assert roles._doc_instances == reference_document_phrase_instances(
+            corpus, result.counts)
+        # Role analysis reuses the decoration's table.
+        assert roles._table is result.hierarchy.phrase_frequencies
+        monkeypatch.setattr(hierarchy_ranking, "split_frequencies",
+                            reference_split_frequencies)
+        ref_table, _ = hierarchy_ranking.compute_topic_phrase_frequencies(
+            result.hierarchy, corpus, counts=result.counts)
+        assert list(roles._table) == list(ref_table)
+        assert _items_bits(roles._table.values()) == \
+            _items_bits(ref_table.values())
+
+    def test_relation_kernels(self, mined):
+        dataset, _ = mined
+        network = CollaborationNetwork.from_corpus(dataset.corpus)
+        assert _candidate_bits(build_candidate_graph(network)) == \
+            _candidate_bits(reference_build_candidate_graph(network))

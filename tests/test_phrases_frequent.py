@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus import Corpus
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.phrases import (mine_frequent_phrases,
                            mine_frequent_phrases_from_chunks)
 
@@ -52,6 +52,33 @@ class TestMining:
     def test_invalid_support(self, tiny_corpus):
         with pytest.raises(ConfigurationError):
             mine_frequent_phrases(tiny_corpus, min_support=0)
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_invalid_max_length(self, tiny_corpus, max_length):
+        """A cap below 1 used to mine unigrams anyway, while instance
+        lookup under the same cap found none."""
+        with pytest.raises(ConfigurationError, match="max_length must be"):
+            mine_frequent_phrases(tiny_corpus, min_support=2,
+                                  max_length=max_length)
+        with pytest.raises(ConfigurationError, match="max_length must be"):
+            mine_frequent_phrases_from_chunks([[1, 2, 3], [1, 2, 3]],
+                                              min_support=2,
+                                              max_length=max_length)
+
+    def test_chunks_invalid_support(self):
+        with pytest.raises(ConfigurationError, match="min_support must be"):
+            mine_frequent_phrases_from_chunks([[1, 2]], min_support=0)
+
+    @pytest.mark.parametrize("chunks", [
+        [[-1, 2], [-1, 2]],
+        [[0, 1], [2, -3]],
+        [[1.0, 2.0], [1.0, 2.0]],
+        [[1, 2.5]],
+        [["a", "b"], ["a", "b"]],
+    ])
+    def test_chunks_reject_bad_token_ids(self, chunks):
+        with pytest.raises(DataError, match="token ids must be"):
+            mine_frequent_phrases_from_chunks(chunks, min_support=1)
 
     def test_corpus_constants_recorded(self, tiny_corpus):
         counts = mine_frequent_phrases(tiny_corpus, min_support=2)

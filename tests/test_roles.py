@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hierarchy import TopicalHierarchy
 from repro.roles import RoleAnalyzer
+
+
+class TestConstruction:
+    def test_requires_phrase_decoration(self, mined):
+        dataset, result = mined
+        with pytest.raises(ConfigurationError, match="attach_phrases"):
+            RoleAnalyzer(TopicalHierarchy(), dataset.corpus, result.counts)
 
 
 class TestDocumentDistribution:
