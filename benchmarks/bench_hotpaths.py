@@ -5,7 +5,8 @@ the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, ToPMine merge, frequent-phrase mining,
 role attribution, candidate graph and TPFG kernels, the serving engine's
-uncached topic detail and the STROD moments, against theirs.
+uncached topic detail, the v2 artifact writer and the STROD moments,
+against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -40,6 +41,7 @@ from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
                                reference_scatter, reference_second_moment,
                                reference_segment_chunk,
                                reference_topic_detail, reference_tpfg_ranking,
+                               reference_v2_blob,
                                reference_whitened_third_moment,
                                reference_word_count_rows)
 
@@ -56,6 +58,8 @@ from repro.relations import (TPFG, CollaborationNetwork, TPFGResult,
                              build_candidate_graph)
 from repro.roles.analyzer import attribute_documents
 from repro.serve import ModelQueryEngine, load_model, save_model_document
+from repro.serve.artifact import parts_from_document
+from repro.serve.artifact_v2 import pack_model
 from repro.strod import (STROD, compute_whitener, first_moment,
                          second_moment, whitened_third_moment)
 from repro.strod.moments import count_matrix
@@ -84,6 +88,10 @@ PHRASE_AUTHORS = CHUNKS * 5 // 3
 #: Topic-detail phi rows follow the node knob: 20,000 terms at full
 #: size, the vocabulary of the ``query_keepalive`` perfbench model.
 DETAIL_TERMS = NODES * 10
+
+#: The saved model follows the node knob too: the topic-detail model
+#: (20,000 terms x 9 topics) with 6,000 authors' role rows at full size.
+SAVE_AUTHORS = NODES * 3
 
 #: STROD moment documents follow the node knob: 10,000 planted-LDA
 #: documents of 10 tokens over 500 words at full size.
@@ -637,6 +645,44 @@ def test_hotpath_topic_detail(benchmark, tmp_path):
     assert fast <= SANITY_SECONDS
     if NODES >= FULL_NODES:
         assert speedup >= 20.0
+
+
+def test_hotpath_artifact_save(benchmark):
+    """v2 sections packed from a model's parts vs the dict -> JSON ->
+    v2 path (v1 document, canonical encodes, per-row lists, reparse
+    self-check) they replaced; equal bytes."""
+    parts = parts_from_document(synthetic_document(
+        num_terms=DETAIL_TERMS, num_authors=SAVE_AUTHORS))
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def run():
+        fast = _time(lambda: pack_model(parts),
+                     span_name="bench.artifact.arrays")
+        slow = _time(lambda: reference_v2_blob(parts), repeats=1,
+                     span_name="bench.artifact.json")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    blob, model = pack_model(parts)
+    report("hotpath_artifact_save", [
+        fmt_row("writer", ["seconds", "speedup"]),
+        fmt_row("arrays from parts", [fast, 1.0]),
+        fmt_row("dict -> JSON -> v2", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.artifact.arrays", "bench.artifact.json"}) + [
+        f"topics={len(model.strings['topics'])} terms={DETAIL_TERMS} "
+        f"authors={SAVE_AUTHORS} sections={len(model.sections)} "
+        f"bytes={len(blob)}",
+        "timed: pack + self-check reparse, no file write",
+        "acceptance: >= 5x at 20,000 terms",
+    ])
+
+    assert blob == reference_v2_blob(parts)
+    assert fast <= SANITY_SECONDS
+    if NODES >= FULL_NODES:
+        assert speedup >= 5.0
 
 
 def test_hotpath_strod_moments(benchmark):

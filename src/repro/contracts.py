@@ -43,6 +43,7 @@ __all__ = [
     "LINT_REPORT_V1",
     "MODEL_V1",
     "MODEL_V2",
+    "MODEL_V3",
     "MOMENT_SKETCH_V1",
     "PROFILE_V1",
     "REGISTRY",
@@ -120,7 +121,18 @@ MODEL_V2 = _register(
     "repro.serve/model/v2",
     owner="repro.serve.artifact_v2",
     loader="repro.serve.artifact_v2:load_model_v2",
-    title="zero-copy mmap model artifact (aligned CRC'd binary sections)")
+    title="zero-copy mmap model artifact whose payload_crc32 covers the "
+          "canonical v1 JSON (read only; that CRC is not verified)")
+
+# Deliberate bump of MODEL_V2: the same layout, but payload_crc32 is the
+# CRC32 of the canonical string tables followed by the section CRC32s,
+# so a save packs the sections without encoding a v1 payload.
+MODEL_V3 = _register(
+    "repro.serve/model/v3",
+    owner="repro.serve.artifact_v2",
+    loader="repro.serve.artifact_v2:load_model_v2",
+    title="zero-copy mmap model artifact (aligned CRC'd binary sections, "
+          "payload_crc32 over string tables + section CRCs)")
 
 CHECKPOINT_V1 = _register(
     "repro.resilience/checkpoint/v1",

@@ -182,9 +182,11 @@ class LatentEntityMiner:
     def load_model(path: str):
         """Load a model artifact written by :meth:`save_model`.
 
-        Returns a :class:`~repro.serve.ServedModel`; wrap it in a
-        :class:`~repro.serve.ModelQueryEngine` (or ``repro serve``) to
-        answer queries without re-running EM.
+        The format is sniffed from the file: a v1 artifact returns a
+        :class:`~repro.serve.ServedModel`, a v2 artifact a memory-mapped
+        :class:`~repro.serve.MappedModel` (call its ``close()`` when
+        done).  Wrap either in a :class:`~repro.serve.ModelQueryEngine`
+        (or ``repro serve``) to answer queries without re-running EM.
 
         Raises:
             DataError: corrupt, truncated, or schema-mismatched artifact.

@@ -8,7 +8,8 @@ from .hierarchy_ranking import (attach_entity_rankings, attach_phrases,
 from .itemsets import (canonical_orders, itemsets_as_phrase_counts,
                        mine_frequent_itemsets)
 from .kert import KERT, KERTConfig, TopicalPhraseScores, completeness_scores
-from .ranking import (FlatTopicModel, document_phrase_instances,
+from .ranking import (FlatTopicModel, PhraseInstances,
+                      document_phrase_index, document_phrase_instances,
                       phrase_topic_posterior, render_phrase,
                       term_model_from_hin, topical_frequencies)
 from .segmentation import (partition_is_valid, segment_chunk,
@@ -36,7 +37,9 @@ __all__ = [
     "term_model_from_hin",
     "topical_frequencies",
     "phrase_topic_posterior",
+    "document_phrase_index",
     "document_phrase_instances",
+    "PhraseInstances",
     "render_phrase",
     "segment_chunk",
     "segment_document",

@@ -93,16 +93,52 @@ def topical_frequencies(counts: PhraseCounts,
     return result
 
 
-def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
-                              max_length: int = 6,
-                              ) -> List[List[Phrase]]:
+@dataclass
+class PhraseInstances:
+    """Every document's frequent-phrase instances in flat form.
+
+    Attributes:
+        phrases: the phrases the instances point at.
+        index: per instance, its phrase's position in ``phrases``;
+            documents in corpus order.
+        bounds: document ``d``'s instances are
+            ``index[bounds[d]:bounds[d + 1]]``.
+    """
+
+    phrases: List[Phrase]
+    index: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def from_lists(cls, doc_instances: Sequence[Sequence[Phrase]],
+                   ) -> "PhraseInstances":
+        """The flat form of per-document phrase lists, phrases numbered
+        by first occurrence."""
+        ids: Dict[Phrase, int] = {}
+        index = np.fromiter((ids.setdefault(phrase, len(ids))
+                             for phrases in doc_instances
+                             for phrase in phrases), dtype=np.int64)
+        bounds = np.zeros(len(doc_instances) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, doc_instances), dtype=np.int64,
+                              count=len(doc_instances)), out=bounds[1:])
+        return cls(list(ids), index, bounds)
+
+    def per_document(self) -> List[List[Phrase]]:
+        """Per document, its instances as phrase tuples."""
+        flat = [self.phrases[i] for i in self.index.tolist()]
+        bounds = self.bounds.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def document_phrase_index(corpus: Corpus, counts: PhraseCounts,
+                          max_length: int = 6) -> PhraseInstances:
     """Per document, all frequent-phrase instances (overlapping allowed).
 
     Used to decide which documents "contain at least one frequent topic-t
     phrase" for the N_t normalizer of Eq. 4.4.  Every chunk span of at
     most ``max_length`` tokens that ``counts`` holds is one instance; a
-    document lists them in (start, length) order, as the counts' own
-    phrase tuples.
+    document lists them in (start, length) order.  ``phrases`` are the
+    counts' own tuples of at most ``max_length`` tokens, in count order.
 
     The spans are matched one length at a time against a trie of the
     counted phrases, so ``counts`` need not be closed under sub-phrases
@@ -113,7 +149,8 @@ def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
     phrases = [phrase for phrase in counts.counts
                if 1 <= len(phrase) <= max_length]
     if not phrases or not len(tokens):
-        return [[] for _ in range(len(corpus))]
+        return PhraseInstances(phrases, np.zeros(0, dtype=np.int64),
+                               np.zeros(len(corpus) + 1, dtype=np.int64))
     trie = _PhraseTrie(phrases, int(tokens.max()) + 1)
     follows = chunk_continues(lengths)
 
@@ -139,11 +176,19 @@ def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
     # them in (start, length) order.
     start = np.concatenate(starts)
     order = np.argsort(start, kind="stable")
-    flat = [phrases[i] for i in np.concatenate(found)[order].tolist()]
     chunk_ends = np.concatenate([[0], np.cumsum(lengths)])
     doc_ends = chunk_ends[np.cumsum(doc_chunks)]
-    bounds = np.searchsorted(start[order], doc_ends).tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+    bounds = np.zeros(len(doc_ends) + 1, dtype=np.int64)
+    bounds[1:] = np.searchsorted(start[order], doc_ends)
+    return PhraseInstances(phrases, np.concatenate(found)[order], bounds)
+
+
+def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
+                              max_length: int = 6,
+                              ) -> List[List[Phrase]]:
+    """:func:`document_phrase_index` as per-document lists of the
+    counts' own phrase tuples."""
+    return document_phrase_index(corpus, counts, max_length).per_document()
 
 
 class _PhraseTrie:

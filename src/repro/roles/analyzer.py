@@ -12,8 +12,9 @@ topical hierarchy:
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,7 +22,7 @@ from scipy.sparse import csr_matrix
 from ..corpus import Corpus
 from ..errors import ConfigurationError
 from ..hierarchy import Topic, TopicalHierarchy
-from ..phrases import (PhraseCounts, document_phrase_instances,
+from ..phrases import (PhraseCounts, PhraseInstances, document_phrase_index,
                        phrase_rank_score, render_phrase)
 from ..phrases.frequent import Phrase
 from ..phrases.hierarchy_ranking import TopicPhraseFrequencies
@@ -62,11 +63,17 @@ class RoleAnalyzer:
         self.corpus = corpus
         self.counts = counts
         self._table = hierarchy.phrase_frequencies
-        self._doc_instances = document_phrase_instances(
+        self._instances = document_phrase_index(
             corpus, self.counts, max_length=max_phrase_length)
         self._attribution: Optional[Attribution] = None
         self._doc_freq: Optional[List[Dict[str, float]]] = None
         self._entity_freq_cache: Dict[str, Dict[str, Dict[str, float]]] = {}
+
+    @cached_property
+    def _doc_instances(self) -> List[List[Phrase]]:
+        """Per document, its phrase instances as tuples (built on first
+        use: attribution reads the flat form)."""
+        return self._instances.per_document()
 
     # ----------------------------------------------------- document position
     def document_topic_frequencies(self) -> List[Dict[str, float]]:
@@ -84,7 +91,7 @@ class RoleAnalyzer:
     def _attributed(self) -> Attribution:
         if self._attribution is None:
             self._attribution = attribute_document_arrays(
-                self.hierarchy.root, self._table, self._doc_instances)
+                self.hierarchy.root, self._table, self._instances)
         return self._attribution
 
     # ------------------------------------------------------- entity position
@@ -277,31 +284,35 @@ def _frequency_dicts(notations: List[str], mass: np.ndarray,
     return result
 
 
-def attribute_document_arrays(root: Topic, table: TopicPhraseFrequencies,
-                              doc_instances: Sequence[Sequence[Phrase]],
-                              ) -> Attribution:
+def attribute_document_arrays(
+        root: Topic, table: TopicPhraseFrequencies,
+        instances: Union[PhraseInstances, Sequence[Sequence[Phrase]]],
+        ) -> Attribution:
     """Eq. 5.4–5.5 for every document at once, topic by topic.
 
-    Each internal topic costs one sparse product: a document x phrase
-    CSR with one unit entry per phrase instance times the phrase x child
-    share matrix (each phrase's child frequencies over their sum) gives
-    every document's TPF row.  Masses and key presence then pass down
-    the tree as arrays.  A document absent from a topic has mass 0 there.
+    ``instances`` is the flat form that
+    :func:`~repro.phrases.document_phrase_index` returns, or
+    per-document phrase lists, which are flattened first.  Each internal
+    topic costs one sparse product:
+    a document x phrase CSR with one unit entry per phrase instance
+    times the phrase x child share matrix (each phrase's child
+    frequencies over their sum) gives every document's TPF row.  Masses
+    and key presence then pass down the tree as arrays.  A document
+    absent from a topic has mass 0 there.
 
     The CSR keeps its entries in document order and is never
     duplicate-summed, so scipy's ``csr @ dense`` adds each document's
     instances one by one in the order the per-document descent does:
-    the masses equal that loop's bit for bit.
+    the masses equal that loop's bit for bit, whatever the phrases'
+    column numbering.
     """
-    num_docs = len(doc_instances)
-    phrase_ids: Dict[Phrase, int] = {}
-    columns = [phrase_ids.setdefault(phrase, len(phrase_ids))
-               for phrases in doc_instances for phrase in phrases]
-    indptr = np.zeros(num_docs + 1, dtype=np.int64)
-    np.cumsum([len(phrases) for phrases in doc_instances], out=indptr[1:])
-    instances = csr_matrix(
-        (np.ones(len(columns)), np.asarray(columns, dtype=np.int64), indptr),
-        shape=(num_docs, len(phrase_ids)))
+    if not isinstance(instances, PhraseInstances):
+        instances = PhraseInstances.from_lists(instances)
+    phrases = instances.phrases
+    num_docs = len(instances.bounds) - 1
+    matrix = csr_matrix(
+        (np.ones(len(instances.index)), instances.index, instances.bounds),
+        shape=(num_docs, len(phrases)))
 
     notations: List[str] = []
     masses: List[np.ndarray] = []
@@ -315,15 +326,15 @@ def attribute_document_arrays(root: Topic, table: TopicPhraseFrequencies,
         if not topic.children:
             continue
         shares = np.column_stack([
-            np.fromiter(map(table.get(child.notation, {}).get, phrase_ids,
+            np.fromiter(map(table.get(child.notation, {}).get, phrases,
                             repeat(0.0)),
-                        dtype=np.float64, count=len(phrase_ids))
+                        dtype=np.float64, count=len(phrases))
             for child in topic.children])
         totals = shares.sum(axis=1)
         hit = totals > 0
         shares[hit] /= totals[hit, None]
         shares[~hit] = 0.0
-        tpf = instances @ shares
+        tpf = matrix @ shares
         tpf_total = tpf.sum(axis=1)
         descend = present & (mass > 0) & (tpf_total > 0)
         rows = np.flatnonzero(descend)

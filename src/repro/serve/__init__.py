@@ -3,18 +3,19 @@
 Three layers turn a fitted :class:`~repro.core.MiningResult` into
 something millions of users can query without re-running EM:
 
-* **artifacts**: the versioned on-disk formats — ``repro.serve/model/v1``
-  (:mod:`repro.serve.artifact`), one canonical JSON document, and
-  ``repro.serve/model/v2`` (:mod:`repro.serve.artifact_v2`), the same
-  manifest / CRC / fingerprint contract with the numeric payload in
-  aligned memory-mappable binary sections (zero-copy load, one
-  page-cache copy shared across N server processes).  Both formats are
-  written atomically and reject corrupt or mismatched files with typed
-  errors; :func:`load_model` sniffs the format;
+* **artifacts**: the versioned on-disk formats — v1
+  (:mod:`repro.serve.artifact`), one canonical JSON document, and v2
+  (:mod:`repro.serve.artifact_v2`), the same manifest and fingerprint
+  contract with the numeric payload in aligned memory-mappable binary
+  sections (zero-copy load, one page-cache copy shared across N server
+  processes), packed straight from the fitted hierarchy and role table.
+  Both formats are written atomically and reject corrupt or mismatched
+  files with typed errors; :func:`load_model` sniffs the format;
 * the **query engine** (:mod:`repro.serve.engine`): read-optimized
-  indexes behind an LRU result cache with hit/miss metrics, working
-  identically over dict-backed (v1) and mmap-backed (v2) models, with
-  an optional hash-sharded phrase index for fan-out search;
+  lookups over one v2 blob behind an LRU result cache with hit/miss
+  metrics — a v1 document or an in-memory fit is packed into the bytes
+  the v2 writer would save — with an optional hash-sharded phrase index
+  for fan-out search;
 * the **servers**: a pure-stdlib threaded HTTP server
   (:mod:`repro.serve.http`) and an asyncio server
   (:mod:`repro.serve.aio`) with concurrent batch and sharded-search

@@ -36,11 +36,14 @@ the non-standard ``NaN``/``Infinity`` tokens Python would otherwise
 emit cannot be re-parsed by a conforming JSON parser, so such an
 artifact's CRC could never be re-verified.
 
-``save_model`` / ``load_model`` additionally speak the
-``repro.serve/model/v2`` zero-copy binary format (``format="v2"``; see
+``save_model`` / ``load_model`` additionally speak the v2 zero-copy
+binary format (``format="v2"``, schema ``repro.serve/model/v3``; see
 :mod:`repro.serve.artifact_v2`): saves dispatch on the ``format``
 argument and loads sniff the file, so a v2 artifact loads through the
-same entry point with full v1 read compatibility.
+same entry point with full v1 read compatibility.  Both writers consume
+one :class:`ModelParts` (vocabulary, hierarchy, role table, manifest);
+the v2 writer packs its sections from the parts directly and never
+builds the v1 document.
 """
 
 from __future__ import annotations
@@ -50,22 +53,27 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..contracts import MODEL_V1
 from ..errors import ConfigurationError, DataError
 from ..hierarchy import Topic, TopicalHierarchy
 from ..obs import get_logger, timed
-from ..resilience import atomic_write_json, config_fingerprint
+from ..resilience import (atomic_write_bytes, atomic_write_json,
+                          config_fingerprint)
 
 __all__ = [
     "ARTIFACT_FORMATS",
     "MODEL_SCHEMA",
+    "ModelParts",
     "ServedModel",
     "build_document_from_parts",
     "build_model_document",
     "load_model",
     "migrate_model",
+    "model_parts",
+    "parts_from_document",
+    "parts_of_result",
     "save_model",
     "save_model_document",
     "vocabulary_hash",
@@ -79,6 +87,8 @@ ARTIFACT_FORMATS = ("v1", "v2")
 #: Manifest fields whose absence makes an artifact unusable.
 _REQUIRED_MANIFEST = ("schema", "created_unix", "repro_version", "config",
                       "vocab_hash", "payload_crc32", "num_topics")
+
+EntityRoles = Dict[str, Dict[str, Dict[str, float]]]
 
 logger = get_logger("serve.artifact")
 
@@ -146,24 +156,36 @@ def _topic_from_record(record: Dict[str, Any]) -> Topic:
     return topic
 
 
-def build_document_from_parts(
-        vocabulary: List[str],
-        hierarchy: TopicalHierarchy,
-        entity_roles: Dict[str, Dict[str, Dict[str, float]]],
-        num_documents: int,
-        config: Optional[Dict[str, Any]] = None,
-        extra_manifest: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Assemble a model document from its already-computed pieces.
+@dataclass
+class ModelParts:
+    """A model before encoding: what both artifact writers consume.
+
+    Attributes:
+        vocabulary: the words, ids positional.
+        hierarchy: the topic tree with phi, phrases and entity ranks.
+        entity_roles: ``{etype: {entity: {topic notation: f_t(E)}}}``.
+        manifest: every manifest field, in v1 order; each writer stamps
+            ``schema`` and ``payload_crc32`` for its own format.
+    """
+
+    vocabulary: List[str]
+    hierarchy: TopicalHierarchy
+    entity_roles: EntityRoles
+    manifest: Dict[str, Any]
+
+
+def model_parts(vocabulary: Iterable[str], hierarchy: TopicalHierarchy,
+                entity_roles: EntityRoles, num_documents: int,
+                config: Optional[Dict[str, Any]] = None,
+                extra_manifest: Optional[Dict[str, Any]] = None,
+                ) -> ModelParts:
+    """Assemble a model's parts from its already-computed pieces.
 
     The incremental path (:mod:`repro.stream`) produces a hierarchy and
     role table without ever holding a :class:`~repro.core.MiningResult`,
-    so the document builder has to accept the parts directly.
+    so the writers have to accept the pieces directly.
     ``extra_manifest`` entries (e.g. a ``model_version`` counter) are
     merged into the manifest; they may not shadow the required fields.
-
-    The returned document is fully JSON-normalized (every tuple already a
-    list), so building a query engine from it gives byte-identical
-    answers to one built from the document read back off disk.
     """
     from .. import get_version
 
@@ -173,63 +195,78 @@ def build_document_from_parts(
         raise ConfigurationError(
             f"extra_manifest may not override required manifest "
             f"fields: {sorted(shadowed)}")
-    model = {
-        "vocabulary": list(vocabulary),
-        "hierarchy": _topic_record(hierarchy.root),
-        "entity_roles": {
-            etype: {name: dict(frequencies)
-                    for name, frequencies in roles.items()}
-            for etype, roles in entity_roles.items()
-        },
-    }
-    # Round-trip through the canonical encoding so the in-memory document
-    # is indistinguishable from one parsed back from disk.
-    model = json.loads(_canonical_payload(model).decode("utf-8"))
+    words = list(vocabulary)
     manifest = {
         "schema": MODEL_SCHEMA,
         "created_unix": time.time(),
         "repro_version": get_version(),
         "config": config_fingerprint(config or {}),
-        "vocab_hash": vocabulary_hash(model["vocabulary"]),
-        "payload_crc32": zlib.crc32(_canonical_payload(model)) & 0xFFFFFFFF,
-        "vocab_size": len(model["vocabulary"]),
+        "vocab_hash": vocabulary_hash(words),
+        "payload_crc32": None,  # stamped by the writer
+        "vocab_size": len(words),
         "num_documents": num_documents,
         "num_topics": hierarchy.num_topics,
-        "entity_types": sorted(model["entity_roles"]),
+        "entity_types": sorted(entity_roles),
     }
     manifest.update(extra)
+    return ModelParts(words, hierarchy, entity_roles, manifest)
+
+
+def parts_of_result(result, config: Optional[Dict[str, Any]] = None,
+                    ) -> ModelParts:
+    """The parts of a fitted :class:`~repro.core.MiningResult`: its
+    vocabulary, hierarchy and every entity type's role table."""
+    corpus = result.corpus
+    entity_roles = {etype: result.roles.entity_topic_frequencies(etype)
+                    for etype in corpus.entity_types()}
+    return model_parts(corpus.vocabulary, result.hierarchy, entity_roles,
+                       num_documents=len(corpus), config=config)
+
+
+def _v1_document(parts: ModelParts) -> Dict[str, Any]:
+    """Encode parts as a v1 document, fully JSON-normalized (every tuple
+    already a list), so an engine built from it answers byte-identically
+    to one built from the document read back off disk."""
+    model = json.loads(_canonical_payload({
+        "vocabulary": list(parts.vocabulary),
+        "hierarchy": _topic_record(parts.hierarchy.root),
+        "entity_roles": parts.entity_roles,
+    }).decode("utf-8"))
+    manifest = dict(parts.manifest)
+    manifest.update(schema=MODEL_SCHEMA, payload_crc32=zlib.crc32(
+        _canonical_payload(model)) & 0xFFFFFFFF)
     return {"schema": MODEL_SCHEMA, "manifest": manifest, "model": model}
+
+
+def build_document_from_parts(
+        vocabulary: List[str],
+        hierarchy: TopicalHierarchy,
+        entity_roles: EntityRoles,
+        num_documents: int,
+        config: Optional[Dict[str, Any]] = None,
+        extra_manifest: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """A v1 model document from its already-computed pieces (the
+    arguments of :func:`model_parts`)."""
+    return _v1_document(model_parts(vocabulary, hierarchy, entity_roles,
+                                    num_documents, config, extra_manifest))
 
 
 def build_model_document(result, config: Optional[Dict[str, Any]] = None,
                          ) -> Dict[str, Any]:
-    """Serialize a fitted :class:`~repro.core.MiningResult` to an artifact.
+    """Serialize a fitted :class:`~repro.core.MiningResult` to a v1
+    document.
 
     Args:
         result: the fitted mining result to persist.
         config: plain-data fingerprint of the configuration that produced
             it (stored in the manifest for traceability).
-
-    Thin wrapper over :func:`build_document_from_parts`.
     """
-    corpus = result.corpus
-    entity_roles = {
-        etype: {name: dict(frequencies)
-                for name, frequencies
-                in result.roles.entity_topic_frequencies(etype).items()}
-        for etype in corpus.entity_types()
-    }
-    return build_document_from_parts(
-        vocabulary=list(corpus.vocabulary),
-        hierarchy=result.hierarchy,
-        entity_roles=entity_roles,
-        num_documents=len(corpus),
-        config=config)
+    return _v1_document(parts_of_result(result, config))
 
 
 @dataclass
 class ServedModel:
-    """A loaded (or freshly built) model artifact, ready to query.
+    """A loaded (or freshly built) v1 model artifact, ready to query.
 
     Attributes:
         manifest: the artifact manifest (schema, fingerprints, metadata).
@@ -248,7 +285,7 @@ class ServedModel:
         return self.model["vocabulary"]
 
     @property
-    def entity_roles(self) -> Dict[str, Dict[str, Dict[str, float]]]:
+    def entity_roles(self) -> EntityRoles:
         return self.model["entity_roles"]
 
     def hierarchy(self) -> TopicalHierarchy:
@@ -258,6 +295,11 @@ class ServedModel:
                 root=_topic_from_record(self.model["hierarchy"]))
         return self._hierarchy
 
+    def parts(self) -> ModelParts:
+        """The parts this document encodes (its CRC is not re-checked)."""
+        return ModelParts(list(self.vocabulary), self.hierarchy(),
+                          self.entity_roles, dict(self.manifest))
+
     @classmethod
     def from_result(cls, result,
                     config: Optional[Dict[str, Any]] = None) -> "ServedModel":
@@ -266,27 +308,55 @@ class ServedModel:
         return cls(manifest=document["manifest"], model=document["model"])
 
 
-def save_model_document(document: Dict[str, Any], path: str,
-                        format: str = "v1") -> Dict[str, Any]:
-    """Write an already-built model document in the requested format.
+def parts_from_document(document: Dict[str, Any]) -> ModelParts:
+    """The parts a v1 model document encodes, once its own payload CRC
+    checks out.
 
-    ``document`` is the object :func:`build_model_document` returns.
-    ``format="v1"`` writes the canonical JSON artifact; ``format="v2"``
+    Raises:
+        DataError: the payload holds a non-finite float or does not
+            match the manifest's ``payload_crc32``.
+    """
+    model, manifest = document["model"], document["manifest"]
+    crc = zlib.crc32(_canonical_payload(model)) & 0xFFFFFFFF
+    if crc != manifest.get("payload_crc32"):
+        raise DataError(f"model document is corrupted (payload checksum "
+                        f"mismatch: {crc} != "
+                        f"{manifest.get('payload_crc32')})")
+    return ServedModel(manifest=manifest, model=model).parts()
+
+
+def save_model_document(document: Union[Dict[str, Any], ModelParts],
+                        path: str, format: str = "v1") -> Dict[str, Any]:
+    """Write a model in the requested format, atomically.
+
+    ``document`` is a v1 model document (:func:`build_model_document`)
+    or a model's :class:`ModelParts`.  ``format="v1"`` writes the
+    canonical JSON artifact (a document as it is); ``format="v2"``
     writes the zero-copy binary artifact
-    (:mod:`repro.serve.artifact_v2`).  Both writes are atomic (temp
-    file + rename): a crash mid-export leaves any previous artifact at
+    (:mod:`repro.serve.artifact_v2`), from a document only after its
+    payload CRC checks out.  Both writes are atomic (temp file +
+    rename): a crash mid-export leaves any previous artifact at
     ``path`` intact.  Returns the manifest as written.
     """
     if format not in ARTIFACT_FORMATS:
         raise ConfigurationError(
             f"unsupported artifact format {format!r} "
             f"(one of {ARTIFACT_FORMATS})")
-    if format == "v2":
-        from .artifact_v2 import save_model_document_v2
+    if format == "v1":
+        if isinstance(document, ModelParts):
+            document = _v1_document(document)
+        atomic_write_json(path, document, indent=2, trailing_newline=True)
+        return document["manifest"]
+    from .artifact_v2 import pack_model
 
-        return save_model_document_v2(document, path)
-    atomic_write_json(path, document, indent=2, trailing_newline=True)
-    return document["manifest"]
+    parts = (document if isinstance(document, ModelParts)
+             else parts_from_document(document))
+    with timed("serve.export_v2"):
+        blob, packed = pack_model(parts)
+        atomic_write_bytes(path, blob)
+    logger.info("exported v2 model artifact (%d topics, %d bytes) -> %s",
+                packed.manifest["num_topics"], len(blob), path)
+    return packed.manifest
 
 
 def save_model(result, path: str, config: Optional[Dict[str, Any]] = None,
@@ -295,12 +365,12 @@ def save_model(result, path: str, config: Optional[Dict[str, Any]] = None,
 
     ``format`` selects the on-disk representation: ``"v1"`` (canonical
     JSON, the default) or ``"v2"`` (memory-mappable packed binary
-    sections behind the same manifest/CRC contract).  The write is
+    sections, written straight from the result's parts).  The write is
     atomic either way.  Returns the manifest.
     """
     with timed("serve.export"):
-        document = build_model_document(result, config=config)
-        manifest = save_model_document(document, path, format=format)
+        manifest = save_model_document(parts_of_result(result, config),
+                                       path, format=format)
     logger.info("exported model artifact (%d topics, format %s) -> %s",
                 manifest["num_topics"], format, path)
     return manifest
@@ -310,14 +380,12 @@ def migrate_model(source: str, destination: str,
                   format: str = "v2") -> Dict[str, Any]:
     """Re-encode an existing artifact in another format, losslessly.
 
-    The source format is sniffed (v1 JSON or v2 binary); the full model
-    document is materialized and re-written as ``format``.  The
-    manifest's ``payload_crc32`` / ``vocab_hash`` fingerprints carry
-    over unchanged — they cover the canonical v1 payload in both
-    formats — so the migration is verifiable: loading the destination
-    re-checks the same checksums the source was saved under, and a v2
-    write additionally self-checks that its sections reconstruct the
-    payload bit for bit.  Returns the destination manifest.
+    The source format is sniffed (v1 JSON or v2 binary) and the full v1
+    document is materialized; its payload CRC is checked and it is
+    written as ``format``.  A v1 destination is stamped with the CRC of
+    its canonical v1 payload and a v2 one with the section CRC, so the
+    destination verifies on load; every other manifest field carries
+    over.  Returns the destination manifest.
     """
     from .artifact_v2 import MappedModel, model_document_from_mapped
 
@@ -353,8 +421,8 @@ def _validate_manifest(manifest: Any, path: str) -> Dict[str, Any]:
 def load_model(path: str, verify_sections: bool = True):
     """Read and verify a model artifact written by :func:`save_model`.
 
-    The format is sniffed from the file: a ``repro.serve/model/v2``
-    binary artifact is memory-mapped (returning a
+    The format is sniffed from the file: a v2 binary artifact is
+    memory-mapped (returning a
     :class:`~repro.serve.artifact_v2.MappedModel`; ``verify_sections``
     controls its CRC sweep), anything else is parsed as the v1 JSON
     artifact (returning a :class:`ServedModel`).  Both answer queries

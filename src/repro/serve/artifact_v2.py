@@ -1,4 +1,4 @@
-"""Zero-copy model artifacts: the ``repro.serve/model/v2`` format.
+"""Zero-copy model artifacts: the v2 binary format.
 
 The v1 artifact (:mod:`repro.serve.artifact`) is one canonical JSON
 document: loading it parses every float of every topic-word
@@ -6,7 +6,7 @@ distribution, phrase ranking, and entity role table into fresh Python
 objects, per process.  For a large model served by N workers that is N
 full parses and N private heap copies of the same numbers.
 
-v2 keeps the manifest / CRC / fingerprint contract but moves the large
+v2 keeps the manifest / fingerprint contract but moves the large
 numeric payload into aligned, memory-mappable packed binary sections so
 that
 
@@ -26,10 +26,10 @@ Layout (all integers little-endian)::
     ...        zero padding to the next 64-byte boundary
     ...        sections, each starting 64-byte aligned
 
-The header is one JSON object::
+The header is one canonical JSON object::
 
-    {"schema": "repro.serve/model/v2",
-     "manifest": {... same fields as v1; schema names v2 ...},
+    {"schema": "repro.serve/model/v3",
+     "manifest": {... same fields as v1; schema names v3 ...},
      "strings": {"vocabulary": [...],
                  "phrases": [...],          # global sorted phrase list
                  "phi_names": {ntype: [...]},
@@ -49,16 +49,25 @@ phrase inverted index — for every phrase, its ``(topic, score)`` pairs
 ranked best-first — is precomputed at save time and stored the same
 way, so the query engine does not have to walk the hierarchy at load.
 
-Integrity is layered exactly like v1: ``manifest.payload_crc32`` is
-still the CRC32 of the *canonical v1 JSON payload* the sections encode
-(which makes v1→v2→v1 migration verifiably lossless), ``vocab_hash``
-still covers the vocabulary, the header carries its own CRC32, and
-every section carries one, verified on load (pass
-``verify_sections=False`` to skip the section sweep and keep cold load
-strictly O(mmap); the header CRC and vocabulary hash are always
-checked).  At save time the writer reconstructs the canonical payload
-from its own sections and refuses to emit an artifact whose CRC does
-not round-trip.
+:func:`pack_model` is the one writer.  It packs the sections straight
+from a model's parts (:class:`~repro.serve.artifact.ModelParts`: the
+fitted hierarchy and the role table); no v1 document is built on the
+way.  Integrity is layered: the header carries its own CRC32, every
+section carries one, ``vocab_hash`` covers the vocabulary, and
+``manifest.payload_crc32`` is the CRC32 of the canonical string tables
+followed by the section CRC32s (u32, table order) — a fingerprint of
+the model content alone.  Loads check the header CRC and the
+vocabulary hash, and by default sweep every section CRC
+(``verify_sections=False`` skips the sweep and keeps cold load strictly
+O(mmap)).  At save time the writer refuses any non-finite float with a
+typed :class:`~repro.errors.DataError`, then reparses its own blob and
+recomputes the header CRC, every section CRC, the vocabulary hash and
+``payload_crc32`` from what it parsed.  In-memory engines serve that
+reparsed blob, so disk, memory and HTTP answer from the same bytes.
+
+Files stamped with the earlier ``repro.serve/model/v2`` schema have the
+same layout and still load; their ``payload_crc32`` is the CRC32 of the
+canonical v1 JSON payload, which no reader verifies.
 """
 
 from __future__ import annotations
@@ -68,25 +77,33 @@ import mmap
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-from ..contracts import MODEL_V2
+from ..contracts import MODEL_V2, MODEL_V3
 from ..errors import DataError
 from ..obs import get_logger, timed
-from ..resilience import atomic_write_bytes
+
+if TYPE_CHECKING:
+    from .artifact import ModelParts
 
 __all__ = [
     "MODEL_SCHEMA_V2",
     "MappedModel",
-    "build_v2_blob",
     "load_model_v2",
     "model_document_from_mapped",
-    "save_model_document_v2",
+    "pack_model",
 ]
 
-MODEL_SCHEMA_V2 = MODEL_V2
+#: The schema stamp ``format="v2"`` writes: the v2 layout under the
+#: section-CRC ``payload_crc32`` contract.
+MODEL_SCHEMA_V2 = MODEL_V3
+
+#: Every schema a v2-layout file may carry; under the earlier stamp,
+#: ``payload_crc32`` covers the canonical v1 JSON payload instead.
+_READABLE_SCHEMAS = (MODEL_V3, MODEL_V2)
 
 _MAGIC = b"REPROMV2"
 _ALIGN = 64
@@ -98,6 +115,8 @@ _PREAMBLE = struct.Struct("<8sQI4x")
 _SECTION_DTYPES = {"<i4", "<i8", "<f8"}
 
 logger = get_logger("serve.artifact_v2")
+
+_Section = Tuple[str, np.ndarray]
 
 
 def _canonical(obj: Any) -> bytes:
@@ -111,248 +130,233 @@ def _canonical(obj: Any) -> bytes:
             f"which has no canonical JSON form: {exc}") from exc
 
 
+def _aligned(offset: int) -> int:
+    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _payload_crc32(strings_json: bytes, section_crcs: Sequence[int]) -> int:
+    """``manifest.payload_crc32``: the CRC32 of the canonical string
+    tables followed by every section's CRC32 (u32 LE, table order)."""
+    trailer = struct.pack(f"<{len(section_crcs)}I", *section_crcs)
+    return zlib.crc32(trailer, zlib.crc32(strings_json)) & 0xFFFFFFFF
+
+
 # =====================================================================
 # Writing
 # =====================================================================
 
-class _Ragged:
-    """Accumulates one CSR-style ragged section triple."""
-
-    def __init__(self) -> None:
-        self.indptr: List[int] = [0]
-        self.ids: List[int] = []
-        self.values: List[float] = []
-
-    def append_row(self, ids: Sequence[int],
-                   values: Sequence[float]) -> None:
-        self.ids.extend(ids)
-        self.values.extend(values)
-        self.indptr.append(len(self.ids))
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.asarray(self.indptr, dtype="<i8"),
-                np.asarray(self.ids, dtype="<i4"),
-                np.asarray(self.values, dtype="<f8"))
-
-
-def _flatten_topics(hierarchy: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """The topic records in depth-first preorder (the v1 walk order)."""
-    ordered: List[Dict[str, Any]] = []
-
-    def walk(record: Dict[str, Any]) -> None:
-        ordered.append(record)
-        for child in record["children"]:
-            walk(child)
-
-    walk(hierarchy)
-    return ordered
-
-
-def _name_table(names: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
+def _name_table(names: Iterable[str]) -> Tuple[List[str], Dict[str, int]]:
     ordered = sorted(set(names))
     return ordered, {name: i for i, name in enumerate(ordered)}
 
 
-def build_v2_blob(document: Dict[str, Any]) -> bytes:
-    """Serialize a v1-style model document as a v2 binary artifact.
+def _listed_rows(rows: Sequence[Sequence[Tuple[str, float]]],
+                 index: Dict[str, int],
+                 ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """Ranked ``(name, score)`` rows, flattened in their own order."""
+    counts = [len(row) for row in rows]
+    total = sum(counts)
+    ids = np.fromiter((index[name] for row in rows for name, _ in row),
+                      dtype=np.int64, count=total)
+    values = np.fromiter((score for row in rows for _, score in row),
+                         dtype=np.float64, count=total)
+    return counts, ids, values
 
-    ``document`` is the ``{"schema", "manifest", "model"}`` object
-    :func:`repro.serve.artifact.build_model_document` produces (already
-    JSON-normalized).  The returned bytes are the complete artifact.
+
+def _keyed_rows(rows: Sequence[Dict[str, float]], index: Dict[str, int],
+                ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """``{name: value}`` rows, flattened with each row in name order
+    (ids index a sorted name table, so id order is name order)."""
+    counts = [len(row) for row in rows]
+    total = sum(counts)
+    ids = np.fromiter((index[name] for row in rows for name in row),
+                      dtype=np.int64, count=total)
+    values = np.fromiter((value for row in rows for value in row.values()),
+                         dtype=np.float64, count=total)
+    order = np.lexsort((ids, np.repeat(np.arange(len(rows)), counts)))
+    return counts, ids[order], values[order]
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(
+            f"model payload contains a non-finite float (NaN/Infinity) "
+            f"in {name}; a v2 artifact stores finite values only")
+
+
+def _ragged(prefix: str, counts: Union[Sequence[int], np.ndarray],
+            ids: np.ndarray, values: np.ndarray,
+            values_name: str = "values") -> List[_Section]:
+    """One CSR-style section triple: ``indptr``, ``ids``, values."""
+    indptr = np.zeros(len(counts) + 1, dtype="<i8")
+    np.cumsum(np.asarray(counts, dtype="<i8"), out=indptr[1:])
+    _require_finite(f"{prefix}.{values_name}", values)
+    return [(f"{prefix}.indptr", indptr),
+            (f"{prefix}.ids", ids.astype("<i4")),
+            (f"{prefix}.{values_name}", values.astype("<f8"))]
+
+
+def pack_model(parts: "ModelParts") -> Tuple[bytes, "MappedModel"]:
+    """Pack a model's parts into a v2 artifact.
+
+    Returns the complete artifact bytes and their verified reparse (a
+    :class:`MappedModel` whose sections view those bytes), which is
+    what an in-memory engine serves.  The manifest is ``parts.manifest``
+    stamped with the v2 schema and the section ``payload_crc32``.
 
     Raises:
-        DataError: when the model payload cannot be represented (a
-            non-finite float, or a payload whose canonical CRC does not
-            survive the section round trip).
+        DataError: a non-finite float in any float section or ``rho``,
+            or a blob that fails its own reparse.
     """
-    model = document["model"]
-    manifest = dict(document["manifest"])
-    manifest["schema"] = MODEL_SCHEMA_V2
-
-    records = _flatten_topics(model["hierarchy"])
-    notation_of = [r["notation"] for r in records]
-    topic_index = {n: i for i, n in enumerate(notation_of)}
-
-    # ---------------------------------------------------- string tables
-    phrase_names, phrase_id = _name_table(
-        [p for r in records for p, _ in r["phrases"]])
-    phi_types = sorted({t for r in records for t in r["phi"]})
-    phi_names: Dict[str, List[str]] = {}
-    phi_ids: Dict[str, Dict[str, int]] = {}
-    for ntype in phi_types:
-        phi_names[ntype], phi_ids[ntype] = _name_table(
-            [n for r in records for n in r["phi"].get(ntype, {})])
-    rank_types = sorted({t for r in records for t in r["entity_ranks"]})
-    rank_names: Dict[str, List[str]] = {}
-    rank_ids: Dict[str, Dict[str, int]] = {}
-    for etype in rank_types:
-        rank_names[etype], rank_ids[etype] = _name_table(
-            [n for r in records
-             for n, _ in r["entity_ranks"].get(etype, [])])
-    roles = model["entity_roles"]
-    role_keys, role_key_id = _name_table(
-        [k for table in roles.values()
-         for freqs in table.values() for k in freqs])
-    entities = {etype: sorted(table) for etype, table in roles.items()}
+    topics = list(parts.hierarchy.topics())
+    notations = [topic.notation for topic in topics]
+    topic_index = {notation: i for i, notation in enumerate(notations)}
+    roles = parts.entity_roles
 
     # ------------------------------------------------- numeric sections
-    sections: List[Tuple[str, np.ndarray]] = []
+    sections: List[_Section] = []
+    phrase_rows = [topic.phrases for topic in topics]
+    phrase_names, phrase_id = _name_table(
+        phrase for row in phrase_rows for phrase, _ in row)
+    counts, phrase_ids, phrase_scores = _listed_rows(phrase_rows, phrase_id)
+    sections += _ragged("phrases", counts, phrase_ids, phrase_scores,
+                        "scores")
 
-    def add_ragged(prefix: str, ragged: _Ragged,
-                   values_name: str = "values") -> None:
-        indptr, ids, values = ragged.arrays()
-        sections.append((f"{prefix}.indptr", indptr))
-        sections.append((f"{prefix}.ids", ids))
-        sections.append((f"{prefix}.{values_name}", values))
+    phi_names: Dict[str, List[str]] = {}
+    for ntype in sorted({t for topic in topics for t in topic.phi}):
+        rows = [topic.phi.get(ntype, {}) for topic in topics]
+        phi_names[ntype], index = _name_table(
+            name for row in rows for name in row)
+        sections += _ragged(f"phi.{ntype}", *_keyed_rows(rows, index))
 
-    phrases = _Ragged()
-    for record in records:
-        phrases.append_row([phrase_id[p] for p, _ in record["phrases"]],
-                           [float(s) for _, s in record["phrases"]])
-    add_ragged("phrases", phrases, "scores")
+    rank_names: Dict[str, List[str]] = {}
+    for etype in sorted({t for topic in topics for t in topic.entity_ranks}):
+        ranked = [topic.entity_ranks.get(etype, []) for topic in topics]
+        rank_names[etype], index = _name_table(
+            name for row in ranked for name, _ in row)
+        sections += _ragged(f"entity_ranks.{etype}",
+                            *_listed_rows(ranked, index), "scores")
 
-    for ntype in phi_types:
-        ragged = _Ragged()
-        table = phi_ids[ntype]
-        for record in records:
-            dist = record["phi"].get(ntype, {})
-            names = sorted(dist)
-            ragged.append_row([table[n] for n in names],
-                              [float(dist[n]) for n in names])
-        add_ragged(f"phi.{ntype}", ragged)
+    # Phrase inverted index: per phrase, its (topic, score) entries by
+    # (-score, notation), ties in pre-order (a stable sort).
+    owner = np.repeat(np.arange(len(topics)), counts)
+    rank_of = {n: r for r, n in enumerate(sorted(set(notations)))}
+    notation_rank = np.array([rank_of[n] for n in notations], dtype=np.int64)
+    topic_of = np.array([topic_index[n] for n in notations], dtype=np.int64)
+    order = np.lexsort((notation_rank[owner], -phrase_scores, phrase_ids))
+    sections += _ragged("inverted",
+                        np.bincount(phrase_ids, minlength=len(phrase_names)),
+                        topic_of[owner[order]], phrase_scores[order],
+                        "scores")
 
-    for etype in rank_types:
-        ragged = _Ragged()
-        table = rank_ids[etype]
-        for record in records:
-            ranks = record["entity_ranks"].get(etype, [])
-            ragged.append_row([table[n] for n, _ in ranks],
-                              [float(s) for _, s in ranks])
-        add_ragged(f"entity_ranks.{etype}", ragged, "scores")
-
-    # Phrase inverted index, ranked exactly as the v1 engine ranks it:
-    # per phrase, (topic, score) sorted by (-score, notation).
-    inverted: Dict[str, List[Tuple[str, float]]] = {}
-    for record in records:
-        for phrase, score in record["phrases"]:
-            inverted.setdefault(phrase, []).append(
-                (record["notation"], float(score)))
-    inv = _Ragged()
-    for phrase in phrase_names:
-        entries = sorted(inverted.get(phrase, []),
-                         key=lambda pair: (-pair[1], pair[0]))
-        inv.append_row([topic_index[n] for n, _ in entries],
-                       [s for _, s in entries])
-    add_ragged("inverted", inv, "scores")
-
+    role_keys, role_key_id = _name_table(
+        key for table in roles.values() for freqs in table.values()
+        for key in freqs)
+    entities = {etype: sorted(table) for etype, table in roles.items()}
     for etype in sorted(roles):
-        ragged = _Ragged()
-        for name in entities[etype]:
-            freqs = roles[etype][name]
-            keys = sorted(freqs)
-            ragged.append_row([role_key_id[k] for k in keys],
-                              [float(freqs[k]) for k in keys])
-        add_ragged(f"roles.{etype}", ragged)
+        table = roles[etype]
+        sections += _ragged(f"roles.{etype}", *_keyed_rows(
+            [table[name] for name in entities[etype]], role_key_id))
 
     # -------------------------------------------------- topic skeleton
-    topics_meta: List[Dict[str, Any]] = []
-    parent_of: Dict[str, Optional[str]] = {notation_of[0]: None}
-    for record in records:
-        for child in record["children"]:
-            parent_of[child["notation"]] = record["notation"]
-    for record in records:
-        parent = parent_of[record["notation"]]
-        topics_meta.append({
-            "notation": record["notation"],
-            "path": list(record["path"]),
-            "rho": float(record["rho"]),
-            "parent": None if parent is None else topic_index[parent],
-            "children": [topic_index[c["notation"]]
-                         for c in record["children"]],
-            "phi_types": sorted(record["phi"]),
-            "rank_types": sorted(record["entity_ranks"]),
-        })
+    parent_of: Dict[str, Optional[int]] = {notations[0]: None}
+    for topic in topics:
+        for child in topic.children:
+            parent_of[child.notation] = topic_index[topic.notation]
+    topics_meta = [{
+        "notation": notation,
+        "path": list(topic.path),
+        "rho": float(topic.rho),
+        "parent": parent_of[notation],
+        "children": [topic_index[child.notation] for child in topic.children],
+        "phi_types": sorted(topic.phi),
+        "rank_types": sorted(topic.entity_ranks),
+    } for topic, notation in zip(topics, notations)]
+    _require_finite("rho", np.array([meta["rho"] for meta in topics_meta]))
 
     # ------------------------------------------------------ assembly
-    # Two passes: lay out offsets with a section table of known shape,
-    # then emit.  Offsets depend on the header length, which depends on
-    # the section table text — so iterate until the layout fixes.
-    strings = {
-        "vocabulary": model["vocabulary"],
+    strings_json = _canonical({
+        "vocabulary": list(parts.vocabulary),
         "phrases": phrase_names,
         "phi_names": phi_names,
         "rank_names": rank_names,
         "role_keys": role_keys,
         "entities": entities,
         "topics": topics_meta,
-    }
+    })
+    crcs = [zlib.crc32(array) & 0xFFFFFFFF for _, array in sections]
+    manifest = dict(parts.manifest)
+    manifest.update(schema=MODEL_SCHEMA_V2,
+                    payload_crc32=_payload_crc32(strings_json, crcs))
+    blob = _assemble(manifest, strings_json, sections, crcs)
+    return blob, _reparsed(blob)
 
-    def header_bytes(table: List[Dict[str, Any]]) -> bytes:
-        return _canonical({"schema": MODEL_SCHEMA_V2, "manifest": manifest,
-                           "strings": strings, "sections": table})
 
-    def aligned(offset: int) -> int:
-        return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+def _assemble(manifest: Dict[str, Any], strings_json: bytes,
+              sections: List[_Section], crcs: List[int]) -> bytes:
+    """Lay out header and sections and emit the artifact bytes.
+
+    Offsets depend on the header length, which depends on the section
+    table text, so the layout iterates until it fixes.  The header is
+    canonical JSON, whose top-level keys sort as manifest, schema,
+    sections, strings: it is written around the string tables, which
+    are encoded once rather than once per layout pass.
+    """
+    head = (b'{"manifest":' + _canonical(manifest) + b',"schema":'
+            + _canonical(MODEL_SCHEMA_V2) + b',"sections":')
+    tail = b',"strings":' + strings_json + b"}"
 
     def layout(header_len: int) -> List[Dict[str, Any]]:
         table = []
-        offset = aligned(_PREAMBLE.size + header_len)
-        for name, array in sections:
-            table.append({"name": name,
-                          "dtype": array.dtype.str,
-                          "count": int(array.size),
-                          "offset": offset,
-                          "crc32": zlib.crc32(array.tobytes()) & 0xFFFFFFFF})
-            offset = aligned(offset + array.nbytes)
+        offset = _aligned(_PREAMBLE.size + header_len)
+        for (name, array), crc in zip(sections, crcs):
+            table.append({"name": name, "dtype": array.dtype.str,
+                          "count": int(array.size), "offset": offset,
+                          "crc32": crc})
+            offset = _aligned(offset + array.nbytes)
         return table
 
     header_len = 0
     header = b""
     for _ in range(8):
         table = layout(header_len)
-        header = header_bytes(table)
+        header = head + _canonical(table) + tail
         if len(header) == header_len:
             break
         header_len = len(header)
     else:  # pragma: no cover - the digit-width fixpoint converges fast
         raise DataError("v2 header layout failed to converge")
 
-    total = aligned(_PREAMBLE.size + len(header))
+    total = _aligned(_PREAMBLE.size + len(header))
     if table:
-        last_name, last_array = sections[-1]
-        total = table[-1]["offset"] + last_array.nbytes
+        total = table[-1]["offset"] + sections[-1][1].nbytes
     blob = bytearray(total)
     blob[:_PREAMBLE.size] = _PREAMBLE.pack(
         _MAGIC, len(header), zlib.crc32(header) & 0xFFFFFFFF)
     blob[_PREAMBLE.size:_PREAMBLE.size + len(header)] = header
-    for entry, (name, array) in zip(table, sections):
+    for entry, (_, array) in zip(table, sections):
         start = entry["offset"]
         blob[start:start + array.nbytes] = array.tobytes()
-
-    # Save-time self check: the sections must reconstruct the canonical
-    # v1 payload bit for bit, or the artifact's CRC contract is a lie.
-    reconstructed = model_document_from_mapped(
-        _mapped_from_blob(bytes(blob), path="<in-memory>"))
-    crc = zlib.crc32(_canonical(reconstructed["model"])) & 0xFFFFFFFF
-    if crc != manifest["payload_crc32"]:
-        raise DataError(
-            f"v2 encoding does not round-trip the canonical payload "
-            f"(crc {crc} != manifest {manifest['payload_crc32']}); "
-            f"the model is not v2-representable")
     return bytes(blob)
 
 
-def save_model_document_v2(document: Dict[str, Any],
-                           path: str) -> Dict[str, Any]:
-    """Write a v1-style model document as a v2 artifact (atomically)."""
-    with timed("serve.export_v2"):
-        blob = build_v2_blob(document)
-        atomic_write_bytes(path, blob)
-    manifest = dict(document["manifest"])
-    manifest["schema"] = MODEL_SCHEMA_V2
-    logger.info("exported v2 model artifact (%d topics, %d bytes) -> %s",
-                manifest["num_topics"], len(blob), path)
-    return manifest
+def _reparsed(blob: bytes) -> "MappedModel":
+    """The save-time self-check: parse the blob back and recompute its
+    fingerprints from what was parsed.
+
+    The parse verifies the header CRC, the schema and manifest, the
+    vocabulary hash and every section CRC; ``payload_crc32`` is then
+    recomputed from the parsed string tables and section table.
+    """
+    model = _mapped_from_blob(blob, path="<in-memory>")
+    table = model.header["sections"]
+    crc = _payload_crc32(_canonical(model.strings),
+                         [entry["crc32"] for entry in table])
+    if crc != model.manifest["payload_crc32"]:
+        raise DataError(f"v2 blob does not reparse to its own payload "
+                        f"checksum ({crc} != "
+                        f"{model.manifest['payload_crc32']})")
+    return model
 
 
 # =====================================================================
@@ -364,7 +368,8 @@ class MappedModel:
     """A v2 artifact mapped into memory, numeric sections zero-copy.
 
     Attributes:
-        manifest: the artifact manifest (schema ``repro.serve/model/v2``).
+        manifest: the artifact manifest (schema ``repro.serve/model/v3``,
+            or ``repro.serve/model/v2`` for a file written before it).
         header: the full parsed JSON header (manifest, strings, sections).
         path: the artifact file, when loaded from disk.
         sections: section name -> little-endian numpy view over the map.
@@ -427,7 +432,7 @@ def _parse_header(buffer: Any, path: str) -> Tuple[Dict[str, Any], int]:
         raise DataError(f"{path}: v2 header is not valid JSON: "
                         f"{exc}") from exc
     if not isinstance(header, dict) \
-            or header.get("schema") != MODEL_SCHEMA_V2:
+            or header.get("schema") not in _READABLE_SCHEMAS:
         raise DataError(f"{path}: unsupported v2 header schema "
                         f"{header.get('schema') if isinstance(header, dict) else None!r}")
     return header, header_len
@@ -476,10 +481,10 @@ def _validate_v2_manifest(header: Dict[str, Any], path: str,
     for key in _REQUIRED_MANIFEST:
         if key not in manifest:
             raise DataError(f"{path}: v2 manifest missing field {key!r}")
-    if manifest["schema"] != MODEL_SCHEMA_V2:
+    if manifest["schema"] not in _READABLE_SCHEMAS:
         raise DataError(f"{path}: unsupported model schema "
-                        f"{manifest['schema']!r} (expected "
-                        f"{MODEL_SCHEMA_V2!r})")
+                        f"{manifest['schema']!r} (expected one of "
+                        f"{_READABLE_SCHEMAS})")
     strings = header.get("strings")
     if not isinstance(strings, dict):
         raise DataError(f"{path}: v2 header missing string tables")
@@ -541,7 +546,7 @@ def load_model_v2(path: str, verify_sections: bool = True) -> MappedModel:
 
 
 # =====================================================================
-# Reconstruction (migration + the save-time self check)
+# Reconstruction (migration to v1)
 # =====================================================================
 
 def _row(model: MappedModel, prefix: str, index: int,
@@ -554,12 +559,14 @@ def _row(model: MappedModel, prefix: str, index: int,
 
 
 def model_document_from_mapped(model: MappedModel) -> Dict[str, Any]:
-    """Materialize the full v1-style document from a mapped v2 model.
+    """Materialize the full v1 document from a mapped v2 model.
 
-    The result is exactly the ``{"schema", "manifest", "model"}``
-    document whose canonical payload the manifest's ``payload_crc32``
-    covers — the inverse of :func:`build_v2_blob`, used by
-    ``repro migrate-model`` and the migration-equivalence tests.
+    The result is the ``{"schema", "manifest", "model"}`` document the
+    v1 writer produces for the same parts, used by ``repro
+    migrate-model`` and the migration-equivalence tests.  Its manifest
+    carries over every field but ``schema`` and ``payload_crc32``,
+    which is stamped as the CRC32 of the canonical v1 payload, so the
+    document verifies as a v1 artifact.
     """
     from .artifact import MODEL_SCHEMA
 
@@ -604,9 +611,10 @@ def model_document_from_mapped(model: MappedModel) -> Dict[str, Any]:
                            for i, v in zip(kids, values)}
         entity_roles[etype] = table
 
+    payload = {"vocabulary": list(strings["vocabulary"]),
+               "hierarchy": record_of(0),
+               "entity_roles": entity_roles}
     manifest = dict(model.manifest)
-    manifest["schema"] = MODEL_SCHEMA
-    return {"schema": MODEL_SCHEMA, "manifest": manifest,
-            "model": {"vocabulary": list(strings["vocabulary"]),
-                      "hierarchy": record_of(0),
-                      "entity_roles": entity_roles}}
+    manifest.update(schema=MODEL_SCHEMA,
+                    payload_crc32=zlib.crc32(_canonical(payload)) & 0xFFFFFFFF)
+    return {"schema": MODEL_SCHEMA, "manifest": manifest, "model": payload}

@@ -7,20 +7,17 @@ hit / miss counts are kept locally (always, for the ``/metrics``
 endpoint) and mirrored into the :mod:`repro.obs` metrics registry (when
 enabled) as ``serve.cache.hits`` / ``serve.cache.misses``.
 
-The engine is backend-polymorphic over the two artifact formats:
-
-* a **dict backend** over the v1 JSON payload (or an in-memory
-  :class:`~repro.core.MiningResult`): indexes are built once at
-  construction by walking the hierarchy, exactly as PR 4 shipped it;
-* a **mapped backend** over a v2 artifact
-  (:class:`~repro.serve.artifact_v2.MappedModel`): the topic skeleton
-  and string tables come from the artifact header and the numeric data
-  stays in the memory-mapped sections — construction touches none of
-  the topic-word matrices, so engine cold start is ~O(mmap).
-
-Both backends answer every query byte-identically — to each other and
-to an engine built from the in-memory fit — the round-trip invariant
-the serve test suite property-checks.
+The engine has one backend: the v2 blob (:mod:`repro.serve.artifact_v2`).
+A loaded v2 artifact (:class:`~repro.serve.artifact_v2.MappedModel`) is
+served as mapped: the topic skeleton and string tables come from the
+artifact header and the numeric data stays in the memory-mapped
+sections, so construction touches none of the topic-word matrices and
+engine cold start is ~O(mmap).  A v1 :class:`~repro.serve.ServedModel`
+and an in-memory :class:`~repro.core.MiningResult` are first packed into
+the bytes the v2 writer would save, and those bytes are served from
+memory — so disk, memory and HTTP answer every query byte-identically
+by construction, the round-trip invariant the serve test suite
+property-checks.
 
 **Sharded phrase search**: with ``phrase_shards=N`` the phrase index is
 hash-partitioned (CRC32 of the phrase, stable across processes) into N
@@ -38,7 +35,6 @@ All answers are plain JSON data.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 import zlib
@@ -50,8 +46,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, DataError
 from ..obs import get_logger, inc, observe, span, timed
-from .artifact import ServedModel
-from .artifact_v2 import MappedModel, _row
+from .artifact import ServedModel, parts_of_result
+from .artifact_v2 import MappedModel, _row, pack_model
 
 __all__ = ["ModelQueryEngine"]
 
@@ -103,191 +99,14 @@ def _top_entries(ids: np.ndarray, values: np.ndarray,
     return kept[order[:k]]
 
 
-class _DictBackend:
-    """Heavy-data access over the v1 JSON payload (walk-once indexes)."""
-
-    def __init__(self, model: ServedModel) -> None:
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._meta: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        phrase_topics: Dict[str, List[Tuple[str, float]]] = {}
-
-        def walk(record: Dict[str, Any], parent: Optional[str]) -> None:
-            notation = record["notation"]
-            self._records[notation] = record
-            self._meta[notation] = {
-                "path": record["path"],
-                "rho": record["rho"],
-                "parent": parent,
-                "children": [child["notation"]
-                             for child in record["children"]],
-            }
-            for phrase, score in record["phrases"]:
-                phrase_topics.setdefault(phrase, []).append(
-                    (notation, score))
-            for child in record["children"]:
-                walk(child, notation)
-
-        walk(model.model["hierarchy"], None)
-        for entries in phrase_topics.values():
-            entries.sort(key=lambda pair: (-pair[1], pair[0]))
-        self._phrase_topics = phrase_topics
-        self.phrase_list = sorted(phrase_topics)
-        self._entity_roles = model.entity_roles
-
-    def meta(self, notation: str) -> Optional[Dict[str, Any]]:
-        return self._meta.get(notation)
-
-    def phrases(self, notation: str, limit: int) -> List[List[Any]]:
-        return self._records[notation]["phrases"][:limit]
-
-    def num_phrases(self, notation: str) -> int:
-        return len(self._records[notation]["phrases"])
-
-    def top_terms(self, notation: str, limit: int) -> List[List[Any]]:
-        terms = self._records[notation]["phi"].get("term", {})
-        return [[name, p] for name, p in heapq.nsmallest(
-            limit, terms.items(), key=lambda kv: (-kv[1], kv[0]))]
-
-    def entity_ranks(self, notation: str,
-                     limit: int) -> Dict[str, List[List[Any]]]:
-        return {etype: ranks[:limit] for etype, ranks
-                in self._records[notation]["entity_ranks"].items()}
-
-    def phrase_topics(self, phrase: str) -> List[List[Any]]:
-        return [[notation, score]
-                for notation, score in self._phrase_topics[phrase]]
-
-    def best_phrase_score(self, phrase: str) -> float:
-        return self._phrase_topics[phrase][0][1]
-
-    def role_types(self) -> List[str]:
-        return sorted(self._entity_roles)
-
-    def has_role_type(self, entity_type: str) -> bool:
-        return entity_type in self._entity_roles
-
-    def num_entities(self, entity_type: str) -> int:
-        return len(self._entity_roles[entity_type])
-
-    def frequencies(self, entity_type: str,
-                    name: str) -> Optional[Dict[str, float]]:
-        return self._entity_roles[entity_type].get(name)
-
-
-class _MappedBackend:
-    """Heavy-data access over a memory-mapped v2 artifact.
-
-    Construction reads only the header string tables (already parsed at
-    load); every numeric value is materialized lazily, per query, from
-    the mapped sections — so building an engine never faults in the
-    topic-word matrices.
-    """
-
-    def __init__(self, model: MappedModel) -> None:
-        self._model = model
-        strings = model.strings
-        self._topics = strings["topics"]
-        self._index = {meta["notation"]: i
-                       for i, meta in enumerate(self._topics)}
-        self.phrase_list: List[str] = strings["phrases"]
-        self._entities: Dict[str, List[str]] = strings["entities"]
-        self._role_keys: List[str] = strings["role_keys"]
-        self._phi_names: Dict[str, List[str]] = strings.get("phi_names", {})
-        self._rank_names: Dict[str, List[str]] = strings.get(
-            "rank_names", {})
-
-    def meta(self, notation: str) -> Optional[Dict[str, Any]]:
-        index = self._index.get(notation)
-        if index is None:
-            return None
-        meta = self._topics[index]
-        return {
-            "path": meta["path"],
-            "rho": meta["rho"],
-            "parent": (None if meta["parent"] is None
-                       else self._topics[meta["parent"]]["notation"]),
-            "children": [self._topics[c]["notation"]
-                         for c in meta["children"]],
-        }
-
-    def phrases(self, notation: str, limit: int) -> List[List[Any]]:
-        ids, scores = _row(self._model, "phrases", self._index[notation],
-                           "scores")
-        table = self.phrase_list
-        return [[table[int(i)], float(s)]
-                for i, s in zip(ids[:limit], scores[:limit])]
-
-    def num_phrases(self, notation: str) -> int:
-        return len(_row(self._model, "phrases", self._index[notation],
-                        "scores")[0])
-
-    def top_terms(self, notation: str, limit: int) -> List[List[Any]]:
-        index = self._index[notation]
-        if "term" not in self._topics[index]["phi_types"]:
-            return []
-        names = self._phi_names["term"]
-        ids, values = _row(self._model, "phi.term", index)
-        return [[names[int(ids[i])], float(values[i])]
-                for i in _top_entries(ids, values, limit)]
-
-    def entity_ranks(self, notation: str,
-                     limit: int) -> Dict[str, List[List[Any]]]:
-        index = self._index[notation]
-        meta = self._topics[index]
-        ranks: Dict[str, List[List[Any]]] = {}
-        for etype in meta["rank_types"]:
-            names = self._rank_names[etype]
-            ids, scores = _row(self._model, f"entity_ranks.{etype}",
-                               index, "scores")
-            ranks[etype] = [[names[int(i)], float(s)]
-                            for i, s in zip(ids[:limit], scores[:limit])]
-        return ranks
-
-    def _phrase_index(self, phrase: str) -> int:
-        index = bisect_left(self.phrase_list, phrase)
-        if index >= len(self.phrase_list) \
-                or self.phrase_list[index] != phrase:
-            raise DataError(f"no phrase {phrase!r} in model")
-        return index
-
-    def phrase_topics(self, phrase: str) -> List[List[Any]]:
-        ids, scores = _row(self._model, "inverted",
-                           self._phrase_index(phrase), "scores")
-        return [[self._topics[int(i)]["notation"], float(s)]
-                for i, s in zip(ids, scores)]
-
-    def best_phrase_score(self, phrase: str) -> float:
-        scores = _row(self._model, "inverted",
-                      self._phrase_index(phrase), "scores")[1]
-        return float(scores[0])
-
-    def role_types(self) -> List[str]:
-        return sorted(self._entities)
-
-    def has_role_type(self, entity_type: str) -> bool:
-        return entity_type in self._entities
-
-    def num_entities(self, entity_type: str) -> int:
-        return len(self._entities[entity_type])
-
-    def frequencies(self, entity_type: str,
-                    name: str) -> Optional[Dict[str, float]]:
-        names = self._entities[entity_type]
-        index = bisect_left(names, name)
-        if index >= len(names) or names[index] != name:
-            return None
-        ids, values = _row(self._model, f"roles.{entity_type}", index)
-        table = self._role_keys
-        return {table[int(i)]: float(v) for i, v in zip(ids, values)}
-
-
 class ModelQueryEngine:
     """Cached queries over one served model.
 
     Args:
-        model: the artifact to serve — a :class:`ServedModel` (v1 /
-            in-memory) or a :class:`~repro.serve.artifact_v2.MappedModel`
-            (v2, zero-copy).
+        model: the artifact to serve — a :class:`ServedModel` (a v1
+            document, packed into a v2 blob in memory) or a
+            :class:`~repro.serve.artifact_v2.MappedModel` (v2, served
+            as it is).
         cache_size: LRU result-cache capacity (0 disables caching).
         phrase_shards: number of hash shards for the phrase index
             (1 = unsharded; answers are identical for every value).
@@ -299,6 +118,14 @@ class ModelQueryEngine:
             raise ConfigurationError("cache_size must be >= 0")
         if phrase_shards < 1:
             raise ConfigurationError("phrase_shards must be >= 1")
+        if isinstance(model, ServedModel):
+            self._mapped = pack_model(model.parts())[1]
+        elif isinstance(model, MappedModel):
+            self._mapped = model
+        else:
+            raise ConfigurationError(
+                f"model must be a ServedModel or MappedModel, "
+                f"got {type(model).__name__}")
         self.model = model
         self._cache_capacity = cache_size
         self._cache: "OrderedDict[Tuple, Any]" = OrderedDict()
@@ -306,41 +133,41 @@ class ModelQueryEngine:
         self._hits = 0
         self._misses = 0
         with timed("serve.index_build"):
-            if isinstance(model, MappedModel):
-                self._backend = _MappedBackend(model)
-            elif isinstance(model, ServedModel):
-                self._backend = _DictBackend(model)
-            else:
-                raise ConfigurationError(
-                    f"model must be a ServedModel or MappedModel, "
-                    f"got {type(model).__name__}")
-            self._build_topic_maps()
+            strings = self._mapped.strings
+            self._topics: List[Dict[str, Any]] = strings["topics"]
+            self._index = {meta["notation"]: i
+                           for i, meta in enumerate(self._topics)}
+            self._phrase_list: List[str] = strings["phrases"]
+            self._entities: Dict[str, List[str]] = strings["entities"]
+            self._role_keys: List[str] = strings["role_keys"]
+            self._phi_names: Dict[str, List[str]] = strings.get(
+                "phi_names", {})
+            self._rank_names: Dict[str, List[str]] = strings.get(
+                "rank_names", {})
+            self._meta = {meta["notation"]: {
+                "path": meta["path"],
+                "rho": meta["rho"],
+                "parent": (None if meta["parent"] is None
+                           else self._topics[meta["parent"]]["notation"]),
+                "children": [self._topics[c]["notation"]
+                             for c in meta["children"]],
+            } for meta in self._topics}
             self._build_shards(phrase_shards)
 
     @classmethod
     def from_result(cls, result, config: Optional[Dict[str, Any]] = None,
                     cache_size: int = 1024,
                     phrase_shards: int = 1) -> "ModelQueryEngine":
-        """An engine over a fitted result, without touching the disk."""
-        return cls(ServedModel.from_result(result, config=config),
-                   cache_size=cache_size, phrase_shards=phrase_shards)
+        """An engine over a fitted result, without touching the disk: it
+        serves, from memory, the bytes ``save_model(format="v2")`` would
+        write."""
+        _, mapped = pack_model(parts_of_result(result, config))
+        return cls(mapped, cache_size=cache_size,
+                   phrase_shards=phrase_shards)
 
     # -------------------------------------------------------------- indexes
-    def _build_topic_maps(self) -> None:
-        """Notation -> light metadata (path/rho/parent/children)."""
-        backend = self._backend
-        if isinstance(backend, _DictBackend):
-            self._meta = dict(backend._meta)
-        else:
-            self._meta = {}
-            for topic_meta in backend._topics:
-                notation = topic_meta["notation"]
-                meta = backend.meta(notation)
-                assert meta is not None
-                self._meta[notation] = meta
-
     def _build_shards(self, phrase_shards: int) -> None:
-        phrase_list = self._backend.phrase_list
+        phrase_list = self._phrase_list
         self.num_shards = phrase_shards
         if phrase_shards == 1:
             self._shards = [phrase_list]
@@ -349,6 +176,64 @@ class ModelQueryEngine:
             for phrase in phrase_list:  # sorted input -> sorted shards
                 shards[_shard_of(phrase, phrase_shards)].append(phrase)
             self._shards = shards
+
+    # ----------------------------------------------------------- rows
+    def _phrases(self, notation: str, limit: int) -> List[List[Any]]:
+        ids, scores = _row(self._mapped, "phrases", self._index[notation],
+                           "scores")
+        table = self._phrase_list
+        return [[table[int(i)], float(s)]
+                for i, s in zip(ids[:limit], scores[:limit])]
+
+    def _num_phrases(self, notation: str) -> int:
+        return len(_row(self._mapped, "phrases", self._index[notation],
+                        "scores")[0])
+
+    def _top_terms(self, notation: str, limit: int) -> List[List[Any]]:
+        index = self._index[notation]
+        if "term" not in self._topics[index]["phi_types"]:
+            return []
+        names = self._phi_names["term"]
+        ids, values = _row(self._mapped, "phi.term", index)
+        return [[names[int(ids[i])], float(values[i])]
+                for i in _top_entries(ids, values, limit)]
+
+    def _entity_ranks(self, notation: str,
+                      limit: int) -> Dict[str, List[List[Any]]]:
+        index = self._index[notation]
+        ranks: Dict[str, List[List[Any]]] = {}
+        for etype in self._topics[index]["rank_types"]:
+            names = self._rank_names[etype]
+            ids, scores = _row(self._mapped, f"entity_ranks.{etype}",
+                               index, "scores")
+            ranks[etype] = [[names[int(i)], float(s)]
+                            for i, s in zip(ids[:limit], scores[:limit])]
+        return ranks
+
+    def _inverted(self, phrase: str) -> Tuple[np.ndarray, np.ndarray]:
+        index = bisect_left(self._phrase_list, phrase)
+        if index >= len(self._phrase_list) \
+                or self._phrase_list[index] != phrase:
+            raise DataError(f"no phrase {phrase!r} in model")
+        return _row(self._mapped, "inverted", index, "scores")
+
+    def _phrase_topics(self, phrase: str) -> List[List[Any]]:
+        ids, scores = self._inverted(phrase)
+        return [[self._topics[int(i)]["notation"], float(s)]
+                for i, s in zip(ids, scores)]
+
+    def _role_types(self) -> List[str]:
+        return sorted(self._entities)
+
+    def _frequencies(self, entity_type: str,
+                     name: str) -> Optional[Dict[str, float]]:
+        names = self._entities[entity_type]
+        index = bisect_left(names, name)
+        if index >= len(names) or names[index] != name:
+            return None
+        ids, values = _row(self._mapped, f"roles.{entity_type}", index)
+        table = self._role_keys
+        return {table[int(i)]: float(v) for i, v in zip(ids, values)}
 
     # -------------------------------------------------------------- caching
     def cache_get(self, key: Tuple) -> Tuple[bool, Any]:
@@ -398,18 +283,17 @@ class ModelQueryEngine:
 
     @property
     def artifact_format(self) -> str:
-        """``"v2"`` over a memory-mapped artifact, else ``"v1"``."""
-        return "v2" if isinstance(self.model, MappedModel) else "v1"
+        """``"v1"`` for an engine built from a v1 document, else
+        ``"v2"``."""
+        return "v1" if isinstance(self.model, ServedModel) else "v2"
 
     def close(self) -> None:
-        """Release the model's resources (unmap a v2 artifact).
+        """Release the served blob (unmap a v2 artifact file).
 
         Idempotent; called by the servers once a hot-swapped-out engine
         has drained its last in-flight request.
         """
-        close = getattr(self.model, "close", None)
-        if callable(close):
-            close()
+        self._mapped.close()
 
     # -------------------------------------------------------------- queries
     def _meta_of(self, topic_id: str) -> Dict[str, Any]:
@@ -424,7 +308,6 @@ class ModelQueryEngine:
 
     def _compute_model_info(self) -> Dict[str, Any]:
         depths = [len(m["path"]) for m in self._meta.values()]
-        backend = self._backend
         manifest = self.model.manifest
         return {
             "manifest": manifest,
@@ -437,10 +320,10 @@ class ModelQueryEngine:
                 "height": max(depths) if depths else 0,
                 "width": max((len(m["children"])
                               for m in self._meta.values()), default=0),
-                "num_phrases": len(backend.phrase_list),
-                "entity_types": backend.role_types(),
-                "num_entities": {etype: backend.num_entities(etype)
-                                 for etype in backend.role_types()},
+                "num_phrases": len(self._phrase_list),
+                "entity_types": self._role_types(),
+                "num_entities": {etype: len(self._entities[etype])
+                                 for etype in self._role_types()},
             },
         }
 
@@ -457,17 +340,16 @@ class ModelQueryEngine:
     def _compute_topic(self, topic_id: str, max_phrases: int,
                        max_entities: int, max_terms: int) -> Dict[str, Any]:
         meta = self._meta_of(topic_id)
-        backend = self._backend
         return {
             "topic": topic_id,
             "level": len(meta["path"]),
             "rho": meta["rho"],
             "parent": meta["parent"],
             "children": meta["children"],
-            "phrases": backend.phrases(topic_id, max_phrases),
-            "num_phrases": backend.num_phrases(topic_id),
-            "top_terms": backend.top_terms(topic_id, max_terms),
-            "entity_ranks": backend.entity_ranks(topic_id, max_entities),
+            "phrases": self._phrases(topic_id, max_phrases),
+            "num_phrases": self._num_phrases(topic_id),
+            "top_terms": self._top_terms(topic_id, max_terms),
+            "entity_ranks": self._entity_ranks(topic_id, max_entities),
         }
 
     def children(self, topic_id: str) -> Dict[str, Any]:
@@ -486,8 +368,8 @@ class ModelQueryEngine:
 
     def _label(self, topic_id: str) -> str:
         """The best phrase, else the top term, else ``""``."""
-        best = (self._backend.phrases(topic_id, 1)
-                or self._backend.top_terms(topic_id, 1))
+        best = (self._phrases(topic_id, 1)
+                or self._top_terms(topic_id, 1))
         return best[0][0] if best else ""
 
     def top_phrases(self, topic_id: str, k: int = 10) -> Dict[str, Any]:
@@ -499,7 +381,7 @@ class ModelQueryEngine:
     def _compute_top_phrases(self, topic_id: str, k: int) -> Dict[str, Any]:
         self._meta_of(topic_id)
         return {"topic": topic_id,
-                "phrases": self._backend.phrases(topic_id, k)}
+                "phrases": self._phrases(topic_id, k)}
 
     # --------------------------------------------------------------- search
     def search_phrases(self, query: str, mode: str = "prefix",
@@ -563,13 +445,13 @@ class ModelQueryEngine:
         matches = [phrase for shard_matches in match_lists
                    for phrase in shard_matches]
         matches.sort(
-            key=lambda p: (-self._backend.best_phrase_score(p), p))
+            key=lambda p: (-float(self._inverted(p)[1][0]), p))
         return {
             "query": query,
             "mode": mode,
             "num_matches": len(matches),
             "matches": [{"phrase": phrase,
-                         "topics": self._backend.phrase_topics(phrase)}
+                         "topics": self._phrase_topics(phrase)}
                         for phrase in matches[:limit]],
         }
 
@@ -586,16 +468,15 @@ class ModelQueryEngine:
     def _compute_entity_roles(self, name: str, entity_type: Optional[str],
                               topic: str) -> Dict[str, Any]:
         meta = self._meta_of(topic)
-        backend = self._backend
         if entity_type is not None:
-            if not backend.has_role_type(entity_type):
+            if entity_type not in self._entities:
                 raise DataError(f"no entity type {entity_type!r} in model")
             types = [entity_type]
         else:
-            types = backend.role_types()
+            types = self._role_types()
         roles = {}
         for etype in types:
-            frequencies = backend.frequencies(etype, name)
+            frequencies = self._frequencies(etype, name)
             if frequencies is None:
                 continue
             shares = {child: frequencies.get(child, 0.0)

@@ -364,12 +364,11 @@ class IngestPipeline:
     def export(self, hierarchy, doc_notations: List[str],
                corpus) -> Dict[str, Any]:
         """Write the artifact the servers hot-swap to (atomic)."""
-        from ..serve.artifact import (build_document_from_parts,
-                                      save_model_document)
+        from ..serve.artifact import model_parts, save_model_document
 
         assert self.config.export_path is not None
-        document = build_document_from_parts(
-            vocabulary=list(corpus.vocabulary),
+        parts = model_parts(
+            vocabulary=corpus.vocabulary,
             hierarchy=hierarchy,
             entity_roles=entity_role_counts(corpus, doc_notations),
             num_documents=len(corpus),
@@ -380,7 +379,7 @@ class IngestPipeline:
                                              self._synced_shards,
                                              self._synced_vocab_version),
             })
-        manifest = save_model_document(document, self.config.export_path,
+        manifest = save_model_document(parts, self.config.export_path,
                                        format=self.config.export_format)
         inc("stream.exports")
         logger.info("exported model v%d (%d topics) -> %s",

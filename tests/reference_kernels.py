@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Eight families live here:
+Nine families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -26,6 +26,8 @@ Eight families live here:
 * the full-row topic-detail sort (:func:`reference_top_terms`,
   :func:`reference_topic_detail`), byte-identical to the serving
   engine's partition-then-sort selection;
+* the dict -> JSON -> v2 artifact save (:func:`reference_v2_blob`),
+  byte-identical to the array writer;
 * the per-document STROD moment and fold-in loops
   (:func:`reference_word_count_rows`, :func:`reference_first_moment`,
   :func:`reference_second_moment`, :func:`reference_sparse_pair_moment`,
@@ -655,6 +657,198 @@ def reference_topic_detail(model, notation: str, max_phrases: int = 10,
         "entity_ranks": {etype: entries[:max(max_entities, 0)]
                          for etype, entries in ranks.items()},
     }
+
+
+# ------------------------------------------------------------------ artifact
+def reference_v2_blob(parts) -> bytes:
+    """The dict -> JSON -> v2 save path the array writer replaced.
+
+    The parts become a JSON-normalized v1 document (two canonical
+    encodes and one decode), whose records are walked into per-row
+    lists, packed, laid out, parsed back and encoded once more as a
+    self-check against the document's own v1 CRC.  Only the schema
+    stamp and ``payload_crc32`` differ from that path: they follow the
+    current contract (the CRC32 of the canonical string tables, then of
+    each section CRC32 as u32 LE), so for equal parts the bytes equal
+    :func:`repro.serve.artifact_v2.pack_model`'s.
+    """
+    import json
+    import struct
+    import zlib
+
+    from repro.serve.artifact import _v1_document
+    from repro.serve.artifact_v2 import (_ALIGN, _MAGIC, _PREAMBLE,
+                                         MODEL_SCHEMA_V2, _mapped_from_blob,
+                                         model_document_from_mapped)
+
+    def canonical(obj):
+        try:
+            return json.dumps(obj, sort_keys=True, allow_nan=False,
+                              separators=(",", ":")).encode("utf-8")
+        except ValueError as exc:
+            raise DataError(f"non-finite float: {exc}") from exc
+
+    class Ragged:
+        def __init__(self):
+            self.indptr, self.ids, self.values = [0], [], []
+
+        def append_row(self, ids, values):
+            self.ids.extend(ids)
+            self.values.extend(values)
+            self.indptr.append(len(self.ids))
+
+    def name_table(names):
+        ordered = sorted(set(names))
+        return ordered, {name: i for i, name in enumerate(ordered)}
+
+    document = _v1_document(parts)
+    model = document["model"]
+    manifest = dict(document["manifest"])
+    manifest["schema"] = MODEL_SCHEMA_V2
+
+    records = []
+
+    def walk(record):
+        records.append(record)
+        for child in record["children"]:
+            walk(child)
+
+    walk(model["hierarchy"])
+    notation_of = [r["notation"] for r in records]
+    topic_index = {n: i for i, n in enumerate(notation_of)}
+    phrase_names, phrase_id = name_table(
+        [p for r in records for p, _ in r["phrases"]])
+    phi_types = sorted({t for r in records for t in r["phi"]})
+    phi_names, phi_ids = {}, {}
+    for ntype in phi_types:
+        phi_names[ntype], phi_ids[ntype] = name_table(
+            [n for r in records for n in r["phi"].get(ntype, {})])
+    rank_types = sorted({t for r in records for t in r["entity_ranks"]})
+    rank_names, rank_ids = {}, {}
+    for etype in rank_types:
+        rank_names[etype], rank_ids[etype] = name_table(
+            [n for r in records
+             for n, _ in r["entity_ranks"].get(etype, [])])
+    roles = model["entity_roles"]
+    role_keys, role_key_id = name_table(
+        [k for table in roles.values()
+         for freqs in table.values() for k in freqs])
+    entities = {etype: sorted(table) for etype, table in roles.items()}
+
+    sections = []
+
+    def add(prefix, ragged, values_name="values"):
+        sections.append((f"{prefix}.indptr",
+                         np.asarray(ragged.indptr, dtype="<i8")))
+        sections.append((f"{prefix}.ids",
+                         np.asarray(ragged.ids, dtype="<i4")))
+        sections.append((f"{prefix}.{values_name}",
+                         np.asarray(ragged.values, dtype="<f8")))
+
+    phrases = Ragged()
+    for record in records:
+        phrases.append_row([phrase_id[p] for p, _ in record["phrases"]],
+                           [float(s) for _, s in record["phrases"]])
+    add("phrases", phrases, "scores")
+    for ntype in phi_types:
+        ragged = Ragged()
+        for record in records:
+            dist = record["phi"].get(ntype, {})
+            names = sorted(dist)
+            ragged.append_row([phi_ids[ntype][n] for n in names],
+                              [float(dist[n]) for n in names])
+        add(f"phi.{ntype}", ragged)
+    for etype in rank_types:
+        ragged = Ragged()
+        for record in records:
+            ranks = record["entity_ranks"].get(etype, [])
+            ragged.append_row([rank_ids[etype][n] for n, _ in ranks],
+                              [float(s) for _, s in ranks])
+        add(f"entity_ranks.{etype}", ragged, "scores")
+    inverted = {}
+    for record in records:
+        for phrase, score in record["phrases"]:
+            inverted.setdefault(phrase, []).append(
+                (record["notation"], float(score)))
+    ragged = Ragged()
+    for phrase in phrase_names:
+        entries = sorted(inverted.get(phrase, []),
+                         key=lambda pair: (-pair[1], pair[0]))
+        ragged.append_row([topic_index[n] for n, _ in entries],
+                          [s for _, s in entries])
+    add("inverted", ragged, "scores")
+    for etype in sorted(roles):
+        ragged = Ragged()
+        for name in entities[etype]:
+            freqs = roles[etype][name]
+            keys = sorted(freqs)
+            ragged.append_row([role_key_id[k] for k in keys],
+                              [float(freqs[k]) for k in keys])
+        add(f"roles.{etype}", ragged)
+
+    parent_of = {notation_of[0]: None}
+    for record in records:
+        for child in record["children"]:
+            parent_of[child["notation"]] = record["notation"]
+    topics_meta = []
+    for record in records:
+        parent = parent_of[record["notation"]]
+        topics_meta.append({
+            "notation": record["notation"],
+            "path": list(record["path"]),
+            "rho": float(record["rho"]),
+            "parent": None if parent is None else topic_index[parent],
+            "children": [topic_index[c["notation"]]
+                         for c in record["children"]],
+            "phi_types": sorted(record["phi"]),
+            "rank_types": sorted(record["entity_ranks"]),
+        })
+    strings = {"vocabulary": model["vocabulary"], "phrases": phrase_names,
+               "phi_names": phi_names, "rank_names": rank_names,
+               "role_keys": role_keys, "entities": entities,
+               "topics": topics_meta}
+    crcs = [zlib.crc32(array.tobytes()) & 0xFFFFFFFF
+            for _, array in sections]
+    manifest["payload_crc32"] = zlib.crc32(
+        canonical(strings) + struct.pack(f"<{len(crcs)}I", *crcs)) \
+        & 0xFFFFFFFF
+
+    def aligned(offset):
+        return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+    def layout(header_len):
+        table = []
+        offset = aligned(_PREAMBLE.size + header_len)
+        for (name, array), crc in zip(sections, crcs):
+            table.append({"name": name, "dtype": array.dtype.str,
+                          "count": int(array.size), "offset": offset,
+                          "crc32": crc})
+            offset = aligned(offset + array.nbytes)
+        return table
+
+    header_len, header = 0, b""
+    while True:
+        table = layout(header_len)
+        header = canonical({"schema": MODEL_SCHEMA_V2, "manifest": manifest,
+                            "strings": strings, "sections": table})
+        if len(header) == header_len:
+            break
+        header_len = len(header)
+    total = table[-1]["offset"] + sections[-1][1].nbytes
+    blob = bytearray(total)
+    blob[:_PREAMBLE.size] = _PREAMBLE.pack(
+        _MAGIC, len(header), zlib.crc32(header) & 0xFFFFFFFF)
+    blob[_PREAMBLE.size:_PREAMBLE.size + len(header)] = header
+    for entry, (_, array) in zip(table, sections):
+        blob[entry["offset"]:entry["offset"] + array.nbytes] = \
+            array.tobytes()
+    reconstructed = model_document_from_mapped(
+        _mapped_from_blob(bytes(blob), path="<in-memory>"))
+    if reconstructed["manifest"]["payload_crc32"] \
+            != document["manifest"]["payload_crc32"]:
+        raise DataError("v2 encoding does not round-trip the canonical "
+                        "v1 payload")
+    return bytes(blob)
 
 
 # -------------------------------------------------------------------- strod

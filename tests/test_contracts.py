@@ -18,6 +18,7 @@ class TestRegistryContents:
         expected = {
             "repro.serve/model/v1",
             "repro.serve/model/v2",
+            "repro.serve/model/v3",
             "repro.resilience/checkpoint/v1",
             "repro.obs/run-report/v1",
             "repro.obs/run-report/v2",
@@ -93,7 +94,7 @@ class TestRegistryValidation:
         from repro.strod.moments import MOMENT_SKETCH_SCHEMA
 
         assert MODEL_SCHEMA == contracts.MODEL_V1
-        assert MODEL_SCHEMA_V2 == contracts.MODEL_V2
+        assert MODEL_SCHEMA_V2 == contracts.MODEL_V3
         assert CHECKPOINT_SCHEMA == contracts.CHECKPOINT_V1
         assert REPORT_SCHEMA == contracts.RUN_REPORT_V2
         assert REPORT_SCHEMA_V1 == contracts.RUN_REPORT_V1

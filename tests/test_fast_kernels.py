@@ -36,7 +36,9 @@ from repro.roles.analyzer import (attribute_document_arrays,
                                   sum_entity_frequencies)
 from repro.serve import (ModelQueryEngine, ServedModel, load_model,
                          save_model_document)
-from repro.serve.artifact import build_document_from_parts
+from repro.serve.artifact import (build_document_from_parts, model_parts,
+                                  parts_of_result)
+from repro.serve.artifact_v2 import _mapped_from_blob, pack_model
 from repro.strod import (STROD, MomentSketch, STRODModel, compute_whitener,
                          first_moment, second_moment, sparse_pair_moment,
                          whitened_third_moment, word_count_rows)
@@ -58,6 +60,7 @@ from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_split_frequencies,
                                 reference_top_terms, reference_topic_detail,
                                 reference_tpfg_ranking,
+                                reference_v2_blob,
                                 reference_whitened_third_moment,
                                 reference_word_count_rows)
 from .test_tpfg_exactness import random_chain_graph
@@ -829,3 +832,127 @@ class TestMiningPipelineEquivalence:
         network = CollaborationNetwork.from_corpus(dataset.corpus)
         assert _candidate_bits(build_candidate_graph(network)) == \
             _candidate_bits(reference_build_candidate_graph(network))
+
+
+#: Names with non-ASCII code points, spaces, a slash and case ties, so
+#: table order is code-point order and notation order differs from
+#: pre-order past nine children ("o/10" < "o/2").
+WRITER_NAMES = ["a", "A", "b", "a b", "\u00e9t\u00e9", "\u65e5\u672c",
+                "stra\u00dfe", "z/1", "\U0001f600", "o"]
+#: Scores tied across topics and rows (0.0 and -0.0 compare equal).
+WRITER_SCORES = [0.5, 0.25, 1.0, 0.0, -0.0, 2.5e-7]
+
+
+def _writer_parts(rng):
+    """Random decorated parts: a topic with no phrases, topics missing
+    phi or rank types, an entity type with no roles, an entity with an
+    empty role row, repeated names and phrases shared at tied scores."""
+    def pick(pool, size):
+        return [pool[i] for i in rng.integers(0, len(pool), size=size)]
+
+    def decorate(topic):
+        topic.rho = float(rng.choice(WRITER_SCORES + [0.3]))
+        topic.phi = {ntype: {name: float(rng.choice(WRITER_SCORES))
+                             for name in pick(WRITER_NAMES,
+                                              int(rng.integers(0, 8)))}
+                     for ntype in ("term", "author", "v\u00e9nue")
+                     if rng.random() < 0.6}
+        phrases = pick(WRITER_NAMES, int(rng.integers(0, 7)))
+        topic.phrases = [(phrase, float(rng.choice(WRITER_SCORES)))
+                         for phrase in phrases]
+        topic.entity_ranks = {etype: [
+            (name, float(rng.choice(WRITER_SCORES)))
+            for name in pick(WRITER_NAMES, int(rng.integers(0, 5)))]
+            for etype in ("author", "venue") if rng.random() < 0.5}
+
+    root = Topic(path=())
+    for _ in range(int(rng.integers(0, 12))):
+        child = root.add_child(Topic())
+        for _ in range(int(rng.integers(0, 3))):
+            child.add_child(Topic())
+    hierarchy = TopicalHierarchy(root)
+    topics = list(hierarchy.topics())
+    for topic in topics:
+        decorate(topic)
+    topics[int(rng.integers(0, len(topics)))].phrases = []
+    notations = [topic.notation for topic in topics]
+    roles = {etype: {name: {notation: float(rng.choice(WRITER_SCORES))
+                            for notation in pick(notations,
+                                                 int(rng.integers(0, 4)))}
+                     for name in pick(WRITER_NAMES, int(rng.integers(0, 6)))}
+             for etype in ("author", "venue", "\u00e9diteur")
+             if rng.random() < 0.7}
+    roles["empty"] = {}
+    vocabulary = pick(WRITER_NAMES, int(rng.integers(0, 12)))
+    return model_parts(vocabulary, hierarchy, roles,
+                       num_documents=int(rng.integers(0, 50)),
+                       config={"seed": 1}, extra_manifest={"tag": "x"})
+
+
+def _section_table(blob):
+    model = _mapped_from_blob(blob, path="<in-memory>")
+    table = [(entry["name"], entry["dtype"], entry["count"], entry["crc32"])
+             for entry in model.header["sections"]]
+    payload = {name: model.section(name).tobytes()
+               for name, *_ in table}
+    return table, payload, model.strings, model.manifest
+
+
+class TestArtifactWriterEquivalence:
+    """The array writer vs the dict -> JSON -> v2 oracle: the same
+    section table (names, dtypes, counts, CRCs), section bytes, string
+    tables and manifest, so the same artifact bytes."""
+
+    def _assert_same(self, parts):
+        fast, packed = pack_model(parts)
+        ref = reference_v2_blob(parts)
+        table, payload, strings, manifest = _section_table(fast)
+        assert table == _section_table(ref)[0]
+        assert payload == _section_table(ref)[1]
+        assert strings == _section_table(ref)[2]
+        assert manifest == _section_table(ref)[3] == packed.manifest
+        assert fast == ref
+
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_generated_hierarchies(self, seed):
+        self._assert_same(_writer_parts(np.random.default_rng(seed)))
+
+    def test_matches_oracle_on_the_fitted_pipeline(self, mined):
+        _, result = mined
+        self._assert_same(parts_of_result(result, config={"seed": 0}))
+
+    def test_inverted_index_ranks_tied_scores_by_notation(self):
+        """A phrase at one score in o/2 and o/10: notation order, not
+        pre-order, breaks the tie."""
+        root = Topic(path=())
+        for _ in range(10):
+            root.add_child(Topic(phrases=[("p", 0.5)]))
+        parts = model_parts(["w"], TopicalHierarchy(root), {},
+                            num_documents=0)
+        _, packed = pack_model(parts)
+        topics = packed.strings["topics"]
+        order = [topics[i]["notation"]
+                 for i in packed.section("inverted.ids").tolist()]
+        assert order == sorted(order) and order[:2] == ["o/1", "o/10"]
+        self._assert_same(parts)
+
+    @pytest.mark.parametrize("where", ["phi", "rank", "phrase", "role",
+                                       "rho"])
+    def test_non_finite_floats_refused(self, where):
+        parts = _writer_parts(np.random.default_rng(7))
+        topic = parts.hierarchy.root
+        if where == "phi":
+            topic.phi = {"term": {"a": float("nan")}}
+        elif where == "rank":
+            topic.entity_ranks = {"author": [("a", float("inf"))]}
+        elif where == "phrase":
+            topic.phrases = [("a", float("-inf"))]
+        elif where == "role":
+            parts.entity_roles["author"] = {"a": {"o": float("nan")}}
+        else:
+            topic.rho = float("inf")
+        with pytest.raises(DataError, match="non-finite"):
+            pack_model(parts)
+        with pytest.raises(DataError, match="non-finite"):
+            reference_v2_blob(parts)

@@ -16,6 +16,7 @@ The acceptance invariants for ``repro.serve/model/v2``:
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import textwrap
@@ -90,9 +91,14 @@ class TestManifestContract:
                               format="v2")
         assert v1["schema"] == MODEL_SCHEMA
         assert v2["schema"] == MODEL_SCHEMA_V2
-        # Same canonical payload behind both formats: same CRC, same
-        # vocabulary hash, same shape metadata.
-        assert v2["payload_crc32"] == v1["payload_crc32"]
+        # Same model behind both formats: the v2 sections decode to the
+        # v1 payload, under the same vocabulary hash and shape metadata.
+        mapped = load_model_v2(str(tmp_path / "m.rmv2"))
+        try:
+            decoded = model_document_from_mapped(mapped)["model"]
+        finally:
+            mapped.close()
+        assert decoded == load_model(str(tmp_path / "m.json")).model
         assert v2["vocab_hash"] == v1["vocab_hash"]
         assert v2["num_topics"] == v1["num_topics"]
 
@@ -299,6 +305,132 @@ class TestRejection:
                                 format="v2")
 
 
+class TestSaveContract:
+    """The array writer's save-time checks, its ``payload_crc32``, and
+    the files it still reads."""
+
+    @pytest.mark.parametrize("where,value", [
+        ("phi", float("nan")), ("phi", float("inf")),
+        ("rho", float("nan")), ("rho", float("-inf")),
+        ("role", float("nan")), ("role", float("inf"))])
+    def test_non_finite_fit_refused_at_save(self, fitted, tmp_path,  # noqa: F811
+                                            monkeypatch, where, value):
+        miner, result = fitted
+        topic = result.hierarchy.topic("o/1")
+        if where == "phi":
+            dist = topic.phi["term"]
+            monkeypatch.setitem(dist, next(iter(dist)), value)
+        elif where == "rho":
+            monkeypatch.setattr(topic, "rho", value)
+        else:
+            table = result.roles.entity_topic_frequencies("author")
+            monkeypatch.setitem(table["alice"], "o", value)
+        path = tmp_path / "m.rmv2"
+        with pytest.raises(DataError, match="non-finite"):
+            miner.save_model(result, str(path), format="v2")
+        assert not path.exists()
+
+    def test_v1_document_with_a_wrong_crc_refused(self, fitted,  # noqa: F811
+                                                  tmp_path):
+        miner, result = fitted
+        v1_path = str(tmp_path / "m.json")
+        miner.save_model(result, v1_path)
+        with open(v1_path) as handle:
+            document = json.load(handle)
+        target = str(tmp_path / "m.rmv2")
+        document["manifest"]["payload_crc32"] ^= 1
+        with pytest.raises(DataError, match="checksum mismatch"):
+            save_model_document(document, target, format="v2")
+        document["manifest"]["payload_crc32"] ^= 1
+        document["model"]["hierarchy"]["rho"] = 0.123456789
+        with pytest.raises(DataError, match="checksum mismatch"):
+            save_model_document(document, target, format="v2")
+        assert not os.path.exists(target)
+
+    def test_payload_crc32_covers_strings_then_section_crcs(self,
+                                                            pristine_v2):
+        model = load_model_v2(pristine_v2)
+        try:
+            strings = json.dumps(model.strings, sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")
+            crcs = [zlib.crc32(model.section(entry["name"]).tobytes())
+                    for entry in model.header["sections"]]
+            expected = zlib.crc32(
+                strings + struct.pack(f"<{len(crcs)}I", *crcs))
+            assert model.manifest["payload_crc32"] == expected & 0xFFFFFFFF
+        finally:
+            model.close()
+
+    def test_memory_engine_serves_the_saved_bytes(self, fitted,  # noqa: F811
+                                                  pristine_v2):
+        miner, result = fitted
+        memory = ModelQueryEngine.from_result(
+            result, config=miner._artifact_config())
+        disk = load_model_v2(pristine_v2)
+        try:
+            strings, table = disk.strings, disk.header["sections"]
+            sections = {name: view.tobytes()
+                        for name, view in disk.sections.items()}
+        finally:
+            disk.close()
+        assert memory.artifact_format == "v2"
+        assert memory.model.strings == strings
+        assert memory.model.header["sections"] == table
+        assert {name: view.tobytes() for name, view
+                in memory.model.sections.items()} == sections
+
+    def test_old_v2_schema_stamp_still_loads(self, fitted, pristine_v2,  # noqa: F811
+                                             tmp_path):
+        """A file stamped ``repro.serve/model/v2`` loads and answers
+        like the current stamp; its ``payload_crc32`` is not checked."""
+        with open(pristine_v2, "rb") as handle:
+            blob = handle.read()
+        _, header_len, _ = _PREAMBLE.unpack_from(blob, 0)
+        header = json.loads(
+            blob[_PREAMBLE.size:_PREAMBLE.size + header_len].decode())
+        assert header["schema"] == header["manifest"]["schema"] \
+            == MODEL_SCHEMA_V2
+        header["schema"] = header["manifest"]["schema"] = \
+            "repro.serve/model/v2"
+        digits = len(str(header["manifest"]["payload_crc32"]))
+        header["manifest"]["payload_crc32"] = 10 ** (digits - 1) + 7
+        old_header = json.dumps(header, sort_keys=True,
+                                separators=(",", ":")).encode()
+        assert len(old_header) == header_len
+        path = str(tmp_path / "old.rmv2")
+        with open(path, "wb") as handle:
+            handle.write(_PREAMBLE.pack(_MAGIC, header_len,
+                                        zlib.crc32(old_header) & 0xFFFFFFFF)
+                         + old_header + blob[_PREAMBLE.size + header_len:])
+        old = ModelQueryEngine(load_model(path))
+        current = ModelQueryEngine(load_model(pristine_v2))
+        try:
+            assert old.model.manifest["schema"] == "repro.serve/model/v2"
+            _, result = fitted
+            for topic in result.hierarchy.topics():
+                assert json.dumps(old.topic(topic.notation)) == \
+                    json.dumps(current.topic(topic.notation))
+            assert json.dumps(old.search_phrases("a", "substring")) == \
+                json.dumps(current.search_phrases("a", "substring"))
+            assert json.dumps(old.entity_roles("alice")) == \
+                json.dumps(current.entity_roles("alice"))
+        finally:
+            old.close()
+            current.close()
+
+    def test_v2_to_v1_migration_stamps_the_v1_crc(self, fitted,  # noqa: F811
+                                                  pristine_v2, tmp_path):
+        miner, result = fitted
+        v1_path = str(tmp_path / "back.json")
+        migrated = migrate_model(pristine_v2, v1_path, format="v1")
+        loaded = load_model(v1_path)  # verifies the v1 payload CRC
+        assert isinstance(loaded, ServedModel)
+        assert migrated["payload_crc32"] == zlib.crc32(
+            _canonical_payload(loaded.model)) & 0xFFFFFFFF
+        direct = miner.save_model(result, str(tmp_path / "direct.json"))
+        assert migrated["payload_crc32"] == direct["payload_crc32"]
+
+
 class TestMigration:
     def test_v1_to_v2_to_v1_is_lossless(self, fitted, tmp_path):  # noqa: F811
         miner, result = fitted
@@ -316,8 +448,13 @@ class TestMigration:
             after = json.load(handle)
         assert before["model"] == after["model"]
         assert before["manifest"] == after["manifest"]
-        assert original["payload_crc32"] == forward["payload_crc32"] \
-            == backward["payload_crc32"]
+        assert original["payload_crc32"] == backward["payload_crc32"]
+        mapped = load_model_v2(v2_path)
+        try:
+            assert model_document_from_mapped(mapped)["model"] \
+                == before["model"]
+        finally:
+            mapped.close()
 
     def test_migrated_artifact_answers_identically(self, fitted,  # noqa: F811
                                                    tmp_path):
