@@ -1,6 +1,7 @@
 """Serving-layer latency: cold loads, artifact formats, concurrency.
 
-Exports a model fitted on the synthetic DBLP corpus, then measures
+Exports a model fitted on the synthetic DBLP corpus (as v2, the format
+every save writes), then measures
 
 * cold start: ``load_model`` + index build + first ``top_phrases`` query,
 * warm path: the same query answered from the engine's LRU cache,
@@ -10,7 +11,8 @@ Exports a model fitted on the synthetic DBLP corpus, then measures
   ``serve.http.latency`` quantile sketch as scraped from ``/metrics``
   in Prometheus text format,
 * v1 vs v2 cold load on a deliberately large synthetic model — the v2
-  zero-copy path must amortize the JSON parse away,
+  zero-copy path must amortize the JSON parse away (the v1 file is the
+  legacy JSON export, ``migrate_model(..., format="v1")``),
 * concurrent p99 against the threaded and asyncio servers under a
   multi-threaded client, one keep-alive connection per thread
   (recorded, not asserted: absolute numbers are machine-dependent).
@@ -32,7 +34,8 @@ import zlib
 import repro
 from repro.core import LatentEntityMiner, MinerConfig
 from repro.serve import (ModelAsyncServer, ModelQueryEngine, ModelServer,
-                         load_model, save_model_document, vocabulary_hash)
+                         load_model, migrate_model, save_model_document,
+                         vocabulary_hash)
 
 from conftest import fmt_row, report
 
@@ -132,7 +135,7 @@ def test_serve_cold_vs_warm(benchmark, dblp, tmp_path):
     miner = LatentEntityMiner(MinerConfig(num_children=3, max_depth=1),
                               seed=0)
     result = miner.fit(dblp.corpus)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.rmv2")
     miner.save_model(result, path)
 
     def cold():
@@ -207,8 +210,8 @@ def test_serve_cold_load_v1_vs_v2(benchmark, tmp_path):
     document = synthetic_document()
     v1_path = str(tmp_path / "model.json")
     v2_path = str(tmp_path / "model.rmv2")
-    save_model_document(document, v1_path)
     save_model_document(document, v2_path, format="v2")
+    migrate_model(v2_path, v1_path, format="v1")
     v1_bytes = os.path.getsize(v1_path)
     v2_bytes = os.path.getsize(v2_path)
 

@@ -11,10 +11,10 @@ Commands:
   the predictions (with accuracy when ground truth is available).
 * ``strod`` — run moment-based topic discovery and print topic words.
 * ``export-model`` — fit the full pipeline and persist the result as a
-  versioned model artifact (``--format v1`` canonical JSON or
-  ``--format v2`` zero-copy mmap binary).
+  v2 model artifact (zero-copy mmap binary sections).
 * ``migrate-model`` — re-encode an existing artifact in another format,
-  losslessly (the manifest fingerprints carry over).
+  losslessly (the manifest fingerprints carry over); ``--to v1`` is the
+  one command that writes a model as JSON.
 * ``ingest`` — append a JSONL batch of raw documents to a streaming
   shard store, fold it into the incremental moment sketch, and (per
   ``--refit-policy``) re-infer and export a fresh artifact (see
@@ -153,10 +153,10 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def _cmd_export_model(args: argparse.Namespace) -> int:
     miner, _, result = _fit_pipeline(args)
-    manifest = miner.save_model(result, args.output, format=args.format)
+    manifest = miner.save_model(result, args.output)
     print(f"exported {manifest['num_topics']} topics "
           f"({manifest['vocab_size']} terms, repro "
-          f"{manifest['repro_version']}, format {args.format}) "
+          f"{manifest['repro_version']}, {manifest['schema']}) "
           f"-> {args.output}")
     return 0
 
@@ -201,8 +201,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                              min_documents=args.min_documents),
         seed=args.seed,
         dirty_threshold=args.dirty_threshold,
-        export_path=args.export,
-        export_format=args.format)
+        export_path=args.export)
     store = ShardStore(args.shard_dir)
     # The pipeline checkpoint lives inside the shard dir, so repeated
     # `repro ingest` invocations accumulate onto one stream.
@@ -419,16 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=obs_parent)
     _add_dataset_argument(export)
     export.add_argument("--output", "-o", required=True, metavar="PATH",
-                        help="where to write the model artifact "
+                        help="where to write the v2 model artifact "
                              "(atomic write)")
     export.add_argument("--children", default="6,3",
                         help="children per level, comma separated")
     export.add_argument("--weights", default="learn",
                         choices=["equal", "norm", "learn"])
     export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--format", default="v1", choices=["v1", "v2"],
-                        help="artifact format: v1 (canonical JSON) or "
-                             "v2 (zero-copy mmap binary sections)")
     export.set_defaults(func=_cmd_export_model)
 
     migrate = sub.add_parser(
@@ -439,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--output", "-o", required=True, metavar="PATH",
                          help="where to write the re-encoded artifact")
     migrate.add_argument("--to", default="v2", choices=["v1", "v2"],
-                         help="destination format (default: v2)")
+                         help="destination format: v2 (default) or v1 "
+                              "(legacy canonical JSON)")
     # Pure file transformation: default the shared run flags away.
     migrate.set_defaults(func=_cmd_migrate_model, workers=None,
                          report=None, trace=None, profile=None,
@@ -463,10 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="when to re-infer: on drift (default), on "
                              "every batch, or never (sketch-only)")
     ingest.add_argument("--export", "-o", default=None, metavar="PATH",
-                        help="model artifact rewritten after every "
+                        help="v2 model artifact rewritten after every "
                              "refit (the file 'repro serve' hot-reloads)")
-    ingest.add_argument("--format", default="v2", choices=["v1", "v2"],
-                        help="export artifact format (default: v2)")
     ingest.add_argument("--children", type=int, default=4,
                         help="subtopics per tree node")
     ingest.add_argument("--depth", type=int, default=2,

@@ -47,7 +47,6 @@ __all__ = [
     "MOMENT_SKETCH_V1",
     "PROFILE_V1",
     "REGISTRY",
-    "RUN_REPORT_V1",
     "RUN_REPORT_V2",
     "SHARD_DIR_V1",
     "SHARD_V1",
@@ -139,12 +138,6 @@ CHECKPOINT_V1 = _register(
     owner="repro.resilience.checkpoint",
     loader="repro.resilience.checkpoint:load_checkpoint",
     title="CRC-framed solver checkpoint with config fingerprint guard")
-
-RUN_REPORT_V1 = _register(
-    "repro.obs/run-report/v1",
-    owner="repro.obs.report",
-    loader="repro.obs.report:upgrade_report",
-    title="run telemetry report, v1 (upgraded to v2 by the loader shim)")
 
 RUN_REPORT_V2 = _register(
     "repro.obs/run-report/v2",

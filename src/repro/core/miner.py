@@ -162,16 +162,21 @@ class LatentEntityMiner:
 
     # ------------------------------------------------------------ artifacts
     def save_model(self, result: MiningResult, path: str,
-                   format: str = "v1") -> Dict[str, object]:
-        """Export ``result`` as a versioned model artifact.
+                   format: str = "v2") -> Dict[str, object]:
+        """Export ``result`` as a v2 model artifact.
 
         The artifact carries everything the read path needs — the topic
-        tree, phrase rankings, and entity role tables — plus a manifest
-        fingerprinting this miner's configuration and the corpus
-        vocabulary, so :meth:`load_model` can reject mismatched or
-        corrupted files.  ``format`` picks the on-disk representation:
-        ``"v1"`` (canonical JSON) or ``"v2"`` (zero-copy memory-mappable
-        binary sections).  The write is atomic.  Returns the manifest.
+        tree, phrase rankings, and entity role tables, in memory-mappable
+        binary sections — plus a manifest fingerprinting this miner's
+        configuration and the corpus vocabulary, so :meth:`load_model`
+        can reject mismatched or corrupted files.  v2 is the only format
+        a save writes (``format`` accepts ``"v2"`` alone); ``repro
+        migrate-model --to v1`` re-encodes a saved artifact as JSON.
+        The write is atomic.  Returns the manifest.
+
+        Raises:
+            ConfigurationError: ``format`` is not ``"v2"``.
+            DataError: the model holds a non-finite float.
         """
         from ..serve import save_model as _save_model
 
@@ -182,11 +187,12 @@ class LatentEntityMiner:
     def load_model(path: str):
         """Load a model artifact written by :meth:`save_model`.
 
-        The format is sniffed from the file: a v1 artifact returns a
-        :class:`~repro.serve.ServedModel`, a v2 artifact a memory-mapped
-        :class:`~repro.serve.MappedModel` (call its ``close()`` when
-        done).  Wrap either in a :class:`~repro.serve.ModelQueryEngine`
-        (or ``repro serve``) to answer queries without re-running EM.
+        The format is sniffed from the file: a v2 artifact returns a
+        memory-mapped :class:`~repro.serve.MappedModel` (call its
+        ``close()`` when done), and a legacy v1 JSON artifact a
+        :class:`~repro.serve.ServedModel`.  Wrap either in a
+        :class:`~repro.serve.ModelQueryEngine` (or ``repro serve``) to
+        answer queries without re-running EM.
 
         Raises:
             DataError: corrupt, truncated, or schema-mismatched artifact.

@@ -55,10 +55,9 @@ from .registry import (MetricsRegistry, QuantileSketch, TimerStats,
                        get_registry, inc, is_enabled, observe,
                        reset_metrics, set_enabled, set_gauge, timed,
                        timed_function)
-from .report import (REPORT_SCHEMA, REPORT_SCHEMA_V1, build_run_report,
-                     cache_ratios,
-                     get_report_path, set_report_path, upgrade_report,
-                     validate_report, write_report)
+from .report import (REPORT_SCHEMA, build_run_report, cache_ratios,
+                     get_report_path, set_report_path, validate_report,
+                     write_report)
 from .spans import (SpanHandle, clear_spans, current_span_id,
                     current_trace_id, from_chrome_trace, get_spans,
                     merge_spans, reset_spans, self_times,
@@ -76,7 +75,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "QuantileSketch",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
     "SpanHandle",
     "TimerStats",
     "apply_observability_state",
@@ -128,7 +126,6 @@ __all__ = [
     "to_chrome_trace",
     "top_spans",
     "trace",
-    "upgrade_report",
     "validate_profile_report",
     "validate_report",
     "write_profile_report",

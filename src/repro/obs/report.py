@@ -31,9 +31,8 @@ name) and exists so report consumers need no knowledge of the registry.
 that follows the naming convention (the ToPMine merge-significance LRU,
 serving query caches) reports effectiveness without report-layer code
 knowing it exists.
-v2 added ``resources`` and ``top_spans``; v1 reports (without them) are
-still accepted by :func:`validate_report` and upgraded in place by
-:func:`upgrade_report`, so stored ``BENCH_*.json`` history keeps loading.
+v2 added ``resources`` and ``top_spans``; :func:`validate_report`
+rejects a v1 report (without them) as an unsupported schema.
 
 Run ``python -m repro.obs.report <path>`` to validate a report file.
 """
@@ -44,25 +43,22 @@ import json
 import time
 from typing import Any, Dict, List, Optional
 
-from ..contracts import RUN_REPORT_V1, RUN_REPORT_V2
+from ..contracts import RUN_REPORT_V2
 from ..errors import DataError
 from .registry import get_registry
 from .tracer import get_traces
 
 __all__ = [
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
     "build_run_report",
     "cache_ratios",
     "get_report_path",
     "set_report_path",
-    "upgrade_report",
     "validate_report",
     "write_report",
 ]
 
 REPORT_SCHEMA = RUN_REPORT_V2
-REPORT_SCHEMA_V1 = RUN_REPORT_V1
 
 _REPORT_PATH: Optional[str] = None
 
@@ -157,42 +153,15 @@ def write_report(report: Dict[str, Any], path: str) -> None:
                       trailing_newline=True)
 
 
-def upgrade_report(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Upgrade a v1 report to the v2 shape, in place (loader shim).
-
-    v1 reports predate ``resources`` and ``top_spans``; the shim fills
-    both with empty-run values and bumps the schema tag, so one loader
-    code path serves old ``BENCH_*.json`` history and fresh runs alike.
-    v2 (and newer-tagged) documents pass through untouched.
-    """
-    if not isinstance(data, dict):
-        return data
-    if data.get("schema") == REPORT_SCHEMA_V1:
-        data["schema"] = REPORT_SCHEMA
-        data.setdefault("resources",
-                        {"peak_rss_bytes": 0, "cpu_time_s": 0.0})
-        data.setdefault("top_spans", [])
-    if data.get("schema") == REPORT_SCHEMA and "cache_ratios" not in data:
-        # Derived section added mid-v2; recompute from stored counters.
-        counters = data.get("metrics", {}).get("counters", {})
-        data["cache_ratios"] = cache_ratios(
-            counters if isinstance(counters, dict) else {})
-    return data
-
-
 def validate_report(data: Dict[str, Any]) -> None:
-    """Check ``data`` against the documented run-report schema.
-
-    Both the current v2 schema and legacy v1 documents (validated after
-    the :func:`upgrade_report` shim) are accepted.
+    """Check ``data`` against the documented run-report schema (v2).
 
     Raises:
-        DataError: on any structural mismatch, with a one-line reason.
+        DataError: on any structural mismatch, with a one-line reason;
+            any other schema, v1 included, is unsupported.
     """
     if not isinstance(data, dict):
         raise DataError("run report must be a JSON object")
-    if data.get("schema") == REPORT_SCHEMA_V1:
-        data = upgrade_report(dict(data))
     if data.get("schema") != REPORT_SCHEMA:
         raise DataError(f"unsupported report schema: {data.get('schema')!r}")
     resources = data.get("resources")

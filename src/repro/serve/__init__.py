@@ -1,21 +1,23 @@
 """repro.serve — the read path: artifacts, query engine, HTTP servers.
 
 Three layers turn a fitted :class:`~repro.core.MiningResult` into
-something millions of users can query without re-running EM:
+answers to topic, phrase and entity queries without re-running EM:
 
-* **artifacts**: the versioned on-disk formats — v1
-  (:mod:`repro.serve.artifact`), one canonical JSON document, and v2
-  (:mod:`repro.serve.artifact_v2`), the same manifest and fingerprint
+* **artifacts**: one writer.  Every save — a fit, a v1 document, a
+  stream refit — packs the model's parts into the v2 format
+  (:mod:`repro.serve.artifact_v2`): the manifest and fingerprint
   contract with the numeric payload in aligned memory-mappable binary
   sections (zero-copy load, one page-cache copy shared across N server
-  processes), packed straight from the fitted hierarchy and role table.
-  Both formats are written atomically and reject corrupt or mismatched
-  files with typed errors; :func:`load_model` sniffs the format;
+  processes), written atomically.  The earlier v1 format, one canonical
+  JSON document (:mod:`repro.serve.artifact`), is read as a legacy
+  format and written only by ``repro migrate-model --to v1``.
+  :func:`load_model` sniffs the format, and both reject corrupt or
+  mismatched files with typed errors;
 * the **query engine** (:mod:`repro.serve.engine`): read-optimized
   lookups over one v2 blob behind an LRU result cache with hit/miss
-  metrics — a v1 document or an in-memory fit is packed into the bytes
-  the v2 writer would save — with an optional hash-sharded phrase index
-  for fan-out search;
+  metrics — a legacy v1 document or an in-memory fit is packed into the
+  bytes the writer would save — with an optional hash-sharded phrase
+  index for fan-out search;
 * the **servers**: a pure-stdlib threaded HTTP server
   (:mod:`repro.serve.http`) and an asyncio server
   (:mod:`repro.serve.aio`) with concurrent batch and sharded-search
@@ -29,8 +31,7 @@ Surfaced on the facade as :meth:`~repro.core.LatentEntityMiner.save_model`
 """
 
 from .aio import ModelAsyncServer
-from .artifact import (ARTIFACT_FORMATS, MODEL_SCHEMA, ServedModel,
-                       build_model_document, load_model, migrate_model,
+from .artifact import (MODEL_SCHEMA, ServedModel, load_model, migrate_model,
                        save_model, save_model_document, vocabulary_hash)
 from .artifact_v2 import (MODEL_SCHEMA_V2, MappedModel, load_model_v2,
                           model_document_from_mapped)
@@ -38,7 +39,6 @@ from .engine import ModelQueryEngine
 from .http import ModelServer
 
 __all__ = [
-    "ARTIFACT_FORMATS",
     "MODEL_SCHEMA",
     "MODEL_SCHEMA_V2",
     "MappedModel",
@@ -46,7 +46,6 @@ __all__ = [
     "ModelQueryEngine",
     "ModelServer",
     "ServedModel",
-    "build_model_document",
     "load_model",
     "load_model_v2",
     "migrate_model",

@@ -1,14 +1,18 @@
-"""Versioned model artifacts: the ``repro.serve/model/v1`` format.
+"""Model artifacts: the one save path, and the legacy v1 JSON read.
 
 A fitted :class:`~repro.core.MiningResult` dies with the process unless
-it is persisted.  This module defines the read-path artifact: one JSON
-document, written atomically (:mod:`repro.resilience.atomic`), holding
-everything the query engine needs to answer the paper's end-user
+it is persisted.  Every save goes through one writer:
+:func:`save_model` and :func:`save_model_document` turn a model into
+its :class:`ModelParts` and pack them into the v2 binary artifact
+(schema ``repro.serve/model/v3``; :mod:`repro.serve.artifact_v2`),
+written atomically (:mod:`repro.resilience.atomic`).  The artifact
+holds everything the query engine needs to answer the paper's end-user
 queries — the topic tree with per-node ranking distributions
 (Chapter 3), ranked topical phrases (Chapter 4), and entity topical
 roles (Chapter 5) — without the corpus, the networks, or a re-run of EM.
 
-Layout::
+The earlier ``repro.serve/model/v1`` format is one canonical JSON
+document::
 
     {"schema": "repro.serve/model/v1",
      "manifest": {"schema": ..., "created_unix": ..., "repro_version": ...,
@@ -21,29 +25,21 @@ Layout::
                "hierarchy": {<topic record>},   # recursive
                "entity_roles": {etype: {entity: {notation: freq}}}}}
 
-Every load re-derives ``payload_crc32`` and ``vocab_hash`` and compares
-them against the manifest, so a truncated file, a bit-flipped payload,
-or a manifest grafted onto the wrong model is rejected with a typed
-:class:`~repro.errors.DataError` instead of serving garbage.
+No save writes it.  It has two roles:
 
-The canonical JSON form (sorted keys, no whitespace) makes the CRC
-stable across save/load cycles: Python's shortest-repr float encoding
-round-trips exactly, so re-encoding a parsed payload reproduces the
-bytes that were hashed at save time.  Canonical encoding is strict
-(``allow_nan=False``): a model containing a NaN or infinite weight is
-rejected with a typed :class:`~repro.errors.DataError` at *save* time —
-the non-standard ``NaN``/``Infinity`` tokens Python would otherwise
-emit cannot be re-parsed by a conforming JSON parser, so such an
-artifact's CRC could never be re-verified.
+* a legacy read: :func:`load_model` sniffs the file, re-derives
+  ``payload_crc32`` and ``vocab_hash`` and compares them against the
+  manifest, and returns a :class:`ServedModel`, which the query engine
+  packs into the v2 blob in memory;
+* one export: :func:`migrate_model` with ``format="v1"`` (``repro
+  migrate-model --to v1``) decodes a v2 artifact and writes the JSON
+  document, for tools that want JSON.
 
-``save_model`` / ``load_model`` additionally speak the v2 zero-copy
-binary format (``format="v2"``, schema ``repro.serve/model/v3``; see
-:mod:`repro.serve.artifact_v2`): saves dispatch on the ``format``
-argument and loads sniff the file, so a v2 artifact loads through the
-same entry point with full v1 read compatibility.  Both writers consume
-one :class:`ModelParts` (vocabulary, hierarchy, role table, manifest);
-the v2 writer packs its sections from the parts directly and never
-builds the v1 document.
+A truncated file, a bit-flipped payload, or a manifest grafted onto the
+wrong model is rejected with a typed :class:`~repro.errors.DataError`
+instead of serving garbage.  The payload CRC covers
+:func:`~repro.serve.artifact_v2.canonical_json`, the one canonical
+encoder of both formats.
 """
 
 from __future__ import annotations
@@ -61,14 +57,15 @@ from ..hierarchy import Topic, TopicalHierarchy
 from ..obs import get_logger, timed
 from ..resilience import (atomic_write_bytes, atomic_write_json,
                           config_fingerprint)
+from .artifact_v2 import (_MAGIC, MappedModel, canonical_json,
+                          load_model_v2, model_document_from_mapped,
+                          pack_model)
 
 __all__ = [
-    "ARTIFACT_FORMATS",
     "MODEL_SCHEMA",
     "ModelParts",
     "ServedModel",
-    "build_document_from_parts",
-    "build_model_document",
+    "check_artifact_format",
     "load_model",
     "migrate_model",
     "model_parts",
@@ -79,10 +76,9 @@ __all__ = [
     "vocabulary_hash",
 ]
 
+#: The legacy JSON schema: read by :func:`load_model`, written only by
+#: the v1 export of :func:`migrate_model`.
 MODEL_SCHEMA = MODEL_V1
-
-#: On-disk formats ``save_model`` / ``repro export-model`` can emit.
-ARTIFACT_FORMATS = ("v1", "v2")
 
 #: Manifest fields whose absence makes an artifact unusable.
 _REQUIRED_MANIFEST = ("schema", "created_unix", "repro_version", "config",
@@ -107,37 +103,18 @@ def vocabulary_hash(words: Iterable[str]) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _canonical_payload(model: Dict[str, Any]) -> bytes:
-    """The byte form of the model object that ``payload_crc32`` covers.
+def check_artifact_format(format: str) -> None:
+    """Refuse every save format but ``"v2"``.
 
-    Strict floats only: Python's default encoder would emit the
-    non-standard ``NaN``/``Infinity`` tokens for non-finite weights,
-    producing an artifact no conforming JSON parser can re-verify — so
-    a model carrying one is rejected with a typed error instead.
+    Raises:
+        ConfigurationError: ``format`` is not ``"v2"``; v1 JSON comes
+            only from ``repro migrate-model --to v1``.
     """
-    try:
-        return json.dumps(model, sort_keys=True, allow_nan=False,
-                          separators=(",", ":")).encode("utf-8")
-    except ValueError as exc:
-        raise DataError(
-            f"model payload contains a non-finite float (NaN/Infinity), "
-            f"which has no canonical JSON form and would make the "
-            f"artifact CRC unverifiable: {exc}") from exc
-
-
-def _topic_record(topic: Topic) -> Dict[str, Any]:
-    """One topic node as plain data (the subnetwork handle is dropped)."""
-    return {
-        "path": list(topic.path),
-        "notation": topic.notation,
-        "rho": float(topic.rho),
-        "phi": {node_type: {name: float(p) for name, p in dist.items()}
-                for node_type, dist in topic.phi.items()},
-        "phrases": [[phrase, float(score)] for phrase, score in topic.phrases],
-        "entity_ranks": {etype: [[name, float(score)] for name, score in ranks]
-                         for etype, ranks in topic.entity_ranks.items()},
-        "children": [_topic_record(child) for child in topic.children],
-    }
+    if format != "v2":
+        raise ConfigurationError(
+            f"unsupported artifact format {format!r}: models are saved "
+            f"as v2 only; for v1 JSON, run 'repro migrate-model --to v1' "
+            f"on the saved artifact")
 
 
 def _topic_from_record(record: Dict[str, Any]) -> Topic:
@@ -158,14 +135,14 @@ def _topic_from_record(record: Dict[str, Any]) -> Topic:
 
 @dataclass
 class ModelParts:
-    """A model before encoding: what both artifact writers consume.
+    """A model before encoding: what the v2 writer consumes.
 
     Attributes:
         vocabulary: the words, ids positional.
         hierarchy: the topic tree with phi, phrases and entity ranks.
         entity_roles: ``{etype: {entity: {topic notation: f_t(E)}}}``.
-        manifest: every manifest field, in v1 order; each writer stamps
-            ``schema`` and ``payload_crc32`` for its own format.
+        manifest: every manifest field; the writer stamps ``schema`` and
+            ``payload_crc32``.
     """
 
     vocabulary: List[str]
@@ -183,7 +160,7 @@ def model_parts(vocabulary: Iterable[str], hierarchy: TopicalHierarchy,
 
     The incremental path (:mod:`repro.stream`) produces a hierarchy and
     role table without ever holding a :class:`~repro.core.MiningResult`,
-    so the writers have to accept the pieces directly.
+    so the writer has to accept the pieces directly.
     ``extra_manifest`` entries (e.g. a ``model_version`` counter) are
     merged into the manifest; they may not shadow the required fields.
     """
@@ -223,50 +200,9 @@ def parts_of_result(result, config: Optional[Dict[str, Any]] = None,
                        num_documents=len(corpus), config=config)
 
 
-def _v1_document(parts: ModelParts) -> Dict[str, Any]:
-    """Encode parts as a v1 document, fully JSON-normalized (every tuple
-    already a list), so an engine built from it answers byte-identically
-    to one built from the document read back off disk."""
-    model = json.loads(_canonical_payload({
-        "vocabulary": list(parts.vocabulary),
-        "hierarchy": _topic_record(parts.hierarchy.root),
-        "entity_roles": parts.entity_roles,
-    }).decode("utf-8"))
-    manifest = dict(parts.manifest)
-    manifest.update(schema=MODEL_SCHEMA, payload_crc32=zlib.crc32(
-        _canonical_payload(model)) & 0xFFFFFFFF)
-    return {"schema": MODEL_SCHEMA, "manifest": manifest, "model": model}
-
-
-def build_document_from_parts(
-        vocabulary: List[str],
-        hierarchy: TopicalHierarchy,
-        entity_roles: EntityRoles,
-        num_documents: int,
-        config: Optional[Dict[str, Any]] = None,
-        extra_manifest: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """A v1 model document from its already-computed pieces (the
-    arguments of :func:`model_parts`)."""
-    return _v1_document(model_parts(vocabulary, hierarchy, entity_roles,
-                                    num_documents, config, extra_manifest))
-
-
-def build_model_document(result, config: Optional[Dict[str, Any]] = None,
-                         ) -> Dict[str, Any]:
-    """Serialize a fitted :class:`~repro.core.MiningResult` to a v1
-    document.
-
-    Args:
-        result: the fitted mining result to persist.
-        config: plain-data fingerprint of the configuration that produced
-            it (stored in the manifest for traceability).
-    """
-    return _v1_document(parts_of_result(result, config))
-
-
 @dataclass
 class ServedModel:
-    """A loaded (or freshly built) v1 model artifact, ready to query.
+    """A legacy v1 model document, ready to query.
 
     Attributes:
         manifest: the artifact manifest (schema, fingerprints, metadata).
@@ -300,13 +236,6 @@ class ServedModel:
         return ModelParts(list(self.vocabulary), self.hierarchy(),
                           self.entity_roles, dict(self.manifest))
 
-    @classmethod
-    def from_result(cls, result,
-                    config: Optional[Dict[str, Any]] = None) -> "ServedModel":
-        """Wrap a fitted result without touching the filesystem."""
-        document = build_model_document(result, config=config)
-        return cls(manifest=document["manifest"], model=document["model"])
-
 
 def parts_from_document(document: Dict[str, Any]) -> ModelParts:
     """The parts a v1 model document encodes, once its own payload CRC
@@ -317,7 +246,7 @@ def parts_from_document(document: Dict[str, Any]) -> ModelParts:
             match the manifest's ``payload_crc32``.
     """
     model, manifest = document["model"], document["manifest"]
-    crc = zlib.crc32(_canonical_payload(model)) & 0xFFFFFFFF
+    crc = zlib.crc32(canonical_json(model)) & 0xFFFFFFFF
     if crc != manifest.get("payload_crc32"):
         raise DataError(f"model document is corrupted (payload checksum "
                         f"mismatch: {crc} != "
@@ -326,29 +255,21 @@ def parts_from_document(document: Dict[str, Any]) -> ModelParts:
 
 
 def save_model_document(document: Union[Dict[str, Any], ModelParts],
-                        path: str, format: str = "v1") -> Dict[str, Any]:
-    """Write a model in the requested format, atomically.
+                        path: str, format: str = "v2") -> Dict[str, Any]:
+    """Write a model as a v2 artifact, atomically.
 
-    ``document`` is a v1 model document (:func:`build_model_document`)
-    or a model's :class:`ModelParts`.  ``format="v1"`` writes the
-    canonical JSON artifact (a document as it is); ``format="v2"``
-    writes the zero-copy binary artifact
-    (:mod:`repro.serve.artifact_v2`), from a document only after its
-    payload CRC checks out.  Both writes are atomic (temp file +
-    rename): a crash mid-export leaves any previous artifact at
-    ``path`` intact.  Returns the manifest as written.
+    ``document`` is a model's :class:`ModelParts` or a v1 model
+    document, which is packed only after its payload CRC checks out.
+    The write is atomic (temp file + rename): a crash mid-export leaves
+    any previous artifact at ``path`` intact.  ``format`` must be
+    ``"v2"``.  Returns the manifest as written.
+
+    Raises:
+        ConfigurationError: any other ``format``.
+        DataError: a non-finite float, or a v1 document whose payload
+            does not match its CRC.  No file is written.
     """
-    if format not in ARTIFACT_FORMATS:
-        raise ConfigurationError(
-            f"unsupported artifact format {format!r} "
-            f"(one of {ARTIFACT_FORMATS})")
-    if format == "v1":
-        if isinstance(document, ModelParts):
-            document = _v1_document(document)
-        atomic_write_json(path, document, indent=2, trailing_newline=True)
-        return document["manifest"]
-    from .artifact_v2 import pack_model
-
+    check_artifact_format(format)
     parts = (document if isinstance(document, ModelParts)
              else parts_from_document(document))
     with timed("serve.export_v2"):
@@ -360,35 +281,28 @@ def save_model_document(document: Union[Dict[str, Any], ModelParts],
 
 
 def save_model(result, path: str, config: Optional[Dict[str, Any]] = None,
-               format: str = "v1") -> Dict[str, Any]:
-    """Persist a fitted result as a versioned model artifact.
-
-    ``format`` selects the on-disk representation: ``"v1"`` (canonical
-    JSON, the default) or ``"v2"`` (memory-mappable packed binary
-    sections, written straight from the result's parts).  The write is
-    atomic either way.  Returns the manifest.
-    """
+               format: str = "v2") -> Dict[str, Any]:
+    """Persist a fitted result as a v2 model artifact, packed straight
+    from the result's parts (``format`` must be ``"v2"``).  The write is
+    atomic.  Returns the manifest."""
     with timed("serve.export"):
-        manifest = save_model_document(parts_of_result(result, config),
-                                       path, format=format)
-    logger.info("exported model artifact (%d topics, format %s) -> %s",
-                manifest["num_topics"], format, path)
-    return manifest
+        return save_model_document(parts_of_result(result, config), path,
+                                   format=format)
 
 
 def migrate_model(source: str, destination: str,
                   format: str = "v2") -> Dict[str, Any]:
     """Re-encode an existing artifact in another format, losslessly.
 
-    The source format is sniffed (v1 JSON or v2 binary) and the full v1
-    document is materialized; its payload CRC is checked and it is
-    written as ``format``.  A v1 destination is stamped with the CRC of
-    its canonical v1 payload and a v2 one with the section CRC, so the
-    destination verifies on load; every other manifest field carries
-    over.  Returns the destination manifest.
+    The source format is sniffed (v1 JSON or v2 binary) and decoded to
+    its v1 document, whose payload CRC is checked on the way.
+    ``format="v1"`` writes that document as JSON — the only writer of
+    v1 files — stamped with the CRC of its canonical payload;
+    ``format="v2"`` saves it through :func:`save_model_document`.
+    Either destination verifies on load, and every other manifest field
+    carries over.  Both writes are atomic.  Returns the destination
+    manifest.
     """
-    from .artifact_v2 import MappedModel, model_document_from_mapped
-
     with timed("serve.migrate"):
         model = load_model(source)
         if isinstance(model, MappedModel):
@@ -399,8 +313,13 @@ def migrate_model(source: str, destination: str,
         else:
             document = {"schema": MODEL_SCHEMA, "manifest": model.manifest,
                         "model": model.model}
-        manifest = save_model_document(document, destination,
-                                       format=format)
+        if format == "v1":
+            atomic_write_json(destination, document, indent=2,
+                              trailing_newline=True)
+            manifest = document["manifest"]
+        else:
+            manifest = save_model_document(document, destination,
+                                           format=format)
     logger.info("migrated model artifact %s -> %s (format %s)", source,
                 destination, format)
     return manifest
@@ -419,14 +338,14 @@ def _validate_manifest(manifest: Any, path: str) -> Dict[str, Any]:
 
 
 def load_model(path: str, verify_sections: bool = True):
-    """Read and verify a model artifact written by :func:`save_model`.
+    """Read and verify a model artifact.
 
-    The format is sniffed from the file: a v2 binary artifact is
-    memory-mapped (returning a
-    :class:`~repro.serve.artifact_v2.MappedModel`; ``verify_sections``
-    controls its CRC sweep), anything else is parsed as the v1 JSON
-    artifact (returning a :class:`ServedModel`).  Both answer queries
-    identically through :class:`~repro.serve.ModelQueryEngine`.
+    The format is sniffed from the file: a v2 binary artifact (what
+    :func:`save_model` writes) is memory-mapped, returning a
+    :class:`~repro.serve.artifact_v2.MappedModel` (``verify_sections``
+    controls its CRC sweep); anything else is parsed as a legacy v1
+    JSON artifact, returning a :class:`ServedModel`.  Both answer
+    queries identically through :class:`~repro.serve.ModelQueryEngine`.
 
     Raises:
         DataError: when the file is not a model artifact, is truncated or
@@ -435,8 +354,6 @@ def load_model(path: str, verify_sections: bool = True):
             vocabulary hash does not match the stored vocabulary.
         OSError: when the file cannot be read at all.
     """
-    from .artifact_v2 import _MAGIC, load_model_v2
-
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
     if magic == _MAGIC:
@@ -462,7 +379,7 @@ def load_model(path: str, verify_sections: bool = True):
         for key in ("vocabulary", "hierarchy", "entity_roles"):
             if key not in model:
                 raise DataError(f"{path}: model payload missing {key!r}")
-        crc = zlib.crc32(_canonical_payload(model)) & 0xFFFFFFFF
+        crc = zlib.crc32(canonical_json(model)) & 0xFFFFFFFF
         if crc != manifest["payload_crc32"]:
             raise DataError(f"{path} is corrupted (payload checksum "
                             f"mismatch: {crc} != "

@@ -1,7 +1,7 @@
-"""Zero-copy model artifacts: the v2 binary format.
+"""Zero-copy model artifacts: the v2 binary format every save writes.
 
-The v1 artifact (:mod:`repro.serve.artifact`) is one canonical JSON
-document: loading it parses every float of every topic-word
+The legacy v1 artifact (:mod:`repro.serve.artifact`) is one canonical
+JSON document: loading it parses every float of every topic-word
 distribution, phrase ranking, and entity role table into fresh Python
 objects, per process.  For a large model served by N workers that is N
 full parses and N private heap copies of the same numbers.
@@ -65,6 +65,11 @@ recomputes the header CRC, every section CRC, the vocabulary hash and
 ``payload_crc32`` from what it parsed.  In-memory engines serve that
 reparsed blob, so disk, memory and HTTP answer from the same bytes.
 
+:func:`canonical_json` is the one canonical JSON encoder of both
+formats: the v2 header and string-table CRC here, and the v1 payload
+CRC that :mod:`repro.serve.artifact` verifies on load and
+:func:`model_document_from_mapped` stamps on the v1 export.
+
 Files stamped with the earlier ``repro.serve/model/v2`` schema have the
 same layout and still load; their ``payload_crc32`` is the CRC32 of the
 canonical v1 JSON payload, which no reader verifies.
@@ -92,6 +97,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MODEL_SCHEMA_V2",
     "MappedModel",
+    "canonical_json",
     "load_model_v2",
     "model_document_from_mapped",
     "pack_model",
@@ -119,8 +125,14 @@ logger = get_logger("serve.artifact_v2")
 _Section = Tuple[str, np.ndarray]
 
 
-def _canonical(obj: Any) -> bytes:
-    """Canonical JSON bytes (sorted keys, compact, strict floats)."""
+def canonical_json(obj: Any) -> bytes:
+    """Canonical JSON bytes (sorted keys, compact, strict floats): the
+    form every JSON CRC of both artifact formats covers.
+
+    Raises:
+        DataError: ``obj`` holds a NaN or infinite float, which has no
+            JSON form a conforming parser could read back.
+    """
     try:
         return json.dumps(obj, sort_keys=True, allow_nan=False,
                           separators=(",", ":")).encode("utf-8")
@@ -275,7 +287,7 @@ def pack_model(parts: "ModelParts") -> Tuple[bytes, "MappedModel"]:
     _require_finite("rho", np.array([meta["rho"] for meta in topics_meta]))
 
     # ------------------------------------------------------ assembly
-    strings_json = _canonical({
+    strings_json = canonical_json({
         "vocabulary": list(parts.vocabulary),
         "phrases": phrase_names,
         "phi_names": phi_names,
@@ -302,8 +314,8 @@ def _assemble(manifest: Dict[str, Any], strings_json: bytes,
     sections, strings: it is written around the string tables, which
     are encoded once rather than once per layout pass.
     """
-    head = (b'{"manifest":' + _canonical(manifest) + b',"schema":'
-            + _canonical(MODEL_SCHEMA_V2) + b',"sections":')
+    head = (b'{"manifest":' + canonical_json(manifest) + b',"schema":'
+            + canonical_json(MODEL_SCHEMA_V2) + b',"sections":')
     tail = b',"strings":' + strings_json + b"}"
 
     def layout(header_len: int) -> List[Dict[str, Any]]:
@@ -320,7 +332,7 @@ def _assemble(manifest: Dict[str, Any], strings_json: bytes,
     header = b""
     for _ in range(8):
         table = layout(header_len)
-        header = head + _canonical(table) + tail
+        header = head + canonical_json(table) + tail
         if len(header) == header_len:
             break
         header_len = len(header)
@@ -350,7 +362,7 @@ def _reparsed(blob: bytes) -> "MappedModel":
     """
     model = _mapped_from_blob(blob, path="<in-memory>")
     table = model.header["sections"]
-    crc = _payload_crc32(_canonical(model.strings),
+    crc = _payload_crc32(canonical_json(model.strings),
                          [entry["crc32"] for entry in table])
     if crc != model.manifest["payload_crc32"]:
         raise DataError(f"v2 blob does not reparse to its own payload "
@@ -546,7 +558,7 @@ def load_model_v2(path: str, verify_sections: bool = True) -> MappedModel:
 
 
 # =====================================================================
-# Reconstruction (migration to v1)
+# Reconstruction (the v1 export)
 # =====================================================================
 
 def _row(model: MappedModel, prefix: str, index: int,
@@ -561,12 +573,12 @@ def _row(model: MappedModel, prefix: str, index: int,
 def model_document_from_mapped(model: MappedModel) -> Dict[str, Any]:
     """Materialize the full v1 document from a mapped v2 model.
 
-    The result is the ``{"schema", "manifest", "model"}`` document the
-    v1 writer produces for the same parts, used by ``repro
-    migrate-model`` and the migration-equivalence tests.  Its manifest
-    carries over every field but ``schema`` and ``payload_crc32``,
-    which is stamped as the CRC32 of the canonical v1 payload, so the
-    document verifies as a v1 artifact.
+    The result is the ``{"schema", "manifest", "model"}`` document of
+    the legacy v1 format, which ``repro migrate-model --to v1`` writes
+    and the migration-equivalence tests compare.  Its manifest carries
+    over every field but ``schema`` and ``payload_crc32``, which is
+    stamped as the CRC32 of the canonical v1 payload, so the document
+    verifies as a v1 artifact.
     """
     from .artifact import MODEL_SCHEMA
 
@@ -615,6 +627,6 @@ def model_document_from_mapped(model: MappedModel) -> Dict[str, Any]:
                "hierarchy": record_of(0),
                "entity_roles": entity_roles}
     manifest = dict(model.manifest)
-    manifest.update(schema=MODEL_SCHEMA,
-                    payload_crc32=zlib.crc32(_canonical(payload)) & 0xFFFFFFFF)
+    manifest.update(schema=MODEL_SCHEMA, payload_crc32=zlib.crc32(
+        canonical_json(payload)) & 0xFFFFFFFF)
     return {"schema": MODEL_SCHEMA, "manifest": manifest, "model": payload}

@@ -83,9 +83,9 @@ class IngestConfig:
         dirty_threshold: fractional node-subset change at which a node
             re-solves (0.0 = full re-solve, exactly the batch build).
         min_length: shortest document the sketch keeps (>= 3).
-        export_path: artifact path rewritten after every refit (None
-            skips exporting).
-        export_format: artifact format for the export (v1 / v2).
+        export_path: v2 artifact path rewritten after every refit
+            (None skips exporting).
+        export_format: must be ``"v2"``, the only format a save writes.
     """
 
     refit_policy: str = "drift"
@@ -98,10 +98,13 @@ class IngestConfig:
     export_format: str = "v2"
 
     def __post_init__(self) -> None:
+        from ..serve.artifact import check_artifact_format
+
         if self.refit_policy not in REFIT_POLICIES:
             raise ConfigurationError(
                 f"unsupported refit policy {self.refit_policy!r} "
                 f"(one of {REFIT_POLICIES})")
+        check_artifact_format(self.export_format)
 
     def to_config(self) -> Dict[str, Any]:
         """Plain-data fingerprint (checkpoint ``config=`` guard).

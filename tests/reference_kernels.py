@@ -27,7 +27,8 @@ Nine families live here:
   :func:`reference_topic_detail`), byte-identical to the serving
   engine's partition-then-sort selection;
 * the dict -> JSON -> v2 artifact save (:func:`reference_v2_blob`),
-  byte-identical to the array writer;
+  byte-identical to the array writer, over the parts -> v1 document
+  encoder the v1 writer shipped (:func:`reference_v1_document`);
 * the per-document STROD moment and fold-in loops
   (:func:`reference_word_count_rows`, :func:`reference_first_moment`,
   :func:`reference_second_moment`, :func:`reference_sparse_pair_moment`,
@@ -660,6 +661,57 @@ def reference_topic_detail(model, notation: str, max_phrases: int = 10,
 
 
 # ------------------------------------------------------------------ artifact
+def _canonical(obj) -> bytes:
+    """Canonical JSON: sorted keys, compact, strict floats."""
+    import json
+
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False,
+                          separators=(",", ":")).encode("utf-8")
+    except ValueError as exc:
+        raise DataError(f"non-finite float: {exc}") from exc
+
+
+def reference_v1_document(parts) -> Dict[str, Any]:
+    """Parts as the v1 document the retired v1 writer produced.
+
+    Topic records in pre-order, tuples as lists, every float through
+    one canonical encode and decode, and the manifest stamped with the
+    v1 schema and the CRC32 of the canonical payload — so the document
+    equals what that writer saved and what
+    :func:`repro.serve.model_document_from_mapped` decodes.
+    """
+    import json
+    import zlib
+
+    from repro.serve import MODEL_SCHEMA
+
+    def record(topic):
+        return {
+            "path": list(topic.path),
+            "notation": topic.notation,
+            "rho": float(topic.rho),
+            "phi": {ntype: {name: float(p) for name, p in dist.items()}
+                    for ntype, dist in topic.phi.items()},
+            "phrases": [[phrase, float(score)]
+                        for phrase, score in topic.phrases],
+            "entity_ranks": {etype: [[name, float(score)]
+                                     for name, score in ranks]
+                             for etype, ranks in topic.entity_ranks.items()},
+            "children": [record(child) for child in topic.children],
+        }
+
+    model = json.loads(_canonical({
+        "vocabulary": list(parts.vocabulary),
+        "hierarchy": record(parts.hierarchy.root),
+        "entity_roles": parts.entity_roles,
+    }).decode("utf-8"))
+    manifest = dict(parts.manifest)
+    manifest.update(schema=MODEL_SCHEMA, payload_crc32=zlib.crc32(
+        _canonical(model)) & 0xFFFFFFFF)
+    return {"schema": MODEL_SCHEMA, "manifest": manifest, "model": model}
+
+
 def reference_v2_blob(parts) -> bytes:
     """The dict -> JSON -> v2 save path the array writer replaced.
 
@@ -672,21 +724,13 @@ def reference_v2_blob(parts) -> bytes:
     each section CRC32 as u32 LE), so for equal parts the bytes equal
     :func:`repro.serve.artifact_v2.pack_model`'s.
     """
-    import json
     import struct
     import zlib
 
-    from repro.serve.artifact import _v1_document
     from repro.serve.artifact_v2 import (_ALIGN, _MAGIC, _PREAMBLE,
                                          MODEL_SCHEMA_V2, _mapped_from_blob,
                                          model_document_from_mapped)
 
-    def canonical(obj):
-        try:
-            return json.dumps(obj, sort_keys=True, allow_nan=False,
-                              separators=(",", ":")).encode("utf-8")
-        except ValueError as exc:
-            raise DataError(f"non-finite float: {exc}") from exc
 
     class Ragged:
         def __init__(self):
@@ -701,7 +745,7 @@ def reference_v2_blob(parts) -> bytes:
         ordered = sorted(set(names))
         return ordered, {name: i for i, name in enumerate(ordered)}
 
-    document = _v1_document(parts)
+    document = reference_v1_document(parts)
     model = document["model"]
     manifest = dict(document["manifest"])
     manifest["schema"] = MODEL_SCHEMA_V2
@@ -810,7 +854,7 @@ def reference_v2_blob(parts) -> bytes:
     crcs = [zlib.crc32(array.tobytes()) & 0xFFFFFFFF
             for _, array in sections]
     manifest["payload_crc32"] = zlib.crc32(
-        canonical(strings) + struct.pack(f"<{len(crcs)}I", *crcs)) \
+        _canonical(strings) + struct.pack(f"<{len(crcs)}I", *crcs)) \
         & 0xFFFFFFFF
 
     def aligned(offset):
@@ -829,8 +873,9 @@ def reference_v2_blob(parts) -> bytes:
     header_len, header = 0, b""
     while True:
         table = layout(header_len)
-        header = canonical({"schema": MODEL_SCHEMA_V2, "manifest": manifest,
-                            "strings": strings, "sections": table})
+        header = _canonical({"schema": MODEL_SCHEMA_V2,
+                             "manifest": manifest, "strings": strings,
+                             "sections": table})
         if len(header) == header_len:
             break
         header_len = len(header)

@@ -162,20 +162,33 @@ class TestVersion:
 
 class TestExportModel:
     def test_writes_loadable_artifact(self, dataset_path, tmp_path, capsys):
-        from repro.serve import MODEL_SCHEMA, ModelQueryEngine, load_model
-        out = tmp_path / "model.json"
+        from repro.serve import MODEL_SCHEMA_V2, ModelQueryEngine, load_model
+        out = tmp_path / "model.rmv2"
         code = main(["export-model", dataset_path, "-o", str(out),
                      "--children", "3", "--seed", "0"])
         assert code == 0
         assert "exported" in capsys.readouterr().out
-        model = load_model(str(out))
-        assert model.manifest["schema"] == MODEL_SCHEMA
-        engine = ModelQueryEngine(model)
-        assert engine.top_phrases("o", 3)["phrases"]
+        assert out.read_bytes()[:8] == b"REPROMV2"
+        engine = ModelQueryEngine(load_model(str(out)))
+        try:
+            assert engine.model.manifest["schema"] == MODEL_SCHEMA_V2
+            assert engine.top_phrases("o", 3)["phrases"]
+        finally:
+            engine.close()
 
     def test_output_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["export-model", "ds.json"])
+
+    @pytest.mark.parametrize("argv", [
+        ["export-model", "ds.json", "-o", "m.rmv2", "--format", "v1"],
+        ["ingest", "--shard-dir", "s", "--batch", "b.jsonl",
+         "--format", "v2"]])
+    def test_format_flag_is_gone(self, argv, capsys):
+        """Every save writes v2; only migrate-model --to v1 writes JSON."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 class TestServeParser:

@@ -20,7 +20,6 @@ class TestRegistryContents:
             "repro.serve/model/v2",
             "repro.serve/model/v3",
             "repro.resilience/checkpoint/v1",
-            "repro.obs/run-report/v1",
             "repro.obs/run-report/v2",
             "repro.obs/profile/v1",
             "repro.stream/shard/v1",
@@ -85,7 +84,7 @@ class TestRegistryValidation:
         # resolves and equals the registry's value.
         from repro.lint.report import REPORT_SCHEMA as LINT_REPORT
         from repro.obs.profile import PROFILE_SCHEMA
-        from repro.obs.report import REPORT_SCHEMA, REPORT_SCHEMA_V1
+        from repro.obs.report import REPORT_SCHEMA
         from repro.resilience.checkpoint import CHECKPOINT_SCHEMA
         from repro.serve.artifact import MODEL_SCHEMA
         from repro.serve.artifact_v2 import MODEL_SCHEMA_V2
@@ -97,7 +96,6 @@ class TestRegistryValidation:
         assert MODEL_SCHEMA_V2 == contracts.MODEL_V3
         assert CHECKPOINT_SCHEMA == contracts.CHECKPOINT_V1
         assert REPORT_SCHEMA == contracts.RUN_REPORT_V2
-        assert REPORT_SCHEMA_V1 == contracts.RUN_REPORT_V1
         assert PROFILE_SCHEMA == contracts.PROFILE_V1
         assert SHARD_SCHEMA == contracts.SHARD_V1
         assert SHARD_DIR_SCHEMA == contracts.SHARD_DIR_V1

@@ -35,9 +35,8 @@ from repro.roles.analyzer import (attribute_document_arrays,
                                   attribute_documents,
                                   sum_entity_frequencies)
 from repro.serve import (ModelQueryEngine, ServedModel, load_model,
-                         save_model_document)
-from repro.serve.artifact import (build_document_from_parts, model_parts,
-                                  parts_of_result)
+                         migrate_model, save_model_document)
+from repro.serve.artifact import model_parts, parts_of_result
 from repro.serve.artifact_v2 import _mapped_from_blob, pack_model
 from repro.strod import (STROD, MomentSketch, STRODModel, compute_whitener,
                          first_moment, second_moment, sparse_pair_moment,
@@ -354,20 +353,23 @@ def _tied_row(rng, num_terms, pool):
 def _engine_pair(rows, directory):
     """v1 and v2 engines (uncached) over one model whose root carries
     ``ROOT_PHRASES``, ``ROOT_RANKS`` and ``rows[0]``, and whose children
-    carry the other rows and no phrases."""
+    carry the other rows and no phrases: the saved v2 file, and its v1
+    JSON export read back as a legacy artifact."""
     root = Topic(path=(), phi={"term": rows[0]}, phrases=ROOT_PHRASES,
                  entity_ranks=ROOT_RANKS)
     root.children = [Topic(path=(c,), phi={"term": row})
                      for c, row in enumerate(rows[1:])]
     vocabulary = sorted({name for row in rows for name in row})
-    document = build_document_from_parts(
-        vocabulary, TopicalHierarchy(root=root), {}, num_documents=0)
+    parts = model_parts(vocabulary, TopicalHierarchy(root=root), {},
+                        num_documents=0)
     path = os.path.join(directory, "model.rmv2")
-    save_model_document(document, path, format="v2")
-    v1 = ModelQueryEngine(ServedModel(manifest=document["manifest"],
-                                      model=document["model"]),
-                          cache_size=0)
-    return v1, ModelQueryEngine(load_model(path), cache_size=0)
+    legacy = os.path.join(directory, "model.json")
+    save_model_document(parts, path)
+    migrate_model(path, legacy, format="v1")
+    v1 = load_model(legacy)
+    assert isinstance(v1, ServedModel)
+    return (ModelQueryEngine(v1, cache_size=0),
+            ModelQueryEngine(load_model(path), cache_size=0))
 
 
 def _json(value):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.errors import DataError
 from repro.obs.registry import QuantileSketch
 from repro.obs.spans import _NULL_SPAN
 from repro.parallel import pmap
@@ -283,14 +284,10 @@ class TestProfileAndReport:
                    for row in report["top_spans"])
         obs.validate_report(report)
 
-    def test_v1_report_upgrades_through_loader_shim(self):
+    def test_v1_report_is_rejected(self):
         report = obs.build_run_report(config={})
-        report["schema"] = obs.REPORT_SCHEMA_V1
+        report["schema"] = "repro.obs/run-report/v1"
         del report["resources"]
         del report["top_spans"]
-        obs.validate_report(report)
-        upgraded = obs.upgrade_report(dict(report))
-        assert upgraded["schema"] == obs.REPORT_SCHEMA
-        assert upgraded["resources"] == {"peak_rss_bytes": 0,
-                                         "cpu_time_s": 0.0}
-        assert upgraded["top_spans"] == []
+        with pytest.raises(DataError, match="unsupported report schema"):
+            obs.validate_report(report)

@@ -1,4 +1,5 @@
-"""Model-artifact round trips and corruption rejection (repro.serve)."""
+"""Model-artifact round trips, the v2-only save boundary, and legacy
+v1 reads with their corruption rejection (repro.serve)."""
 
 import json
 
@@ -7,9 +8,13 @@ import pytest
 from repro import get_version
 from repro.core import LatentEntityMiner, MinerConfig
 from repro.corpus import Corpus
-from repro.errors import DataError
-from repro.serve import (MODEL_SCHEMA, ModelQueryEngine, ServedModel,
-                         load_model, save_model, vocabulary_hash)
+from repro.errors import ConfigurationError, DataError
+from repro.serve import (MODEL_SCHEMA_V2, ModelQueryEngine, ServedModel,
+                         load_model, load_model_v2, migrate_model,
+                         model_document_from_mapped, save_model,
+                         save_model_document, vocabulary_hash)
+from repro.serve.artifact import parts_of_result
+from repro.stream import IngestConfig
 
 from .conftest import TINY_ENTITIES, TINY_LABELS, TINY_TEXTS
 from .faults import truncate_file
@@ -27,29 +32,33 @@ def fitted():
 
 @pytest.fixture
 def artifact_path(fitted, tmp_path):
+    """A legacy v1 JSON artifact: the fit saved as v2, then exported by
+    ``migrate_model(..., format="v1")``, the one writer of model JSON."""
     miner, result = fitted
+    source = str(tmp_path / "model.rmv2")
+    miner.save_model(result, source)
     path = str(tmp_path / "model.json")
-    miner.save_model(result, path)
+    migrate_model(source, path, format="v1")
     return path
 
 
 class TestManifest:
     def test_save_returns_manifest(self, fitted, tmp_path):
         miner, result = fitted
-        manifest = miner.save_model(result, str(tmp_path / "m.json"))
-        assert manifest["schema"] == MODEL_SCHEMA
+        manifest = miner.save_model(result, str(tmp_path / "m.rmv2"))
+        assert manifest["schema"] == MODEL_SCHEMA_V2
         assert manifest["num_topics"] == result.hierarchy.num_topics
         assert manifest["num_documents"] == len(result.corpus)
         assert manifest["entity_types"] == ["author", "venue"]
 
     def test_version_stamped(self, fitted, tmp_path):
         miner, result = fitted
-        manifest = miner.save_model(result, str(tmp_path / "m.json"))
+        manifest = miner.save_model(result, str(tmp_path / "m.rmv2"))
         assert manifest["repro_version"] == get_version()
 
     def test_config_fingerprint_recorded(self, fitted, tmp_path):
         miner, result = fitted
-        manifest = miner.save_model(result, str(tmp_path / "m.json"))
+        manifest = miner.save_model(result, str(tmp_path / "m.rmv2"))
         assert manifest["config"]["num_children"] == 2
         assert manifest["config"]["max_depth"] == 1
 
@@ -94,21 +103,72 @@ class TestRoundTrip:
 
     def test_double_save_identical_payload(self, fitted, tmp_path):
         miner, result = fitted
-        first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        miner.save_model(result, first)
-        miner.save_model(result, second)
-        with open(first) as f_a, open(second) as f_b:
-            doc_a, doc_b = json.load(f_a), json.load(f_b)
-        assert doc_a["model"] == doc_b["model"]
-        assert doc_a["manifest"]["payload_crc32"] == \
-            doc_b["manifest"]["payload_crc32"]
+        first, second = str(tmp_path / "a.rmv2"), str(tmp_path / "b.rmv2")
+        saved = [miner.save_model(result, first),
+                 miner.save_model(result, second)]
+        assert saved[0]["payload_crc32"] == saved[1]["payload_crc32"]
+        models = [load_model_v2(first), load_model_v2(second)]
+        try:
+            assert models[0].strings == models[1].strings
+            assert models[0].header["sections"] == \
+                models[1].header["sections"]
+            assert {name: view.tobytes()
+                    for name, view in models[0].sections.items()} == \
+                {name: view.tobytes()
+                 for name, view in models[1].sections.items()}
+        finally:
+            for model in models:
+                model.close()
 
     def test_from_result_equals_loaded(self, fitted, artifact_path):
+        """The in-memory engine's blob decodes to the legacy payload."""
         miner, result = fitted
-        in_memory = ServedModel.from_result(
+        in_memory = ModelQueryEngine.from_result(
             result, config=miner._artifact_config())
         on_disk = load_model(artifact_path)
-        assert in_memory.model == on_disk.model
+        assert isinstance(on_disk, ServedModel)
+        assert model_document_from_mapped(in_memory.model)["model"] == \
+            on_disk.model
+
+
+class TestSaveFormat:
+    """Every save writes v2; any other format is a typed refusal that
+    names the v1 export, and writes no file."""
+
+    def test_defaults_write_v2_bytes(self, fitted, tmp_path):
+        miner, result = fitted
+        paths = [tmp_path / "miner.rmv2", tmp_path / "serve.rmv2",
+                 tmp_path / "parts.rmv2"]
+        miner.save_model(result, str(paths[0]))
+        save_model(result, str(paths[1]))
+        save_model_document(parts_of_result(result), str(paths[2]))
+        for path in paths:
+            assert path.read_bytes()[:8] == b"REPROMV2"
+        assert IngestConfig().export_format == "v2"
+
+    @pytest.mark.parametrize("fmt", ["v1", "v3", "V2"])
+    def test_other_formats_refused_without_a_file(self, fitted, tmp_path,
+                                                  artifact_path, fmt):
+        miner, result = fitted
+        with open(artifact_path) as handle:
+            document = json.load(handle)
+        path = tmp_path / "m.out"
+        saves = [
+            lambda: miner.save_model(result, str(path), format=fmt),
+            lambda: save_model(result, str(path), format=fmt),
+            lambda: save_model_document(parts_of_result(result), str(path),
+                                        format=fmt),
+            lambda: save_model_document(document, str(path), format=fmt),
+        ]
+        for save in saves:
+            with pytest.raises(ConfigurationError,
+                               match="migrate-model --to v1"):
+                save()
+            assert not path.exists()
+        with pytest.raises(ConfigurationError,
+                           match="migrate-model --to v1"):
+            IngestConfig(export_path=str(path), export_format=fmt)
+        assert not path.exists()
 
 
 class TestRejection:

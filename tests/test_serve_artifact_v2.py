@@ -8,7 +8,9 @@ The acceptance invariants for ``repro.serve/model/v2``:
 * corruption anywhere — preamble, header, a binary section, truncation,
   misalignment — is rejected with a typed error, never served;
 * v1 → v2 → v1 migration reproduces the original document bit for bit
-  under the same manifest fingerprints;
+  under the same manifest fingerprints, and a legacy v1 file (written
+  only by ``migrate_model(..., format="v1")``) serves its v2 source's
+  answers and migrates back to the source's sections;
 * N processes mapping one artifact share its pages (smaps-verified)
   instead of keeping N private heap copies.
 """
@@ -35,9 +37,10 @@ from repro.serve import (MODEL_SCHEMA, MODEL_SCHEMA_V2, MappedModel,
                          load_model, load_model_v2, migrate_model,
                          model_document_from_mapped, save_model_document,
                          vocabulary_hash)
-from repro.serve.artifact import _canonical_payload
-from repro.serve.artifact_v2 import _ALIGN, _MAGIC, _PREAMBLE
+from repro.serve.artifact import parts_of_result
+from repro.serve.artifact_v2 import _ALIGN, _MAGIC, _PREAMBLE, canonical_json
 
+from .reference_kernels import reference_v1_document
 from .test_serve_artifact import fitted  # noqa: F401 - shared fixture
 
 
@@ -46,8 +49,28 @@ def pristine_v2(fitted, tmp_path_factory):  # noqa: F811
     """One v2 artifact shared read-only by this module's tests."""
     miner, result = fitted
     path = str(tmp_path_factory.mktemp("v2") / "model.rmv2")
-    miner.save_model(result, path, format="v2")
+    miner.save_model(result, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def legacy_v1(pristine_v2, tmp_path_factory):
+    """The shared v2 artifact exported as legacy v1 JSON (read-only)."""
+    path = str(tmp_path_factory.mktemp("v1") / "model.json")
+    migrate_model(pristine_v2, path, format="v1")
+    return path
+
+
+def _legacy_document(legacy_v1):
+    with open(legacy_v1) as handle:
+        return json.load(handle)
+
+
+def _oracle_v1(fitted):  # noqa: F811
+    """The fit encoded as a v1 document by the reference encoder."""
+    miner, result = fitted
+    return reference_v1_document(
+        parts_of_result(result, config=miner._artifact_config()))
 
 
 @pytest.fixture
@@ -84,30 +107,28 @@ def _http_post(server, path, payload):
 
 class TestManifestContract:
     def test_schema_is_v2_but_fingerprints_carry_over(self, fitted,  # noqa: F811
-                                                      tmp_path):
+                                                      legacy_v1, tmp_path):
         miner, result = fitted
-        v1 = miner.save_model(result, str(tmp_path / "m.json"))
         v2 = miner.save_model(result, str(tmp_path / "m.rmv2"),
                               format="v2")
+        v1 = load_model(legacy_v1).manifest
         assert v1["schema"] == MODEL_SCHEMA
         assert v2["schema"] == MODEL_SCHEMA_V2
         # Same model behind both formats: the v2 sections decode to the
-        # v1 payload, under the same vocabulary hash and shape metadata.
+        # fit's v1 payload, under the same vocabulary hash and shape
+        # metadata.
         mapped = load_model_v2(str(tmp_path / "m.rmv2"))
         try:
             decoded = model_document_from_mapped(mapped)["model"]
         finally:
             mapped.close()
-        assert decoded == load_model(str(tmp_path / "m.json")).model
+        assert decoded == _oracle_v1(fitted)["model"]
+        assert decoded == load_model(legacy_v1).model
         assert v2["vocab_hash"] == v1["vocab_hash"]
         assert v2["num_topics"] == v1["num_topics"]
 
-    def test_load_model_sniffs_the_format(self, fitted, pristine_v2,  # noqa: F811
-                                          tmp_path):
-        miner, result = fitted
-        v1_path = str(tmp_path / "m.json")
-        miner.save_model(result, v1_path)
-        assert isinstance(load_model(v1_path), ServedModel)
+    def test_load_model_sniffs_the_format(self, pristine_v2, legacy_v1):
+        assert isinstance(load_model(legacy_v1), ServedModel)
         assert isinstance(load_model(pristine_v2), MappedModel)
 
     def test_unknown_format_rejected(self, fitted, tmp_path):  # noqa: F811
@@ -127,22 +148,19 @@ class TestManifestContract:
 
 class TestRoundTrip:
     def test_document_reconstruction_is_exact(self, fitted,  # noqa: F811
-                                              pristine_v2, tmp_path):
+                                              pristine_v2):
         """v2 sections reconstruct the canonical v1 payload bit for bit."""
-        miner, result = fitted
-        v1_path = str(tmp_path / "m.json")
-        miner.save_model(result, v1_path)
-        with open(v1_path) as handle:
-            v1_document = json.load(handle)
+        v1_document = _oracle_v1(fitted)
         mapped = load_model_v2(pristine_v2)
         try:
             reconstructed = model_document_from_mapped(mapped)
         finally:
             mapped.close()
         assert reconstructed["model"] == v1_document["model"]
-        crc = zlib.crc32(_canonical_payload(reconstructed["model"]))
+        crc = zlib.crc32(canonical_json(reconstructed["model"]))
         assert crc & 0xFFFFFFFF == \
-            v1_document["manifest"]["payload_crc32"]
+            v1_document["manifest"]["payload_crc32"] == \
+            reconstructed["manifest"]["payload_crc32"]
 
     def test_engine_answers_match_memory(self, fitted, pristine_v2):  # noqa: F811
         miner, result = fitted
@@ -291,14 +309,9 @@ class TestRejection:
         with pytest.raises(DataError, match="vocabulary hash mismatch"):
             load_model(v2_path)
 
-    def test_nan_payload_rejected_at_save_time(self, fitted,  # noqa: F811
-                                               tmp_path):
+    def test_nan_payload_rejected_at_save_time(self, legacy_v1, tmp_path):
         """Satellite regression: non-finite floats fail the save, typed."""
-        miner, result = fitted
-        v1_path = str(tmp_path / "m.json")
-        miner.save_model(result, v1_path)
-        with open(v1_path) as handle:
-            document = json.load(handle)
+        document = _legacy_document(legacy_v1)
         document["model"]["hierarchy"]["rho"] = float("nan")
         with pytest.raises(DataError, match="non-finite"):
             save_model_document(document, str(tmp_path / "m.rmv2"),
@@ -330,13 +343,9 @@ class TestSaveContract:
             miner.save_model(result, str(path), format="v2")
         assert not path.exists()
 
-    def test_v1_document_with_a_wrong_crc_refused(self, fitted,  # noqa: F811
+    def test_v1_document_with_a_wrong_crc_refused(self, legacy_v1,
                                                   tmp_path):
-        miner, result = fitted
-        v1_path = str(tmp_path / "m.json")
-        miner.save_model(result, v1_path)
-        with open(v1_path) as handle:
-            document = json.load(handle)
+        document = _legacy_document(legacy_v1)
         target = str(tmp_path / "m.rmv2")
         document["manifest"]["payload_crc32"] ^= 1
         with pytest.raises(DataError, match="checksum mismatch"):
@@ -420,24 +429,22 @@ class TestSaveContract:
 
     def test_v2_to_v1_migration_stamps_the_v1_crc(self, fitted,  # noqa: F811
                                                   pristine_v2, tmp_path):
-        miner, result = fitted
         v1_path = str(tmp_path / "back.json")
         migrated = migrate_model(pristine_v2, v1_path, format="v1")
         loaded = load_model(v1_path)  # verifies the v1 payload CRC
         assert isinstance(loaded, ServedModel)
         assert migrated["payload_crc32"] == zlib.crc32(
-            _canonical_payload(loaded.model)) & 0xFFFFFFFF
-        direct = miner.save_model(result, str(tmp_path / "direct.json"))
-        assert migrated["payload_crc32"] == direct["payload_crc32"]
+            canonical_json(loaded.model)) & 0xFFFFFFFF
+        assert migrated["payload_crc32"] == \
+            _oracle_v1(fitted)["manifest"]["payload_crc32"]
 
 
 class TestMigration:
-    def test_v1_to_v2_to_v1_is_lossless(self, fitted, tmp_path):  # noqa: F811
-        miner, result = fitted
-        v1_path = str(tmp_path / "a.json")
+    def test_v1_to_v2_to_v1_is_lossless(self, legacy_v1, tmp_path):
+        v1_path = legacy_v1
         v2_path = str(tmp_path / "b.rmv2")
         back_path = str(tmp_path / "c.json")
-        original = miner.save_model(result, v1_path)
+        original = load_model(v1_path).manifest
         forward = migrate_model(v1_path, v2_path, format="v2")
         assert forward["schema"] == MODEL_SCHEMA_V2
         backward = migrate_model(v2_path, back_path, format="v1")
@@ -448,6 +455,8 @@ class TestMigration:
             after = json.load(handle)
         assert before["model"] == after["model"]
         assert before["manifest"] == after["manifest"]
+        with open(v1_path, "rb") as first, open(back_path, "rb") as second:
+            assert first.read() == second.read()
         assert original["payload_crc32"] == backward["payload_crc32"]
         mapped = load_model_v2(v2_path)
         try:
@@ -457,17 +466,96 @@ class TestMigration:
             mapped.close()
 
     def test_migrated_artifact_answers_identically(self, fitted,  # noqa: F811
-                                                   tmp_path):
-        miner, result = fitted
-        v1_path = str(tmp_path / "a.json")
+                                                   legacy_v1, tmp_path):
+        _, result = fitted
+        v1_path = legacy_v1
         v2_path = str(tmp_path / "b.rmv2")
-        miner.save_model(result, v1_path)
         migrate_model(v1_path, v2_path, format="v2")
         from_v1 = ModelQueryEngine(load_model(v1_path))
         from_v2 = ModelQueryEngine(load_model(v2_path))
         for notation in [t.notation for t in result.hierarchy.topics()]:
             assert json.dumps(from_v1.topic(notation), sort_keys=True) \
                 == json.dumps(from_v2.topic(notation), sort_keys=True)
+
+
+class TestLegacyV1:
+    """A v1 file, written only by ``migrate_model(..., format="v1")``,
+    is a legacy read: packed in memory, it serves what its v2 source
+    serves, and migrates back to that source's sections."""
+
+    QUERIES = ["", "a", "s", "data", "qu", "zz"]
+
+    def _pair(self, pristine_v2, legacy_v1):
+        legacy = ModelQueryEngine(load_model(legacy_v1), cache_size=0)
+        source = ModelQueryEngine(load_model(pristine_v2), cache_size=0)
+        assert (legacy.artifact_format, source.artifact_format) == \
+            ("v1", "v2")
+        return legacy, source
+
+    def test_engine_answers_equal_the_v2_source(self, fitted,  # noqa: F811
+                                                pristine_v2, legacy_v1):
+        _, result = fitted
+        legacy, source = self._pair(pristine_v2, legacy_v1)
+        try:
+            answers = []
+            for engine in (legacy, source):
+                calls = []
+                for topic in result.hierarchy.topics():
+                    notation = topic.notation
+                    calls += [engine.topic(notation, max_phrases=50,
+                                           max_terms=50, max_entities=50),
+                              engine.children(notation),
+                              engine.top_phrases(notation, 100)]
+                for query in self.QUERIES:
+                    for mode in ("prefix", "substring"):
+                        calls.append(engine.search_phrases(query, mode, 20))
+                for name in ("alice", "bob", "nobody"):
+                    calls.append(engine.batch([{
+                        "op": "entity_roles", "args": {"name": name}}]))
+                info = engine.model_info()
+                calls.append({key: value for key, value in info.items()
+                              if key not in ("manifest", "artifact_format")})
+                answers.append(json.dumps(calls, sort_keys=True))
+            assert answers[0] == answers[1]
+        finally:
+            legacy.close()
+            source.close()
+
+    def test_http_answers_equal_the_v2_source(self, fitted,  # noqa: F811
+                                              pristine_v2, legacy_v1,
+                                              v2_server):
+        _, result = fitted
+        engine = ModelQueryEngine(load_model(legacy_v1))
+        with ModelServer(engine, port=0) as legacy_server:
+            legacy_server.start()
+            paths = [f"/v1/topics/{t.notation}?phrases=20&terms=20"
+                     f"&entities=20" for t in result.hierarchy.topics()]
+            paths += [f"/v1/search?q={urllib.parse.quote(q)}&mode={mode}"
+                      for q in self.QUERIES
+                      for mode in ("prefix", "substring")]
+            paths.append("/v1/entities/alice")
+            for path in paths:
+                assert json.dumps(_http_get(legacy_server, path),
+                                  sort_keys=True) == \
+                    json.dumps(_http_get(v2_server, path), sort_keys=True)
+
+    def test_migrating_back_gives_the_source_sections(self, pristine_v2,
+                                                      legacy_v1, tmp_path):
+        back = str(tmp_path / "back.rmv2")
+        migrate_model(legacy_v1, back, format="v2")
+        models = [load_model_v2(pristine_v2), load_model_v2(back)]
+        try:
+            source, migrated = models
+            assert migrated.header["sections"] == source.header["sections"]
+            assert {name: view.tobytes()
+                    for name, view in migrated.sections.items()} == \
+                {name: view.tobytes()
+                 for name, view in source.sections.items()}
+            assert migrated.strings == source.strings
+            assert migrated.manifest == source.manifest
+        finally:
+            for model in models:
+                model.close()
 
 
 _SMAPS_PROBE = textwrap.dedent("""\
