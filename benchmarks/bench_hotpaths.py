@@ -30,15 +30,17 @@ import repro.obs as obs
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
-from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
+from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
+                               legacy_gibbs_sweep,
                                reference_build_candidate_graph,
                                reference_document_phrase_instances,
                                reference_document_topic_frequencies,
                                reference_document_topics,
                                reference_first_moment,
+                               reference_hin_em_step,
                                reference_mine_chunks,
                                reference_posterior_link_split,
-                               reference_scatter, reference_second_moment,
+                               reference_second_moment,
                                reference_segment_chunk,
                                reference_topic_detail, reference_tpfg_ranking,
                                reference_v2_blob,
@@ -46,8 +48,8 @@ from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
                                reference_word_count_rows)
 
 from repro.baselines.lda_gibbs import LDAGibbs
-from repro.cathy.em import (flat_scatter_index, posterior_link_split,
-                            scatter_expectations)
+from repro.cathy import CathyHIN
+from repro.cathy.em import posterior_link_split
 from repro.datasets import DBLPConfig, generate_dblp, generate_planted_lda
 from repro.hierarchy import Topic
 from repro.network import HeterogeneousNetwork
@@ -72,6 +74,18 @@ NODES = int(os.environ.get("REPRO_BENCH_NODES", 2_000))
 TOPICS = int(os.environ.get("REPRO_BENCH_TOPICS", 5))
 GIBBS_DOCS = int(os.environ.get("REPRO_BENCH_DOCS", 300))
 CHUNKS = int(os.environ.get("REPRO_BENCH_CHUNKS", 600))
+
+#: CATHYHIN's root-shaped network follows the edge and node knobs:
+#: ~150k links over ~1,000 authors, ~7,000 terms and 20 venues at full
+#: size, about the root of the ``mine_dblp`` perfbench workload.
+HIN_LINKS = EDGES * 3 // 2
+HIN_NODES = {"author": max(NODES // 2, 4), "term": NODES * 7 // 2,
+             "venue": max(NODES // 100, 2)}
+#: Share of the links in each of the five link types (the ``mine_dblp``
+#: root's mix).
+HIN_SHARES = {("author", "author"): 0.04, ("author", "term"): 0.40,
+              ("author", "venue"): 0.03, ("term", "term"): 0.46,
+              ("term", "venue"): 0.07}
 
 #: Role attribution documents and TPFG authors follow the edge and node
 #: knobs: 10,000 documents and a 1,000-author synthetic DBLP candidate
@@ -179,42 +193,80 @@ def test_hotpath_posterior_link_split(benchmark):
         assert speedup >= 10.0
 
 
-def test_hotpath_scatter(benchmark):
-    rng = np.random.default_rng(1)
-    expected = rng.uniform(0.0, 2.0, size=(TOPICS, EDGES))
-    i_idx = rng.integers(0, NODES, size=EDGES)
-    j_idx = rng.integers(0, NODES, size=EDGES)
-    # The EM precomputes the flat indices once per fit; time the hot path.
-    flat_idx = (flat_scatter_index(i_idx, NODES, TOPICS),
-                flat_scatter_index(j_idx, NODES, TOPICS))
-    obs.configure(profile=True)
+def _hin_network(rng) -> HeterogeneousNetwork:
+    """A root-shaped collapsed network: five link types with integer
+    co-occurrence weights (repeated pairs sum, same-type self-links
+    included)."""
+    network = HeterogeneousNetwork(sorted(HIN_NODES))
+    for node_type, count in HIN_NODES.items():
+        network.add_nodes(node_type, [f"{node_type}{n}" for n in range(count)])
+    for (type_x, type_y), share in HIN_SHARES.items():
+        count = int(HIN_LINKS * share)
+        network.add_links(
+            type_x, rng.integers(0, HIN_NODES[type_x], size=count),
+            type_y, rng.integers(0, HIN_NODES[type_y], size=count),
+            rng.integers(1, 6, size=count).astype(float))
+    return network
+
+
+def test_hotpath_hin_em_step(benchmark):
+    """One CATHYHIN EM step over the stacked link CSR (an SDDMM and two
+    SpMMs) vs the per-link-type (k, E) loop it replaced."""
+    k = 6
+    rng = np.random.default_rng(9)
+    network = _hin_network(rng)
+    estimator = CathyHIN(num_topics=k)
+    node_names = estimator._prepare(network)
+    links = estimator._links
+    reference = ReferenceHINEM(network, k)
+    phi = {t: rng.dirichlet(np.ones(len(names)), size=k)
+           for t, names in node_names.items()}
+    phi_parent = reference._parent_distributions(node_names)
+    alpha = dict(zip(links.link_types,
+                     rng.uniform(0.5, 2.0, len(links.link_types)).tolist()))
+    rho, rho0 = np.full(k, 1.0 / (k + 1)), 1.0 / (k + 1)
+    weights = links.scaled_weights(alpha)
+    parent = links.stack(phi_parent)
+    stacked = (rho, rho0, links.stack(phi), parent, parent)
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def fast_step():
+        return estimator._em_step(weights, *stacked)
+
+    def reference_step():
+        return reference_hin_em_step(reference, alpha, rho, rho0, phi,
+                                     phi_parent, phi_parent, node_names)
 
     def run():
-        fast = _time(lambda: scatter_expectations(
-            expected, i_idx, j_idx, NODES, flat_idx=flat_idx),
-            span_name="bench.scatter.bincount")
-        slow = _time(lambda: reference_scatter(
-            expected, i_idx, j_idx, NODES),
-            span_name="bench.scatter.reference")
+        fast = _time(fast_step, span_name="bench.hin_em.stacked_csr")
+        slow = _time(reference_step, span_name="bench.hin_em.reference")
         return fast, slow
 
     fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = slow / max(fast, 1e-9)
-    report("hotpath_scatter", [
+    report("hotpath_hin_em_step", [
         fmt_row("kernel", ["seconds", "speedup"]),
-        fmt_row("bincount over (k*V)", [fast, 1.0]),
-        fmt_row("reference np.add.at loop", [slow, speedup]),
+        fmt_row("SDDMM + 2 SpMM, one CSR", [fast, 1.0]),
+        fmt_row("reference per-type (k,E)", [slow, speedup]),
         "",
-    ] + _profiled_rows({"bench.scatter.bincount",
-                        "bench.scatter.reference"}) + [
-        f"edges={EDGES} nodes={NODES} topics={TOPICS}",
+    ] + _profiled_rows({"bench.hin_em.stacked_csr",
+                        "bench.hin_em.reference"}) + [
+        f"links={links.num_links} nodes={links.num_nodes} topics={k} "
+        f"link_types={len(links.link_types)}",
+        "acceptance: >= 2.5x at ~1.5e5 links",
     ])
-    assert np.max(np.abs(
-        scatter_expectations(expected, i_idx, j_idx, NODES, flat_idx=flat_idx)
-        - reference_scatter(expected, i_idx, j_idx, NODES))) <= 1e-12
-    # numpy >= 1.24 gives np.add.at a fast path, so the win here is the
-    # amortized index; assert parity rather than a large margin.
-    assert fast <= slow * 1.5
+
+    ll, new_rho, new_rho0, new_phi, new_phi0 = fast_step()
+    ref_ll, ref_rho, ref_rho0, ref_phi, ref_phi0 = reference_step()
+    assert abs(ll - ref_ll) <= 1e-12 * abs(ref_ll)
+    assert np.max(np.abs(new_rho - ref_rho)) <= 1e-12
+    assert abs(new_rho0 - ref_rho0) <= 1e-12
+    assert np.max(np.abs(new_phi - links.stack(ref_phi))) <= 1e-12
+    assert np.max(np.abs(new_phi0 - links.stack(ref_phi0))) <= 1e-12
+    assert fast <= SANITY_SECONDS
+    if EDGES >= FULL_SIZE:
+        assert speedup >= 2.5
 
 
 def _gibbs_state(rng, num_topics, vocab):

@@ -6,12 +6,12 @@ topic ``t/z`` follows ``e_ij ~ Poisson(rho_z * phi_z,i * phi_z,j)``
 (Eq. 3.3).  Maximum-likelihood inference is the EM of Eq. 3.5–3.7.
 
 Both hot kernels are fully vectorized: the M-step scatters all subtopic
-expectations in one :func:`numpy.bincount` over a flattened ``(k * V)``
-index space, and the posterior link split (Eq. 3.5) is computed for
-every link and subtopic in a single ``(k, E)`` pass.  Random restarts
-fan out over :func:`repro.parallel.pmap` with per-restart seeds derived
-via :meth:`numpy.random.SeedSequence.spawn`, so any worker count
-reproduces the serial result exactly.
+expectations onto the nodes in one sparse product with the link
+incidence matrix (:func:`link_incidence`), and the posterior link split
+(Eq. 3.5) is computed for every link and subtopic in a single ``(k, E)``
+pass.  Random restarts fan out over :func:`repro.parallel.pmap` with
+per-restart seeds derived via :meth:`numpy.random.SeedSequence.spawn`,
+so any worker count reproduces the serial result exactly.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import ConfigurationError, NotFittedError
-from ..fastpath import kernel_fallback
 from ..obs import inc, span, trace
 from ..parallel import pmap, rng_from, spawn_seed_sequences
 from ..resilience import CheckpointWriter
 from ..utils import EPS, RandomState, ensure_rng
 from ..network import HeterogeneousNetwork, TERM_TYPE
-
-try:
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy ships with the project
-    _sparse = None
 
 
 class RestartCheckpoint:
@@ -122,86 +117,26 @@ class TermTopicModel:
                 for name, p in zip(self.node_names, self.phi[z]) if p > 0}
 
 
-def flat_scatter_index(idx: np.ndarray, num_nodes: int,
-                       k: int) -> np.ndarray:
-    """Flattened ``(k * V)`` scatter index for one link-endpoint array.
-
-    Depends only on the link arrays, the node count, and k — all fixed
-    across EM iterations — so fits precompute it once and reuse it every
-    M-step.
-    """
-    offsets = (np.arange(k, dtype=np.int64) * num_nodes)[:, None]
-    return (offsets + idx[None, :]).reshape(-1)
-
-
-def scatter_expectations(expected: np.ndarray, i_idx: np.ndarray,
-                         j_idx: np.ndarray, num_nodes: int,
-                         flat_idx: Optional[Tuple[np.ndarray, np.ndarray]]
-                         = None) -> np.ndarray:
-    """Accumulate per-link expectations onto both endpoints, per subtopic.
-
-    One :func:`numpy.bincount` per link direction over a flattened
-    ``(k * V)`` index space replaces the per-subtopic ``np.add.at``
-    loop; ``expected`` has shape (k, E) and the result (k, V).  Pass a
-    precomputed ``(flat_i, flat_j)`` pair (from
-    :func:`flat_scatter_index`) to skip rebuilding the indices in hot
-    loops.
-    """
-    k = expected.shape[0]
-    if flat_idx is None:
-        flat_i = flat_scatter_index(i_idx, num_nodes, k)
-        flat_j = flat_scatter_index(j_idx, num_nodes, k)
-    else:
-        flat_i, flat_j = flat_idx
-    contrib = expected.reshape(-1)
-    flat = np.bincount(flat_i, weights=contrib, minlength=k * num_nodes)
-    flat += np.bincount(flat_j, weights=contrib, minlength=k * num_nodes)
-    return flat.reshape(k, num_nodes)
-
-
 def link_incidence(i_idx: np.ndarray, j_idx: np.ndarray,
                    num_nodes: int):
     """(E, V) CSR incidence matrix of an undirected edge list.
 
     Row e carries a unit entry at columns ``i_e`` and ``j_e`` (a 2.0 at
-    the diagonal column for self-links, matching the double count of
-    :func:`scatter_expectations`), so the whole M-step scatter becomes a
+    the diagonal column for self-links, so a self-link credits its node
+    from both endpoints), so the whole M-step scatter becomes a
     single sparse product ``expected @ incidence`` — the (k, E) posterior
-    expectations land on the (k, V) node axis in one pass.  Returns
-    ``None`` when :mod:`scipy` is unavailable; callers fall back to the
-    bincount scatter via :func:`repro.fastpath.kernel_fallback`.
+    expectations land on the (k, V) node axis in one pass.
     """
-    if _sparse is None:
-        return None
     num_links = len(i_idx)
     rows = np.repeat(np.arange(num_links, dtype=np.int64), 2)
     cols = np.empty(2 * num_links, dtype=np.int64)
     cols[0::2] = i_idx
     cols[1::2] = j_idx
     data = np.ones(2 * num_links, dtype=np.float64)
-    matrix = _sparse.coo_matrix((data, (rows, cols)),
-                                shape=(num_links, num_nodes))
+    matrix = sparse.coo_matrix((data, (rows, cols)),
+                               shape=(num_links, num_nodes))
     matrix.sum_duplicates()
     return matrix.tocsr()
-
-
-def endpoint_one_hot(idx: np.ndarray, num_nodes: int):
-    """(E, V) CSR with a single unit entry per row at column ``idx[e]``.
-
-    The per-endpoint scatter operator for heterogeneous links, where the
-    two endpoints live on different node-type axes and need separate
-    matrices.  Each row has exactly one entry, so the CSR triple is
-    assembled directly (``indptr = arange``) without a COO round-trip.
-    Returns ``None`` when :mod:`scipy` is unavailable.
-    """
-    if _sparse is None:
-        return None
-    num_links = len(idx)
-    return _sparse.csr_matrix(
-        (np.ones(num_links, dtype=np.float64),
-         np.asarray(idx, dtype=np.int64),
-         np.arange(num_links + 1, dtype=np.int64)),
-        shape=(num_links, num_nodes))
 
 
 def posterior_link_split(rho: np.ndarray, phi: np.ndarray,
@@ -274,11 +209,6 @@ def _fit_kernel(i_idx: np.ndarray, j_idx: np.ndarray, weights: np.ndarray,
         ll = prev_ll
         start = 0
     incidence = link_incidence(i_idx, j_idx, num_nodes)
-    flat_idx = None
-    if incidence is None:
-        kernel_fallback("cathy.m_step", "scipy.sparse unavailable")
-        flat_idx = (flat_scatter_index(i_idx, num_nodes, k),
-                    flat_scatter_index(j_idx, num_nodes, k))
 
     tracer = trace("cathy.em", num_topics=k, num_nodes=num_nodes,
                    num_links=len(weights))
@@ -296,11 +226,7 @@ def _fit_kernel(i_idx: np.ndarray, j_idx: np.ndarray, weights: np.ndarray,
         with span("cathy.em.m_step", iteration=iteration):
             expected = q * weights  # (k, E)
             rho = expected.sum(axis=1)
-            if incidence is not None:
-                phi = np.asarray(expected @ incidence)
-            else:
-                phi = scatter_expectations(expected, i_idx, j_idx,
-                                           num_nodes, flat_idx=flat_idx)
+            phi = np.asarray(expected @ incidence)
             row_sums = phi.sum(axis=1, keepdims=True)
             row_sums = np.maximum(row_sums, EPS)
             phi = phi / row_sums

@@ -6,57 +6,217 @@ type from theta, and (3) drawing both end nodes from the subtopic's
 per-type ranking distributions — or, for the background, the first end
 node from phi_{t/0} and the second from the parent's distribution phi_t.
 Inference is the EM of Eq. 3.24–3.29; link-type weights alpha are learned
-with Eq. 3.37 (module :mod:`repro.cathy.link_weights`).
+with Eq. 3.37 (:meth:`CathyHIN._update_alpha`).
 
 Undirected links are stored once; the paper's both-directions duplication
 only matters for the asymmetric background component, which is handled by
 averaging the two directions and crediting each endpoint its posterior
 share of "being the background node".
 
-The per-iteration scatter of expected link weights onto node
-distributions runs as one :func:`numpy.bincount` per link direction over
-a flattened ``(k * V)`` index space (precomputed once per fit), and
-random restarts fan out over :func:`repro.parallel.pmap` with
-deterministically spawned seeds, so any worker count reproduces the
-serial result exactly.
+Every link type is fitted over one link CSR per fit (:class:`_LinkCSR`):
+node ids are offset per node type into one stacked index space, and each
+link keeps its type id for alpha.  With the (N, k + 2) node factors
+
+    A = [rho * phi | rho0/2 * phi0 | phi_parent   ]
+    B = [phi       | phi_parent    | rho0/2 * phi0]
+
+a link (i, j)'s mixture denominator is the row dot ``A[i] . B[j]``, so the
+E-step is one SDDMM (sampled dense-dense product) over the CSR's entries.
+With S the CSR carrying ``w * alpha / denominator``, the M-step's expected
+counts are two SpMMs: ``A * (S B)`` credits each link's first endpoint and
+``B * (S^T A)`` its second, and rho and the background counts are read off
+the same products.  No (k, E) posterior, incidence matrix or per-link-type
+loop is materialized.  Random restarts fan out over
+:func:`repro.parallel.pmap` with deterministically spawned seeds, so any
+worker count reproduces the serial result exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..errors import ConfigurationError, NotFittedError
-from ..fastpath import kernel_fallback
 from ..network import HeterogeneousNetwork
-from .em import (endpoint_one_hot, flat_scatter_index,
-                 run_restarts_checkpointed)
+from .em import run_restarts_checkpointed
 from ..network.weighted import LinkType, canonical_link_type
 from ..obs import inc, span, trace
 from ..parallel import pmap, rng_from, spawn_seed_sequences
 from ..resilience import CheckpointWriter
-from ..utils import EPS, RandomState, ensure_rng
+from ..utils import EPS, RandomState, ensure_rng, run_positions
 
 LinkKey = Tuple[int, int]
 
+#: Links gathered per SDDMM block: two (block, k + 2) float64 blocks stay
+#: cache-resident between the gather and the row sums, which at the
+#: ``mine_dblp`` root (~150k links) roughly halves the E-step against
+#: gathering every link at once.
+_SDDMM_BLOCK = 8192
+
+#: The smallest positive float64, which bounds every per-link score
+#: that underflowed to zero.
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
 
 @dataclass
-class _LinkData:
-    """Dense arrays for one link type, extracted from the network."""
+class _LinkCSR:
+    """Every link type of one network as one CSR over stacked node ids.
 
-    link_type: LinkType
-    i_idx: np.ndarray
-    j_idx: np.ndarray
+    Node ``n`` of ``node_types[t]`` has stacked id ``offsets[t] + n``.
+    The links sit in CSR order (by stacked row, then by link type), with
+    ``rows``/``cols``/``indptr`` in the index dtype scipy would pick, so
+    building the sparse matrix copies nothing.  ``type_id`` indexes
+    ``link_types``, and ``order`` maps each CSR entry to its position in
+    the type-major concatenation of the network's link arrays, where link
+    type ``l`` spans ``type_starts[l]:type_starts[l + 1]``.  ``by_column``
+    lists the CSR entries sorted by column, node ``n``'s entries at
+    ``colptr[n]:colptr[n + 1]``.
+    """
+
+    node_types: List[str]
+    offsets: np.ndarray
+    link_types: List[LinkType]
+    type_starts: np.ndarray
+    type_weight: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     weights: np.ndarray
+    type_id: np.ndarray
+    indptr: np.ndarray
+    order: np.ndarray
+    by_column: np.ndarray
+    colptr: np.ndarray
+
+    @classmethod
+    def from_network(cls, network: HeterogeneousNetwork,
+                     node_types: List[str]) -> "_LinkCSR":
+        """Stack every link type of ``network`` (which has links)."""
+        sizes = [network.node_count(t) for t in node_types]
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        first = dict(zip(node_types, offsets[:-1].tolist()))
+        link_types = network.link_types()
+        row_parts, col_parts, weight_parts = [], [], []
+        for type_x, type_y in link_types:
+            i_idx, j_idx, link_weights = network.link_arrays((type_x, type_y))
+            row_parts.append(i_idx + first[type_x])
+            col_parts.append(j_idx + first[type_y])
+            weight_parts.append(link_weights)
+        counts = [len(w) for w in weight_parts]
+        type_major_rows = np.concatenate(row_parts)
+        order = np.argsort(type_major_rows, kind="stable")
+        rows = type_major_rows[order]
+        cols = np.concatenate(col_parts)[order]
+        size = int(offsets[-1])
+        index = np.int32 if max(size, len(rows)) < 2 ** 31 else np.int64
+        indptr = np.zeros(size + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        colptr = np.zeros(size + 1, dtype=index)
+        np.cumsum(np.bincount(cols, minlength=size), out=colptr[1:])
+        return cls(
+            node_types=list(node_types), offsets=offsets,
+            link_types=link_types,
+            type_starts=np.concatenate(([0], np.cumsum(counts))),
+            type_weight=np.array([w.sum() for w in weight_parts]),
+            rows=rows.astype(index), cols=cols.astype(index),
+            weights=np.concatenate(weight_parts)[order],
+            type_id=np.repeat(np.arange(len(link_types)), counts)[order],
+            indptr=indptr, order=order,
+            by_column=np.argsort(cols, kind="stable"), colptr=colptr)
+
+    @property
+    def num_nodes(self) -> int:
+        """Size N of the stacked node space."""
+        return int(self.offsets[-1])
 
     @property
     def num_links(self) -> int:
-        """Number of stored links of this type."""
+        """Stored links over all link types."""
         return len(self.weights)
 
+    def link_counts(self) -> Dict[LinkType, int]:
+        """n_{x,y}: stored links per link type."""
+        return dict(zip(self.link_types, np.diff(self.type_starts).tolist()))
 
+    def stack(self, per_type: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Per-type arrays (nodes on the last axis) stacked node-major."""
+        return np.concatenate([np.asarray(per_type[t]).T
+                               for t in self.node_types])
+
+    def split(self, stacked: np.ndarray) -> Dict[str, np.ndarray]:
+        """Inverse of :meth:`stack`: per node type, nodes on the last axis."""
+        bounds = self.offsets.tolist()
+        return {t: np.ascontiguousarray(stacked[a:b].T)
+                for t, a, b in zip(self.node_types, bounds, bounds[1:])}
+
+    def type_totals(self, stacked: np.ndarray) -> np.ndarray:
+        """Sums of a stacked array over each node type's block."""
+        return np.add.reduceat(stacked, self.offsets[:-1], axis=0)
+
+    def per_node(self, totals: np.ndarray) -> np.ndarray:
+        """Broadcast per-node-type values back onto the stacked nodes."""
+        return np.repeat(totals, np.diff(self.offsets), axis=0)
+
+    def scaled_weights(self, alpha: Mapping[LinkType, float]) -> np.ndarray:
+        """Every link's weight times its link type's alpha."""
+        scale = np.array([alpha.get(lt, 1.0) for lt in self.link_types])
+        return self.weights * scale[self.type_id]
+
+    def sddmm(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``left[i] . right[j]`` for every link (i, j), in CSR order.
+
+        Each link's products are added column after column — the
+        subtopics, then the two background directions — the order in
+        which Eq. 3.24's mixture terms are summed, so a denominator
+        rounds exactly as that sum does.
+        """
+        out = np.empty(self.num_links)
+        width = left.shape[1]
+        block = min(_SDDMM_BLOCK, self.num_links)
+        rows_at = np.empty((block, width))
+        cols_at = np.empty((block, width))
+        for start in range(0, self.num_links, block):
+            stop = min(start + block, self.num_links)
+            products = rows_at[:stop - start]
+            np.take(left, self.rows[start:stop], axis=0, out=products,
+                    mode="clip")
+            np.take(right, self.cols[start:stop], axis=0,
+                    out=cols_at[:stop - start], mode="clip")
+            products *= cols_at[:stop - start]
+            total = out[start:stop]
+            total[:] = products[:, 0]
+            for column in range(1, width):
+                total += products[:, column]
+        return out
+
+    def spmm(self, values: np.ndarray, left: np.ndarray,
+             right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(S @ right, S.T @ left)`` for S the CSR carrying ``values``."""
+        size = self.num_nodes
+        matrix = csr_matrix((values, self.cols, self.indptr),
+                            shape=(size, size))
+        return matrix @ right, matrix.T @ left
+
+    def incident(self, nodes: np.ndarray, as_column: bool,
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR positions of the links at each of ``nodes`` (as the links'
+        row or column endpoint), with the index into ``nodes`` of each."""
+        ptr = self.colptr if as_column else self.indptr
+        starts = ptr[nodes].astype(np.int64)
+        lengths = ptr[nodes + 1] - starts
+        owner = np.repeat(np.arange(len(nodes)), lengths)
+        positions = run_positions(starts, lengths)
+        if as_column:
+            positions = self.by_column[positions]
+        return positions, owner
+
+    def type_major(self, values: np.ndarray) -> np.ndarray:
+        """CSR-ordered link values put back in type-major order."""
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
 
 
 @dataclass
@@ -92,9 +252,8 @@ class HINTopicModel:
 
     def topic_distribution(self, node_type: str, z: int) -> Dict[str, float]:
         """phi^x_{t/z} as a name -> probability mapping."""
-        dist = self.phi[node_type][z]
-        return {name: float(p)
-                for name, p in zip(self.node_names[node_type], dist)
+        dist = self.phi[node_type][z].tolist()
+        return {name: p for name, p in zip(self.node_names[node_type], dist)
                 if p > 0}
 
     def top_nodes(self, node_type: str, z: int, k: int = 10) -> List[str]:
@@ -172,10 +331,9 @@ class CathyHIN:
         self.resume = resume
         self._rng = ensure_rng(seed)
         self.model_: Optional[HINTopicModel] = None
-        self._link_data: List[_LinkData] = []
+        self._links: Optional[_LinkCSR] = None
         self._network: Optional[HeterogeneousNetwork] = None
-        self._scatter_idx: Dict[LinkType, Tuple[np.ndarray, np.ndarray]] = {}
-        self._incidence: Dict[LinkType, Tuple[object, object]] = {}
+        self._split: Optional[Tuple] = None
 
     def _constructor_params(self) -> Dict[str, object]:
         """The constructor arguments needed to rebuild this estimator in a
@@ -195,19 +353,11 @@ class CathyHIN:
     # ------------------------------------------------------------------- fit
     def fit(self, network: HeterogeneousNetwork) -> HINTopicModel:
         """Fit the model to all links of ``network``."""
-        self._network = network
-        self._link_data = self._extract_links(network)
-        self._scatter_idx = {}
-        self._incidence = {}
-        if not self._link_data:
-            raise ConfigurationError("network has no links to cluster")
-        node_names = {t: network.node_names(t) for t in network.node_types()
-                      if network.node_count(t) > 0}
-
+        node_names = self._prepare(network)
         alpha = self._initial_alpha()
 
         with span("cathy.hin_em.fit"):
-            shared = (self._constructor_params(), self._link_data,
+            shared = (self._constructor_params(), self._links,
                       node_names, alpha)
             seeds = spawn_seed_sequences(self._rng, self.restarts)
             if self.checkpoint is not None:
@@ -224,76 +374,47 @@ class CathyHIN:
         self.model_ = best
         return best
 
-    @staticmethod
-    def _extract_links(network: HeterogeneousNetwork) -> List[_LinkData]:
-        data = []
-        for link_type in network.link_types():
-            i_idx, j_idx, weights = network.link_arrays(link_type)
-            if not len(weights):
-                continue
-            data.append(_LinkData(link_type=link_type, i_idx=i_idx,
-                                  j_idx=j_idx, weights=weights))
-        return data
+    def _prepare(self, network: HeterogeneousNetwork,
+                 ) -> Dict[str, List[str]]:
+        """Stack ``network``'s links for fitting; returns each node type's
+        names (the types with nodes, in sorted order)."""
+        self._network = network
+        if not network.link_types():
+            raise ConfigurationError("network has no links to cluster")
+        node_names = {t: network.node_names(t) for t in network.node_types()
+                      if network.node_count(t) > 0}
+        self._links = _LinkCSR.from_network(network, list(node_names))
+        self._split = None
+        return node_names
 
     def _initial_alpha(self) -> Dict[LinkType, float]:
         if isinstance(self.weight_mode, Mapping):
             return {canonical_link_type(*lt): float(w)
                     for lt, w in self.weight_mode.items()}
+        links = self._links
         if self.weight_mode == "norm":
             # Force each link type's total scaled weight to be equal.
-            alpha = {ld.link_type: 1.0 / max(ld.weights.sum(), EPS)
-                     for ld in self._link_data}
+            alpha = {lt: 1.0 / max(total, EPS) for lt, total in
+                     zip(links.link_types, links.type_weight.tolist())}
             # Rescale so the geometric-mean constraint of Theorem 3.2 holds.
-            return _normalize_alpha(alpha, self._link_data)
-        return {ld.link_type: 1.0 for ld in self._link_data}
+            return _normalize_alpha(alpha, links)
+        return {lt: 1.0 for lt in links.link_types}
 
-    def _parent_distributions(self, node_names: Dict[str, List[str]],
-                              ) -> Dict[str, np.ndarray]:
-        """phi_t per type: normalized weighted degree in the current network.
+    def _parent_distribution(self) -> np.ndarray:
+        """phi_t, stacked: normalized weighted degree in the current network.
 
         The parent ranking distribution is what the background component
         samples its second end node from.  At the root we estimate it from
         the network itself, which is also how any parent topic's phi was
         estimated one level up.
         """
-        degrees = {t: np.zeros(len(names)) + EPS
-                   for t, names in node_names.items()}
-        for ld in self._link_data:
-            type_x, type_y = ld.link_type
-            degrees[type_x] += np.bincount(ld.i_idx, weights=ld.weights,
-                                           minlength=len(degrees[type_x]))
-            degrees[type_y] += np.bincount(ld.j_idx, weights=ld.weights,
-                                           minlength=len(degrees[type_y]))
-        return {t: deg / deg.sum() for t, deg in degrees.items()}
-
-    def _ensure_scatter_index(self,
-                              node_names: Dict[str, List[str]]) -> None:
-        """Precompute per-link-type scatter operators (once per fit).
-
-        The fast path builds one (E, V) one-hot CSR matrix per link
-        endpoint (:func:`repro.cathy.em.endpoint_one_hot`), turning the
-        whole M-step scatter — topic expectations and background vectors
-        alike — into sparse matrix products.  Without :mod:`scipy` the
-        fit degrades to the flattened-bincount scatter and records the
-        fallback under ``kernel.fallback.cathy.hin_m_step``.  Both
-        operators depend only on the link arrays, node counts, and k —
-        all fixed across EM iterations and restarts.
-        """
-        if self._scatter_idx or self._incidence:
-            return
-        k = self.num_topics
-        for ld in self._link_data:
-            type_x, type_y = ld.link_type
-            inc_i = endpoint_one_hot(ld.i_idx, len(node_names[type_x]))
-            inc_j = endpoint_one_hot(ld.j_idx, len(node_names[type_y]))
-            if inc_i is not None and inc_j is not None:
-                self._incidence[ld.link_type] = (inc_i, inc_j)
-            else:
-                kernel_fallback("cathy.hin_m_step",
-                                "scipy.sparse unavailable")
-                self._scatter_idx[ld.link_type] = (
-                    flat_scatter_index(ld.i_idx, len(node_names[type_x]), k),
-                    flat_scatter_index(ld.j_idx, len(node_names[type_y]), k))
+        links = self._links
+        size = links.num_nodes
+        degrees = (np.bincount(links.rows, weights=links.weights,
+                               minlength=size)
+                   + np.bincount(links.cols, weights=links.weights,
+                                 minlength=size) + EPS)
+        return degrees / links.per_node(links.type_totals(degrees))
 
     def _fit_once(self, node_names: Dict[str, List[str]],
                   alpha: Dict[LinkType, float],
@@ -301,10 +422,10 @@ class CathyHIN:
                   checkpoint=None,
                   state: Optional[Dict] = None) -> HINTopicModel:
         k = self.num_topics
+        links = self._links
         if rng is None:
             rng = self._rng
-        self._ensure_scatter_index(node_names)
-        phi_parent = self._parent_distributions(node_names)
+        phi_parent = self._parent_distribution()
         learn = self.weight_mode == "learn"
 
         if state is not None:
@@ -312,17 +433,17 @@ class CathyHIN:
             # from the snapshot replays the remaining EM bit-for-bit.
             rho = state["rho"]
             rho0 = state["rho0"]
-            phi = state["phi"]
-            phi0 = state["phi0"]
+            phi = links.stack(state["phi"])
+            phi0 = links.stack(state["phi0"])
             alpha = dict(state["alpha"])
             prev_ll = state["prev_ll"]
             ll = state["ll"]
             start = int(state["iteration"]) + 1
             done = bool(state["done"])
         else:
-            phi = {t: rng.dirichlet(np.ones(len(names)), size=k)
-                   for t, names in node_names.items()}
-            phi0 = {t: np.array(phi_parent[t]) for t in node_names}
+            phi = links.stack({t: rng.dirichlet(np.ones(len(names)), size=k)
+                               for t, names in node_names.items()})
+            phi0 = phi_parent.copy()
             if self.background:
                 rho = np.full(k, 1.0 / (k + 1))
                 rho0 = 1.0 / (k + 1)
@@ -336,20 +457,25 @@ class CathyHIN:
 
         if not done:
             tracer = trace(
-                "cathy.hin_em", num_topics=k,
-                num_links=sum(ld.num_links for ld in self._link_data),
-                num_link_types=len(self._link_data),
+                "cathy.hin_em", num_topics=k, num_links=links.num_links,
+                num_link_types=len(links.link_types),
                 weight_mode=str(self.weight_mode))
             termination = "max_iter"
+            weights = links.scaled_weights(alpha)
+            # An alpha update computes the next step's denominators.
+            raw = None
             for iteration in range(start, self.max_iter):
                 with span("cathy.hin_em.em_step", iteration=iteration):
                     ll, rho, rho0, phi, phi0 = self._em_step(
-                        alpha, rho, rho0, phi, phi0, phi_parent, node_names)
+                        weights, rho, rho0, phi, phi0, phi_parent, raw)
+                raw = None
                 if learn and (iteration + 1) % self.weight_update_every == 0:
                     with span("cathy.hin_em.alpha_update",
                               iteration=iteration):
-                        alpha = self._update_alpha(rho, rho0, phi, phi0,
-                                                   phi_parent)
+                        raw = links.sddmm(*self._factors(
+                            rho, rho0, phi, phi0, phi_parent))
+                        alpha = self._update_alpha(raw)
+                        weights = links.scaled_weights(alpha)
                 tracer.record(log_likelihood=ll)
                 done = bool(
                     np.isfinite(prev_ll)
@@ -363,8 +489,9 @@ class CathyHIN:
                 if checkpoint is not None:
                     state_fn = lambda: {  # noqa: E731
                         "iteration": iteration, "rho": rho, "rho0": rho0,
-                        "phi": phi, "phi0": phi0, "alpha": dict(alpha),
-                        "prev_ll": prev_ll, "ll": ll, "done": done}
+                        "phi": links.split(phi), "phi0": links.split(phi0),
+                        "alpha": dict(alpha), "prev_ll": prev_ll, "ll": ll,
+                        "done": done}
                     if done:
                         checkpoint.save(iteration, state_fn())
                     else:
@@ -375,78 +502,62 @@ class CathyHIN:
 
         num_params = k * sum(len(n) for n in node_names.values())
         return HINTopicModel(
-            rho=rho, rho0=rho0, phi=phi, phi_background=phi0,
-            phi_parent=phi_parent, alpha=dict(alpha), node_names=node_names,
-            log_likelihood=ll, num_free_parameters=num_params)
+            rho=rho, rho0=rho0, phi=links.split(phi),
+            phi_background=links.split(phi0),
+            phi_parent=links.split(phi_parent), alpha=dict(alpha),
+            node_names=node_names, log_likelihood=ll,
+            num_free_parameters=num_params)
 
     # --------------------------------------------------------------- EM core
-    def _link_scores(self, ld: _LinkData, rho: np.ndarray, rho0: float,
-                     phi: Dict[str, np.ndarray], phi0: Dict[str, np.ndarray],
-                     phi_parent: Dict[str, np.ndarray],
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mixture scores per link: (topic scores (k,E), bg dir-1, bg dir-2)."""
-        type_x, type_y = ld.link_type
-        scores = (rho[:, None] * phi[type_x][:, ld.i_idx]
-                  * phi[type_y][:, ld.j_idx])
-        if self.background and rho0 > 0:
-            bg_a = rho0 * phi0[type_x][ld.i_idx] * phi_parent[type_y][ld.j_idx]
-            bg_b = rho0 * phi0[type_y][ld.j_idx] * phi_parent[type_x][ld.i_idx]
-            bg_a = bg_a * 0.5
-            bg_b = bg_b * 0.5
-        else:
-            bg_a = np.zeros(ld.num_links)
-            bg_b = np.zeros(ld.num_links)
-        return scores, bg_a, bg_b
-
-    def _em_step(self, alpha, rho, rho0, phi, phi0, phi_parent, node_names):
+    def _factors(self, rho: np.ndarray, rho0: float, phi: np.ndarray,
+                 phi0: np.ndarray, phi_parent: np.ndarray,
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Node factors (A, B) whose row dot A[i] . B[j] sums link (i, j)'s
+        mixture scores: k topic columns, then the two background
+        directions (Eq. 3.24) when the background topic is on."""
         k = self.num_topics
-        new_rho = np.zeros(k)
-        new_rho0 = 0.0
-        new_phi = {t: np.zeros((k, len(names)))
-                   for t, names in node_names.items()}
-        new_phi0 = {t: np.zeros(len(names)) for t, names in node_names.items()}
-        ll = 0.0
-        total_weight = 0.0
+        width = k + 2 if self.background else k
+        left = np.empty((len(phi), width))
+        right = np.empty((len(phi), width))
+        left[:, :k] = phi * rho
+        right[:, :k] = phi
+        if self.background:
+            # rho0/2 rides with phi0 on whichever side holds the link's
+            # background node, the product order of Eq. 3.24's terms.
+            left[:, k] = 0.5 * rho0 * phi0
+            left[:, k + 1] = phi_parent
+            right[:, k] = phi_parent
+            right[:, k + 1] = 0.5 * rho0 * phi0
+        return left, right
 
-        for ld in self._link_data:
-            type_x, type_y = ld.link_type
-            a = alpha.get(ld.link_type, 1.0)
-            w = ld.weights * a
-            scores, bg_a, bg_b = self._link_scores(
-                ld, rho, rho0, phi, phi0, phi_parent)
-            denom = scores.sum(axis=0) + bg_a + bg_b
-            denom = np.maximum(denom, EPS)
-            ll += float(np.dot(w, np.log(denom)))
-            total_weight += w.sum()
+    def _em_step(self, weights: np.ndarray, rho: np.ndarray, rho0: float,
+                 phi: np.ndarray, phi0: np.ndarray, phi_parent: np.ndarray,
+                 raw: Optional[np.ndarray] = None):
+        """One EM iteration over the stacked link CSR.
 
-            expected = scores / denom * w  # (k, E)
-            new_rho += expected.sum(axis=1)
-            incidence = self._incidence.get(ld.link_type)
-            if incidence is not None:
-                inc_i, inc_j = incidence
-                new_phi[type_x] += np.asarray(expected @ inc_i)
-                new_phi[type_y] += np.asarray(expected @ inc_j)
-            else:
-                flat_i, flat_j = self._scatter_idx[ld.link_type]
-                contrib = expected.reshape(-1)
-                num_x = new_phi[type_x].shape[1]
-                num_y = new_phi[type_y].shape[1]
-                new_phi[type_x] += np.bincount(
-                    flat_i, weights=contrib,
-                    minlength=k * num_x).reshape(k, num_x)
-                new_phi[type_y] += np.bincount(
-                    flat_j, weights=contrib,
-                    minlength=k * num_y).reshape(k, num_y)
-            if self.background:
-                exp_bg_a = bg_a / denom * w
-                exp_bg_b = bg_b / denom * w
-                new_rho0 += float(exp_bg_a.sum() + exp_bg_b.sum())
-                if incidence is not None:
-                    new_phi0[type_x] += np.asarray(exp_bg_a @ inc_i).ravel()
-                    new_phi0[type_y] += np.asarray(exp_bg_b @ inc_j).ravel()
-                else:
-                    np.add.at(new_phi0[type_x], ld.i_idx, exp_bg_a)
-                    np.add.at(new_phi0[type_y], ld.j_idx, exp_bg_b)
+        ``weights`` are the alpha-scaled link weights; ``raw`` may carry
+        the links' mixture denominators for these parameters when they
+        are already known.  Returns ``(ll, rho, rho0, phi, phi0)``.
+        """
+        k = self.num_topics
+        links = self._links
+        left, right = self._factors(rho, rho0, phi, phi0, phi_parent)
+        if raw is None:
+            raw = links.sddmm(left, right)
+        denom = np.maximum(raw, EPS)
+        ll = float(np.dot(weights, np.log(denom)))
+        # Expected counts credited to each link's first / second endpoint.
+        via_rows, via_cols = links.spmm(weights / denom, left, right)
+        first = left * via_rows
+        second = right * via_cols
+        # Links whose every score underflowed sum to at most this credit.
+        limit = weights.sum() / EPS * _SMALLEST_SUBNORMAL
+        self._rescore_underflow(first, left, right, denom, weights, limit,
+                                False)
+        self._rescore_underflow(second, right, left, denom, weights, limit,
+                                True)
+        new_rho = first[:, :k].sum(axis=0)
+        new_rho0 = float(first[:, k:].sum()) if self.background else 0.0
 
         # MAP smoothing (Section 3.2.3's Bayesian extension): Dirichlet
         # pseudo-counts added to the expected-count statistics.
@@ -458,70 +569,125 @@ class CathyHIN:
         mass = max(mass, EPS)
         rho = np.maximum(new_rho / mass, EPS)
         rho0 = max(new_rho0 / mass, EPS if self.background else 0.0)
-        for t in new_phi:
-            counts = new_phi[t] + self.phi_prior
-            row_sums = np.maximum(counts.sum(axis=1, keepdims=True), EPS)
-            phi[t] = counts / row_sums
-            bg_counts = new_phi0[t] + self.phi_prior
-            bg_sum = bg_counts.sum()
-            if self.background and bg_sum > 0:
-                phi0[t] = bg_counts / bg_sum
+        counts = first[:, :k] + second[:, :k] + self.phi_prior
+        phi = counts / links.per_node(
+            np.maximum(links.type_totals(counts), EPS))
+        if self.background:
+            bg_counts = first[:, k] + second[:, k + 1] + self.phi_prior
+            totals = links.type_totals(bg_counts)
+            phi0 = np.where(
+                links.per_node(totals > 0),
+                bg_counts / links.per_node(np.where(totals > 0, totals, 1.0)),
+                phi0)
         return ll, rho, rho0, phi, phi0
 
+    def _rescore_underflow(self, credit: np.ndarray, own: np.ndarray,
+                           other: np.ndarray, denom: np.ndarray,
+                           weights: np.ndarray, limit: float,
+                           as_column: bool) -> None:
+        """Recompute link by link the expected counts that underflow decides.
+
+        ``credit[n, z]`` is ``own[n, z] * sum_e other[partner_e, z] *
+        weights_e / denom_e`` over node n's links.  Eq. 3.25 forms each
+        link's score ``own * other`` first, so a score below the smallest
+        subnormal adds exactly zero, while the factored product can still
+        leave a subnormal count.  Every positive credit up to ``limit``
+        (what such scores could sum to) is recomputed in Eq. 3.25's
+        order, so which ranking entries are exactly zero does not depend
+        on the factoring.
+        """
+        tiny = credit <= limit
+        tiny &= credit > 0
+        if not tiny.any():
+            return
+        links = self._links
+        nodes, topics = np.nonzero(tiny)
+        positions, owner = links.incident(nodes, as_column)
+        partners = (links.rows if as_column else links.cols)[positions]
+        topic = topics[owner]
+        scores = own[nodes[owner], topic] * other[partners, topic]
+        credit[nodes, topics] = np.bincount(
+            owner, weights=scores / denom[positions] * weights[positions],
+            minlength=len(nodes))
+
     # -------------------------------------------------------- weight learning
-    def _update_alpha(self, rho, rho0, phi, phi0, phi_parent,
-                      ) -> Dict[LinkType, float]:
+    def _update_alpha(self, raw: np.ndarray) -> Dict[LinkType, float]:
         """Closed-form alpha update (Eq. 3.37-3.38).
 
         sigma_xy measures, per link type, the average KL-style divergence
         of the observed link-weight distribution from the model's expected
         distribution; alpha is inversely proportional to sigma, normalized
-        so the geometric-mean constraint of Theorem 3.2 holds.
+        so the geometric-mean constraint of Theorem 3.2 holds.  ``raw``
+        holds every link's mixture denominator under the current model.
         """
-        sigmas: Dict[LinkType, float] = {}
-        for ld in self._link_data:
-            scores, bg_a, bg_b = self._link_scores(
-                ld, rho, rho0, phi, phi0, phi_parent)
-            s = np.maximum(scores.sum(axis=0) + bg_a + bg_b, EPS)
-            m_xy = ld.weights.sum()
-            divergence = float(np.dot(
-                ld.weights, np.log(np.maximum(ld.weights, EPS) / (m_xy * s))))
-            sigma = divergence / max(ld.num_links, 1)
-            sigmas[ld.link_type] = max(sigma, EPS)
-        alpha = {lt: 1.0 / sigma for lt, sigma in sigmas.items()}
-        return _normalize_alpha(alpha, self._link_data)
+        links = self._links
+        weights = links.weights
+        expected = links.type_weight[links.type_id] * np.maximum(raw, EPS)
+        divergence = np.bincount(
+            links.type_id,
+            weights=weights * np.log(np.maximum(weights, EPS) / expected),
+            minlength=len(links.link_types))
+        sigma = np.maximum(
+            divergence / np.maximum(np.diff(links.type_starts), 1), EPS)
+        alpha = {lt: 1.0 / value
+                 for lt, value in zip(links.link_types, sigma.tolist())}
+        return _normalize_alpha(alpha, links)
 
     # ------------------------------------------------------------ subnetwork
+    def _final_split(self) -> Tuple:
+        """The fitted model's factors and type-major link arrays.
+
+        Computed once per fit: the node factors, each link's stacked row
+        and column, alpha-scaled weight and mixture denominator, and the
+        number of degenerate (zero-score) links.
+        """
+        if self._split is None:
+            model = self._require_fitted()
+            links = self._links
+            left, right = self._factors(
+                model.rho, model.rho0, links.stack(model.phi),
+                links.stack(model.phi_background),
+                links.stack(model.phi_parent))
+            raw = links.sddmm(left, right)
+            self._split = (
+                left, right, links.type_major(links.rows),
+                links.type_major(links.cols),
+                links.type_major(links.scaled_weights(model.alpha)),
+                links.type_major(np.maximum(raw, EPS)),
+                int(np.count_nonzero(raw <= 0.0)))
+        return self._split
+
     def expected_link_arrays(self, subtopic: int,
                              ) -> Dict[LinkType, Tuple[np.ndarray,
                                                        np.ndarray,
                                                        np.ndarray]]:
         """e-hat^{x,y,t/z} as ``(i_idx, j_idx, weights)`` per link type.
 
-        The sparse-array form of Eq. 3.23's expected scaled link weight:
-        one vectorized pass per link type over the network's CSR link
-        arrays.  Links whose mixture score degenerates to zero cannot be
-        attributed to any subtopic and are counted under the
-        ``cathy.degenerate_links`` metric instead of being dropped
-        silently.
+        The sparse-array form of Eq. 3.23's expected scaled link weight,
+        aligned with the network's CSR link arrays.  The fitted model's
+        mixture denominators are computed once per fit, so each subtopic
+        costs one gathered product per link.  Links whose mixture score
+        degenerates to zero cannot be attributed to any subtopic and are
+        counted under the ``cathy.degenerate_links`` metric instead of
+        being dropped silently.
         """
         model = self._require_fitted()
         if not 0 <= subtopic < model.num_topics:
             raise ConfigurationError(f"subtopic {subtopic} out of range")
+        left, right, rows, cols, weights, denom, degenerate = \
+            self._final_split()
+        if degenerate:
+            inc("cathy.degenerate_links", degenerate)
+        scores = (np.take(left[:, subtopic], rows)
+                  * np.take(right[:, subtopic], cols))
+        expected = weights * scores / denom
+        bounds = self._links.type_starts.tolist()
         result: Dict[LinkType, Tuple[np.ndarray, np.ndarray,
                                      np.ndarray]] = {}
-        for ld in self._link_data:
-            a = model.alpha.get(ld.link_type, 1.0)
-            scores, bg_a, bg_b = self._link_scores(
-                ld, model.rho, model.rho0, model.phi, model.phi_background,
-                model.phi_parent)
-            raw_denom = scores.sum(axis=0) + bg_a + bg_b
-            num_degenerate = int(np.count_nonzero(raw_denom <= 0.0))
-            if num_degenerate:
-                inc("cathy.degenerate_links", num_degenerate)
-            denom = np.maximum(raw_denom, EPS)
-            expected = ld.weights * a * scores[subtopic] / denom
-            result[ld.link_type] = (ld.i_idx, ld.j_idx, expected)
+        for link_type, a, b in zip(self._links.link_types, bounds,
+                                   bounds[1:]):
+            i_idx, j_idx, _ = self._network.link_arrays(link_type)
+            result[link_type] = (i_idx, j_idx, expected[a:b])
         return result
 
     def expected_link_weights(self, subtopic: int,
@@ -555,9 +721,9 @@ class CathyHIN:
         Higher is worse; model selection picks the k minimizing this.
         """
         model = self._require_fitted()
-        num_links = sum(ld.num_links for ld in self._link_data)
         return (-2.0 * model.log_likelihood
-                + model.num_free_parameters * np.log(max(num_links, 2)))
+                + model.num_free_parameters
+                * np.log(max(self._links.num_links, 2)))
 
     def _require_fitted(self) -> HINTopicModel:
         if self.model_ is None:
@@ -569,21 +735,21 @@ def _hin_restart_task(shared, seed_seq, checkpoint=None,
                       state=None) -> HINTopicModel:
     """One random restart, runnable in a worker process.
 
-    ``shared`` carries the constructor parameters, extracted link data,
+    ``shared`` carries the constructor parameters, the stacked link CSR,
     node names, and initial alpha — shipped once per worker.
     """
-    params, link_data, node_names, alpha = shared
+    params, links, node_names, alpha = shared
     estimator = CathyHIN(**params)
-    estimator._link_data = link_data
+    estimator._links = links
     return estimator._fit_once(node_names, dict(alpha),
                                rng=rng_from(seed_seq),
                                checkpoint=checkpoint, state=state)
 
 
 def _normalize_alpha(alpha: Dict[LinkType, float],
-                     link_data: List[_LinkData]) -> Dict[LinkType, float]:
+                     links: _LinkCSR) -> Dict[LinkType, float]:
     """Rescale alpha so that prod alpha^{n_xy} = 1 (Theorem 3.2)."""
-    counts = {ld.link_type: ld.num_links for ld in link_data}
+    counts = links.link_counts()
     total = sum(counts.values())
     if total == 0:
         return dict(alpha)

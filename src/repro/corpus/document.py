@@ -52,6 +52,30 @@ class Document:
         return self.entities.get(entity_type, [])
 
 
+def _entity_lists(entities: Mapping[str, Sequence[str]],
+                  doc_id: int) -> Dict[str, List[str]]:
+    """Copy a document's entity mapping into lists of names.
+
+    A bare string would otherwise be read as one name per character, so
+    it is refused, as is any name that is not a string.
+    """
+    lists: Dict[str, List[str]] = {}
+    for entity_type, names in entities.items():
+        if isinstance(names, str):
+            raise DataError(
+                f"document {doc_id}: entity type {entity_type!r} maps to "
+                f"the string {names!r}; give a list of names")
+        try:
+            names = list(names)
+            "".join(names)  # one C-level pass: every name is a str
+        except TypeError:
+            raise DataError(
+                f"document {doc_id}: entity type {entity_type!r} needs a "
+                f"list of string names, got {names!r}") from None
+        lists[entity_type] = names
+    return lists
+
+
 class Corpus:
     """An ordered document collection with a shared vocabulary.
 
@@ -89,8 +113,7 @@ class Corpus:
                          for chunk in token_chunks]
             corpus.add_document(
                 chunks=id_chunks,
-                entities={k: list(v) for k, v in entities[i].items()}
-                if entities is not None else None,
+                entities=entities[i] if entities is not None else None,
                 year=years[i] if years is not None else None,
                 label=labels[i] if labels is not None else None,
             )
@@ -98,18 +121,25 @@ class Corpus:
 
     def add_document(self,
                      chunks: List[List[int]],
-                     entities: Optional[Dict[str, List[str]]] = None,
+                     entities: Optional[Mapping[str, Sequence[str]]] = None,
                      year: Optional[int] = None,
                      label: Optional[str] = None) -> Document:
-        """Append a pre-tokenized document and return it."""
+        """Append a pre-tokenized document and return it.
+
+        ``entities`` maps each entity type to a sequence of names; the
+        document keeps its own list copies.  A bare string, or a name
+        that is not a string, raises :class:`DataError`.
+        """
         vocab_size = len(self.vocabulary)
         for chunk in chunks:
             for tok in chunk:
                 if not 0 <= tok < vocab_size:
                     raise DataError(f"token id {tok} outside vocabulary "
                                     f"of size {vocab_size}")
-        doc = Document(doc_id=len(self._documents), chunks=chunks,
-                       entities=entities or {}, year=year, label=label)
+        doc_id = len(self._documents)
+        doc = Document(doc_id=doc_id, chunks=chunks,
+                       entities=_entity_lists(entities or {}, doc_id),
+                       year=year, label=label)
         self._documents.append(doc)
         return doc
 
@@ -165,8 +195,7 @@ class Corpus:
         for doc_id in doc_ids:
             doc = self._documents[doc_id]
             sub.add_document(chunks=[list(c) for c in doc.chunks],
-                             entities={k: list(v)
-                                       for k, v in doc.entities.items()},
+                             entities=doc.entities,
                              year=doc.year, label=doc.label)
         return sub
 

@@ -89,8 +89,7 @@ def dataset_from_dict(data: dict) -> SyntheticDataset:
     for record in data["documents"]:
         corpus.add_document(
             chunks=[list(chunk) for chunk in record["chunks"]],
-            entities={k: list(v)
-                      for k, v in record.get("entities", {}).items()},
+            entities=record.get("entities"),
             year=record.get("year"),
             label=record.get("label"))
 

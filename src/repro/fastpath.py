@@ -4,9 +4,10 @@ Every hot path in the library ships as a *kernel pair*: a retained
 reference implementation (the ground-truth semantics, kept under
 ``tests/reference_kernels.py`` and equivalence-tested to 1e-12) and a
 fast kernel (sparse/vectorized/blocked) that production code runs by
-default.  A fast kernel may be unavailable — e.g. :mod:`scipy` failed to
-import — in which case the solver silently degrades to an equivalent
-slower path and counts the event under ``kernel.fallback.<name>``.
+default.  A fast kernel may be bypassed — the collapsed-Gibbs sampler's
+reference sweep, forced through ``REPRO_GIBBS_REFERENCE``, is the one
+such path left — in which case the solver runs an equivalent slower path
+and counts the event under ``kernel.fallback.<name>``.
 
 CI's perf-smoke job sets ``REPRO_REQUIRE_FAST_KERNELS=1`` to turn that
 silent degradation into a hard :class:`~repro.errors.ConfigurationError`:

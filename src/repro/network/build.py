@@ -8,26 +8,34 @@ Two builders are provided:
   Section 3.2 / Example 3.1: term–term co-occurrence links plus
   term–entity and entity–entity links derived from document attachments.
 
-Both assemble edge lists *columnwise*: per document they emit index
-arrays (all unordered term pairs come from one cached ``triu_indices``
-template, entity–term stars from a repeat/tile), concatenate once, and
-hand the whole column to :meth:`HeterogeneousNetwork.add_links` — the
-network's COO→CSR freeze deduplicates and sums in a single vectorized
-pass instead of one dict insert per co-occurrence.
+Both assemble edge lists from flat arrays over the whole corpus: one
+:func:`numpy.unique` over (document, kept token) keys gives every
+document's distinct terms as one contiguous run, all unordered pairs of
+a run come from one cached ``triu_indices`` template per run length, and
+entity–term stars are a ``repeat`` of each entity occurrence over its
+document's run; the only per-document Python work is reading the token
+and entity lists.  Each link type's whole column goes to
+:meth:`HeterogeneousNetwork.add_links` once, and the network's COO→CSR
+freeze deduplicates and sums it in a single vectorized pass.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..corpus import Corpus
+from ..errors import DataError
+from ..utils import run_positions
 from .weighted import HeterogeneousNetwork, LinkType, canonical_link_type
 
 TERM_TYPE = "term"
+
+#: One (i_parts, j_parts) column accumulator per canonical link type.
+_Columns = Dict[LinkType, Tuple[List[np.ndarray], List[np.ndarray]]]
 
 
 @lru_cache(maxsize=4096)
@@ -36,80 +44,73 @@ def _pair_template(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
-class _EdgeColumns:
-    """Per-link-type accumulator of (i, j, weight-1) edge-list columns."""
+def _run_pairs(starts: np.ndarray, lengths: np.ndarray,
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of every unordered pair inside each run.
 
-    def __init__(self) -> None:
-        self._parts: Dict[LinkType, Tuple[List[np.ndarray],
-                                          List[np.ndarray]]] = {}
-        self._scalars: Dict[LinkType, Tuple[List[int], List[int]]] = {}
-
-    def add_arrays(self, type_x: str, i_idx: np.ndarray, type_y: str,
-                   j_idx: np.ndarray) -> None:
-        """Append one unit-weight edge column (canonicalized by type)."""
-        link_type = canonical_link_type(type_x, type_y)
-        if (type_x, type_y) != link_type:
-            i_idx, j_idx = j_idx, i_idx
-        parts = self._parts.get(link_type)
-        if parts is None:
-            parts = ([], [])
-            self._parts[link_type] = parts
-        parts[0].append(i_idx)
-        parts[1].append(j_idx)
-
-    def add_pair(self, type_x: str, i: int, type_y: str, j: int) -> None:
-        """Append one unit-weight edge (sparse per-document pairs)."""
-        link_type = canonical_link_type(type_x, type_y)
-        if (type_x, type_y) != link_type:
-            i, j = j, i
-        scalars = self._scalars.get(link_type)
-        if scalars is None:
-            scalars = ([], [])
-            self._scalars[link_type] = scalars
-        scalars[0].append(i)
-        scalars[1].append(j)
-
-    def flush(self, network: HeterogeneousNetwork) -> None:
-        """Hand every accumulated column to the network in one call."""
-        for link_type, (i_lists, j_lists) in self._scalars.items():
-            parts = self._parts.setdefault(link_type, ([], []))
-            parts[0].append(np.asarray(i_lists, dtype=np.int64))
-            parts[1].append(np.asarray(j_lists, dtype=np.int64))
-        for link_type, (i_parts, j_parts) in self._parts.items():
-            if not i_parts:
-                continue
-            network.add_links(link_type[0], np.concatenate(i_parts),
-                              link_type[1], np.concatenate(j_parts))
-
-
-class _TermIndex:
-    """Maps kept corpus token ids to network node ids, registering lazily.
-
-    Registration order matches the classic per-edge builder: first
-    document containing a term registers it, terms within a document in
-    sorted token order.
+    Run ``r`` covers positions ``starts[r] .. starts[r] + lengths[r] - 1``;
+    runs of one length share one ``triu_indices`` template.
     """
+    first: List[np.ndarray] = []
+    second: List[np.ndarray] = []
+    for length in np.unique(lengths[lengths >= 2]).tolist():
+        rows = starts[lengths == length][:, None] + np.arange(length)
+        iu, ju = _pair_template(length)
+        first.append(rows[:, iu].ravel())
+        second.append(rows[:, ju].ravel())
+    if not first:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(first), np.concatenate(second)
 
-    def __init__(self, corpus: Corpus, network: HeterogeneousNetwork,
-                 min_count: int) -> None:
-        counts = corpus.word_counts()
-        self._keep = {w for w, c in counts.items() if c >= min_count}
-        self._vocabulary = corpus.vocabulary
-        self._network = network
-        self._node_of: Dict[int, int] = {}
 
-    def doc_term_ids(self, tokens: Sequence[int]) -> np.ndarray:
-        """Network node ids of the document's distinct kept terms."""
-        node_of = self._node_of
-        ids: List[int] = []
-        for tok in sorted({t for t in tokens if t in self._keep}):
-            node = node_of.get(tok)
-            if node is None:
-                node = self._network.add_node(
-                    TERM_TYPE, self._vocabulary.word_of(tok))
-                node_of[tok] = node
-            ids.append(node)
-        return np.asarray(ids, dtype=np.int64)
+def _add_column(columns: _Columns, type_x: str, i_idx: np.ndarray,
+                type_y: str, j_idx: np.ndarray) -> None:
+    """Append one unit-weight edge column (canonicalized by type)."""
+    link_type = canonical_link_type(type_x, type_y)
+    if (type_x, type_y) != link_type:
+        i_idx, j_idx = j_idx, i_idx
+    parts = columns.setdefault(link_type, ([], []))
+    parts[0].append(i_idx)
+    parts[1].append(j_idx)
+
+
+def _flush(columns: _Columns, network: HeterogeneousNetwork) -> None:
+    """Hand every accumulated column to the network in one call per type."""
+    for link_type, (i_parts, j_parts) in columns.items():
+        network.add_links(link_type[0], np.concatenate(i_parts),
+                          link_type[1], np.concatenate(j_parts))
+
+
+def _document_terms(corpus: Corpus, network: HeterogeneousNetwork,
+                    min_count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Register the kept terms and return every document's term run.
+
+    Returns ``(term_ids, starts)``: document ``d``'s distinct kept terms,
+    in token-id order, are the network node ids
+    ``term_ids[starts[d]:starts[d + 1]]``.  Terms register in the order
+    a per-document walk meets them: first document containing the term,
+    then token-id order within it.
+    """
+    lengths = np.fromiter((doc.length for doc in corpus), dtype=np.int64,
+                          count=len(corpus))
+    tokens = np.fromiter(
+        chain.from_iterable(chain.from_iterable(
+            doc.chunks for doc in corpus)),
+        dtype=np.int64, count=int(lengths.sum()))
+    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    vocab_size = len(corpus.vocabulary)
+    kept = np.bincount(tokens, minlength=vocab_size)[tokens] >= min_count
+    keys = np.unique(docs[kept] * vocab_size + tokens[kept])
+    key_docs = keys // vocab_size
+    key_tokens = keys - key_docs * vocab_size
+    words, first_key = np.unique(key_tokens, return_index=True)
+    words = words[np.argsort(first_key, kind="stable")]
+    node_of = np.zeros(vocab_size, dtype=np.int64)
+    node_of[words] = network.add_nodes(
+        TERM_TYPE, [corpus.vocabulary.word_of(w) for w in words.tolist()])
+    starts = np.searchsorted(key_docs, np.arange(len(corpus) + 1))
+    return node_of[key_tokens], starts
 
 
 def build_term_network(corpus: Corpus,
@@ -122,15 +123,10 @@ def build_term_network(corpus: Corpus,
     terms").  Terms below ``min_count`` corpus frequency are skipped.
     """
     network = HeterogeneousNetwork(node_types=[TERM_TYPE])
-    index = _TermIndex(corpus, network, min_count)
-    columns = _EdgeColumns()
-    for doc in corpus:
-        term_ids = index.doc_term_ids(doc.tokens)
-        if len(term_ids) >= 2:
-            iu, ju = _pair_template(len(term_ids))
-            columns.add_arrays(TERM_TYPE, term_ids[iu], TERM_TYPE,
-                               term_ids[ju])
-    columns.flush(network)
+    term_ids, starts = _document_terms(corpus, network, min_count)
+    first, second = _run_pairs(starts[:-1], np.diff(starts))
+    network.add_links(TERM_TYPE, term_ids[first], TERM_TYPE,
+                      term_ids[second])
     return network
 
 
@@ -154,45 +150,77 @@ def build_collapsed_network(corpus: Corpus,
         min_count: minimum corpus frequency for a term to enter the network.
         include_text: set ``False`` to build a text-absent network (the
             degenerate case G^o = H discussed in Section 3.2).
+
+    Raises:
+        DataError: an included entity type is named ``"term"`` while the
+            text is included, so its entities would merge into the words.
     """
     if entity_types is None:
         entity_types = corpus.entity_types()
     entity_types = list(entity_types)
+    if include_text and TERM_TYPE in entity_types:
+        raise DataError(
+            f"entity type {TERM_TYPE!r} clashes with the word nodes of "
+            f"the collapsed network; rename it or pass include_text=False")
 
     node_types = list(entity_types)
     if include_text:
         node_types.append(TERM_TYPE)
     network = HeterogeneousNetwork(node_types=node_types)
+    columns: _Columns = {}
 
-    index = _TermIndex(corpus, network, min_count) if include_text else None
-    columns = _EdgeColumns()
-    empty = np.empty(0, dtype=np.int64)
+    if include_text:
+        term_ids, term_starts = _document_terms(corpus, network, min_count)
+        first, second = _run_pairs(term_starts[:-1], np.diff(term_starts))
+        _add_column(columns, TERM_TYPE, term_ids[first], TERM_TYPE,
+                    term_ids[second])
+        term_counts = np.diff(term_starts)
 
+    # Entity occurrences of every included type, document after document;
+    # a name listed twice in one document occurs twice.
+    names: List[List[str]] = [[] for _ in entity_types]
+    counts: List[List[int]] = [[] for _ in entity_types]
     for doc in corpus:
-        term_ids = index.doc_term_ids(doc.tokens) \
-            if index is not None else empty
-        # Term-term co-occurrence links.
-        if len(term_ids) >= 2:
-            iu, ju = _pair_template(len(term_ids))
-            columns.add_arrays(TERM_TYPE, term_ids[iu], TERM_TYPE,
-                               term_ids[ju])
+        for position, entity_type in enumerate(entity_types):
+            listed = doc.entity_list(entity_type)
+            names[position].extend(listed)
+            counts[position].append(len(listed))
+    doc_index = np.arange(len(corpus), dtype=np.int64)
+    occ_doc: List[np.ndarray] = []
+    occ_id: List[np.ndarray] = []
+    for position, entity_type in enumerate(entity_types):
+        ids = network.add_nodes(entity_type, names[position])
+        docs = np.repeat(doc_index, counts[position])
+        occ_doc.append(docs)
+        occ_id.append(ids)
+        if include_text:
+            reps = term_counts[docs]
+            _add_column(columns, entity_type, np.repeat(ids, reps),
+                        TERM_TYPE, term_ids[run_positions(
+                            term_starts[docs], reps)])
 
-        # Entity nodes linked to all terms of the document and to the other
-        # entities of the document.
-        doc_entities = []  # (type, node_id) pairs
-        for etype in entity_types:
-            for name in doc.entity_list(etype):
-                doc_entities.append((etype, network.add_node(etype, name)))
-        if len(term_ids):
-            for (etype, eid) in doc_entities:
-                columns.add_arrays(
-                    etype, np.full(len(term_ids), eid, dtype=np.int64),
-                    TERM_TYPE, term_ids)
-        for (type_a, id_a), (type_b, id_b) in combinations(doc_entities, 2):
-            if type_a == type_b and id_a == id_b:
-                continue
-            columns.add_pair(type_a, id_a, type_b, id_b)
-    columns.flush(network)
+    # Entity–entity pairs over each document's occurrences in
+    # (entity type, listing) order; an entity never links to itself.
+    if entity_types:
+        # A type listed twice in ``entity_types`` is still one node type.
+        same_type = np.asarray([entity_types.index(t) for t in entity_types])
+        occ_type = np.repeat(np.arange(len(entity_types)),
+                             [len(ids) for ids in occ_id])
+        by_doc = np.argsort(np.concatenate(occ_doc), kind="stable")
+        occ_type = occ_type[by_doc]
+        all_ids = np.concatenate(occ_id)[by_doc]
+        per_doc = np.sum(counts, axis=0, dtype=np.int64)
+        first, second = _run_pairs(np.cumsum(per_doc) - per_doc, per_doc)
+        type_a, type_b = occ_type[first], occ_type[second]
+        id_a, id_b = all_ids[first], all_ids[second]
+        distinct = (same_type[type_a] != same_type[type_b]) | (id_a != id_b)
+        pair_code = type_a * len(entity_types) + type_b
+        for code in np.unique(pair_code[distinct]).tolist():
+            mask = distinct & (pair_code == code)
+            _add_column(columns, entity_types[code // len(entity_types)],
+                        id_a[mask], entity_types[code % len(entity_types)],
+                        id_b[mask])
+    _flush(columns, network)
     return network
 
 

@@ -22,13 +22,9 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import DataError
-
-try:  # scipy is a hard dependency, but the backbone degrades gracefully
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via fallback tests
-    _sparse = None
 
 LinkType = Tuple[str, str]
 LinkKey = Tuple[int, int]
@@ -163,7 +159,7 @@ class _LinkStore:
         """The frozen links as a :class:`scipy.sparse.csr_matrix`."""
         if self._matrix is not None and self._matrix.shape == shape:
             return self._matrix
-        mat = _sparse.coo_matrix(
+        mat = sparse.coo_matrix(
             (self.weights, (self.rows, self.cols)), shape=shape).tocsr()
         self._matrix = mat
         return mat
@@ -414,21 +410,16 @@ class HeterogeneousNetwork:
         """The links of ``link_type`` as a ``scipy.sparse`` CSR matrix.
 
         Shape is ``(node_count(type_x), node_count(type_y))`` in the
-        canonical type order.  Raises :class:`DataError` when scipy is
-        unavailable (after recording a ``kernel.fallback`` metric).
+        canonical type order.
         """
         canonical = canonical_link_type(*link_type)
-        if _sparse is None:
-            from ..fastpath import kernel_fallback
-            kernel_fallback("network.link_matrix", "scipy unavailable")
-            raise DataError("scipy is required for link_matrix()")
         self._require_type(canonical[0])
         self._require_type(canonical[1])
         shape = (len(self._names[canonical[0]]),
                  len(self._names[canonical[1]]))
         store = self._frozen(canonical)
         if store is None:
-            return _sparse.csr_matrix(shape)
+            return sparse.csr_matrix(shape)
         return store.matrix(shape)
 
     def link_dict(self, link_type: LinkType) -> Dict[LinkKey, float]:

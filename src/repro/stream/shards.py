@@ -329,8 +329,7 @@ class ShardStore:
             for record in payload["documents"]:
                 corpus.add_document(
                     chunks=[list(chunk) for chunk in record["chunks"]],
-                    entities={k: list(v)
-                              for k, v in record["entities"].items()},
+                    entities=record["entities"],
                     year=record.get("year"),
                     label=record.get("label"))
         return corpus

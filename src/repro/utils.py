@@ -71,6 +71,15 @@ def top_k_indices(scores: Sequence[float], k: int) -> List[int]:
     return [int(i) for i in order[:k]]
 
 
+def run_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every position of the runs ``starts[r] .. starts[r] + lengths[r] - 1``,
+    run after run, as one array (no per-run loop)."""
+    total = int(lengths.sum())
+    run_begin = np.cumsum(lengths) - lengths
+    return (np.arange(total, dtype=np.int64)
+            + np.repeat(starts - run_begin, lengths))
+
+
 def is_distribution(vector: np.ndarray, tol: float = 1e-6) -> bool:
     """True when ``vector`` is non-negative and sums to one within ``tol``."""
     arr = np.asarray(vector, dtype=float)

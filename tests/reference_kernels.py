@@ -47,12 +47,18 @@ Nine families live here:
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from repro.errors import DataError
+from repro.corpus import Corpus
+from repro.errors import ConfigurationError, DataError
+from repro.network import TERM_TYPE, HeterogeneousNetwork
+from repro.network.weighted import LinkType, canonical_link_type
+from repro.obs import inc
 
 EPS = 1e-12
 
@@ -1020,3 +1026,366 @@ def reference_document_topics(alpha: np.ndarray, phi: np.ndarray,
         else:
             result[d] = alpha / alpha.sum()
     return result
+
+
+# ---------------------------------------------------------------- CATHYHIN
+def _reference_one_hot(idx: np.ndarray, num_nodes: int) -> csr_matrix:
+    """(E, V) CSR with one unit entry per row at column ``idx[e]``."""
+    num_links = len(idx)
+    return csr_matrix(
+        (np.ones(num_links, dtype=np.float64),
+         np.asarray(idx, dtype=np.int64),
+         np.arange(num_links + 1, dtype=np.int64)),
+        shape=(num_links, num_nodes))
+
+
+class ReferenceLinkData:
+    """One link type's arrays, read from the network."""
+
+    def __init__(self, link_type, i_idx, j_idx, weights) -> None:
+        self.link_type = link_type
+        self.i_idx = i_idx
+        self.j_idx = j_idx
+        self.weights = weights
+
+    @property
+    def num_links(self) -> int:
+        """Number of stored links of this type."""
+        return len(self.weights)
+
+
+class ReferenceHINEM:
+    """CATHYHIN's EM kernels as they shipped before the stacked link CSR.
+
+    ``_link_scores``, ``_em_step``, ``_update_alpha`` and
+    ``expected_link_arrays`` are the old ``CathyHIN`` methods verbatim,
+    less the scipy-absent scatter branch of ``_em_step`` that never ran:
+    one loop over link types, each materializing (k, E) score and
+    posterior arrays, with the M-step scatter as one-hot incidence
+    products.  ``expected_link_arrays`` reads the fitted model assigned
+    to ``model_``; ``_em_step`` overwrites the ``phi``/``phi0`` dicts it
+    is given (:func:`reference_hin_em_step` passes copies).
+    """
+
+    def __init__(self, network, num_topics: int, background: bool = True,
+                 rho_prior: float = 0.0, phi_prior: float = 0.0) -> None:
+        self.num_topics = num_topics
+        self.background = background
+        self.rho_prior = rho_prior
+        self.phi_prior = phi_prior
+        self.model_ = None
+        self._link_data: List[ReferenceLinkData] = []
+        self._incidence: Dict[Tuple[str, str], Tuple[csr_matrix,
+                                                     csr_matrix]] = {}
+        for link_type in network.link_types():
+            i_idx, j_idx, weights = network.link_arrays(link_type)
+            self._link_data.append(
+                ReferenceLinkData(link_type, i_idx, j_idx, weights))
+            self._incidence[link_type] = (
+                _reference_one_hot(i_idx, network.node_count(link_type[0])),
+                _reference_one_hot(j_idx, network.node_count(link_type[1])))
+
+    def _parent_distributions(self, node_names):
+        """phi_t per type: normalized weighted degree (the old method)."""
+        degrees = {t: np.zeros(len(names)) + EPS
+                   for t, names in node_names.items()}
+        for ld in self._link_data:
+            type_x, type_y = ld.link_type
+            degrees[type_x] += np.bincount(ld.i_idx, weights=ld.weights,
+                                           minlength=len(degrees[type_x]))
+            degrees[type_y] += np.bincount(ld.j_idx, weights=ld.weights,
+                                           minlength=len(degrees[type_y]))
+        return {t: deg / deg.sum() for t, deg in degrees.items()}
+
+    def _link_scores(self, ld: ReferenceLinkData, rho: np.ndarray,
+                     rho0: float, phi: Dict[str, np.ndarray],
+                     phi0: Dict[str, np.ndarray],
+                     phi_parent: Dict[str, np.ndarray],
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mixture scores per link: topic scores (k,E), bg dir-1, dir-2."""
+        type_x, type_y = ld.link_type
+        scores = (rho[:, None] * phi[type_x][:, ld.i_idx]
+                  * phi[type_y][:, ld.j_idx])
+        if self.background and rho0 > 0:
+            bg_a = rho0 * phi0[type_x][ld.i_idx] * phi_parent[type_y][ld.j_idx]
+            bg_b = rho0 * phi0[type_y][ld.j_idx] * phi_parent[type_x][ld.i_idx]
+            bg_a = bg_a * 0.5
+            bg_b = bg_b * 0.5
+        else:
+            bg_a = np.zeros(ld.num_links)
+            bg_b = np.zeros(ld.num_links)
+        return scores, bg_a, bg_b
+
+    def _em_step(self, alpha, rho, rho0, phi, phi0, phi_parent, node_names):
+        k = self.num_topics
+        new_rho = np.zeros(k)
+        new_rho0 = 0.0
+        new_phi = {t: np.zeros((k, len(names)))
+                   for t, names in node_names.items()}
+        new_phi0 = {t: np.zeros(len(names)) for t, names in node_names.items()}
+        ll = 0.0
+        total_weight = 0.0
+
+        for ld in self._link_data:
+            type_x, type_y = ld.link_type
+            a = alpha.get(ld.link_type, 1.0)
+            w = ld.weights * a
+            scores, bg_a, bg_b = self._link_scores(
+                ld, rho, rho0, phi, phi0, phi_parent)
+            denom = scores.sum(axis=0) + bg_a + bg_b
+            denom = np.maximum(denom, EPS)
+            ll += float(np.dot(w, np.log(denom)))
+            total_weight += w.sum()
+
+            expected = scores / denom * w  # (k, E)
+            new_rho += expected.sum(axis=1)
+            inc_i, inc_j = self._incidence[ld.link_type]
+            new_phi[type_x] += np.asarray(expected @ inc_i)
+            new_phi[type_y] += np.asarray(expected @ inc_j)
+            if self.background:
+                exp_bg_a = bg_a / denom * w
+                exp_bg_b = bg_b / denom * w
+                new_rho0 += float(exp_bg_a.sum() + exp_bg_b.sum())
+                new_phi0[type_x] += np.asarray(exp_bg_a @ inc_i).ravel()
+                new_phi0[type_y] += np.asarray(exp_bg_b @ inc_j).ravel()
+
+        # MAP smoothing (Section 3.2.3's Bayesian extension): Dirichlet
+        # pseudo-counts added to the expected-count statistics.
+        if self.rho_prior > 0:
+            new_rho = new_rho + self.rho_prior
+            if self.background:
+                new_rho0 = new_rho0 + self.rho_prior
+        mass = new_rho.sum() + new_rho0
+        mass = max(mass, EPS)
+        rho = np.maximum(new_rho / mass, EPS)
+        rho0 = max(new_rho0 / mass, EPS if self.background else 0.0)
+        for t in new_phi:
+            counts = new_phi[t] + self.phi_prior
+            row_sums = np.maximum(counts.sum(axis=1, keepdims=True), EPS)
+            phi[t] = counts / row_sums
+            bg_counts = new_phi0[t] + self.phi_prior
+            bg_sum = bg_counts.sum()
+            if self.background and bg_sum > 0:
+                phi0[t] = bg_counts / bg_sum
+        return ll, rho, rho0, phi, phi0
+
+    def _update_alpha(self, rho, rho0, phi, phi0, phi_parent,
+                      ) -> Dict[LinkType, float]:
+        """Closed-form alpha update (Eq. 3.37-3.38).
+
+        sigma_xy measures, per link type, the average KL-style divergence
+        of the observed link-weight distribution from the model's expected
+        distribution; alpha is inversely proportional to sigma, normalized
+        so the geometric-mean constraint of Theorem 3.2 holds.
+        """
+        sigmas: Dict[LinkType, float] = {}
+        for ld in self._link_data:
+            scores, bg_a, bg_b = self._link_scores(
+                ld, rho, rho0, phi, phi0, phi_parent)
+            s = np.maximum(scores.sum(axis=0) + bg_a + bg_b, EPS)
+            m_xy = ld.weights.sum()
+            divergence = float(np.dot(
+                ld.weights, np.log(np.maximum(ld.weights, EPS) / (m_xy * s))))
+            sigma = divergence / max(ld.num_links, 1)
+            sigmas[ld.link_type] = max(sigma, EPS)
+        alpha = {lt: 1.0 / sigma for lt, sigma in sigmas.items()}
+        return _normalize_alpha(alpha, self._link_data)
+
+    def expected_link_arrays(self, subtopic: int,
+                             ) -> Dict[LinkType, Tuple[np.ndarray,
+                                                       np.ndarray,
+                                                       np.ndarray]]:
+        """e-hat^{x,y,t/z} as ``(i_idx, j_idx, weights)`` per link type.
+
+        The sparse-array form of Eq. 3.23's expected scaled link weight:
+        one vectorized pass per link type over the network's CSR link
+        arrays.  Links whose mixture score degenerates to zero cannot be
+        attributed to any subtopic and are counted under the
+        ``cathy.degenerate_links`` metric instead of being dropped
+        silently.
+        """
+        model = self.model_
+        if not 0 <= subtopic < model.num_topics:
+            raise ConfigurationError(f"subtopic {subtopic} out of range")
+        result: Dict[LinkType, Tuple[np.ndarray, np.ndarray,
+                                     np.ndarray]] = {}
+        for ld in self._link_data:
+            a = model.alpha.get(ld.link_type, 1.0)
+            scores, bg_a, bg_b = self._link_scores(
+                ld, model.rho, model.rho0, model.phi, model.phi_background,
+                model.phi_parent)
+            raw_denom = scores.sum(axis=0) + bg_a + bg_b
+            num_degenerate = int(np.count_nonzero(raw_denom <= 0.0))
+            if num_degenerate:
+                inc("cathy.degenerate_links", num_degenerate)
+            denom = np.maximum(raw_denom, EPS)
+            expected = ld.weights * a * scores[subtopic] / denom
+            result[ld.link_type] = (ld.i_idx, ld.j_idx, expected)
+        return result
+
+
+def _normalize_alpha(alpha: Dict[LinkType, float],
+                     link_data: List[ReferenceLinkData],
+                     ) -> Dict[LinkType, float]:
+    """Rescale alpha so that prod alpha^{n_xy} = 1 (Theorem 3.2)."""
+    counts = {ld.link_type: ld.num_links for ld in link_data}
+    total = sum(counts.values())
+    if total == 0:
+        return dict(alpha)
+    log_mean = sum(counts[lt] * np.log(max(alpha.get(lt, 1.0), EPS))
+                   for lt in counts) / total
+    scale = float(np.exp(-log_mean))
+    return {lt: float(alpha.get(lt, 1.0) * scale) for lt in counts}
+
+
+def reference_hin_em_step(estimator: ReferenceHINEM, alpha, rho, rho0,
+                          phi, phi0, phi_parent, node_names):
+    """One reference EM step, on copies of the parameter dicts."""
+    return estimator._em_step(alpha, rho, rho0, dict(phi), dict(phi0),
+                              phi_parent, node_names)
+
+
+# -------------------------------------------------------- network collapse
+@lru_cache(maxsize=4096)
+def _reference_pair_template(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle index template for all unordered pairs of n items."""
+    return np.triu_indices(n, k=1)
+
+
+class _ReferenceEdgeColumns:
+    """Per-link-type accumulator of (i, j, weight-1) edge-list columns."""
+
+    def __init__(self) -> None:
+        self._parts: Dict[LinkType, Tuple[List[np.ndarray],
+                                          List[np.ndarray]]] = {}
+        self._scalars: Dict[LinkType, Tuple[List[int], List[int]]] = {}
+
+    def add_arrays(self, type_x: str, i_idx: np.ndarray, type_y: str,
+                   j_idx: np.ndarray) -> None:
+        """Append one unit-weight edge column (canonicalized by type)."""
+        link_type = canonical_link_type(type_x, type_y)
+        if (type_x, type_y) != link_type:
+            i_idx, j_idx = j_idx, i_idx
+        parts = self._parts.get(link_type)
+        if parts is None:
+            parts = ([], [])
+            self._parts[link_type] = parts
+        parts[0].append(i_idx)
+        parts[1].append(j_idx)
+
+    def add_pair(self, type_x: str, i: int, type_y: str, j: int) -> None:
+        """Append one unit-weight edge (sparse per-document pairs)."""
+        link_type = canonical_link_type(type_x, type_y)
+        if (type_x, type_y) != link_type:
+            i, j = j, i
+        scalars = self._scalars.get(link_type)
+        if scalars is None:
+            scalars = ([], [])
+            self._scalars[link_type] = scalars
+        scalars[0].append(i)
+        scalars[1].append(j)
+
+    def flush(self, network: HeterogeneousNetwork) -> None:
+        """Hand every accumulated column to the network in one call."""
+        for link_type, (i_lists, j_lists) in self._scalars.items():
+            parts = self._parts.setdefault(link_type, ([], []))
+            parts[0].append(np.asarray(i_lists, dtype=np.int64))
+            parts[1].append(np.asarray(j_lists, dtype=np.int64))
+        for link_type, (i_parts, j_parts) in self._parts.items():
+            if not i_parts:
+                continue
+            network.add_links(link_type[0], np.concatenate(i_parts),
+                              link_type[1], np.concatenate(j_parts))
+
+
+class _ReferenceTermIndex:
+    """Maps kept corpus token ids to network node ids, registering lazily.
+
+    Registration order matches the classic per-edge network: first
+    document containing a term registers it, terms within a document in
+    sorted token order.
+    """
+
+    def __init__(self, corpus: Corpus, network: HeterogeneousNetwork,
+                 min_count: int) -> None:
+        counts = corpus.word_counts()
+        self._keep = {w for w, c in counts.items() if c >= min_count}
+        self._vocabulary = corpus.vocabulary
+        self._network = network
+        self._node_of: Dict[int, int] = {}
+
+    def doc_term_ids(self, tokens: Sequence[int]) -> np.ndarray:
+        """Network node ids of the document's distinct kept terms."""
+        node_of = self._node_of
+        ids: List[int] = []
+        for tok in sorted({t for t in tokens if t in self._keep}):
+            node = node_of.get(tok)
+            if node is None:
+                node = self._network.add_node(
+                    TERM_TYPE, self._vocabulary.word_of(tok))
+                node_of[tok] = node
+            ids.append(node)
+        return np.asarray(ids, dtype=np.int64)
+
+
+def reference_build_collapsed_network(
+        corpus: Corpus, entity_types: Optional[Sequence[str]] = None,
+        min_count: int = 1, include_text: bool = True,
+        ) -> HeterogeneousNetwork:
+    """The per-document Example 3.1 collapse, as shipped before the flat
+    array build (without the ``term`` entity-type clash check).
+
+    Implements Example 3.1: for each document, every unordered pair of
+    distinct terms gets a term–term link; every (entity, term) pair gets a
+    term–entity link; every unordered pair of distinct entities (same or
+    different type) gets an entity link.  The link weight between two
+    objects equals the number of documents in which they co-occur.
+
+    Args:
+        corpus: the text-attached network (documents + entity links).
+        entity_types: which entity types to include; defaults to all types
+            present in the corpus.
+        min_count: minimum corpus frequency for a term to enter the network.
+        include_text: set ``False`` to build a text-absent network (the
+            degenerate case G^o = H discussed in Section 3.2).
+    """
+    if entity_types is None:
+        entity_types = corpus.entity_types()
+    entity_types = list(entity_types)
+
+    node_types = list(entity_types)
+    if include_text:
+        node_types.append(TERM_TYPE)
+    network = HeterogeneousNetwork(node_types=node_types)
+
+    index = _ReferenceTermIndex(corpus, network, min_count) \
+        if include_text else None
+    columns = _ReferenceEdgeColumns()
+    empty = np.empty(0, dtype=np.int64)
+
+    for doc in corpus:
+        term_ids = index.doc_term_ids(doc.tokens) \
+            if index is not None else empty
+        # Term-term co-occurrence links.
+        if len(term_ids) >= 2:
+            iu, ju = _reference_pair_template(len(term_ids))
+            columns.add_arrays(TERM_TYPE, term_ids[iu], TERM_TYPE,
+                               term_ids[ju])
+
+        # Entity nodes linked to all terms of the document and to the other
+        # entities of the document.
+        doc_entities = []  # (type, node_id) pairs
+        for etype in entity_types:
+            for name in doc.entity_list(etype):
+                doc_entities.append((etype, network.add_node(etype, name)))
+        if len(term_ids):
+            for (etype, eid) in doc_entities:
+                columns.add_arrays(
+                    etype, np.full(len(term_ids), eid, dtype=np.int64),
+                    TERM_TYPE, term_ids)
+        for (type_a, id_a), (type_b, id_b) in combinations(doc_entities, 2):
+            if type_a == type_b and id_a == id_b:
+                continue
+            columns.add_pair(type_a, id_a, type_b, id_b)
+    columns.flush(network)
+    return network

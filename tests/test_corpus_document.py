@@ -29,6 +29,27 @@ class TestFromTexts:
     def test_doc_ids_sequential(self, tiny_corpus):
         assert [doc.doc_id for doc in tiny_corpus] == list(range(8))
 
+    def test_string_entity_value_rejected(self):
+        # A bare string would otherwise become one author per character.
+        with pytest.raises(DataError, match=r"document 1: entity type "
+                                            r"'author' maps to the string"):
+            Corpus.from_texts(["graph mining", "data"],
+                              entities=[{"author": ["Ann Lee"]},
+                                        {"author": "Ann Lee"}])
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(DataError, match=r"document 0: entity type "
+                                            r"'venue' needs a list of "
+                                            r"string names"):
+            Corpus.from_texts(["graph mining"],
+                              entities=[{"venue": ["KDD", 7]}])
+
+    def test_entity_names_copied_into_lists(self):
+        names = ("Ann Lee", "Bo")
+        corpus = Corpus.from_texts(["graph mining"],
+                                   entities=[{"author": names}])
+        assert corpus[0].entity_list("author") == ["Ann Lee", "Bo"]
+
 
 class TestDocument:
     def test_tokens_flatten_chunks(self):
@@ -58,6 +79,15 @@ class TestCorpusViews:
     def test_add_document_validates_token_ids(self, tiny_corpus):
         with pytest.raises(DataError):
             tiny_corpus.add_document([[10 ** 6]])
+
+    def test_add_document_validates_entity_names(self, tiny_corpus):
+        with pytest.raises(DataError, match=r"document 8: entity type "
+                                            r"'author' maps to the string"):
+            tiny_corpus.add_document([[0]], entities={"author": "alice"})
+        with pytest.raises(DataError, match=r"document 8: entity type "
+                                            r"'author' needs a list"):
+            tiny_corpus.add_document([[0]], entities={"author": [None]})
+        assert len(tiny_corpus) == 8
 
 
 class TestSubset:

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
-from repro.cathy.em import endpoint_one_hot, link_incidence
+from repro.cathy import CathyHIN, HINTopicModel
+from repro.cathy.em import link_incidence
 from repro.corpus import Corpus
 from repro.errors import DataError
 from repro.hierarchy import Topic, TopicalHierarchy
+from repro.network import HeterogeneousNetwork, build_collapsed_network
 from repro.phrases import (PhraseCounts, document_phrase_instances,
                            hierarchy_ranking, itemsets_as_phrase_counts,
                            make_merge_scorer, merge_significance,
@@ -42,8 +45,9 @@ from repro.strod import (STROD, MomentSketch, STRODModel, compute_whitener,
                          first_moment, second_moment, sparse_pair_moment,
                          whitened_third_moment, word_count_rows)
 from repro.strod.moments import count_matrix
-from .reference_kernels import (legacy_gibbs_sweep,
+from .reference_kernels import (ReferenceHINEM, legacy_gibbs_sweep,
                                 reference_build_candidate_graph,
+                                reference_build_collapsed_network,
                                 reference_coauthors,
                                 reference_document_phrase_instances,
                                 reference_document_topic_frequencies,
@@ -51,6 +55,7 @@ from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_entity_topic_frequencies,
                                 reference_first_moment,
                                 reference_gibbs_conditional,
+                                reference_hin_em_step,
                                 reference_log_likelihood,
                                 reference_mine_chunks, reference_scatter,
                                 reference_second_moment,
@@ -187,18 +192,6 @@ class TestCathySparseProducts:
         incidence = link_incidence(i_idx, j_idx, num_nodes)
         fast = np.asarray(expected @ incidence)
         ref = reference_scatter(expected, i_idx, j_idx, num_nodes)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-14)
-
-    def test_endpoint_one_hot_matches_bincount(self):
-        rng = np.random.default_rng(17)
-        num_nodes, num_links, k = 12, 60, 3
-        idx = rng.integers(0, num_nodes, size=num_links)
-        expected = rng.random((k, num_links))
-        one_hot = endpoint_one_hot(idx, num_nodes)
-        fast = np.asarray(expected @ one_hot)
-        ref = np.stack([np.bincount(idx, weights=expected[z],
-                                    minlength=num_nodes)
-                        for z in range(k)])
         np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-14)
 
 
@@ -958,3 +951,182 @@ class TestArtifactWriterEquivalence:
             pack_model(parts)
         with pytest.raises(DataError, match="non-finite"):
             reference_v2_blob(parts)
+
+
+@st.composite
+def hin_networks(draw):
+    """Small author/term/venue networks holding a same-type link type
+    with a self-link, a link type of exactly one link, and one isolated
+    node per type."""
+    sizes = {"author": draw(st.integers(1, 5)),
+             "term": draw(st.integers(1, 7)),
+             "venue": draw(st.integers(1, 3))}
+    network = HeterogeneousNetwork(sorted(sizes))
+    for node_type, count in sizes.items():
+        network.add_nodes(node_type, [f"{node_type}{n}" for n in range(count)])
+
+    def draw_links(type_x, type_y):
+        link = st.tuples(st.integers(0, sizes[type_x] - 1),
+                         st.integers(0, sizes[type_y] - 1),
+                         st.floats(0.25, 4.0))
+        links = draw(st.lists(link, max_size=25))
+        if links:
+            i_idx, j_idx, weights = zip(*links)
+            network.add_links(type_x, i_idx, type_y, j_idx, weights)
+
+    network.add_link("term", 0, "term", 0, draw(st.floats(0.25, 4.0)))
+    draw_links("term", "term")
+    draw_links("author", "term")
+    draw_links("author", "author")
+    network.add_link("author", draw(st.integers(0, sizes["author"] - 1)),
+                     "venue", draw(st.integers(0, sizes["venue"] - 1)),
+                     draw(st.floats(0.25, 4.0)))
+    for node_type in sizes:
+        network.add_node(node_type, f"{node_type}_isolated")
+    return network
+
+
+def _assert_hin_close(new, ref, what):
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14,
+                               err_msg=what)
+
+
+def _degenerate_delta(fn):
+    registry = obs.get_registry()
+    before = registry.counter("cathy.degenerate_links")
+    result = fn()
+    return result, registry.counter("cathy.degenerate_links") - before
+
+
+class TestHINEMEquivalence:
+    """The stacked link CSR's SDDMM + SpMM step, alpha update and
+    posterior split vs the per-link-type (k, E) reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(network=hin_networks(), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 4), background=st.booleans(),
+           rho_prior=st.sampled_from([0.0, 0.5]),
+           phi_prior=st.sampled_from([0.0, 0.1]),
+           weight_mode=st.sampled_from(["equal", "mapping", "learn"]),
+           underflow=st.booleans())
+    def test_steps_alpha_and_split_match_reference(
+            self, network, seed, k, background, rho_prior, phi_prior,
+            weight_mode, underflow):
+        obs.set_enabled(True)
+        rng = np.random.default_rng(seed)
+        mode = weight_mode
+        if weight_mode == "mapping":
+            mode = {lt: float(a) for lt, a in zip(
+                network.link_types(),
+                rng.uniform(0.2, 3.0, len(network.link_types())))}
+        estimator = CathyHIN(num_topics=k, weight_mode=mode,
+                             background=background, rho_prior=rho_prior,
+                             phi_prior=phi_prior)
+        node_names = estimator._prepare(network)
+        links = estimator._links
+        reference = ReferenceHINEM(network, k, background=background,
+                                   rho_prior=rho_prior, phi_prior=phi_prior)
+        alpha = estimator._initial_alpha()
+        phi_parent = reference._parent_distributions(node_names)
+        _assert_hin_close(estimator._parent_distribution(),
+                      links.stack(phi_parent), "phi_parent")
+        phi = {t: rng.dirichlet(np.ones(len(names)), size=k)
+               for t, names in node_names.items()}
+        phi0 = {t: p.copy() for t, p in phi_parent.items()}
+        if underflow:
+            # term0's self-link scores underflow to exactly zero.
+            phi["term"][:, 0] = 1e-200
+            phi0["term"][0] = phi_parent["term"][0] = 1e-200
+        rho = np.full(k, 1.0 / (k + 1 if background else k))
+        rho0 = 1.0 / (k + 1) if background else 0.0
+
+        for step in range(3):
+            weights = links.scaled_weights(alpha)
+            ref = reference_hin_em_step(reference, alpha, rho, rho0, phi,
+                                        phi0, phi_parent, node_names)
+            new = estimator._em_step(
+                weights, rho, rho0, links.stack(phi), links.stack(phi0),
+                links.stack(phi_parent))
+            # One ulp of a denominator moves ll by about its link's weight
+            # times 1e-16, and a learned alpha can weigh one link 1e8.
+            assert abs(new[0] - ref[0]) <= 1e-12 * weights.sum()
+            _assert_hin_close(new[1], ref[1], "rho")
+            _assert_hin_close(new[2], ref[2], "rho0")
+            _assert_hin_close(new[3], links.stack(ref[3]), "phi")
+            _assert_hin_close(new[4], links.stack(ref[4]), "phi0")
+            _, rho, rho0, phi, phi0 = ref
+            if weight_mode == "learn" and step == 1:
+                ref_alpha = reference._update_alpha(rho, rho0, phi, phi0,
+                                                    phi_parent)
+                new_alpha = estimator._update_alpha(links.sddmm(
+                    *estimator._factors(rho, rho0, links.stack(phi),
+                                        links.stack(phi0),
+                                        links.stack(phi_parent))))
+                assert list(new_alpha) == list(ref_alpha)
+                _assert_hin_close(list(new_alpha.values()),
+                              list(ref_alpha.values()), "alpha")
+                alpha = ref_alpha
+
+        model = HINTopicModel(rho=rho, rho0=rho0, phi=phi,
+                              phi_background=phi0, phi_parent=phi_parent,
+                              alpha=alpha, node_names=node_names,
+                              log_likelihood=0.0)
+        estimator.model_ = reference.model_ = model
+        for z in range(k):
+            new, new_count = _degenerate_delta(
+                lambda: estimator.expected_link_arrays(z))
+            ref, ref_count = _degenerate_delta(
+                lambda: reference.expected_link_arrays(z))
+            assert new_count == ref_count
+            assert list(new) == list(ref)
+            for link_type, (i_idx, j_idx, expected) in ref.items():
+                assert np.array_equal(new[link_type][0], i_idx)
+                assert np.array_equal(new[link_type][1], j_idx)
+                _assert_hin_close(new[link_type][2], expected,
+                                  str(link_type))
+
+
+@st.composite
+def entity_corpora(draw):
+    """Documents over eight words with author/person/venue lists: a name
+    may repeat in one document or appear under two entity types, and a
+    document may hold no word at all."""
+    names = st.sampled_from(["ann", "bob", "cy", "dee"])
+    corpus = Corpus()
+    corpus.vocabulary.encode([f"w{i}" for i in range(8)], add_missing=True)
+    for _ in range(draw(st.integers(0, 14))):
+        tokens = draw(st.lists(st.integers(0, 7), max_size=7))
+        entities = {entity_type: draw(st.lists(names, max_size=4))
+                    for entity_type in ("author", "person", "venue")
+                    if draw(st.booleans())}
+        corpus.add_document(chunks=[tokens], entities=entities)
+    return corpus
+
+
+class TestCollapseEquivalence:
+    """The flat-array Example 3.1 collapse vs the per-document loop: the
+    same node names in the same order and bit-identical link arrays."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=entity_corpora(), min_count=st.integers(1, 3),
+           include_text=st.booleans(),
+           entity_types=st.one_of(
+               st.none(),
+               st.permutations(["author", "person", "venue"]).flatmap(
+                   lambda order: st.integers(0, 3).map(
+                       lambda n: order[:n]))))
+    def test_matches_per_document_collapse(self, corpus, min_count,
+                                           include_text, entity_types):
+        kwargs = dict(entity_types=entity_types, min_count=min_count,
+                      include_text=include_text)
+        new = build_collapsed_network(corpus, **kwargs)
+        ref = reference_build_collapsed_network(corpus, **kwargs)
+        assert new.node_types() == ref.node_types()
+        for node_type in ref.node_types():
+            assert new.node_names(node_type) == ref.node_names(node_type)
+        assert new.link_types() == ref.link_types()
+        for link_type in ref.link_types():
+            for got, want in zip(new.link_arrays(link_type),
+                                 ref.link_arrays(link_type)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

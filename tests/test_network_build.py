@@ -1,6 +1,9 @@
 """Tests for repro.network.build."""
 
+import pytest
+
 from repro.corpus import Corpus
+from repro.errors import DataError
 from repro.network import (TERM_TYPE, build_collapsed_network,
                            build_term_network, network_statistics)
 
@@ -65,6 +68,22 @@ class TestCollapsedNetwork:
     def test_entity_type_restriction(self, tiny_corpus):
         net = build_collapsed_network(tiny_corpus, entity_types=["venue"])
         assert "author" not in net.node_types()
+
+    def test_term_entity_type_clashes_with_words(self):
+        # Entity "graph" would otherwise become the word "graph" and the
+        # document would gain a term-term self-link.
+        corpus = Corpus.from_texts(["graph mining"],
+                                   entities=[{"term": ["graph"],
+                                              "author": ["ann"]}])
+        with pytest.raises(DataError, match="entity type 'term' clashes"):
+            build_collapsed_network(corpus)
+        with pytest.raises(DataError, match="entity type 'term' clashes"):
+            build_collapsed_network(corpus, entity_types=["author", "term"])
+        net = build_collapsed_network(corpus, entity_types=["author"])
+        assert net.node_names(TERM_TYPE) == ["graph", "mining"]
+        net = build_collapsed_network(corpus, include_text=False)
+        assert net.node_names("term") == ["graph"]
+        assert net.link_weight("author", 0, "term", 0) == 1.0
 
 
 class TestStatistics:

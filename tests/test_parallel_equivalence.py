@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.cathy import BuilderConfig, CathyEM, CathyHIN, HierarchyBuilder
-from repro.cathy.em import (flat_scatter_index, posterior_link_split,
-                            scatter_expectations, sparse_topic_buckets)
+from repro.cathy.em import posterior_link_split, sparse_topic_buckets
 from repro.corpus import Corpus
 from repro.network import build_term_network
 from repro.phrases import mine_frequent_phrases, segment_corpus
@@ -23,8 +22,7 @@ from repro.phrases.frequent import PhraseCounts
 from repro.phrases.significance import merge_significance
 
 from .reference_kernels import (reference_expected_link_weights,
-                                reference_posterior_link_split,
-                                reference_scatter)
+                                reference_posterior_link_split)
 
 
 @pytest.fixture
@@ -116,23 +114,6 @@ class TestVectorizedKernels:
         slow = reference_posterior_link_split(rho, phi, i_idx, j_idx,
                                               weights)
         assert np.max(np.abs(fast - slow)) <= 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
-           num_nodes=st.integers(2, 20), num_links=st.integers(1, 60))
-    def test_scatter_matches_reference(self, seed, k, num_nodes, num_links):
-        rng = np.random.default_rng(seed)
-        expected = rng.uniform(0.0, 2.0, size=(k, num_links))
-        i_idx = rng.integers(0, num_nodes, size=num_links)
-        j_idx = rng.integers(0, num_nodes, size=num_links)
-        fast = scatter_expectations(expected, i_idx, j_idx, num_nodes)
-        slow = reference_scatter(expected, i_idx, j_idx, num_nodes)
-        assert np.max(np.abs(fast - slow)) <= 1e-12
-        flat_idx = (flat_scatter_index(i_idx, num_nodes, k),
-                    flat_scatter_index(j_idx, num_nodes, k))
-        precomputed = scatter_expectations(expected, i_idx, j_idx,
-                                           num_nodes, flat_idx=flat_idx)
-        assert np.array_equal(precomputed, fast)
 
     def test_bucketed_split_matches_reference_dicts(self):
         rng = np.random.default_rng(0)
