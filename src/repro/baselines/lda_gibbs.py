@@ -18,29 +18,23 @@ duration of a sweep — at typical k (5–50 topics) interpreter-level list
 indexing beats numpy's per-call dispatch overhead by an order of
 magnitude on these tiny vectors — and are written back to the canonical
 numpy arrays at every sweep boundary, which is also the checkpoint
-granularity, so the saved-state contract is unchanged.  A log-space
-reference sweep is retained behind ``REPRO_GIBBS_REFERENCE`` for
-debugging and benchmarking; forcing it records a
-``kernel.fallback.lda.gibbs_sweep`` event.
+granularity, so the saved-state contract is unchanged.  The log-space
+reference sweep it matches bit for bit, chain for chain, lives with the
+other reference kernels in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, NotFittedError
-from ..fastpath import kernel_fallback
 from ..obs import span, trace
 from ..resilience import CheckpointWriter
 from ..utils import EPS, RandomState, ensure_rng
 from ..phrases.ranking import FlatTopicModel
-
-#: Environment switch forcing the retained log-space reference sweep.
-ENV_REFERENCE_SWEEP = "REPRO_GIBBS_REFERENCE"
 
 
 def _ll_from_counts(counts: np.ndarray, phi: np.ndarray) -> float:
@@ -165,23 +159,13 @@ class LDAGibbs:
             start = 0
 
         beta_sum = self.beta * vocab_size
-        use_reference = os.environ.get(
-            ENV_REFERENCE_SWEEP, "").strip().lower() in ("1", "true",
-                                                         "yes", "on")
-        if use_reference:
-            kernel_fallback("lda.gibbs_sweep",
-                            f"reference sweep forced by {ENV_REFERENCE_SWEEP}")
         tracer = trace("lda.gibbs", num_topics=k, num_docs=num_docs,
                        num_units=sum(len(u) for u in units),
                        phrase_constrained=partitions is not None)
         for iteration in range(start, self.iterations):
             with span("lda.gibbs.sweep", iteration=iteration):
-                if use_reference:
-                    self._sweep_reference(units, assignments, n_dk, n_kw,
-                                          n_k, beta_sum, rng)
-                else:
-                    self._sweep(units, assignments, n_dk, n_kw, n_k,
-                                beta_sum, rng)
+                self._sweep(units, assignments, n_dk, n_kw, n_k, beta_sum,
+                            rng)
 
             if tracer.active:
                 # Per-sweep likelihood is extra work, so it is computed
@@ -274,47 +258,6 @@ class LDAGibbs:
         n_dk[:] = n_dk_l
         n_kw[:] = np.asarray(n_wk_l, dtype=n_kw.dtype).T
         n_k[:] = n_k_l
-
-    def _sweep_reference(self, units, assignments, n_dk, n_kw, n_k,
-                         beta_sum, rng) -> None:
-        """Retained log-space reference sweep (same draw contract).
-
-        Semantically identical to :meth:`_sweep` — same conditional, the
-        same one-batched-uniform-per-document randomness, the same
-        first-index-past-the-target draw — but evaluated per unit with
-        numpy log-space arithmetic.  Kept as the equivalence baseline
-        and for ``REPRO_GIBBS_REFERENCE`` debugging.
-        """
-        k = self.num_topics
-        for d, doc_units in enumerate(units):
-            if not doc_units:
-                continue
-            labels = assignments[d]
-            draws = rng.random(len(doc_units))
-            for u, unit in enumerate(doc_units):
-                z_old = labels[u]
-                size = len(unit)
-                n_dk[d, z_old] -= size
-                n_k[z_old] -= size
-                for w in unit:
-                    n_kw[z_old, w] -= 1
-
-                log_p = np.log(n_dk[d] + self.alpha)
-                denom = n_k + beta_sum
-                for offset, w in enumerate(unit):
-                    log_p = log_p + np.log(n_kw[:, w] + self.beta) \
-                        - np.log(denom + offset)
-                log_p -= log_p.max()
-                p = np.exp(log_p)
-                p /= p.sum()
-                z_new = min(int(np.searchsorted(np.cumsum(p), draws[u],
-                                                side="right")), k - 1)
-
-                labels[u] = z_new
-                n_dk[d, z_new] += size
-                n_k[z_new] += size
-                for w in unit:
-                    n_kw[z_new, w] += 1
 
     @staticmethod
     def _log_likelihood(units, assignments, phi) -> float:

@@ -519,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                               log_level=None, log_json=False)
 
     lint = sub.add_parser(
-        "lint", help="enforce the codebase's determinism/atomicity/"
-                     "error-contract invariants (rules RL001-RL006)")
+        "lint", help="enforce the codebase's invariants (rules "
+                     "RL000-RL402) in one whole-program pass")
     from .lint.cli import add_lint_arguments
     add_lint_arguments(lint)
     # The lint subcommand takes none of the run-telemetry or execution

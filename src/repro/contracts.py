@@ -39,7 +39,6 @@ from .errors import ConfigurationError
 __all__ = [
     "CHECKPOINT_V1",
     "FORMAT_PATTERN",
-    "LINT_CACHE_V1",
     "LINT_REPORT_V1",
     "MODEL_V1",
     "MODEL_V2",
@@ -180,12 +179,6 @@ LINT_REPORT_V1 = _register(
     owner="repro.lint.report",
     loader="repro.lint.report:load_report",
     title="stable lint report (per-rule counts, violations, pragmas)")
-
-LINT_CACHE_V1 = _register(
-    "repro.lint/cache/v1",
-    owner="repro.lint.graph",
-    loader="repro.lint.graph:load_cache",
-    title="content-hash-keyed per-file analysis cache for repro lint")
 
 
 #: Format string → the public constant name defined in this module,

@@ -14,11 +14,10 @@ This package is that check: a stdlib-:mod:`ast` static analyzer that
 walks ``src/`` and ``tests/`` and enforces the invariants as named
 rules (see :mod:`repro.lint.rules` for the per-file catalogue:
 RL001–RL006, the RL2xx async-safety family, and RL301 schema-literal
-containment).  Since PR 10 the default run is *whole-program*:
-:mod:`repro.lint.graph` builds a project symbol table and import graph
-(cached by content hash for incremental re-runs) and
-:mod:`repro.lint.program` enforces the cross-module families on top —
-RL101/RL102 subsystem layering and cycle detection, RL302
+containment).  Every run is *whole-program*: :mod:`repro.lint.graph`
+builds a project symbol table and import graph from one parse of each
+file, and :mod:`repro.lint.program` enforces the cross-module families
+on top — RL101/RL102 subsystem layering and cycle detection, RL302
 schema-registry loader coverage against :mod:`repro.contracts`, and
 RL401/RL402 obs-namespace consistency.  Intentional exceptions are
 declared in-line with a pragma that must carry a reason::
@@ -27,17 +26,16 @@ declared in-line with a pragma that must carry a reason::
 
 Run it as ``repro lint`` or ``python -m repro.lint``; ``--format json``
 emits a stable ``repro.lint/report/v1`` document for tooling (schema in
-:mod:`repro.lint.report`), ``--format sarif`` a SARIF 2.1.0 log for
-code-scanning UIs.  Exit status: 0 clean, 1 violations found, 2 usage
-error.
+:mod:`repro.lint.report`).  Exit status: 0 clean, 1 violations found, 2
+usage error.
 """
 
-from .engine import (FileContext, LintResult, apply_pragmas, lint_file,
-                     lint_paths, statement_extents)
+from .engine import FileContext, apply_pragmas, statement_extents
 from .graph import FileSummary, ProjectGraph, summarize_file
-from .program import LAYERS, lint_project, obs_inventory, subsystem_of
+from .program import (LAYERS, LintResult, lint_file, lint_project,
+                      obs_inventory, subsystem_of)
 from .report import (REPORT_SCHEMA, load_report, render_human,
-                     render_json, render_sarif, to_document)
+                     render_json, to_document)
 from .rules import (PRAGMA_RE, PROGRAM_RULE_IDS, RULES, Rule, Violation,
                     rule_catalogue)
 
@@ -55,13 +53,11 @@ __all__ = [
     "Violation",
     "apply_pragmas",
     "lint_file",
-    "lint_paths",
     "lint_project",
     "load_report",
     "obs_inventory",
     "render_human",
     "render_json",
-    "render_sarif",
     "rule_catalogue",
     "statement_extents",
     "subsystem_of",

@@ -1,11 +1,9 @@
 """Command-line front end: ``repro lint`` / ``python -m repro.lint``.
 
-Since PR 10 the default invocation is the *whole-program* pass: per-file
-rules plus the import-graph layering, schema-registry, and obs-namespace
-families, with an optional content-hash cache (``--cache``) that makes
-warm re-runs incremental.  ``--per-file`` restores the PR 5 single-file
-mode (no graph, no program rules) for editor integrations that lint one
-buffer at a time.
+Every invocation is one whole-program pass: per-file rules plus the
+import-graph layering, schema-registry, and obs-namespace families,
+reported as human text or as the ``repro.lint/report/v1`` JSON
+document.
 
 Exit status: 0 when the tree is clean, 1 when violations survive
 suppression, 2 on a usage error (unknown path, bad flag) — mirroring
@@ -20,8 +18,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..errors import ReproError
-from .engine import lint_paths
-from .report import render_human, render_json, render_sarif
+from .program import lint_project
+from .report import _PROGRAM_RULE_INFO, render_human, render_json
 from .rules import PROGRAM_RULE_IDS, RULES
 
 __all__ = ["add_lint_arguments", "main", "run"]
@@ -42,34 +40,15 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: current directory)")
     parser.add_argument(
         "--format", dest="fmt", default="human",
-        choices=["human", "json", "sarif"],
-        help="human-readable text, the stable repro.lint/report/v1 "
-             "JSON document, or a SARIF 2.1.0 log")
-    parser.add_argument(
-        "--per-file", action="store_true",
-        help="per-file rules only: no import graph, no RL1xx/RL3xx/"
-             "RL4xx program families (the pre-PR-10 behaviour)")
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="content-hash analysis cache (repro.lint/cache/v1); "
-             "unchanged files skip parsing on warm runs")
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report violations only in files git considers changed "
-             "(diff vs HEAD plus untracked); the import graph is still "
-             "built over the full tree")
-    parser.add_argument(
-        "--obs-inventory", action="store_true",
-        help="print the generated obs metric/span inventory as a "
-             "markdown table and exit")
+        choices=["human", "json"],
+        help="human-readable text or the stable repro.lint/report/v1 "
+             "JSON document")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
 
 
 def _list_rules() -> int:
-    from .report import _PROGRAM_RULE_INFO
-
     for rule in RULES:
         print(f"{rule.id}  {rule.title}")
         print(f"       guards: {rule.guards}")
@@ -127,17 +106,6 @@ def _resolve_root(paths: List[str], root: str,
         "scopes and the module map anchor at the repository root")
 
 
-def render_obs_inventory(rows: List[dict]) -> str:
-    """The obs inventory as a markdown table (README-embeddable)."""
-    lines = ["| name | kinds | subsystems | sites |",
-             "| --- | --- | --- | --- |"]
-    for row in rows:
-        lines.append(
-            f"| `{row['name']}` | {', '.join(row['kinds'])} | "
-            f"{', '.join(row['subsystems'])} | {row['sites']} |")
-    return "\n".join(lines) + "\n"
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     if args.list_rules:
@@ -147,34 +115,13 @@ def run(args: argparse.Namespace) -> int:
     if usage_error:
         print(f"repro lint: error: {usage_error}", file=sys.stderr)
         return 2
-    per_file = getattr(args, "per_file", False)
-    if per_file and (args.cache or args.changed_only
-                     or getattr(args, "obs_inventory", False)):
-        print("repro lint: error: --cache/--changed-only/"
-              "--obs-inventory require the whole-program pass",
-              file=sys.stderr)
-        return 2
     try:
-        if per_file:
-            result = lint_paths(paths, root=root)
-        else:
-            from .program import lint_project
-
-            result = lint_project(
-                paths, root=root, cache_path=args.cache,
-                changed_only=args.changed_only)
+        result = lint_project(paths, root=root)
     except (ReproError, OSError) as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "obs_inventory", False):
-        sys.stdout.write(render_obs_inventory(result.obs_inventory))
-        return 0 if result.clean else 1
-    if args.fmt == "json":
-        sys.stdout.write(render_json(result))
-    elif args.fmt == "sarif":
-        sys.stdout.write(render_sarif(result))
-    else:
-        sys.stdout.write(render_human(result))
+    render = render_json if args.fmt == "json" else render_human
+    sys.stdout.write(render(result))
     return 0 if result.clean else 1
 
 

@@ -23,20 +23,17 @@ import ast
 import io
 import os
 import tokenize
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .rules import PRAGMA_RE, PROGRAM_RULE_IDS, RULES, Rule, Violation
+from .rules import PRAGMA_RE, Violation
 
 __all__ = [
     "FileContext",
-    "LintResult",
     "Pragma",
     "apply_pragmas",
     "collect_files",
-    "lint_file",
-    "lint_paths",
     "pragma_hygiene",
     "statement_extents",
 ]
@@ -86,6 +83,9 @@ class FileContext:
     Attributes:
         path: root-relative POSIX path (the scoping and report key).
         tree: the parsed AST.
+        nodes: every node of ``tree`` in :func:`ast.walk` order, listed
+            once at parse time for the rules, the import bindings and
+            the statement extents.
         lines: raw source lines (pragma scanning, snippets).
         module: dotted module path when derivable from the layout.
     """
@@ -96,15 +96,13 @@ class FileContext:
         self.lines = source.splitlines()
         self.module = module if module is not None else module_name_of(path)
         self.tree = ast.parse(source, filename=path)
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
         self._imports = self._collect_imports()
-        self._nodes: Optional[List[ast.AST]] = None
 
     # --------------------------------------------------------------- queries
     def walk(self) -> Iterator[ast.AST]:
-        """Every AST node, cached so each rule pays one traversal cost."""
-        if self._nodes is None:
-            self._nodes = list(ast.walk(self.tree))
-        return iter(self._nodes)
+        """Every AST node, from the list made at parse time."""
+        return iter(self.nodes)
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Fully qualified dotted name of an attribute chain, if imported.
@@ -140,10 +138,13 @@ class FileContext:
         (this engine's own documentation, for one) is never mistaken
         for a suppression.  A trailing pragma anchors to its own line;
         a pragma that is the whole line anchors to the next code line,
-        skipping blank and pure-comment lines.
+        skipping blank and pure-comment lines.  A file whose text never
+        says ``noqa-`` holds no pragma and is not tokenized.
         """
-        found = []
+        found: List[Pragma] = []
         source = "\n".join(self.lines) + "\n"
+        if "noqa-" not in source:
+            return found
         try:
             tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             comments = [(tok.start, tok.string) for tok in tokens
@@ -178,7 +179,7 @@ class FileContext:
     def _collect_imports(self) -> Dict[str, str]:
         """Local binding → fully qualified module/attribute path."""
         bindings: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -216,20 +217,21 @@ class FileContext:
         return ".".join(base)
 
 
-def statement_extents(tree: ast.AST) -> List[Tuple[int, int]]:
-    """Line extents of every multi-line statement in ``tree``.
+def statement_extents(nodes: Iterable[ast.AST]) -> List[Tuple[int, int]]:
+    """Line extents of every multi-line statement among ``nodes``.
 
-    A pragma anchored anywhere inside a multi-line *simple* statement
-    (an assignment or call spanning several lines) covers the whole
-    statement, because the violation it suppresses may be anchored at
-    any line of the statement — the opening line for the statement node
-    itself, an interior line for a nested argument.  Compound statements
-    (``if``/``with``/``for``/``def``) contribute only their *header*
-    extent, never their body: a pragma on a ``with`` header must not
-    silence the entire block under it.
+    ``nodes`` is a walked tree (:attr:`FileContext.nodes`, or
+    ``ast.walk(tree)``).  A pragma anchored anywhere inside a multi-line
+    *simple* statement (an assignment or call spanning several lines)
+    covers the whole statement, because the violation it suppresses may
+    be anchored at any line of the statement — the opening line for the
+    statement node itself, an interior line for a nested argument.
+    Compound statements (``if``/``with``/``for``/``def``) contribute
+    only their *header* extent, never their body: a pragma on a
+    ``with`` header must not silence the entire block under it.
     """
     extents: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt):
             continue
         start = node.lineno
@@ -289,38 +291,6 @@ def apply_pragmas(hits: List[Violation], pragmas: List[Pragma],
     return surviving, suppressed
 
 
-@dataclass
-class LintResult:
-    """Outcome of one lint run over a set of paths."""
-
-    root: str
-    paths: List[str]
-    files: List[str] = field(default_factory=list)
-    violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Violation] = field(default_factory=list)
-    pragmas: List[Pragma] = field(default_factory=list)
-    #: Whole-program extras (populated by :func:`repro.lint.program.
-    #: lint_project`; empty for the per-file path).  Only ever added to,
-    #: matching the report schema's additive-evolution contract.
-    modules: Dict[str, str] = field(default_factory=dict)
-    import_edges: int = 0
-    obs_inventory: List[Dict[str, object]] = field(default_factory=list)
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    whole_program: bool = False
-
-    @property
-    def clean(self) -> bool:
-        """True when no violation survived suppression."""
-        return not self.violations
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        """Surviving violation count per rule id (only non-zero rules)."""
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.rule] = counts.get(violation.rule, 0) + 1
-        return counts
-
-
 def pragma_hygiene(pragmas: List[Pragma], known_ids: Sequence[str],
                    active_ids: Optional[Sequence[str]] = None,
                    ) -> List[Violation]:
@@ -329,8 +299,8 @@ def pragma_hygiene(pragmas: List[Pragma], known_ids: Sequence[str],
     ``known_ids`` is the full catalogue (an id outside it is a typo);
     ``active_ids`` is the subset of rules that actually ran — a pragma
     naming a rule that did not run (a whole-program rule during a
-    per-file lint) is not reported as unused, because this run cannot
-    know whether it suppresses anything.
+    one-file :func:`~repro.lint.program.lint_file`) is not reported as
+    unused, because this run cannot know whether it suppresses anything.
     """
     if active_ids is None:
         active_ids = known_ids
@@ -352,34 +322,6 @@ def pragma_hygiene(pragmas: List[Pragma], known_ids: Sequence[str],
                 "RL000", pragma.path, pragma.line, 0,
                 "pragma suppresses nothing on this line; remove it"))
     return problems
-
-
-def lint_file(path: str, source: str,
-              rules: Optional[Sequence[Rule]] = None,
-              ) -> Tuple[List[Violation], List[Violation], List[Pragma]]:
-    """Lint one file; returns (violations, suppressed, pragmas).
-
-    A file that fails to parse yields a single RL000 violation at the
-    offending line rather than aborting the run — a syntax error in one
-    file must not hide violations in the rest of the tree.
-    """
-    try:
-        ctx = FileContext(path, source)
-    except SyntaxError as exc:
-        return ([Violation("RL000", path, exc.lineno or 1, 0,
-                           f"file does not parse: {exc.msg}")], [], [])
-    active = list(RULES if rules is None else rules)
-    hits: List[Violation] = []
-    for rule in active:
-        if rule.applies_to(path):
-            hits.extend(rule.check(ctx))
-    pragmas = ctx.pragmas()
-    surviving, suppressed = apply_pragmas(
-        hits, pragmas, statement_extents(ctx.tree))
-    active_ids = [rule.id for rule in active] + ["RL000"]
-    known_ids = active_ids + list(PROGRAM_RULE_IDS)
-    surviving.extend(pragma_hygiene(pragmas, known_ids, active_ids))
-    return surviving, suppressed, pragmas
 
 
 def collect_files(root: str, paths: Sequence[str]) -> List[str]:
@@ -407,26 +349,3 @@ def collect_files(root: str, paths: Sequence[str]) -> List[str]:
                     found.add(os.path.relpath(
                         os.path.join(dirpath, filename), root))
     return sorted(path.replace(os.sep, "/") for path in found)
-
-
-def lint_paths(paths: Sequence[str], root: str = ".",
-               rules: Optional[Sequence[Rule]] = None) -> LintResult:
-    """Lint every Python file under ``paths`` (relative to ``root``).
-
-    Raises:
-        ConfigurationError: when a requested path does not exist.
-    """
-    root = os.path.abspath(root)
-    result = LintResult(root=root, paths=list(paths))
-    active = list(RULES if rules is None else rules)
-    for path in collect_files(root, paths):
-        with open(os.path.join(root, path), "rb") as handle:
-            source = handle.read().decode("utf-8")
-        violations, suppressed, pragmas = lint_file(path, source,
-                                                    rules=active)
-        result.files.append(path)
-        result.violations.extend(violations)
-        result.suppressed.extend(suppressed)
-        result.pragmas.extend(pragmas)
-    result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return result

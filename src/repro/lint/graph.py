@@ -1,4 +1,4 @@
-"""Project symbol table, import graph, and the per-file analysis cache.
+"""Per-file summaries, the project symbol table and the import graph.
 
 The per-file engine (:mod:`repro.lint.engine`) sees one file at a time,
 which is enough for local idiom rules but blind to every *cross-module*
@@ -12,45 +12,33 @@ those rule families (:mod:`repro.lint.program`) consume:
   sites, versioned-format string sites, statement extents, raw per-file
   rule hits, and pragmas.  Everything downstream works from summaries,
   never from ASTs.
-* Summaries are JSON-serializable and cached by content hash
-  (``repro.lint/cache/v1``), so a warm run re-hashes bytes but skips
-  parsing and rule traversal for unchanged files — the incremental mode
-  the CI lint job runs in.
 * :class:`ProjectGraph` indexes summaries by module, resolves import
   targets to first-party modules by longest dotted prefix, chases
   re-export chains for symbol lookups, and finds import cycles via
   strongly connected components.
 
 Import direction: this module imports :mod:`.engine` and ``..contracts``
-and is imported by :mod:`.program` and :mod:`.cli` — never by
-:mod:`.engine` or :mod:`.rules`, which keeps the linter itself free of
-the cycles it polices.
+and is imported by :mod:`.program` — never by :mod:`.engine` or
+:mod:`.rules`, which keeps the linter itself free of the cycles it
+polices.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..contracts import FORMAT_PATTERN, LINT_CACHE_V1
+from ..contracts import FORMAT_PATTERN
 from .engine import FileContext, Pragma, statement_extents
 from .rules import RULES, Rule, Violation
 
 __all__ = [
-    "CACHE_SCHEMA",
     "FileSummary",
     "ProjectGraph",
-    "load_cache",
-    "save_cache",
     "summarize_file",
 ]
-
-#: The cache artifact's versioned format (registered in repro.contracts).
-CACHE_SCHEMA = LINT_CACHE_V1
 
 _FORMAT_RE = re.compile(f"^{FORMAT_PATTERN}$")
 
@@ -81,79 +69,25 @@ _OBS_METHODS = frozenset({"inc", "set_gauge", "observe"})
 class FileSummary:
     """Everything whole-program analysis needs from one file.
 
-    Plain data, JSON-round-trippable via :meth:`to_dict` /
-    :meth:`from_dict` so summaries can live in the content-hash cache.
     ``imports`` entries are ``{"target", "line", "deferred"}`` where
     ``target`` is an absolute dotted name (module, or module.symbol for
     from-imports) and ``deferred`` marks function-local or
     ``TYPE_CHECKING``-guarded imports, which never execute at import
     time and are therefore exempt from layering and cycle analysis.
+    ``hits`` are the file's raw (pre-suppression) per-file rule hits and
+    ``pragmas`` its suppression comments.
     """
 
     path: str
-    sha256: str
     module: Optional[str] = None
-    error: Optional[str] = None
     imports: List[Dict[str, object]] = field(default_factory=list)
     symbols: List[str] = field(default_factory=list)
     reexports: Dict[str, str] = field(default_factory=dict)
     obs_sites: List[Dict[str, object]] = field(default_factory=list)
     schema_sites: List[Dict[str, object]] = field(default_factory=list)
     extents: List[Tuple[int, int]] = field(default_factory=list)
-    hits: List[Dict[str, object]] = field(default_factory=list)
-    pragmas: List[Dict[str, object]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "sha256": self.sha256,
-            "module": self.module,
-            "error": self.error,
-            "imports": self.imports,
-            "symbols": self.symbols,
-            "reexports": self.reexports,
-            "obs_sites": self.obs_sites,
-            "schema_sites": self.schema_sites,
-            "extents": [list(extent) for extent in self.extents],
-            "hits": self.hits,
-            "pragmas": self.pragmas,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "FileSummary":
-        return cls(
-            path=str(doc["path"]),
-            sha256=str(doc["sha256"]),
-            module=doc.get("module"),  # type: ignore[arg-type]
-            error=doc.get("error"),  # type: ignore[arg-type]
-            imports=list(doc.get("imports", [])),
-            symbols=list(doc.get("symbols", [])),
-            reexports=dict(doc.get("reexports", {})),  # type: ignore
-            obs_sites=list(doc.get("obs_sites", [])),
-            schema_sites=list(doc.get("schema_sites", [])),
-            extents=[(int(pair[0]), int(pair[1]))
-                     for pair in doc.get("extents", [])],  # type: ignore
-            hits=list(doc.get("hits", [])),
-            pragmas=list(doc.get("pragmas", [])),
-        )
-
-    # ------------------------------------------------------- reconstruction
-    def violations(self) -> List[Violation]:
-        """The raw (pre-suppression) per-file rule hits."""
-        return [Violation(str(hit["rule"]), self.path, int(hit["line"]),
-                          int(hit["col"]), str(hit["message"]))
-                for hit in self.hits]
-
-    def pragma_objects(self) -> List[Pragma]:
-        """Fresh :class:`Pragma` objects (``used`` reset to zero).
-
-        Suppression accounting must be recomputed each run — a cached
-        ``used`` count would reflect a previous tree's violations.
-        """
-        return [Pragma(self.path, int(p["line"]),
-                       tuple(p["rule_ids"]),  # type: ignore[arg-type]
-                       str(p["reason"]), anchor=int(p["anchor"]))
-                for p in self.pragmas]
+    hits: List[Violation] = field(default_factory=list)
+    pragmas: List[Pragma] = field(default_factory=list)
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -341,89 +275,34 @@ def _collect_schema_sites(ctx: FileContext) -> List[Dict[str, object]]:
 
 def summarize_file(path: str, source: str,
                    rules: Optional[Sequence[Rule]] = None) -> FileSummary:
-    """Parse and analyze one file into a cacheable :class:`FileSummary`.
+    """Parse and analyze one file into a :class:`FileSummary`.
 
-    This is the expensive step the content-hash cache exists to skip:
-    one ``ast.parse`` plus one traversal per applicable rule plus the
+    One ``ast.parse`` plus one traversal per applicable rule plus the
     summary extractions.  A file that fails to parse yields a summary
-    carrying the parse error as its single RL000 hit.
+    carrying the parse error as its single RL000 hit rather than
+    aborting the run — a syntax error in one file must not hide
+    violations in the rest of the tree.
     """
-    sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
         ctx = FileContext(path, source)
     except SyntaxError as exc:
-        return FileSummary(
-            path=path, sha256=sha, error=f"{exc.msg} (line {exc.lineno})",
-            hits=[{"rule": "RL000", "line": exc.lineno or 1, "col": 0,
-                   "message": f"file does not parse: {exc.msg}"}])
-    active = list(RULES if rules is None else rules)
-    hits: List[Dict[str, object]] = []
-    for rule in active:
+        return FileSummary(path=path, hits=[Violation(
+            "RL000", path, exc.lineno or 1, 0,
+            f"file does not parse: {exc.msg}")])
+    hits: List[Violation] = []
+    for rule in (RULES if rules is None else rules):
         if rule.applies_to(path):
-            for violation in rule.check(ctx):
-                hits.append({"rule": violation.rule,
-                             "line": violation.line,
-                             "col": violation.col,
-                             "message": violation.message})
+            hits.extend(rule.check(ctx))
     imports, reexports = _collect_import_sites(ctx)
-    pragmas = [{"line": pragma.line, "rule_ids": list(pragma.rule_ids),
-                "reason": pragma.reason, "anchor": pragma.anchor}
-               for pragma in ctx.pragmas()]
     return FileSummary(
-        path=path, sha256=sha, module=ctx.module,
+        path=path, module=ctx.module,
         imports=imports,
         symbols=_collect_symbols(ctx.tree),
         reexports=reexports,
         obs_sites=_collect_obs_sites(ctx),
         schema_sites=_collect_schema_sites(ctx),
-        extents=statement_extents(ctx.tree),
-        hits=hits, pragmas=pragmas)
-
-
-# -------------------------------------------------------------------- cache
-def _cache_stamp(rules: Sequence[Rule]) -> Dict[str, object]:
-    """Invalidation stamp: any rule or release change voids the cache."""
-    from .. import __version__
-
-    return {"version": __version__,
-            "rules": sorted(rule.id for rule in rules)}
-
-
-def load_cache(path: str,
-               rules: Optional[Sequence[Rule]] = None,
-               ) -> Dict[str, Dict[str, object]]:
-    """Load a ``repro.lint/cache/v1`` file → path-keyed summary dicts.
-
-    Missing, unreadable, wrong-schema, or stale-stamp caches all return
-    an empty mapping — a cold run, never an error.  Each entry carries
-    its source ``sha256``; callers must compare it against the current
-    file bytes before trusting the summary.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(doc, dict) or doc.get("schema") != CACHE_SCHEMA:
-        return {}
-    if rules is not None and doc.get("stamp") != _cache_stamp(rules):
-        return {}
-    files = doc.get("files")
-    return dict(files) if isinstance(files, dict) else {}
-
-
-def save_cache(path: str, summaries: Sequence[FileSummary],
-               rules: Sequence[Rule]) -> None:
-    """Persist summaries keyed by file path, atomically (RL003)."""
-    from ..resilience.atomic import atomic_write_json
-
-    doc = {
-        "schema": CACHE_SCHEMA,
-        "stamp": _cache_stamp(rules),
-        "files": {summary.path: summary.to_dict()
-                  for summary in summaries},
-    }
-    atomic_write_json(path, doc)
+        extents=statement_extents(ctx.nodes),
+        hits=hits, pragmas=ctx.pragmas())
 
 
 # -------------------------------------------------------------------- graph
@@ -433,8 +312,8 @@ class ProjectGraph:
     def __init__(self, summaries: Sequence[FileSummary]) -> None:
         self.summaries: Dict[str, FileSummary] = {
             summary.path: summary for summary in summaries}
-        #: Dotted module → summary (files with underivable modules are
-        #: still linted per-file but take no part in graph analysis).
+        #: Dotted module → summary (files with underivable modules still
+        #: get the per-file rules but take no part in graph analysis).
         self.modules: Dict[str, FileSummary] = {
             summary.module: summary for summary in summaries
             if summary.module}

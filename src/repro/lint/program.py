@@ -5,8 +5,8 @@ rather than over single files:
 
 ========  =============================================================
 RL101     Layering.  The subsystems form a declared dependency DAG —
-          ``errors/contracts < utils < obs < parallel/fastpath <
-          resilience < solvers < serve/stream/lint < cli`` — and every
+          ``errors/contracts < utils < obs < parallel < resilience <
+          solvers < serve/stream/lint < cli`` — and every
           *module-scope* import must point sideways or downward.
           Deferred imports (function-local, ``TYPE_CHECKING``) are
           exempt: they execute late or never, so they cannot couple
@@ -27,35 +27,30 @@ RL402     Obs namespace collisions.  A metric/span name emitted from
           dashboards silently summing into one series.
 ========  =============================================================
 
-:func:`lint_project` ties it together: summarize every file (through
-the content-hash cache), build the graph, run the per-file hits and the
-program families through the same pragma/suppression machinery, and
-return one :class:`~repro.lint.engine.LintResult`.
-
-Note: the declared DAG deviates from the original sketch in one
-deliberate place — ``fastpath`` sits *beside* ``parallel`` (below the
-solvers), because the solver packages import its kernels at module
-scope.  The layer table is the contract; this module enforces it.
+:func:`lint_project` is the one tree-level entry: summarize every file,
+build the graph, run the per-file hits and the program families through
+the same pragma/suppression machinery, and return one
+:class:`LintResult`.  :func:`lint_file` lints one file's source with
+the per-file rules alone, the entry the rule-fixture tests use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import subprocess
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import (LintResult, apply_pragmas, collect_files,
-                     pragma_hygiene)
-from .graph import (FileSummary, ProjectGraph, load_cache, save_cache,
-                    summarize_file)
+from .engine import Pragma, apply_pragmas, collect_files, pragma_hygiene
+from .graph import FileSummary, ProjectGraph, summarize_file
 from .rules import PROGRAM_RULE_IDS, RULES, Rule, Violation
 
 __all__ = [
     "LAYERS",
+    "LintResult",
     "cycle_violations",
     "layering_violations",
+    "lint_file",
     "lint_project",
     "obs_inventory",
     "obs_violations",
@@ -71,8 +66,8 @@ LAYERS: Dict[str, int] = {
     "root": 0, "errors": 0, "contracts": 0,
     "utils": 1,
     "obs": 2,
-    # Execution substrate and numeric kernels (solvers import both).
-    "parallel": 3, "fastpath": 3,
+    # Execution substrate (solvers import it).
+    "parallel": 3,
     "resilience": 4,
     # The solver band.
     "core": 5, "corpus": 5, "datasets": 5, "network": 5,
@@ -280,62 +275,70 @@ def obs_violations(graph: ProjectGraph) -> List[Violation]:
     return found
 
 
-# ------------------------------------------------------------- changed-only
-def changed_files(root: str) -> Set[str]:
-    """Root-relative paths git considers changed (diff vs HEAD + untracked).
-
-    Any git failure (not a repository, no HEAD yet) degrades to the
-    empty set, which callers treat as "nothing scoped" rather than an
-    error.
-    """
-    changed: Set[str] = set()
-    for args in (["git", "diff", "--name-only", "HEAD"],
-                 ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            out = subprocess.run(
-                args, cwd=root, capture_output=True, text=True,
-                timeout=30, check=True).stdout
-        except (OSError, subprocess.SubprocessError):
-            return set()
-        changed.update(line.strip() for line in out.splitlines()
-                       if line.strip())
-    return changed
-
-
 # ------------------------------------------------------------ orchestration
+@dataclass
+class LintResult:
+    """Outcome of one whole-program lint run over a set of paths."""
+
+    root: str
+    paths: List[str]
+    files: List[str] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
+    suppressed: List[Violation] = field(default_factory=list)
+    pragmas: List[Pragma] = field(default_factory=list)
+    modules: Dict[str, str] = field(default_factory=dict)
+    import_edges: int = 0
+    obs_inventory: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        """True when no violation survived suppression."""
+        return not self.violations
+
+    def counts_by_rule(self) -> Dict[str, int]:
+        """Surviving violation count per rule id (only non-zero rules)."""
+        counts: Dict[str, int] = {}
+        for violation in self.violations:
+            counts[violation.rule] = counts.get(violation.rule, 0) + 1
+        return counts
+
+
+def lint_file(path: str, source: str,
+              rules: Optional[Sequence[Rule]] = None,
+              ) -> Tuple[List[Violation], List[Violation], List[Pragma]]:
+    """Lint one file's source with the per-file rules alone.
+
+    Returns (violations, suppressed, pragmas).  No program family runs,
+    so a pragma naming one is neither unknown nor unused here.
+    """
+    active = list(RULES if rules is None else rules)
+    summary = summarize_file(path, source, rules=active)
+    surviving, suppressed = apply_pragmas(summary.hits, summary.pragmas,
+                                          summary.extents)
+    active_ids = [rule.id for rule in active] + ["RL000"]
+    surviving.extend(pragma_hygiene(
+        summary.pragmas, active_ids + list(PROGRAM_RULE_IDS), active_ids))
+    return surviving, suppressed, summary.pragmas
+
+
 def lint_project(paths: Sequence[str], root: str = ".",
-                 rules: Optional[Sequence[Rule]] = None,
-                 cache_path: Optional[str] = None,
-                 changed_only: bool = False) -> LintResult:
+                 rules: Optional[Sequence[Rule]] = None) -> LintResult:
     """Whole-program lint: per-file rules + program families, one result.
 
-    The graph is always built over *all* files under ``paths`` — scoped
-    runs (``changed_only``) still see the full import graph and obs
-    namespace, only the reported violations are filtered to files git
-    considers changed.  With ``cache_path`` set, unchanged files (by
-    content hash) skip parsing and rule traversal entirely; the cache
-    is rewritten after every run.
+    Every file under ``paths`` (relative to ``root``) is parsed once
+    into a summary; the import graph and obs namespace are built over
+    all of them.
+
+    Raises:
+        ConfigurationError: when a requested path does not exist.
     """
     root = os.path.abspath(root)
     active = list(RULES if rules is None else rules)
-    cached = load_cache(cache_path, active) if cache_path else {}
-    hits = misses = 0
-
     summaries: List[FileSummary] = []
     for path in collect_files(root, paths):
         with open(os.path.join(root, path), "rb") as handle:
-            data = handle.read()
-        sha = hashlib.sha256(data).hexdigest()
-        entry = cached.get(path)
-        if isinstance(entry, dict) and entry.get("sha256") == sha:
-            summaries.append(FileSummary.from_dict(entry))
-            hits += 1
-        else:
-            summaries.append(summarize_file(
-                path, data.decode("utf-8"), rules=active))
-            misses += 1
-    if cache_path:
-        save_cache(cache_path, summaries, active)
+            source = handle.read().decode("utf-8")
+        summaries.append(summarize_file(path, source, rules=active))
 
     graph = ProjectGraph(summaries)
     program_hits: Dict[str, List[Violation]] = defaultdict(list)
@@ -345,34 +348,26 @@ def lint_project(paths: Sequence[str], root: str = ".",
                       + obs_violations(graph)):
         program_hits[violation.path].append(violation)
 
-    result = LintResult(root=root, paths=list(paths),
-                        whole_program=True)
+    result = LintResult(root=root, paths=list(paths))
     result.modules = {summary.module: summary.path
                       for summary in summaries if summary.module}
     result.import_edges = graph.edge_count()
     result.obs_inventory = obs_inventory(graph)
-    result.cache_stats = {"hits": hits, "misses": misses}
 
     known_ids = [rule.id for rule in active] + ["RL000"] \
         + [rid for rid in PROGRAM_RULE_IDS
            if rid not in {rule.id for rule in active}]
     for summary in summaries:
-        raw = summary.violations() + program_hits.get(summary.path, [])
-        pragmas = summary.pragma_objects()
-        surviving, suppressed = apply_pragmas(raw, pragmas,
+        raw = summary.hits + program_hits.get(summary.path, [])
+        surviving, suppressed = apply_pragmas(raw, summary.pragmas,
                                               summary.extents)
-        # Whole-program mode runs the full catalogue, so every pragma
-        # must earn its keep: known == active.
-        surviving.extend(pragma_hygiene(pragmas, known_ids))
+        # The full catalogue ran, so every pragma must earn its keep:
+        # known == active.
+        surviving.extend(pragma_hygiene(summary.pragmas, known_ids))
         result.files.append(summary.path)
         result.violations.extend(surviving)
         result.suppressed.extend(suppressed)
-        result.pragmas.extend(pragmas)
-
-    if changed_only:
-        scoped = changed_files(root)
-        result.violations = [violation for violation in result.violations
-                             if violation.path in scoped]
+        result.pragmas.extend(summary.pragmas)
     result.violations.sort(
         key=lambda v: (v.path, v.line, v.col, v.rule))
     return result

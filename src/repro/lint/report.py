@@ -1,10 +1,11 @@
-"""Lint reporters: human text, the stable JSON document, and SARIF.
+"""Lint reporters: human text and the stable JSON document.
 
 The JSON form carries the ``repro.lint/report/v1`` schema tag, matching
 the library's other versioned artifacts (run reports, checkpoints,
 model manifests).  Its shape is a compatibility contract — tooling
-diffs rule counts across commits — so fields are only ever *added*
-under this schema id, never renamed or removed:
+diffs rule counts across commits — so the four sections
+:func:`load_report` requires (``rules``, ``violations``,
+``suppressions``, ``summary``) never change under this schema id:
 
 .. code-block:: json
 
@@ -21,47 +22,38 @@ under this schema id, never renamed or removed:
      "suppressions": [{"rules": ["RL003"], "file": "src/...",
                        "line": 195, "reason": "...", "used": 1}],
      "summary": {"violations": 0, "suppressions": 3,
-                 "suppressed_hits": 3}}
+                 "suppressed_hits": 3},
+     "program": {"modules": 180, "import_edges": 900,
+                 "obs_inventory": [{"name": "...", "kinds": ["counter"],
+                                    "subsystems": ["serve"],
+                                    "sites": 1}]}}
 
 ``rules`` always lists the full catalogue (zero counts included) plus
 an ``RL000`` entry when pragma-hygiene problems were found, so a diff
 between two reports never confuses "rule removed" with "count zero".
-A whole-program run (PR 10) adds a ``program`` section — module count,
-import-edge count, cache hit/miss stats, and the generated obs-name
-inventory — still under the additive-evolution contract.
-
-:func:`render_sarif` emits SARIF 2.1.0 (the static-analysis interchange
-format GitHub code scanning ingests): one run, one ``tool.driver`` with
-the full rule catalogue, one ``result`` per surviving violation with a
-physical location relative to the ``SRCROOT`` URI base.
+``program`` carries the module count, the import-edge count and the
+generated obs-name inventory.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..contracts import LINT_REPORT_V1
 from ..errors import DataError
-from .engine import LintResult
+from .program import LintResult
 from .rules import PROGRAM_RULE_IDS, RULES
 
 __all__ = [
     "REPORT_SCHEMA",
-    "SARIF_SCHEMA_URI",
-    "SARIF_VERSION",
     "load_report",
     "render_human",
     "render_json",
-    "render_sarif",
     "to_document",
 ]
 
 REPORT_SCHEMA = LINT_REPORT_V1
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
 #: Program-rule metadata for reports (per-file rules carry their own
 #: title/guards on the Rule object; these five live in repro.lint.program
@@ -99,15 +91,14 @@ def to_document(result: LintResult) -> Dict[str, Any]:
         }
         for rule in RULES
     }
-    if result.whole_program:
-        for rule_id in PROGRAM_RULE_IDS:
-            info = _PROGRAM_RULE_INFO.get(rule_id, {})
-            rules[rule_id] = {
-                "title": info.get("title", rule_id),
-                "guards": info.get("guards", ""),
-                "violations": by_rule.get(rule_id, 0),
-                "suppressed": suppressed_by_rule.get(rule_id, 0),
-            }
+    for rule_id in PROGRAM_RULE_IDS:
+        info = _PROGRAM_RULE_INFO.get(rule_id, {})
+        rules[rule_id] = {
+            "title": info.get("title", rule_id),
+            "guards": info.get("guards", ""),
+            "violations": by_rule.get(rule_id, 0),
+            "suppressed": suppressed_by_rule.get(rule_id, 0),
+        }
     if by_rule.get("RL000"):
         rules["RL000"] = {
             "title": "pragma hygiene",
@@ -115,7 +106,7 @@ def to_document(result: LintResult) -> Dict[str, Any]:
             "violations": by_rule["RL000"],
             "suppressed": 0,
         }
-    document = {
+    return {
         "schema": REPORT_SCHEMA,
         "repro_version": get_version(),
         "root": result.root,
@@ -138,15 +129,12 @@ def to_document(result: LintResult) -> Dict[str, Any]:
             "suppressions": len(result.pragmas),
             "suppressed_hits": len(result.suppressed),
         },
-    }
-    if result.whole_program:
-        document["program"] = {
+        "program": {
             "modules": len(result.modules),
             "import_edges": result.import_edges,
-            "cache": dict(result.cache_stats),
             "obs_inventory": list(result.obs_inventory),
-        }
-    return document
+        },
+    }
 
 
 def load_report(path: str) -> Dict[str, Any]:
@@ -154,7 +142,7 @@ def load_report(path: str) -> Dict[str, Any]:
 
     The registered loader for the format: checks the schema tag and the
     presence of every v1-required section, so downstream tooling
-    (count-diffing, the CI guard) can trust the shape.
+    (count-diffing across commits) can trust the shape.
 
     Raises:
         DataError: unreadable file, wrong schema tag, missing section.
@@ -184,92 +172,6 @@ def render_json(result: LintResult) -> str:
     return json.dumps(to_document(result), indent=2, sort_keys=False) + "\n"
 
 
-# -------------------------------------------------------------------- SARIF
-def _sarif_rules() -> List[Dict[str, Any]]:
-    """The full rule catalogue as SARIF reportingDescriptor objects."""
-    descriptors = [
-        {"id": rule.id,
-         "name": rule.title,
-         "shortDescription": {"text": rule.title},
-         "fullDescription": {"text": rule.guards},
-         "defaultConfiguration": {"level": "error"}}
-        for rule in RULES
-    ]
-    for rule_id in PROGRAM_RULE_IDS:
-        info = _PROGRAM_RULE_INFO.get(rule_id, {})
-        descriptors.append(
-            {"id": rule_id,
-             "name": info.get("title", rule_id),
-             "shortDescription": {"text": info.get("title", rule_id)},
-             "fullDescription": {"text": info.get("guards", "")},
-             "defaultConfiguration": {"level": "error"}})
-    descriptors.append(
-        {"id": "RL000",
-         "name": "pragma hygiene",
-         "shortDescription": {"text": "pragma hygiene"},
-         "fullDescription": {
-             "text": "suppressions stay justified and live"},
-         "defaultConfiguration": {"level": "error"}})
-    return descriptors
-
-
-def render_sarif(result: LintResult) -> str:
-    """The run as a SARIF 2.1.0 log (GitHub code-scanning compatible).
-
-    Columns are 1-based in SARIF; the engine's 0-based ``col`` is
-    shifted.  Paths are emitted relative to the ``SRCROOT`` URI base so
-    the log is machine-independent.
-    """
-    from .. import get_version
-
-    rules = _sarif_rules()
-    index_of = {rule["id"]: index for index, rule in enumerate(rules)}
-    results = []
-    for violation in result.violations:
-        results.append({
-            "ruleId": violation.rule,
-            "ruleIndex": index_of.get(violation.rule, -1),
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": violation.path,
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": max(1, violation.line),
-                        "startColumn": violation.col + 1,
-                    },
-                },
-            }],
-        })
-    log = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-lint",
-                    "informationUri":
-                        "https://example.invalid/repro/lint",
-                    "semanticVersion": get_version(),
-                    "rules": rules,
-                },
-            },
-            "originalUriBaseIds": {
-                "SRCROOT": {"uri": f"file://{result.root}/"},
-            },
-            "invocations": [{
-                "executionSuccessful": True,
-                "exitCode": 0 if result.clean else 1,
-            }],
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=False) + "\n"
-
-
 def render_human(result: LintResult) -> str:
     """Compiler-style report: one ``file:line:col RLxxx message`` per hit."""
     lines = []
@@ -289,10 +191,7 @@ def render_human(result: LintResult) -> str:
         lines.append(f"repro lint: {len(result.files)} files clean "
                      f"({len(result.pragmas)} suppression"
                      f"{'s' if len(result.pragmas) != 1 else ''} in use)")
-    if result.whole_program:
-        lines.append(f"whole-program: {len(result.modules)} modules, "
-                     f"{result.import_edges} import edges, "
-                     f"{len(result.obs_inventory)} obs names, cache "
-                     f"{result.cache_stats.get('hits', 0)} hits / "
-                     f"{result.cache_stats.get('misses', 0)} misses")
+    lines.append(f"whole-program: {len(result.modules)} modules, "
+                 f"{result.import_edges} import edges, "
+                 f"{len(result.obs_inventory)} obs names")
     return "\n".join(lines) + "\n"

@@ -76,16 +76,21 @@ def split_frequencies(topic: Topic, freq: Dict[Phrase, float],
     """Eq. 4.3: split each phrase's topic-t frequency among the children.
 
     One phrase x child log-score matrix: ``log rho`` plus, position by
-    position, the rows of a word x child ``log phi`` matrix, so each
-    phrase's score adds its words in order, exactly as a per-phrase sum
-    would.
+    position, the rows of a word x child ``log phi`` matrix.  Each
+    phrase adds its words in ascending word-id order, so permutations of
+    one word multiset get bit-equal shares and rank by their phrase
+    tuples, not by float rounding.
     """
     children = topic.children
     phrases = list(freq)
     if not phrases or not children:
         return [{} for _ in children]
-    # Padding slots hold word 0; no phrase sums past its own length.
-    size, padded = phrase_matrix(phrases, fill=0)
+    # Padding sorts after every word id, then holds word 0; no phrase
+    # sums past its own length.
+    pad = np.iinfo(np.int64).max
+    size, padded = phrase_matrix(phrases, fill=pad)
+    padded.sort(axis=1)
+    padded[padded == pad] = 0
     word_ids, inverse = np.unique(padded, return_inverse=True)
     rows_of_words = inverse.reshape(padded.shape)
     words = map(corpus.vocabulary.word_of, word_ids.tolist())

@@ -121,7 +121,7 @@ def reference_gibbs_conditional(n_dk_row: np.ndarray, n_kw: np.ndarray,
     The semantic ground truth of the collapsed conditional — the
     document factor once, one topic-word factor per token with the
     denominator offset by token position — that both the blocked fast
-    sweep and the in-library reference sweep must reproduce to 1e-12.
+    sweep and :func:`reference_gibbs_sweep` must reproduce to 1e-12.
     """
     log_p = np.log(n_dk_row + alpha)
     denom = n_k + beta_sum
@@ -130,6 +130,50 @@ def reference_gibbs_conditional(n_dk_row: np.ndarray, n_kw: np.ndarray,
     log_p -= log_p.max()
     p = np.exp(log_p)
     return p / p.sum()
+
+
+def reference_gibbs_sweep(units, assignments, n_dk, n_kw, n_k,
+                          num_topics: int, alpha: float, beta: float,
+                          beta_sum: float, rng: np.random.Generator) -> None:
+    """The log-space reference sweep (same draw contract), formerly
+    ``LDAGibbs._sweep_reference``.
+
+    Semantically identical to ``LDAGibbs._sweep`` — same conditional, the
+    same one-batched-uniform-per-document randomness, the same
+    first-index-past-the-target draw — but evaluated per unit with
+    numpy log-space arithmetic.  The equivalence baseline: a whole chain
+    run through it equals the fast sweep's chain bit for bit.
+    """
+    k = num_topics
+    for d, doc_units in enumerate(units):
+        if not doc_units:
+            continue
+        labels = assignments[d]
+        draws = rng.random(len(doc_units))
+        for u, unit in enumerate(doc_units):
+            z_old = labels[u]
+            size = len(unit)
+            n_dk[d, z_old] -= size
+            n_k[z_old] -= size
+            for w in unit:
+                n_kw[z_old, w] -= 1
+
+            log_p = np.log(n_dk[d] + alpha)
+            denom = n_k + beta_sum
+            for offset, w in enumerate(unit):
+                log_p = log_p + np.log(n_kw[:, w] + beta) \
+                    - np.log(denom + offset)
+            log_p -= log_p.max()
+            p = np.exp(log_p)
+            p /= p.sum()
+            z_new = min(int(np.searchsorted(np.cumsum(p), draws[u],
+                                            side="right")), k - 1)
+
+            labels[u] = z_new
+            n_dk[d, z_new] += size
+            n_k[z_new] += size
+            for w in unit:
+                n_kw[z_new, w] += 1
 
 
 def legacy_gibbs_sweep(units, assignments, n_dk, n_kw, n_k, alpha: float,
@@ -358,14 +402,15 @@ def reference_document_phrase_instances(corpus, counts,
 
 def reference_split_frequencies(topic, freq, corpus,
                                 ) -> List[Dict[Tuple[int, ...], float]]:
-    """Eq. 4.3 phrase by phrase: small per-child arrays per word."""
+    """Eq. 4.3 phrase by phrase: small per-child arrays per word, the
+    words added in ascending id order."""
     from repro.network import TERM_TYPE
 
     children = topic.children
     rhos = np.array([max(child.rho, EPS) for child in children])
     child_freqs: List[Dict[Tuple[int, ...], float]] = [{} for _ in children]
     for phrase, f in freq.items():
-        words = [corpus.vocabulary.word_of(w) for w in phrase]
+        words = [corpus.vocabulary.word_of(w) for w in sorted(phrase)]
         log_scores = np.log(rhos)
         for word in words:
             probs = np.array([

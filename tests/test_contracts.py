@@ -27,7 +27,6 @@ class TestRegistryContents:
             "repro.stream/vocab-delta/v1",
             "repro.strod/moment-sketch/v1",
             "repro.lint/report/v1",
-            "repro.lint/cache/v1",
         }
         assert set(registered_formats()) == expected
 

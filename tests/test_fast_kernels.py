@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
+from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy import CathyHIN, HINTopicModel
 from repro.cathy.em import link_incidence
 from repro.corpus import Corpus
@@ -55,6 +55,7 @@ from .reference_kernels import (ReferenceHINEM, legacy_gibbs_sweep,
                                 reference_entity_topic_frequencies,
                                 reference_first_moment,
                                 reference_gibbs_conditional,
+                                reference_gibbs_sweep,
                                 reference_hin_em_step,
                                 reference_log_likelihood,
                                 reference_mine_chunks, reference_scatter,
@@ -90,16 +91,21 @@ def _random_chain(rng, num_docs=20, vocab=40, doc_len=(3, 15)):
 class TestGibbsKernelEquivalence:
     @pytest.mark.parametrize("phrased", [False, True])
     def test_fast_sweep_matches_reference_bitwise(self, phrased, monkeypatch):
-        """Same seed, fast vs forced-reference sweep: identical chains."""
-        monkeypatch.delenv("REPRO_REQUIRE_FAST_KERNELS", raising=False)
+        """Same seed, fast vs reference sweep: identical chains."""
         rng = np.random.default_rng(7)
         docs, partitions = _random_chain(rng)
         kwargs = dict(num_topics=6, alpha=0.3, beta=0.05, iterations=8)
 
-        monkeypatch.delenv(ENV_REFERENCE_SWEEP, raising=False)
         fast = LDAGibbs(seed=123, **kwargs).fit(
             docs, vocab_size=40, partitions=partitions if phrased else None)
-        monkeypatch.setenv(ENV_REFERENCE_SWEEP, "1")
+
+        def sweep(sampler, units, assignments, n_dk, n_kw, n_k, beta_sum,
+                  rng):
+            reference_gibbs_sweep(units, assignments, n_dk, n_kw, n_k,
+                                  sampler.num_topics, sampler.alpha,
+                                  sampler.beta, beta_sum, rng)
+
+        monkeypatch.setattr(LDAGibbs, "_sweep", sweep)
         ref = LDAGibbs(seed=123, **kwargs).fit(
             docs, vocab_size=40, partitions=partitions if phrased else None)
 

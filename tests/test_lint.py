@@ -17,9 +17,8 @@ import textwrap
 
 import pytest
 
-from repro.lint import (REPORT_SCHEMA, lint_file, lint_paths,
-                        lint_project, render_json, rule_catalogue,
-                        to_document)
+from repro.lint import (REPORT_SCHEMA, lint_file, lint_project,
+                        render_json, rule_catalogue, to_document)
 from repro.lint.cli import main as lint_main
 from repro.lint.rules import PRAGMA_RE, RULES
 
@@ -553,7 +552,7 @@ class TestReport:
 
     def test_document_shape_is_stable(self, tmp_path):
         root = self._seed_tree(tmp_path)
-        result = lint_paths(["src"], root=str(root))
+        result = lint_project(["src"], root=str(root))
         doc = to_document(result)
         assert doc["schema"] == REPORT_SCHEMA == "repro.lint/report/v1"
         for key in ("repro_version", "root", "paths", "files_scanned",
@@ -570,7 +569,7 @@ class TestReport:
 
     def test_violations_carry_rule_ids_and_locations(self, tmp_path):
         root = self._seed_tree(tmp_path)
-        result = lint_paths(["src"], root=str(root))
+        result = lint_project(["src"], root=str(root))
         rules = {v.rule for v in result.violations}
         assert "RL001" in rules
         v = next(v for v in result.violations if v.rule == "RL001")
@@ -647,53 +646,53 @@ class TestCli:
 
 
 # ---------------------------------------------------------------- self-check
-class TestSelfCheck:
-    def test_repository_lints_clean(self):
-        result = lint_paths(["src", "tests"], root=REPO_ROOT)
-        assert result.clean, "\n".join(
-            f"{v.location()} {v.rule} {v.message}"
-            for v in result.violations)
-        assert len(result.files) > 100
+@pytest.fixture(scope="module")
+def shipped():
+    """One whole-program pass over the shipped tree, shared read-only."""
+    return lint_project(["src", "tests"], root=REPO_ROOT)
 
-    def test_pragma_count_does_not_grow(self):
-        result = lint_paths(["src", "tests"], root=REPO_ROOT)
-        pragmas = [(p.path, p.line) for p in result.pragmas]
+
+class TestSelfCheck:
+    def test_repository_lints_clean(self, shipped):
+        assert shipped.clean, "\n".join(
+            f"{v.location()} {v.rule} {v.message}"
+            for v in shipped.violations)
+        assert len(shipped.files) > 100
+
+    def test_pragma_count_does_not_grow(self, shipped):
+        pragmas = [(p.path, p.line) for p in shipped.pragmas]
         assert len(pragmas) <= SHIPPED_PRAGMA_BASELINE, (
             f"suppression pragmas grew past the shipped baseline of "
             f"{SHIPPED_PRAGMA_BASELINE}: {pragmas}; fix the violation "
             f"instead, or raise the baseline in the same review that "
             f"justifies the new pragma")
 
-    def test_every_shipped_pragma_is_used_and_reasoned(self):
-        result = lint_paths(["src", "tests"], root=REPO_ROOT)
-        for pragma in result.pragmas:
+    def test_every_shipped_pragma_is_used_and_reasoned(self, shipped):
+        for pragma in shipped.pragmas:
             assert pragma.used >= 1, pragma
             assert len(pragma.reason) >= 10, pragma
 
-    def test_whole_program_pass_is_clean(self):
+    def test_whole_program_pass_is_clean(self, shipped):
         # The PR 10 analyzer: per-file rules plus layering, cycles,
         # schema-registry coverage, and obs-namespace consistency must
         # all hold on the shipped tree.
-        result = lint_project(["src", "tests"], root=REPO_ROOT)
-        assert result.whole_program
-        assert result.clean, "\n".join(
+        assert shipped.clean, "\n".join(
             f"{v.location()} {v.rule} {v.message}"
-            for v in result.violations)
-        assert len(result.modules) > 100
-        assert result.import_edges > 500
+            for v in shipped.violations)
+        assert len(shipped.modules) > 100
+        assert shipped.import_edges > 500
 
-    def test_exact_suppression_list_is_pinned(self):
+    def test_exact_suppression_list_is_pinned(self, shipped):
         # The shipped suppression inventory, in full.  A new pragma is
         # a reviewed decision: it must be added here with the same
         # justification discipline as raising SHIPPED_PRAGMA_BASELINE.
-        result = lint_project(["src", "tests"], root=REPO_ROOT)
         inventory = sorted((p.path, tuple(p.rule_ids))
-                           for p in result.pragmas)
+                           for p in shipped.pragmas)
         assert inventory == [
             ("src/repro/cli.py", ("RL004",)),
             ("src/repro/obs/spans.py", ("RL003",)),
             ("src/repro/obs/tracer.py", ("RL003",)),
             ("src/repro/resilience/checkpoint.py", ("RL003",)),
         ], inventory
-        for pragma in result.pragmas:
+        for pragma in shipped.pragmas:
             assert pragma.used >= 1, pragma

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cathy import BuilderConfig, HierarchyBuilder
-from repro.phrases import (attach_entity_rankings, attach_phrases,
-                           compute_topic_phrase_frequencies,
-                           mine_frequent_phrases)
+from repro.corpus import Corpus
+from repro.hierarchy import Topic, TopicalHierarchy
+from repro.phrases import (PhraseCounts, attach_entity_rankings,
+                           attach_phrases, compute_topic_phrase_frequencies,
+                           mine_frequent_phrases, split_frequencies)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +101,29 @@ class TestDecoration:
             if areas.count(modal) / len(areas) >= 0.6:
                 pure += 1
         assert pure >= 4
+
+
+class TestPermutationTies:
+    def test_permutations_split_bit_equal_and_rank_by_ids(self):
+        """Two orders of one word set with equal frequency: bit-equal
+        shares at every child, ranked in id-tuple order (summing the
+        words in phrase order ranked "w2 w1 w0" first at child 1)."""
+        corpus = Corpus()
+        corpus.vocabulary.encode(["w0", "w1", "w2"], add_missing=True)
+        root = Topic(path=())
+        for probs in ((0.1, 0.1, 0.1), (0.1, 0.1, 0.3)):
+            root.add_child(Topic(rho=0.5, phi={"term": {
+                f"w{i}": p for i, p in enumerate(probs)}}))
+        forward, backward = (0, 1, 2), (2, 1, 0)
+        freq = {backward: 10.0, forward: 10.0, (1,): 10.0}
+        for shares in split_frequencies(root, freq, corpus):
+            assert shares[forward].hex() == shares[backward].hex()
+
+        hierarchy = TopicalHierarchy(root)
+        counts = PhraseCounts({phrase: 10 for phrase in freq},
+                              min_support=1, num_documents=10,
+                              num_tokens=70)
+        attach_phrases(hierarchy, corpus, counts=counts,
+                       min_topical_frequency=0.0)
+        ranked = [phrase for phrase, _ in root.children[1].phrases]
+        assert ranked[:2] == ["w0 w1 w2", "w2 w1 w0"]
