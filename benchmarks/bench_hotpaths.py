@@ -5,8 +5,8 @@ the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, ToPMine merge, frequent-phrase mining,
 role attribution, candidate graph and TPFG kernels, the serving engine's
-uncached topic detail, the v2 artifact writer and the STROD moments,
-against theirs.
+uncached topic detail, the v2 artifact writer, the STROD moments and the
+one-pass corpus build, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -33,10 +33,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
                                legacy_gibbs_sweep,
                                reference_build_candidate_graph,
+                               reference_corpus_token_array,
                                reference_document_phrase_instances,
                                reference_document_topic_frequencies,
                                reference_document_topics,
                                reference_first_moment,
+                               reference_from_texts,
                                reference_gibbs_sweep,
                                reference_hin_em_step,
                                reference_mine_chunks,
@@ -51,6 +53,7 @@ from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
 from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy import CathyHIN
 from repro.cathy.em import posterior_link_split
+from repro.corpus import Corpus
 from repro.datasets import DBLPConfig, generate_dblp, generate_planted_lda
 from repro.hierarchy import Topic
 from repro.network import HeterogeneousNetwork
@@ -501,6 +504,58 @@ def test_hotpath_phrase_mining(benchmark):
     assert fast <= SANITY_SECONDS
     if CHUNKS >= FULL_CHUNKS:
         assert speedup >= 4.0
+
+
+def test_hotpath_corpus_build(benchmark):
+    """``Corpus.from_texts``: one scan per title into the token and
+    entity arrays vs the per-chunk tokenize + ``Vocabulary.encode`` loop
+    that kept every document as Python lists."""
+    generated = generate_dblp(DBLPConfig(max_authors=PHRASE_AUTHORS),
+                              seed=9).corpus
+    vocabulary = generated.vocabulary
+    documents = list(generated)
+    # Titles whose chunks come back as the generator's, as perfbench's.
+    texts = [", ".join(" ".join(vocabulary.decode(chunk))
+                       for chunk in doc.chunks) for doc in documents]
+    entities = [doc.entities for doc in documents]
+    years = [doc.year for doc in documents]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def build_fast():
+        return Corpus.from_texts(texts, entities=entities, years=years)
+
+    def build_slow():
+        return reference_from_texts(texts, entities=entities, years=years)
+
+    def run():
+        fast = _time(build_fast, span_name="bench.corpus.arrays")
+        slow = _time(build_slow, span_name="bench.corpus.loop")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    corpus = build_fast()
+    report("hotpath_corpus_build", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("one-pass scan to arrays", [fast, 1.0]),
+        fmt_row("per-chunk tokenize+encode", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.corpus.arrays", "bench.corpus.loop"}) + [
+        f"docs={len(corpus)} tokens={corpus.num_tokens} "
+        f"vocabulary={len(corpus.vocabulary)} "
+        f"authors={len(corpus.entity_links('author').names)}",
+        "timed: from_texts with authors, venues and years",
+    ])
+
+    ref_vocabulary, ref_documents = build_slow()
+    assert list(corpus.vocabulary) == list(ref_vocabulary)
+    tokens, lengths, doc_chunks = reference_corpus_token_array(ref_documents)
+    assert np.array_equal(corpus.tokens, tokens)
+    assert np.array_equal(corpus.chunk_lengths, lengths)
+    assert np.array_equal(corpus.doc_chunks, doc_chunks)
+    assert list(corpus) == ref_documents
+    assert fast <= SANITY_SECONDS
 
 
 def test_hotpath_candidate_graph(benchmark):

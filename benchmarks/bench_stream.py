@@ -49,12 +49,7 @@ def _stream_corpus(num_docs=900, words_per_pool=60, num_pools=4,
 
 
 def _prefix(corpus, fraction):
-    upto = int(len(corpus) * fraction)
-    prefix = Corpus(vocabulary=corpus.vocabulary)
-    for doc in list(corpus)[:upto]:
-        prefix.add_document(chunks=doc.chunks, entities=doc.entities,
-                            year=doc.year, label=doc.label)
-    return prefix
+    return corpus.subset(range(int(len(corpus) * fraction)))
 
 
 def _best_of(fn, repeats=REPEATS):

@@ -259,26 +259,6 @@ class LDAGibbs:
         n_kw[:] = np.asarray(n_wk_l, dtype=n_kw.dtype).T
         n_k[:] = n_k_l
 
-    @staticmethod
-    def _log_likelihood(units, assignments, phi) -> float:
-        """In-sample log p(w | z): one scatter + one reduction per call.
-
-        Builds the (k, V) token-assignment count matrix from the units
-        and labels (one ``np.add.at`` per document) and contracts it
-        with ``log phi`` once, instead of the historical
-        token-at-a-time triple loop.
-        """
-        counts = np.zeros(phi.shape, dtype=np.int64)
-        for doc_units, labels in zip(units, assignments):
-            if not len(doc_units):
-                continue
-            words = np.fromiter(
-                (w for unit in doc_units for w in unit), dtype=np.int64)
-            zs = np.repeat(np.asarray(labels, dtype=np.int64),
-                           [len(unit) for unit in doc_units])
-            np.add.at(counts, (zs, words), 1)
-        return _ll_from_counts(counts, phi)
-
     def require_model(self) -> LDAModel:
         """Return the fitted model or raise :class:`NotFittedError`."""
         if self.model_ is None:

@@ -217,8 +217,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time as _time
 
-    from .serve import (ModelAsyncServer, ModelQueryEngine, ModelServer,
-                        load_model)
+    from .serve import ModelQueryEngine, ModelServer, load_model
 
     def build_engine() -> ModelQueryEngine:
         return ModelQueryEngine(load_model(args.model),
@@ -230,6 +229,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     model = engine.model
     cold_load_s = _time.perf_counter() - start
     if args.backend == "async":
+        from .serve.aio import ModelAsyncServer
+
         server = ModelAsyncServer(engine, host=args.host, port=args.port,
                                   request_timeout=args.request_timeout,
                                   max_body_bytes=args.max_body_bytes)
@@ -327,7 +328,7 @@ def _cmd_strod(args: argparse.Namespace) -> int:
     from .strod import STROD
 
     dataset = load_dataset(args.dataset)
-    docs = [doc.tokens for doc in dataset.corpus]
+    docs = dataset.corpus.token_lists()
     strod = STROD(num_topics=args.topics,
                   alpha0=args.alpha0 if args.alpha0 > 0 else None,
                   sparse=args.sparse, seed=args.seed)

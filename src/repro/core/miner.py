@@ -228,7 +228,7 @@ class LatentEntityMiner:
         Requires documents to carry years; raises
         :class:`~repro.errors.DataError` otherwise.
         """
-        if not any(doc.year is not None for doc in corpus):
+        if not corpus.has_year.any():
             raise DataError("relation mining requires document years")
         network = CollaborationNetwork.from_corpus(corpus,
                                                    author_type=author_type)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus import Corpus, tokenize
-from ..hierarchy import path_to_notation
 from .vocabularies import TopicSpec, hierarchy_paths
 
 Path = Tuple[int, ...]
@@ -66,10 +65,6 @@ class GroundTruth:
             if record.advisee == author:
                 return record.advisor
         return None
-
-    def notation_of_document(self, doc_id: int) -> str:
-        """Leaf topic of a document in ``o/1/2`` notation."""
-        return path_to_notation(self.doc_topic_paths[doc_id])
 
 
 @dataclass

@@ -85,13 +85,13 @@ def dataset_from_dict(data: dict) -> SyntheticDataset:
                         f"{data.get('version')!r}")
     from ..corpus import Vocabulary
 
-    corpus = Corpus(vocabulary=Vocabulary(data["vocabulary"]))
-    for record in data["documents"]:
-        corpus.add_document(
-            chunks=[list(chunk) for chunk in record["chunks"]],
-            entities=record.get("entities"),
-            year=record.get("year"),
-            label=record.get("label"))
+    records = data["documents"]
+    corpus = Corpus.from_chunks(
+        [record["chunks"] for record in records],
+        Vocabulary(data["vocabulary"]),
+        entities=[record.get("entities") for record in records],
+        years=[record.get("year") for record in records],
+        labels=[record.get("label") for record in records])
 
     truth_data = data["ground_truth"]
     truth = GroundTruth(

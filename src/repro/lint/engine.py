@@ -86,7 +86,7 @@ class FileContext:
         nodes: every node of ``tree`` in :func:`ast.walk` order, listed
             once at parse time for the rules, the import bindings and
             the statement extents.
-        lines: raw source lines (pragma scanning, snippets).
+        lines: raw source lines (pragma scanning).
         module: dotted module path when derivable from the layout.
     """
 
@@ -122,12 +122,6 @@ class FileContext:
         parts.append(base)
         parts.reverse()
         return ".".join(parts)
-
-    def snippet(self, line: int) -> str:
-        """The source line at 1-based ``line`` (empty when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     # --------------------------------------------------------------- pragmas
     def pragmas(self) -> List[Pragma]:

@@ -112,19 +112,6 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}"
 
 
-def _dotted_parts(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` attribute chain as ``["a", "b", "c"]`` (None otherwise)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 def _match_any(path: str, patterns: Sequence[str]) -> bool:
     """True when ``path`` falls under any prefix/exact pattern.
 

@@ -13,55 +13,28 @@ Both assemble edge lists from flat arrays over the whole corpus: one
 document's distinct terms as one contiguous run, all unordered pairs of
 a run come from one cached ``triu_indices`` template per run length, and
 entity–term stars are a ``repeat`` of each entity occurrence over its
-document's run; the only per-document Python work is reading the token
-and entity lists.  Each link type's whole column goes to
-:meth:`HeterogeneousNetwork.add_links` once, and the network's COO→CSR
-freeze deduplicates and sums it in a single vectorized pass.
+document's run.  Tokens and entity links come straight from the corpus
+arrays, with no per-document Python work.  Each link type's whole
+column goes to :meth:`HeterogeneousNetwork.add_links` once, and the
+network's COO→CSR freeze deduplicates and sums it in a single
+vectorized pass.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..corpus import Corpus
 from ..errors import DataError
-from ..utils import run_positions
+from ..utils import run_pairs, run_positions
 from .weighted import HeterogeneousNetwork, LinkType, canonical_link_type
 
 TERM_TYPE = "term"
 
 #: One (i_parts, j_parts) column accumulator per canonical link type.
 _Columns = Dict[LinkType, Tuple[List[np.ndarray], List[np.ndarray]]]
-
-
-@lru_cache(maxsize=4096)
-def _pair_template(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle index template for all unordered pairs of n items."""
-    return np.triu_indices(n, k=1)
-
-
-def _run_pairs(starts: np.ndarray, lengths: np.ndarray,
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions of every unordered pair inside each run.
-
-    Run ``r`` covers positions ``starts[r] .. starts[r] + lengths[r] - 1``;
-    runs of one length share one ``triu_indices`` template.
-    """
-    first: List[np.ndarray] = []
-    second: List[np.ndarray] = []
-    for length in np.unique(lengths[lengths >= 2]).tolist():
-        rows = starts[lengths == length][:, None] + np.arange(length)
-        iu, ju = _pair_template(length)
-        first.append(rows[:, iu].ravel())
-        second.append(rows[:, ju].ravel())
-    if not first:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(first), np.concatenate(second)
 
 
 def _add_column(columns: _Columns, type_x: str, i_idx: np.ndarray,
@@ -92,13 +65,9 @@ def _document_terms(corpus: Corpus, network: HeterogeneousNetwork,
     a per-document walk meets them: first document containing the term,
     then token-id order within it.
     """
-    lengths = np.fromiter((doc.length for doc in corpus), dtype=np.int64,
-                          count=len(corpus))
-    tokens = np.fromiter(
-        chain.from_iterable(chain.from_iterable(
-            doc.chunks for doc in corpus)),
-        dtype=np.int64, count=int(lengths.sum()))
-    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    tokens = corpus.tokens
+    docs = np.repeat(np.arange(len(corpus), dtype=np.int64),
+                     np.diff(corpus.doc_offsets))
     vocab_size = len(corpus.vocabulary)
     kept = np.bincount(tokens, minlength=vocab_size)[tokens] >= min_count
     keys = np.unique(docs[kept] * vocab_size + tokens[kept])
@@ -124,7 +93,7 @@ def build_term_network(corpus: Corpus,
     """
     network = HeterogeneousNetwork(node_types=[TERM_TYPE])
     term_ids, starts = _document_terms(corpus, network, min_count)
-    first, second = _run_pairs(starts[:-1], np.diff(starts))
+    first, second = run_pairs(starts[:-1], np.diff(starts))
     network.add_links(TERM_TYPE, term_ids[first], TERM_TYPE,
                       term_ids[second])
     return network
@@ -171,26 +140,23 @@ def build_collapsed_network(corpus: Corpus,
 
     if include_text:
         term_ids, term_starts = _document_terms(corpus, network, min_count)
-        first, second = _run_pairs(term_starts[:-1], np.diff(term_starts))
+        first, second = run_pairs(term_starts[:-1], np.diff(term_starts))
         _add_column(columns, TERM_TYPE, term_ids[first], TERM_TYPE,
                     term_ids[second])
         term_counts = np.diff(term_starts)
 
     # Entity occurrences of every included type, document after document;
-    # a name listed twice in one document occurs twice.
-    names: List[List[str]] = [[] for _ in entity_types]
-    counts: List[List[int]] = [[] for _ in entity_types]
-    for doc in corpus:
-        for position, entity_type in enumerate(entity_types):
-            listed = doc.entity_list(entity_type)
-            names[position].extend(listed)
-            counts[position].append(len(listed))
-    doc_index = np.arange(len(corpus), dtype=np.int64)
+    # a name listed twice in one document occurs twice.  Each type's
+    # names are numbered in order of first mention, the order the
+    # network registers them in.
+    counts: List[np.ndarray] = []
     occ_doc: List[np.ndarray] = []
     occ_id: List[np.ndarray] = []
-    for position, entity_type in enumerate(entity_types):
-        ids = network.add_nodes(entity_type, names[position])
-        docs = np.repeat(doc_index, counts[position])
+    for entity_type in entity_types:
+        links = corpus.entity_links(entity_type)
+        ids = network.add_nodes(entity_type, links.names)[links.ids]
+        docs = links.documents()
+        counts.append(np.diff(links.indptr))
         occ_doc.append(docs)
         occ_id.append(ids)
         if include_text:
@@ -210,7 +176,7 @@ def build_collapsed_network(corpus: Corpus,
         occ_type = occ_type[by_doc]
         all_ids = np.concatenate(occ_id)[by_doc]
         per_doc = np.sum(counts, axis=0, dtype=np.int64)
-        first, second = _run_pairs(np.cumsum(per_doc) - per_doc, per_doc)
+        first, second = run_pairs(np.cumsum(per_doc) - per_doc, per_doc)
         type_a, type_b = occ_type[first], occ_type[second]
         id_a, id_b = all_ids[first], all_ids[second]
         distinct = (same_type[type_a] != same_type[type_b]) | (id_a != id_b)

@@ -12,8 +12,8 @@ Chunks (text between phrase-invariant punctuation) are processed
 independently, so phrases never cross punctuation, and the worst case per
 chunk is quadratic in the (small) chunk length — linear overall.
 
-The kernel runs over the whole corpus as one flat token array, one
-phrase length per round: both prunings become one boolean mask per
+The kernel runs over the corpus's own flat token array, one phrase
+length per round: both prunings become one boolean mask per
 round, and counting is one ``np.unique`` over integer n-gram keys
 (see :func:`_mine_flat`).
 """
@@ -110,9 +110,9 @@ def mine_frequent_phrases(corpus: Corpus,
         ConfigurationError: ``min_support`` or ``max_length`` below 1.
     """
     _check_thresholds(min_support, max_length)
-    tokens, lengths, _ = corpus_token_array(corpus)
-    return _mine(tokens, lengths, min_support, max_length,
-                 num_documents=len(corpus), num_tokens=len(tokens),
+    return _mine(corpus.tokens, corpus.chunk_lengths, min_support,
+                 max_length, num_documents=len(corpus),
+                 num_tokens=corpus.num_tokens,
                  merge_cache_capacity=merge_cache_capacity)
 
 
@@ -142,24 +142,6 @@ def mine_frequent_phrases_from_chunks(chunks: Sequence[Sequence[int]],
     return _mine(tokens, lengths, min_support, max_length,
                  num_documents=num_documents, num_tokens=num_tokens,
                  merge_cache_capacity=merge_cache_capacity)
-
-
-def corpus_token_array(corpus: Corpus,
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The corpus as one flat token array plus its chunk structure.
-
-    Returns ``(tokens, chunk_lengths, doc_chunks)``: every token id in
-    document and chunk order (int64), the length of every chunk in that
-    order (empty chunks included), and each document's chunk count.
-    """
-    doc_chunks = np.fromiter((len(doc.chunks) for doc in corpus),
-                             dtype=np.int64, count=len(corpus))
-    chunks = [chunk for doc in corpus for chunk in doc.chunks]
-    lengths = np.fromiter(map(len, chunks), dtype=np.int64,
-                          count=len(chunks))
-    tokens = np.fromiter(chain.from_iterable(chunks), dtype=np.int64,
-                         count=int(lengths.sum()))
-    return tokens, lengths, doc_chunks
 
 
 def chunk_continues(lengths: np.ndarray) -> np.ndarray:

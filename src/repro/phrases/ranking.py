@@ -15,8 +15,7 @@ import numpy as np
 from ..corpus import Corpus, Vocabulary
 from ..errors import ConfigurationError
 from ..utils import EPS
-from .frequent import (Phrase, PhraseCounts, chunk_continues,
-                       corpus_token_array, phrase_matrix)
+from .frequent import Phrase, PhraseCounts, chunk_continues, phrase_matrix
 
 
 @dataclass
@@ -145,14 +144,14 @@ def document_phrase_index(corpus: Corpus, counts: PhraseCounts,
     (itemset orders are not): a position moves to the next length while
     its span so far is a prefix of some counted phrase.
     """
-    tokens, lengths, doc_chunks = corpus_token_array(corpus)
+    tokens = corpus.tokens
     phrases = [phrase for phrase in counts.counts
                if 1 <= len(phrase) <= max_length]
     if not phrases or not len(tokens):
         return PhraseInstances(phrases, np.zeros(0, dtype=np.int64),
                                np.zeros(len(corpus) + 1, dtype=np.int64))
     trie = _PhraseTrie(phrases, int(tokens.max()) + 1)
-    follows = chunk_continues(lengths)
+    follows = chunk_continues(corpus.chunk_lengths)
 
     starts = [np.zeros(0, dtype=np.int64)]
     found = [np.zeros(0, dtype=np.int64)]
@@ -176,10 +175,7 @@ def document_phrase_index(corpus: Corpus, counts: PhraseCounts,
     # them in (start, length) order.
     start = np.concatenate(starts)
     order = np.argsort(start, kind="stable")
-    chunk_ends = np.concatenate([[0], np.cumsum(lengths)])
-    doc_ends = chunk_ends[np.cumsum(doc_chunks)]
-    bounds = np.zeros(len(doc_ends) + 1, dtype=np.int64)
-    bounds[1:] = np.searchsorted(start[order], doc_ends)
+    bounds = np.searchsorted(start[order], corpus.doc_offsets)
     return PhraseInstances(phrases, np.concatenate(found)[order], bounds)
 
 

@@ -139,7 +139,7 @@ class ToPMine:
                            alpha=config.lda_alpha, beta=config.lda_beta,
                            iterations=config.lda_iterations, seed=self._rng,
                            checkpoint=writer, resume=resume)
-        docs = [doc.tokens for doc in corpus]
+        docs = corpus.token_lists()
         with span("topmine.lda"):
             lda = sampler.fit(docs, vocab_size=len(corpus.vocabulary),
                               partitions=partitions)

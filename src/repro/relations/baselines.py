@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -72,12 +71,6 @@ class IndMaxBaseline:
                 key=lambda pair: (-pair[1], pair[0]))
             ranking[author] = pairs
         return TPFGResult(ranking=ranking)
-
-
-@dataclass
-class _TrainingSet:
-    features: np.ndarray
-    labels: np.ndarray
 
 
 class SupervisedPairClassifier:

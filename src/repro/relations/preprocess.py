@@ -49,11 +49,6 @@ class CandidateGraph:
         """Candidate advisors of one author (including the root option)."""
         return self.candidates.get(advisee, [])
 
-    def advisees_of(self, advisor: str) -> List[Candidate]:
-        """All candidates naming this author as advisor."""
-        return [c for cands in self.candidates.values() for c in cands
-                if c.advisor == advisor]
-
     @property
     def authors(self) -> List[str]:
         """All authors with candidate lists, sorted."""

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ..corpus import Corpus
+from ..corpus import Corpus, EntityLinks
 from ..errors import ConfigurationError
 from ..hierarchy import Topic, TopicalHierarchy
 from ..phrases import (PhraseCounts, PhraseInstances, document_phrase_index,
@@ -107,7 +107,7 @@ class RoleAnalyzer:
         if cached is None:
             cached = self._entity_freq_cache[entity_type] = \
                 sum_entity_frequencies(
-                    [doc.entity_list(entity_type) for doc in self.corpus],
+                    self.corpus.entity_links(entity_type),
                     self._attributed())
         return cached
 
@@ -148,9 +148,8 @@ class RoleAnalyzer:
         parent_total = max(sum(parent_freq.values()), EPS)
 
         doc_freqs = self.document_topic_frequencies()
-        name_set = set(names)
-        entity_doc_ids = [doc.doc_id for doc in self.corpus
-                          if name_set & set(doc.entity_list(entity_type))]
+        entity_doc_ids = self.corpus.entity_links(
+            entity_type).documents_of(names).tolist()
 
         # f_t(P, E): topic-t mass of E's documents containing P.
         entity_phrase_freq: Dict[Phrase, float] = {}
@@ -233,33 +232,30 @@ def attribute_documents(root: Topic, table: TopicPhraseFrequencies,
                                                        doc_instances))
 
 
-def sum_entity_frequencies(names_per_doc: Sequence[Sequence[str]],
-                           attribution: Attribution,
+def sum_entity_frequencies(links: EntityLinks, attribution: Attribution,
                            ) -> Dict[str, Dict[str, float]]:
     """Eq. 5.6: f_t(E), each entity's document frequencies summed.
 
-    ``names_per_doc`` lists each document's entities (a name listed
-    twice counts twice).  Entities come in order of first mention, and
-    each entity's topics in the order its documents first reach them.
-    The sums are one entity x document CSR product with the document x
-    topic frequencies; its entries stay in document order, so scipy adds
-    each entity's documents one by one in corpus order, bit for bit as a
-    per-document accumulation does.
+    ``links`` is the corpus's document → entity CSR of one entity type
+    (a name listed twice in a document counts twice).  Entities come in
+    order of first mention, and each entity's topics in the order its
+    documents first reach them.  The sums are the transposed CSR, an
+    entity x document matrix, times the document x topic frequencies;
+    its entries stay in document order, so scipy adds each entity's
+    documents one by one in corpus order, bit for bit as a per-document
+    accumulation does.
     """
     notations, mass, present = attribution
-    entity_ids: Dict[str, int] = {}
-    mentions = [(entity_ids.setdefault(name, len(entity_ids)), doc_id)
-                for doc_id, names in enumerate(names_per_doc)
-                for name in names]
-    if not mentions:
+    if not len(links.ids):
         return {}
-    entity, docs = np.asarray(mentions, dtype=np.int64).T
-    docs = docs[np.argsort(entity, kind="stable")]
-    indptr = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entity), out=indptr[1:])
-    links = csr_matrix((np.ones(len(docs)), docs, indptr),
-                       shape=(len(entity_ids), len(mass)))
-    sums = links @ mass
+    order = np.argsort(links.ids, kind="stable")
+    docs = links.documents()[order]
+    indptr = np.zeros(len(links.names) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(links.ids, minlength=len(links.names)),
+              out=indptr[1:])
+    matrix = csr_matrix((np.ones(len(docs)), docs, indptr),
+                        shape=(len(links.names), len(mass)))
+    sums = matrix @ mass
     # Per (entity, topic): the first of the entity's mentions to reach it.
     first = np.minimum.reduceat(
         np.where(present[docs], np.arange(len(docs))[:, None], len(docs)),
@@ -269,9 +265,10 @@ def sum_entity_frequencies(names_per_doc: Sequence[Sequence[str]],
     rows, cols = rows[order], cols[order]
     keys = [notations[t] for t in cols.tolist()]
     values = sums[rows, cols].tolist()
-    bounds = np.cumsum(np.bincount(rows)).tolist()
+    bounds = np.cumsum(np.bincount(
+        rows, minlength=len(links.names))).tolist()
     return {name: dict(zip(keys[lo:hi], values[lo:hi]))
-            for name, lo, hi in zip(entity_ids, [0] + bounds[:-1], bounds)}
+            for name, lo, hi in zip(links.names, [0] + bounds[:-1], bounds)}
 
 
 def _frequency_dicts(notations: List[str], mass: np.ndarray,

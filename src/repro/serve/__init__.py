@@ -28,15 +28,35 @@ answers to topic, phrase and entity queries without re-running EM:
 Surfaced on the facade as :meth:`~repro.core.LatentEntityMiner.save_model`
 / :meth:`~repro.core.LatentEntityMiner.load_model` and on the CLI as
 ``repro export-model`` / ``repro migrate-model`` / ``repro serve``.
+
+The engine and the servers import on first use of their names, so a
+fit that saves an artifact never loads asyncio or ``http.server``.
 """
 
-from .aio import ModelAsyncServer
+from importlib import import_module
+from typing import Any
+
 from .artifact import (MODEL_SCHEMA, ServedModel, load_model, migrate_model,
                        save_model, save_model_document, vocabulary_hash)
 from .artifact_v2 import (MODEL_SCHEMA_V2, MappedModel, load_model_v2,
                           model_document_from_mapped)
-from .engine import ModelQueryEngine
-from .http import ModelServer
+
+#: Names resolved from their submodule on first access.
+_LAZY = {
+    "ModelAsyncServer": ".aio",
+    "ModelQueryEngine": ".engine",
+    "ModelServer": ".http",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "MODEL_SCHEMA",

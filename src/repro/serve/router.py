@@ -360,10 +360,6 @@ class ServerStateMixin:
             "num_topics": manifest.get("num_topics"),
         }
 
-    @property
-    def swap_count(self) -> int:
-        return self._swap_count
-
     # ------------------------------------------------------------- requests
     def next_request_id(self) -> str:
         """A process-unique request / trace ID (no RNG involved)."""

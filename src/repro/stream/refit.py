@@ -133,7 +133,7 @@ class StreamRefitter:
         prev_nodes = (previous or {}).get("nodes", {})
         stats = RefitStats(num_documents=len(corpus))
         hierarchy = TopicalHierarchy()
-        docs = [doc.tokens for doc in corpus]
+        docs = corpus.token_lists()
         doc_notations = ["o"] * len(docs)
         state: Dict[str, Any] = {"nodes": {}}
         rng = ensure_rng(self.seed)
@@ -215,14 +215,21 @@ def entity_role_counts(corpus: Corpus, doc_notations: List[str],
     refit's document assignment so the streamed artifact needs no
     separate EM pass.
     """
+    lineages: Dict[str, List[str]] = {}
+    for notation in doc_notations:
+        if notation not in lineages:
+            parts = notation.split("/")
+            lineages[notation] = ["/".join(parts[:i + 1])
+                                  for i in range(len(parts))]
+    doc_lineage = [lineages[notation] for notation in doc_notations]
     roles: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for doc, notation in zip(corpus, doc_notations):
-        parts = notation.split("/")
-        ancestors = ["/".join(parts[:i + 1]) for i in range(len(parts))]
-        for etype, names in doc.entities.items():
-            table = roles.setdefault(etype, {})
-            for name in names:
-                counts = table.setdefault(name, {})
-                for ancestor in ancestors:
-                    counts[ancestor] = counts.get(ancestor, 0.0) + 1.0
+    for etype, links in corpus.entity_relations().items():
+        table: Dict[str, Dict[str, float]] = {}
+        roles[etype] = table
+        names = links.names
+        for doc, entity in zip(links.documents().tolist(),
+                               links.ids.tolist()):
+            counts = table.setdefault(names[entity], {})
+            for ancestor in doc_lineage[doc]:
+                counts[ancestor] = counts.get(ancestor, 0.0) + 1.0
     return roles

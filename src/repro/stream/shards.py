@@ -186,6 +186,16 @@ class ShardStore:
         entities = raw.get("entities") or {}
         if not isinstance(entities, dict):
             raise DataError("stream document 'entities' must be an object")
+        for entity_type, names in entities.items():
+            if isinstance(names, str):
+                raise DataError(
+                    f"stream document entity type {entity_type!r} maps to "
+                    f"the string {names!r}; give a list of names")
+        year = raw.get("year")
+        if year is not None and (type(year) is bool
+                                 or not isinstance(year, int)):
+            raise DataError(f"stream document 'year' must be an integer, "
+                            f"got {year!r}")
         return {
             "chunks": id_chunks,
             "entities": {str(k): [str(n) for n in v]
@@ -324,12 +334,10 @@ class ShardStore:
         else:
             words = list(self.vocabulary)[:vocab_size]
             vocabulary = Vocabulary(words)
-        corpus = Corpus(vocabulary=vocabulary)
-        for payload in payloads:
-            for record in payload["documents"]:
-                corpus.add_document(
-                    chunks=[list(chunk) for chunk in record["chunks"]],
-                    entities=record["entities"],
-                    year=record.get("year"),
-                    label=record.get("label"))
-        return corpus
+        records = [record for payload in payloads
+                   for record in payload["documents"]]
+        return Corpus.from_chunks(
+            [record["chunks"] for record in records], vocabulary,
+            entities=[record["entities"] for record in records],
+            years=[record.get("year") for record in records],
+            labels=[record.get("label") for record in records])

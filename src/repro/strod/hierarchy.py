@@ -50,7 +50,7 @@ class STRODHierarchyBuilder:
     def build(self, corpus: Corpus) -> TopicalHierarchy:
         """Construct the hierarchy for ``corpus``."""
         hierarchy = TopicalHierarchy()
-        docs = [doc.tokens for doc in corpus]
+        docs = corpus.token_lists()
         doc_ids = np.arange(len(docs))
         self._expand(hierarchy.root, corpus, docs, doc_ids, level=0)
         return hierarchy

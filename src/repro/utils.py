@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +79,33 @@ def run_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     run_begin = np.cumsum(lengths) - lengths
     return (np.arange(total, dtype=np.int64)
             + np.repeat(starts - run_begin, lengths))
+
+
+@lru_cache(maxsize=4096)
+def _pair_template(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle index template for all unordered pairs of n items."""
+    return np.triu_indices(n, k=1)
+
+
+def run_pairs(starts: np.ndarray, lengths: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of every unordered pair inside each run.
+
+    Run ``r`` covers positions ``starts[r] .. starts[r] + lengths[r] - 1``;
+    its pairs come in ``triu_indices`` order, and runs of one length
+    share one cached template.
+    """
+    first: List[np.ndarray] = []
+    second: List[np.ndarray] = []
+    for length in np.unique(lengths[lengths >= 2]).tolist():
+        rows = starts[lengths == length][:, None] + np.arange(length)
+        iu, ju = _pair_template(length)
+        first.append(rows[:, iu].ravel())
+        second.append(rows[:, ju].ravel())
+    if not first:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(first), np.concatenate(second)
 
 
 def is_distribution(vector: np.ndarray, tol: float = 1e-6) -> bool:

@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Nine families live here:
+Ten families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -42,7 +42,14 @@ Nine families live here:
   per-document entity sums (:func:`reference_entity_topic_frequencies`)
   and the pair-scanning candidate graph
   (:func:`reference_build_candidate_graph`), each equal to its flat-array
-  kernel bit for bit, dict order included.
+  kernel bit for bit, dict order included;
+* the per-document corpus build: the split-then-scan tokenizer with one
+  ``Vocabulary.encode`` per chunk (:func:`reference_from_texts`), the
+  flatten every array consumer ran over the per-document chunk lists
+  (:func:`reference_corpus_token_array`) and the per-paper
+  ``add_paper`` loop of the collaboration network
+  (:func:`reference_collaboration_network`), equal to the one-pass
+  tokenizer, the corpus arrays and the author-CSR build.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from repro.corpus import Corpus
+from repro.corpus import Corpus, Document, Vocabulary
+from repro.corpus.tokenize import (DEFAULT_STOPWORDS, _TOKEN_RE,
+                                   split_phrase_chunks)
 from repro.errors import ConfigurationError, DataError
 from repro.network import TERM_TYPE, HeterogeneousNetwork
 from repro.network.weighted import LinkType, canonical_link_type
@@ -1433,4 +1442,86 @@ def reference_build_collapsed_network(
                 continue
             columns.add_pair(type_a, id_a, type_b, id_b)
     columns.flush(network)
+    return network
+
+
+# -------------------------------------------------------------------- corpus
+def reference_tokenize_chunks(text: str, stopwords=DEFAULT_STOPWORDS,
+                              ) -> List[List[str]]:
+    """The chunk tokenizer as shipped before the one-pattern scan: split
+    the lowered text on phrase-invariant punctuation, then scan each
+    chunk for tokens and drop stopwords and empty chunks."""
+    stop = frozenset(stopwords)
+    chunks = []
+    for raw_chunk in split_phrase_chunks(text.lower()):
+        tokens = [tok for tok in _TOKEN_RE.findall(raw_chunk)
+                  if tok not in stop]
+        if tokens:
+            chunks.append(tokens)
+    return chunks
+
+
+def reference_from_texts(texts: Sequence[str], entities=None, years=None,
+                         stopwords=DEFAULT_STOPWORDS,
+                         ) -> Tuple[Vocabulary, List[Document]]:
+    """The per-document ``Corpus.from_texts`` loop as shipped before the
+    one-pass scan: tokenize each text, encode each chunk (growing the
+    vocabulary word by word), range-check every id, and keep each
+    document as a ``Document`` holding its chunk lists and its own
+    copies of the entity lists."""
+    vocabulary = Vocabulary()
+    documents: List[Document] = []
+    for doc_id, text in enumerate(texts):
+        chunks = [vocabulary.encode(chunk, add_missing=True)
+                  for chunk in reference_tokenize_chunks(text, stopwords)]
+        vocab_size = len(vocabulary)
+        for chunk in chunks:
+            for tok in chunk:
+                if not 0 <= tok < vocab_size:
+                    raise DataError(f"token id {tok} outside vocabulary")
+        mapping = entities[doc_id] if entities is not None else None
+        documents.append(Document(
+            doc_id=doc_id, chunks=chunks,
+            entities={etype: list(names)
+                      for etype, names in (mapping or {}).items()},
+            year=years[doc_id] if years is not None else None))
+    return vocabulary, documents
+
+
+def reference_corpus_token_array(documents: Sequence[Document],
+                                 ) -> Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """Documents flattened into ``(tokens, chunk_lengths, doc_chunks)``,
+    as each array consumer once rebuilt them from the chunk lists."""
+    doc_chunks = np.fromiter((len(doc.chunks) for doc in documents),
+                             dtype=np.int64, count=len(documents))
+    chunks = [chunk for doc in documents for chunk in doc.chunks]
+    lengths = np.fromiter(map(len, chunks), dtype=np.int64,
+                          count=len(chunks))
+    tokens = np.fromiter((tok for chunk in chunks for tok in chunk),
+                         dtype=np.int64, count=int(lengths.sum()))
+    return tokens, lengths, doc_chunks
+
+
+def reference_add_paper(network, authors: Sequence[str], year: int) -> None:
+    """Record one paper: every distinct author's series and every pair of
+    distinct authors (in name order) gain the paper's year."""
+    from repro.relations import YearSeries
+
+    unique = sorted(set(authors))
+    for author in unique:
+        network.author_series.setdefault(author, YearSeries()).add(year)
+    for a, b in combinations(unique, 2):
+        network.pair_series.setdefault((a, b), YearSeries()).add(year)
+    network._coauthors = None
+
+
+def reference_collaboration_network(papers):
+    """``CollaborationNetwork`` filled paper by paper with
+    :func:`reference_add_paper` from (author list, year) records."""
+    from repro.relations import CollaborationNetwork
+
+    network = CollaborationNetwork()
+    for authors, year in papers:
+        reference_add_paper(network, authors, year)
     return network

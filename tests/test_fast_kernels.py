@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.baselines.lda_gibbs import LDAGibbs
+from repro.baselines.lda_gibbs import LDAGibbs, _ll_from_counts
 from repro.cathy import CathyHIN, HINTopicModel
 from repro.cathy.em import link_incidence
-from repro.corpus import Corpus
+from repro.corpus import Corpus, EntityLinks
 from repro.errors import DataError
 from repro.hierarchy import Topic, TopicalHierarchy
 from repro.network import HeterogeneousNetwork, build_collapsed_network
@@ -165,9 +165,20 @@ class TestGibbsKernelEquivalence:
         assert (n_dk >= 0).all() and (n_kw >= 0).all()
 
 
+def _assignment_counts(units, assignments, shape) -> np.ndarray:
+    """The (k, V) token-assignment count matrix the sampler keeps as
+    ``n_kw``, scattered from units and their labels."""
+    counts = np.zeros(shape, dtype=np.int64)
+    for doc_units, labels in zip(units, assignments):
+        for unit, z in zip(doc_units, labels):
+            for w in unit:
+                counts[z, w] += 1
+    return counts
+
+
 class TestLogLikelihoodRegression:
     def test_count_based_ll_pins_loop_version(self):
-        """S1: the scatter+contract ll equals the historical triple loop."""
+        """S1: the count-matrix ll equals the historical triple loop."""
         rng = np.random.default_rng(5)
         docs, partitions = _random_chain(rng, num_docs=15)
         units = [[tuple(p) for p in doc] for doc in partitions]
@@ -176,13 +187,15 @@ class TestLogLikelihoodRegression:
                        for doc_units in units]
         phi = rng.random((k, vocab))
         phi /= phi.sum(axis=1, keepdims=True)
-        fast = LDAGibbs._log_likelihood(units, assignments, phi)
+        fast = _ll_from_counts(
+            _assignment_counts(units, assignments, phi.shape), phi)
         ref = reference_log_likelihood(units, assignments, phi)
         assert math.isclose(fast, ref, rel_tol=1e-12, abs_tol=1e-9)
 
     def test_empty_units(self):
         phi = np.full((2, 3), 0.5)
-        assert LDAGibbs._log_likelihood([[]], [np.empty(0, int)], phi) == 0.0
+        assert _ll_from_counts(
+            _assignment_counts([[]], [[]], phi.shape), phi) == 0.0
         assert reference_log_likelihood([[]], [[]], phi) == 0.0
 
 
@@ -789,8 +802,11 @@ class TestEntityFrequencyEquivalence:
         names = [[pool[i] for i in rng.integers(
             0, len(pool), size=int(rng.integers(0, 4))).tolist()]
             for _ in range(num_docs)]
+        links = EntityLinks.from_counts(
+            np.array([len(listed) for listed in names], dtype=np.int64),
+            [name for listed in names for name in listed])
         fast = sum_entity_frequencies(
-            names, attribute_document_arrays(root, table, instances))
+            links, attribute_document_arrays(root, table, instances))
         ref = reference_entity_topic_frequencies(
             names, attribute_documents(root, table, instances))
         assert _entity_bits(fast) == _entity_bits(ref)

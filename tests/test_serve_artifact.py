@@ -2,9 +2,13 @@
 v1 reads with their corruption rejection (repro.serve)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import get_version
 from repro.core import LatentEntityMiner, MinerConfig
 from repro.corpus import Corpus
@@ -129,6 +133,45 @@ class TestRoundTrip:
         assert isinstance(on_disk, ServedModel)
         assert model_document_from_mapped(in_memory.model)["model"] == \
             on_disk.model
+
+
+_SAVE_PROBE = """
+import os, sys, tempfile
+from repro.core import LatentEntityMiner, MinerConfig
+from repro.corpus import Corpus
+texts = ["query processing systems", "query optimization systems",
+         "vector machines learning", "support vector machines"] * 3
+corpus = Corpus.from_texts(texts, entities=[{"author": ["a", "b"]}] * 12)
+miner = LatentEntityMiner(MinerConfig(num_children=2, max_depth=1,
+                                      min_support=2), seed=0)
+with tempfile.TemporaryDirectory() as directory:
+    miner.save_model(miner.fit(corpus), os.path.join(directory, "m.rmv2"))
+print(" ".join(name for name in ("asyncio", "http.server",
+                                  "repro.serve.aio", "repro.serve.http")
+               if name in sys.modules))
+"""
+
+
+class TestSaveImportsNoServer:
+    def test_fit_and_save_leave_the_servers_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _SAVE_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+    def test_lazy_names_import_from_the_package(self):
+        import repro.serve as serve
+        from repro.serve import ModelAsyncServer, ModelServer
+        from repro.serve.aio import ModelAsyncServer as aio_server
+        from repro.serve.engine import ModelQueryEngine as engine
+        from repro.serve.http import ModelServer as http_server
+
+        assert (ModelAsyncServer, ModelServer, ModelQueryEngine) == \
+            (aio_server, http_server, engine)
+        with pytest.raises(AttributeError, match="no attribute 'Missing'"):
+            serve.Missing
 
 
 class TestSaveFormat:

@@ -94,6 +94,21 @@ class TestAppendAndLoad:
         with pytest.raises(DataError, match="'text' or 'chunks'"):
             store.append_batch([{"year": 2014}])
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"entities": {"author": "Ann Lee"}}, "maps to the string"),
+        ({"year": "2014"}, "'year' must be an integer"),
+        ({"year": 2014.0}, "'year' must be an integer"),
+    ])
+    def test_bad_metadata_rejected_before_commit(self, tmp_path, bad,
+                                                 message):
+        """A bare-string name list would be stored one name per
+        character, and a year the corpus cannot hold would make every
+        later load of the log fail; both are refused at the append."""
+        store = ShardStore(str(tmp_path / "log"))
+        with pytest.raises(DataError, match=message):
+            store.append_batch([dict({"text": "graph mining"}, **bad)])
+        assert store.num_shards == 0
+
 
 class TestIntegrity:
     def test_corrupted_shard_fails_crc_check(self, tmp_path):
