@@ -3,10 +3,11 @@
 Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
 loop implementations kept in ``tests/reference_kernels.py``, and likewise
-the Gibbs sweep, network build, ToPMine merge, frequent-phrase mining,
-role attribution, candidate graph and TPFG kernels, the serving engine's
-uncached topic detail, the v2 artifact writer, the STROD moments and the
-one-pass corpus build, against theirs.
+the Gibbs sweep, network build, Example 3.1 collapse and child networks,
+ToPMine merge, frequent-phrase mining, role attribution, candidate graph
+and TPFG kernels, the serving engine's uncached topic detail, the v2
+artifact writer, the STROD moments and the one-pass corpus build,
+against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -33,6 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
                                legacy_gibbs_sweep,
                                reference_build_candidate_graph,
+                               reference_build_collapsed_network,
                                reference_corpus_token_array,
                                reference_document_phrase_instances,
                                reference_document_topic_frequencies,
@@ -45,6 +47,7 @@ from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
                                reference_posterior_link_split,
                                reference_second_moment,
                                reference_segment_chunk,
+                               reference_subnetwork,
                                reference_topic_detail, reference_tpfg_ranking,
                                reference_v2_blob,
                                reference_whitened_third_moment,
@@ -53,10 +56,11 @@ from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
 from repro.baselines.lda_gibbs import LDAGibbs
 from repro.cathy import CathyHIN
 from repro.cathy.em import posterior_link_split
+from repro.cathy.hin_em import _scaled_weights
 from repro.corpus import Corpus
 from repro.datasets import DBLPConfig, generate_dblp, generate_planted_lda
 from repro.hierarchy import Topic
-from repro.network import HeterogeneousNetwork
+from repro.network import HeterogeneousNetwork, build_collapsed_network
 from repro.phrases import (PhraseCounts, document_phrase_instances,
                            make_merge_scorer, mine_frequent_phrases,
                            mine_frequent_phrases_from_chunks, segment_chunk)
@@ -201,16 +205,16 @@ def _hin_network(rng) -> HeterogeneousNetwork:
     """A root-shaped collapsed network: five link types with integer
     co-occurrence weights (repeated pairs sum, same-type self-links
     included)."""
-    network = HeterogeneousNetwork(sorted(HIN_NODES))
-    for node_type, count in HIN_NODES.items():
-        network.add_nodes(node_type, [f"{node_type}{n}" for n in range(count)])
+    links = {}
     for (type_x, type_y), share in HIN_SHARES.items():
         count = int(HIN_LINKS * share)
-        network.add_links(
-            type_x, rng.integers(0, HIN_NODES[type_x], size=count),
-            type_y, rng.integers(0, HIN_NODES[type_y], size=count),
+        links[(type_x, type_y)] = (
+            rng.integers(0, HIN_NODES[type_x], size=count),
+            rng.integers(0, HIN_NODES[type_y], size=count),
             rng.integers(1, 6, size=count).astype(float))
-    return network
+    return HeterogeneousNetwork.from_links(
+        {node_type: [f"{node_type}{n}" for n in range(count)]
+         for node_type, count in HIN_NODES.items()}, links)
 
 
 def test_hotpath_hin_em_step(benchmark):
@@ -221,17 +225,18 @@ def test_hotpath_hin_em_step(benchmark):
     network = _hin_network(rng)
     estimator = CathyHIN(num_topics=k)
     node_names = estimator._prepare(network)
-    links = estimator._links
+    blocks = estimator._blocks
+    link_types = network.link_types()
     reference = ReferenceHINEM(network, k)
     phi = {t: rng.dirichlet(np.ones(len(names)), size=k)
            for t, names in node_names.items()}
     phi_parent = reference._parent_distributions(node_names)
-    alpha = dict(zip(links.link_types,
-                     rng.uniform(0.5, 2.0, len(links.link_types)).tolist()))
+    alpha = dict(zip(link_types,
+                     rng.uniform(0.5, 2.0, len(link_types)).tolist()))
     rho, rho0 = np.full(k, 1.0 / (k + 1)), 1.0 / (k + 1)
-    weights = links.scaled_weights(alpha)
-    parent = links.stack(phi_parent)
-    stacked = (rho, rho0, links.stack(phi), parent, parent)
+    weights = _scaled_weights(network, alpha)
+    parent = blocks.stack(phi_parent)
+    stacked = (rho, rho0, blocks.stack(phi), parent, parent)
     obs.configure(spans=True)  # span rows even when run alone
     obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
 
@@ -256,8 +261,8 @@ def test_hotpath_hin_em_step(benchmark):
         "",
     ] + _profiled_rows({"bench.hin_em.stacked_csr",
                         "bench.hin_em.reference"}) + [
-        f"links={links.num_links} nodes={links.num_nodes} topics={k} "
-        f"link_types={len(links.link_types)}",
+        f"links={network.num_links()} nodes={len(network.indptr) - 1} "
+        f"topics={k} link_types={len(link_types)}",
         "acceptance: >= 2.5x at ~1.5e5 links",
     ])
 
@@ -266,8 +271,8 @@ def test_hotpath_hin_em_step(benchmark):
     assert abs(ll - ref_ll) <= 1e-12 * abs(ref_ll)
     assert np.max(np.abs(new_rho - ref_rho)) <= 1e-12
     assert abs(new_rho0 - ref_rho0) <= 1e-12
-    assert np.max(np.abs(new_phi - links.stack(ref_phi))) <= 1e-12
-    assert np.max(np.abs(new_phi0 - links.stack(ref_phi0))) <= 1e-12
+    assert np.max(np.abs(new_phi - blocks.stack(ref_phi))) <= 1e-12
+    assert np.max(np.abs(new_phi0 - blocks.stack(ref_phi0))) <= 1e-12
     assert fast <= SANITY_SECONDS
     if EDGES >= FULL_SIZE:
         assert speedup >= 2.5
@@ -353,7 +358,8 @@ def test_hotpath_gibbs_sweep(benchmark):
 
 
 def test_hotpath_network_build(benchmark):
-    """Columnwise CSR edge ingest vs per-edge dict accumulation."""
+    """The array constructor's one-pass edge ingest vs per-edge dict
+    accumulation."""
     rng = np.random.default_rng(3)
     i_idx = rng.integers(0, NODES, size=EDGES)
     j_idx = rng.integers(0, NODES, size=EDGES)
@@ -363,11 +369,8 @@ def test_hotpath_network_build(benchmark):
     obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
 
     def build_fast():
-        network = HeterogeneousNetwork(["term"])
-        network.add_nodes("term", names)
-        network.add_links("term", i_idx, "term", j_idx, weights)
-        network.num_links(("term", "term"))  # force the freeze
-        return network
+        return HeterogeneousNetwork.from_links(
+            {"term": names}, {("term", "term"): (i_idx, j_idx, weights)})
 
     def build_slow():
         reference = ReferenceDictNetwork()
@@ -385,7 +388,7 @@ def test_hotpath_network_build(benchmark):
     speedup = slow / max(fast, 1e-9)
     report("hotpath_network_build", [
         fmt_row("build path", ["seconds", "speedup"]),
-        fmt_row("columnwise CSR freeze", [fast, 1.0]),
+        fmt_row("array constructor", [fast, 1.0]),
         fmt_row("per-edge dict inserts", [slow, speedup]),
         "",
     ] + _profiled_rows({"bench.network.columnwise",
@@ -404,6 +407,83 @@ def test_hotpath_network_build(benchmark):
     assert fast <= SANITY_SECONDS
     if EDGES >= FULL_SIZE:
         assert speedup >= 5.0
+
+
+def _same_network(network, reference) -> bool:
+    """True when a network has a reference network's names and links."""
+    names, links = reference
+    return (network.node_types() == sorted(names)
+            and all(network.node_names(t) == names[t] for t in names)
+            and network.link_types() == sorted(links)
+            and all(np.array_equal(got, want) for lt in links
+                    for got, want in zip(network.link_arrays(lt),
+                                         links[lt])))
+
+
+def test_hotpath_network_collapse(benchmark):
+    """The Example 3.1 collapse as one sparse Gram product vs the
+    per-document pair loop and per-type freeze, and children as masks of
+    the parent's links vs the name-based rebuild."""
+    k = 6
+    corpus = generate_dblp(DBLPConfig(max_authors=PHRASE_AUTHORS),
+                           seed=9).corpus
+    network = build_collapsed_network(corpus)
+    # Posterior-shaped child weights: each link's weight split over k
+    # subtopics by one Dirichlet draw.
+    shares = np.random.default_rng(5).dirichlet(
+        np.full(k, 0.3), size=network.num_links())
+    expected = network.weights[:, None] * shares
+    names = {t: network.node_names(t) for t in network.node_types()}
+    per_type = [{lt: network.link_arrays(lt)[:2]
+                 + (expected[network.type_id == number, z],)
+                 for number, lt in enumerate(network.link_types())}
+                for z in range(k)]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def children_fast():
+        return [network.subnetwork(expected[:, z]) for z in range(k)]
+
+    def children_slow():
+        return [reference_subnetwork(names, split) for split in per_type]
+
+    def run():
+        times = {
+            "gram": _time(lambda: build_collapsed_network(corpus),
+                          span_name="bench.collapse.gram"),
+            "pairs": _time(lambda: reference_build_collapsed_network(corpus),
+                           repeats=1, span_name="bench.collapse.pairs"),
+            "mask": _time(children_fast, span_name="bench.children.mask"),
+            "names": _time(children_slow, span_name="bench.children.names"),
+        }
+        return times
+
+    times = benchmark.pedantic(run, rounds=1, iterations=1)
+    collapse_speedup = times["pairs"] / max(times["gram"], 1e-9)
+    child_speedup = times["names"] / max(times["mask"], 1e-9)
+    children = children_fast()
+    report("hotpath_network_collapse", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("collapse: Gram triu(MtM)", [times["gram"], 1.0]),
+        fmt_row("collapse: pairs + freeze", [times["pairs"],
+                                             collapse_speedup]),
+        fmt_row(f"{k} children: link masks", [times["mask"], 1.0]),
+        fmt_row(f"{k} children: name rebuild", [times["names"],
+                                                child_speedup]),
+        "",
+    ] + _profiled_rows({"bench.collapse.gram", "bench.collapse.pairs",
+                        "bench.children.mask", "bench.children.names"}) + [
+        f"docs={len(corpus)} links={network.num_links()} "
+        f"nodes={len(network.indptr) - 1} "
+        f"child_links={sum(c.num_links() for c in children)}",
+        "timed: build_collapsed_network; subnetwork at min_weight 1",
+    ])
+
+    assert _same_network(network, reference_build_collapsed_network(corpus))
+    for child, reference in zip(children, children_slow()):
+        assert _same_network(child, reference)
+    assert times["gram"] <= SANITY_SECONDS
+    assert times["mask"] <= SANITY_SECONDS
 
 
 def test_hotpath_topmine_merge(benchmark):

@@ -220,7 +220,9 @@ def _fit_kernel(i_idx: np.ndarray, j_idx: np.ndarray, weights: np.ndarray,
             denom = scores.sum(axis=0)
             denom = np.maximum(denom, EPS)
             q = scores / denom  # (k, E)
-            ll = float(np.dot(weights, np.log(denom)))
+            # A numpy reduction, not a BLAS dot: OpenBLAS splits a long
+            # ddot across its threads, which makes the sum host-dependent.
+            ll = float(np.add.reduce(weights * np.log(denom)))
 
         # M-step (Eq. 3.6-3.7).
         with span("cathy.em.m_step", iteration=iteration):
@@ -378,15 +380,18 @@ class CathyEM:
         This is the recursion step of CATHY: extract E^{t/z} =
         {e-hat >= 1} and cluster again (Section 3.1).  The split stays
         on arrays end to end: each subtopic's row of the (k, E) expected
-        matrix feeds :meth:`HeterogeneousNetwork.subnetwork` directly as
-        an ``(i_idx, j_idx, weights)`` triple.
+        matrix masks the network's links
+        (:meth:`HeterogeneousNetwork.subnetwork`); links of other types
+        are dropped.
         """
-        i_idx, j_idx, expected = self.expected_link_arrays(
-            network, node_type)
-        return [network.subnetwork({(node_type, node_type):
-                                    (i_idx, j_idx, expected[z])},
-                                   min_weight=min_weight)
-                for z in range(expected.shape[0])]
+        _, _, expected = self.expected_link_arrays(network, node_type)
+        link_types = network.link_types()
+        per_link = np.full((len(expected), network.num_links()), -np.inf)
+        if (node_type, node_type) in link_types:
+            per_link[:, network.type_id == link_types.index(
+                (node_type, node_type))] = expected
+        return [network.subnetwork(row, min_weight=min_weight)
+                for row in per_link]
 
     def _require_fitted(self) -> TermTopicModel:
         if self.model_ is None:

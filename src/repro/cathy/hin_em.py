@@ -13,9 +13,10 @@ only matters for the asymmetric background component, which is handled by
 averaging the two directions and crediting each endpoint its posterior
 share of "being the background node".
 
-Every link type is fitted over one link CSR per fit (:class:`_LinkCSR`):
-node ids are offset per node type into one stacked index space, and each
-link keeps its type id for alpha.  With the (N, k + 2) node factors
+Every link type is fitted at once over the network's own stacked link
+CSR (:class:`~repro.network.HeterogeneousNetwork`): node ids are offset
+per node type into one index space, and each link carries its type id
+for alpha.  With the (N, k + 2) node factors
 
     A = [rho * phi | rho0/2 * phi0 | phi_parent   ]
     B = [phi       | phi_parent    | rho0/2 * phi0]
@@ -61,162 +62,105 @@ _SDDMM_BLOCK = 8192
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
-@dataclass
-class _LinkCSR:
-    """Every link type of one network as one CSR over stacked node ids.
+class _NodeBlocks:
+    """The node types that have nodes, as blocks of the stacked id space.
 
-    Node ``n`` of ``node_types[t]`` has stacked id ``offsets[t] + n``.
-    The links sit in CSR order (by stacked row, then by link type), with
-    ``rows``/``cols``/``indptr`` in the index dtype scipy would pick, so
-    building the sparse matrix copies nothing.  ``type_id`` indexes
-    ``link_types``, and ``order`` maps each CSR entry to its position in
-    the type-major concatenation of the network's link arrays, where link
-    type ``l`` spans ``type_starts[l]:type_starts[l + 1]``.  ``by_column``
-    lists the CSR entries sorted by column, node ``n``'s entries at
-    ``colptr[n]:colptr[n + 1]``.
+    A type without nodes takes no stacked ids, so per-type arrays (nodes
+    on the last axis) stack node-major over just these types.
     """
 
-    node_types: List[str]
-    offsets: np.ndarray
-    link_types: List[LinkType]
-    type_starts: np.ndarray
-    type_weight: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    type_id: np.ndarray
-    indptr: np.ndarray
-    order: np.ndarray
-    by_column: np.ndarray
-    colptr: np.ndarray
-
-    @classmethod
-    def from_network(cls, network: HeterogeneousNetwork,
-                     node_types: List[str]) -> "_LinkCSR":
-        """Stack every link type of ``network`` (which has links)."""
-        sizes = [network.node_count(t) for t in node_types]
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        first = dict(zip(node_types, offsets[:-1].tolist()))
-        link_types = network.link_types()
-        row_parts, col_parts, weight_parts = [], [], []
-        for type_x, type_y in link_types:
-            i_idx, j_idx, link_weights = network.link_arrays((type_x, type_y))
-            row_parts.append(i_idx + first[type_x])
-            col_parts.append(j_idx + first[type_y])
-            weight_parts.append(link_weights)
-        counts = [len(w) for w in weight_parts]
-        type_major_rows = np.concatenate(row_parts)
-        order = np.argsort(type_major_rows, kind="stable")
-        rows = type_major_rows[order]
-        cols = np.concatenate(col_parts)[order]
-        size = int(offsets[-1])
-        index = np.int32 if max(size, len(rows)) < 2 ** 31 else np.int64
-        indptr = np.zeros(size + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        colptr = np.zeros(size + 1, dtype=index)
-        np.cumsum(np.bincount(cols, minlength=size), out=colptr[1:])
-        return cls(
-            node_types=list(node_types), offsets=offsets,
-            link_types=link_types,
-            type_starts=np.concatenate(([0], np.cumsum(counts))),
-            type_weight=np.array([w.sum() for w in weight_parts]),
-            rows=rows.astype(index), cols=cols.astype(index),
-            weights=np.concatenate(weight_parts)[order],
-            type_id=np.repeat(np.arange(len(link_types)), counts)[order],
-            indptr=indptr, order=order,
-            by_column=np.argsort(cols, kind="stable"), colptr=colptr)
-
-    @property
-    def num_nodes(self) -> int:
-        """Size N of the stacked node space."""
-        return int(self.offsets[-1])
-
-    @property
-    def num_links(self) -> int:
-        """Stored links over all link types."""
-        return len(self.weights)
-
-    def link_counts(self) -> Dict[LinkType, int]:
-        """n_{x,y}: stored links per link type."""
-        return dict(zip(self.link_types, np.diff(self.type_starts).tolist()))
+    def __init__(self, network: HeterogeneousNetwork) -> None:
+        sizes = np.diff(network.offsets)
+        self.types = [t for t, n in zip(network.node_types(),
+                                        sizes.tolist()) if n]
+        self.starts = network.offsets[:-1][sizes > 0]
+        self.sizes = sizes[sizes > 0]
 
     def stack(self, per_type: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-type arrays (nodes on the last axis) stacked node-major."""
         return np.concatenate([np.asarray(per_type[t]).T
-                               for t in self.node_types])
+                               for t in self.types])
 
     def split(self, stacked: np.ndarray) -> Dict[str, np.ndarray]:
         """Inverse of :meth:`stack`: per node type, nodes on the last axis."""
-        bounds = self.offsets.tolist()
-        return {t: np.ascontiguousarray(stacked[a:b].T)
-                for t, a, b in zip(self.node_types, bounds, bounds[1:])}
+        return {t: np.ascontiguousarray(stacked[a:a + n].T) for t, a, n in
+                zip(self.types, self.starts.tolist(), self.sizes.tolist())}
 
     def type_totals(self, stacked: np.ndarray) -> np.ndarray:
         """Sums of a stacked array over each node type's block."""
-        return np.add.reduceat(stacked, self.offsets[:-1], axis=0)
+        return np.add.reduceat(stacked, self.starts, axis=0)
 
     def per_node(self, totals: np.ndarray) -> np.ndarray:
         """Broadcast per-node-type values back onto the stacked nodes."""
-        return np.repeat(totals, np.diff(self.offsets), axis=0)
+        return np.repeat(totals, self.sizes, axis=0)
 
-    def scaled_weights(self, alpha: Mapping[LinkType, float]) -> np.ndarray:
-        """Every link's weight times its link type's alpha."""
-        scale = np.array([alpha.get(lt, 1.0) for lt in self.link_types])
-        return self.weights * scale[self.type_id]
 
-    def sddmm(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``left[i] . right[j]`` for every link (i, j), in CSR order.
+def _type_weights(network: HeterogeneousNetwork) -> np.ndarray:
+    """Each link type's total weight, summed over its links in order."""
+    return np.array([network.total_weight(lt)
+                     for lt in network.link_types()])
 
-        Each link's products are added column after column — the
-        subtopics, then the two background directions — the order in
-        which Eq. 3.24's mixture terms are summed, so a denominator
-        rounds exactly as that sum does.
-        """
-        out = np.empty(self.num_links)
-        width = left.shape[1]
-        block = min(_SDDMM_BLOCK, self.num_links)
-        rows_at = np.empty((block, width))
-        cols_at = np.empty((block, width))
-        for start in range(0, self.num_links, block):
-            stop = min(start + block, self.num_links)
-            products = rows_at[:stop - start]
-            np.take(left, self.rows[start:stop], axis=0, out=products,
-                    mode="clip")
-            np.take(right, self.cols[start:stop], axis=0,
-                    out=cols_at[:stop - start], mode="clip")
-            products *= cols_at[:stop - start]
-            total = out[start:stop]
-            total[:] = products[:, 0]
-            for column in range(1, width):
-                total += products[:, column]
-        return out
 
-    def spmm(self, values: np.ndarray, left: np.ndarray,
-             right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(S @ right, S.T @ left)`` for S the CSR carrying ``values``."""
-        size = self.num_nodes
-        matrix = csr_matrix((values, self.cols, self.indptr),
-                            shape=(size, size))
-        return matrix @ right, matrix.T @ left
+def _scaled_weights(network: HeterogeneousNetwork,
+                    alpha: Mapping[LinkType, float]) -> np.ndarray:
+    """Every link's weight times its link type's alpha."""
+    scale = np.array([alpha.get(lt, 1.0) for lt in network.link_types()])
+    return network.weights * scale[network.type_id]
 
-    def incident(self, nodes: np.ndarray, as_column: bool,
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR positions of the links at each of ``nodes`` (as the links'
-        row or column endpoint), with the index into ``nodes`` of each."""
-        ptr = self.colptr if as_column else self.indptr
-        starts = ptr[nodes].astype(np.int64)
-        lengths = ptr[nodes + 1] - starts
-        owner = np.repeat(np.arange(len(nodes)), lengths)
-        positions = run_positions(starts, lengths)
-        if as_column:
-            positions = self.by_column[positions]
-        return positions, owner
 
-    def type_major(self, values: np.ndarray) -> np.ndarray:
-        """CSR-ordered link values put back in type-major order."""
-        out = np.empty_like(values)
-        out[self.order] = values
-        return out
+def _sddmm(network: HeterogeneousNetwork, left: np.ndarray,
+           right: np.ndarray) -> np.ndarray:
+    """``left[i] . right[j]`` for every link (i, j), in CSR order.
+
+    Each link's products are added column after column — the subtopics,
+    then the two background directions — the order in which Eq. 3.24's
+    mixture terms are summed, so a denominator rounds exactly as that
+    sum does.
+    """
+    num_links = network.num_links()
+    out = np.empty(num_links)
+    width = left.shape[1]
+    block = min(_SDDMM_BLOCK, num_links)
+    rows_at = np.empty((block, width))
+    cols_at = np.empty((block, width))
+    for start in range(0, num_links, block):
+        stop = min(start + block, num_links)
+        products = rows_at[:stop - start]
+        np.take(left, network.rows[start:stop], axis=0, out=products,
+                mode="clip")
+        np.take(right, network.cols[start:stop], axis=0,
+                out=cols_at[:stop - start], mode="clip")
+        products *= cols_at[:stop - start]
+        total = out[start:stop]
+        total[:] = products[:, 0]
+        for column in range(1, width):
+            total += products[:, column]
+    return out
+
+
+def _spmm(network: HeterogeneousNetwork, values: np.ndarray,
+          left: np.ndarray, right: np.ndarray,
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(S @ right, S.T @ left)`` for S the link CSR carrying ``values``."""
+    size = len(network.indptr) - 1
+    matrix = csr_matrix((values, network.cols, network.indptr),
+                        shape=(size, size))
+    return matrix @ right, matrix.T @ left
+
+
+def _incident(network: HeterogeneousNetwork, nodes: np.ndarray,
+              as_column: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the links at each of ``nodes`` (as the links' row
+    or column endpoint), with the index into ``nodes`` of each."""
+    by_column, ptr = network.column_order() if as_column \
+        else (None, network.indptr)
+    starts = ptr[nodes].astype(np.int64)
+    lengths = ptr[nodes + 1] - starts
+    owner = np.repeat(np.arange(len(nodes)), lengths)
+    positions = run_positions(starts, lengths)
+    if by_column is not None:
+        positions = by_column[positions]
+    return positions, owner
 
 
 @dataclass
@@ -331,8 +275,8 @@ class CathyHIN:
         self.resume = resume
         self._rng = ensure_rng(seed)
         self.model_: Optional[HINTopicModel] = None
-        self._links: Optional[_LinkCSR] = None
         self._network: Optional[HeterogeneousNetwork] = None
+        self._blocks: Optional[_NodeBlocks] = None
         self._split: Optional[Tuple] = None
 
     def _constructor_params(self) -> Dict[str, object]:
@@ -357,7 +301,7 @@ class CathyHIN:
         alpha = self._initial_alpha()
 
         with span("cathy.hin_em.fit"):
-            shared = (self._constructor_params(), self._links,
+            shared = (self._constructor_params(), self._network,
                       node_names, alpha)
             seeds = spawn_seed_sequences(self._rng, self.restarts)
             if self.checkpoint is not None:
@@ -376,29 +320,33 @@ class CathyHIN:
 
     def _prepare(self, network: HeterogeneousNetwork,
                  ) -> Dict[str, List[str]]:
-        """Stack ``network``'s links for fitting; returns each node type's
-        names (the types with nodes, in sorted order)."""
-        self._network = network
+        """Take ``network`` for fitting; returns each node type's names
+        (the types with nodes, in sorted order)."""
         if not network.link_types():
             raise ConfigurationError("network has no links to cluster")
-        node_names = {t: network.node_names(t) for t in network.node_types()
-                      if network.node_count(t) > 0}
-        self._links = _LinkCSR.from_network(network, list(node_names))
+        blocks = self._bind(network)
         self._split = None
-        return node_names
+        return {t: network.node_names(t) for t in blocks.types}
+
+    def _bind(self, network: HeterogeneousNetwork) -> _NodeBlocks:
+        """Fit on ``network``'s own stacked arrays."""
+        self._network = network
+        self._blocks = _NodeBlocks(network)
+        return self._blocks
 
     def _initial_alpha(self) -> Dict[LinkType, float]:
         if isinstance(self.weight_mode, Mapping):
             return {canonical_link_type(*lt): float(w)
                     for lt, w in self.weight_mode.items()}
-        links = self._links
+        network = self._network
         if self.weight_mode == "norm":
             # Force each link type's total scaled weight to be equal.
             alpha = {lt: 1.0 / max(total, EPS) for lt, total in
-                     zip(links.link_types, links.type_weight.tolist())}
+                     zip(network.link_types(),
+                         _type_weights(network).tolist())}
             # Rescale so the geometric-mean constraint of Theorem 3.2 holds.
-            return _normalize_alpha(alpha, links)
-        return {lt: 1.0 for lt in links.link_types}
+            return _normalize_alpha(alpha, network)
+        return {lt: 1.0 for lt in network.link_types()}
 
     def _parent_distribution(self) -> np.ndarray:
         """phi_t, stacked: normalized weighted degree in the current network.
@@ -408,13 +356,14 @@ class CathyHIN:
         the network itself, which is also how any parent topic's phi was
         estimated one level up.
         """
-        links = self._links
-        size = links.num_nodes
-        degrees = (np.bincount(links.rows, weights=links.weights,
+        network = self._network
+        size = len(network.indptr) - 1
+        degrees = (np.bincount(network.rows, weights=network.weights,
                                minlength=size)
-                   + np.bincount(links.cols, weights=links.weights,
+                   + np.bincount(network.cols, weights=network.weights,
                                  minlength=size) + EPS)
-        return degrees / links.per_node(links.type_totals(degrees))
+        blocks = self._blocks
+        return degrees / blocks.per_node(blocks.type_totals(degrees))
 
     def _fit_once(self, node_names: Dict[str, List[str]],
                   alpha: Dict[LinkType, float],
@@ -422,7 +371,8 @@ class CathyHIN:
                   checkpoint=None,
                   state: Optional[Dict] = None) -> HINTopicModel:
         k = self.num_topics
-        links = self._links
+        network = self._network
+        blocks = self._blocks
         if rng is None:
             rng = self._rng
         phi_parent = self._parent_distribution()
@@ -433,16 +383,16 @@ class CathyHIN:
             # from the snapshot replays the remaining EM bit-for-bit.
             rho = state["rho"]
             rho0 = state["rho0"]
-            phi = links.stack(state["phi"])
-            phi0 = links.stack(state["phi0"])
+            phi = blocks.stack(state["phi"])
+            phi0 = blocks.stack(state["phi0"])
             alpha = dict(state["alpha"])
             prev_ll = state["prev_ll"]
             ll = state["ll"]
             start = int(state["iteration"]) + 1
             done = bool(state["done"])
         else:
-            phi = links.stack({t: rng.dirichlet(np.ones(len(names)), size=k)
-                               for t, names in node_names.items()})
+            phi = blocks.stack({t: rng.dirichlet(np.ones(len(names)), size=k)
+                                for t, names in node_names.items()})
             phi0 = phi_parent.copy()
             if self.background:
                 rho = np.full(k, 1.0 / (k + 1))
@@ -457,11 +407,12 @@ class CathyHIN:
 
         if not done:
             tracer = trace(
-                "cathy.hin_em", num_topics=k, num_links=links.num_links,
-                num_link_types=len(links.link_types),
+                "cathy.hin_em", num_topics=k,
+                num_links=network.num_links(),
+                num_link_types=len(network.link_types()),
                 weight_mode=str(self.weight_mode))
             termination = "max_iter"
-            weights = links.scaled_weights(alpha)
+            weights = _scaled_weights(network, alpha)
             # An alpha update computes the next step's denominators.
             raw = None
             for iteration in range(start, self.max_iter):
@@ -472,10 +423,10 @@ class CathyHIN:
                 if learn and (iteration + 1) % self.weight_update_every == 0:
                     with span("cathy.hin_em.alpha_update",
                               iteration=iteration):
-                        raw = links.sddmm(*self._factors(
+                        raw = _sddmm(network, *self._factors(
                             rho, rho0, phi, phi0, phi_parent))
                         alpha = self._update_alpha(raw)
-                        weights = links.scaled_weights(alpha)
+                        weights = _scaled_weights(network, alpha)
                 tracer.record(log_likelihood=ll)
                 done = bool(
                     np.isfinite(prev_ll)
@@ -489,7 +440,8 @@ class CathyHIN:
                 if checkpoint is not None:
                     state_fn = lambda: {  # noqa: E731
                         "iteration": iteration, "rho": rho, "rho0": rho0,
-                        "phi": links.split(phi), "phi0": links.split(phi0),
+                        "phi": blocks.split(phi),
+                        "phi0": blocks.split(phi0),
                         "alpha": dict(alpha), "prev_ll": prev_ll, "ll": ll,
                         "done": done}
                     if done:
@@ -502,9 +454,9 @@ class CathyHIN:
 
         num_params = k * sum(len(n) for n in node_names.values())
         return HINTopicModel(
-            rho=rho, rho0=rho0, phi=links.split(phi),
-            phi_background=links.split(phi0),
-            phi_parent=links.split(phi_parent), alpha=dict(alpha),
+            rho=rho, rho0=rho0, phi=blocks.split(phi),
+            phi_background=blocks.split(phi0),
+            phi_parent=blocks.split(phi_parent), alpha=dict(alpha),
             node_names=node_names, log_likelihood=ll,
             num_free_parameters=num_params)
 
@@ -540,14 +492,17 @@ class CathyHIN:
         are already known.  Returns ``(ll, rho, rho0, phi, phi0)``.
         """
         k = self.num_topics
-        links = self._links
+        blocks = self._blocks
         left, right = self._factors(rho, rho0, phi, phi0, phi_parent)
         if raw is None:
-            raw = links.sddmm(left, right)
+            raw = _sddmm(self._network, left, right)
         denom = np.maximum(raw, EPS)
-        ll = float(np.dot(weights, np.log(denom)))
+        # A numpy reduction, not a BLAS dot: OpenBLAS splits a long ddot
+        # across its threads, which makes the sum depend on the host.
+        ll = float(np.add.reduce(weights * np.log(denom)))
         # Expected counts credited to each link's first / second endpoint.
-        via_rows, via_cols = links.spmm(weights / denom, left, right)
+        via_rows, via_cols = _spmm(self._network, weights / denom, left,
+                                   right)
         first = left * via_rows
         second = right * via_cols
         # Links whose every score underflowed sum to at most this credit.
@@ -570,14 +525,15 @@ class CathyHIN:
         rho = np.maximum(new_rho / mass, EPS)
         rho0 = max(new_rho0 / mass, EPS if self.background else 0.0)
         counts = first[:, :k] + second[:, :k] + self.phi_prior
-        phi = counts / links.per_node(
-            np.maximum(links.type_totals(counts), EPS))
+        phi = counts / blocks.per_node(
+            np.maximum(blocks.type_totals(counts), EPS))
         if self.background:
             bg_counts = first[:, k] + second[:, k + 1] + self.phi_prior
-            totals = links.type_totals(bg_counts)
+            totals = blocks.type_totals(bg_counts)
             phi0 = np.where(
-                links.per_node(totals > 0),
-                bg_counts / links.per_node(np.where(totals > 0, totals, 1.0)),
+                blocks.per_node(totals > 0),
+                bg_counts / blocks.per_node(np.where(totals > 0, totals,
+                                                     1.0)),
                 phi0)
         return ll, rho, rho0, phi, phi0
 
@@ -600,10 +556,11 @@ class CathyHIN:
         tiny &= credit > 0
         if not tiny.any():
             return
-        links = self._links
+        network = self._network
         nodes, topics = np.nonzero(tiny)
-        positions, owner = links.incident(nodes, as_column)
-        partners = (links.rows if as_column else links.cols)[positions]
+        positions, owner = _incident(network, nodes, as_column)
+        partners = (network.rows if as_column
+                    else network.cols)[positions]
         topic = topics[owner]
         scores = own[nodes[owner], topic] * other[partners, topic]
         credit[nodes, topics] = np.bincount(
@@ -620,75 +577,74 @@ class CathyHIN:
         so the geometric-mean constraint of Theorem 3.2 holds.  ``raw``
         holds every link's mixture denominator under the current model.
         """
-        links = self._links
-        weights = links.weights
-        expected = links.type_weight[links.type_id] * np.maximum(raw, EPS)
+        network = self._network
+        weights = network.weights
+        link_types = network.link_types()
+        expected = (_type_weights(network)[network.type_id]
+                    * np.maximum(raw, EPS))
         divergence = np.bincount(
-            links.type_id,
+            network.type_id,
             weights=weights * np.log(np.maximum(weights, EPS) / expected),
-            minlength=len(links.link_types))
-        sigma = np.maximum(
-            divergence / np.maximum(np.diff(links.type_starts), 1), EPS)
+            minlength=len(link_types))
+        counts = np.bincount(network.type_id, minlength=len(link_types))
+        sigma = np.maximum(divergence / np.maximum(counts, 1), EPS)
         alpha = {lt: 1.0 / value
-                 for lt, value in zip(links.link_types, sigma.tolist())}
-        return _normalize_alpha(alpha, links)
+                 for lt, value in zip(link_types, sigma.tolist())}
+        return _normalize_alpha(alpha, network)
 
     # ------------------------------------------------------------ subnetwork
     def _final_split(self) -> Tuple:
-        """The fitted model's factors and type-major link arrays.
+        """The fitted model's factors and per-link arrays, in CSR order.
 
-        Computed once per fit: the node factors, each link's stacked row
-        and column, alpha-scaled weight and mixture denominator, and the
-        number of degenerate (zero-score) links.
+        Computed once per fit: the node factors, each link's alpha-scaled
+        weight and mixture denominator, and the number of degenerate
+        (zero-score) links.
         """
         if self._split is None:
             model = self._require_fitted()
-            links = self._links
+            blocks = self._blocks
             left, right = self._factors(
-                model.rho, model.rho0, links.stack(model.phi),
-                links.stack(model.phi_background),
-                links.stack(model.phi_parent))
-            raw = links.sddmm(left, right)
+                model.rho, model.rho0, blocks.stack(model.phi),
+                blocks.stack(model.phi_background),
+                blocks.stack(model.phi_parent))
+            raw = _sddmm(self._network, left, right)
             self._split = (
-                left, right, links.type_major(links.rows),
-                links.type_major(links.cols),
-                links.type_major(links.scaled_weights(model.alpha)),
-                links.type_major(np.maximum(raw, EPS)),
-                int(np.count_nonzero(raw <= 0.0)))
+                left, right, _scaled_weights(self._network, model.alpha),
+                np.maximum(raw, EPS), int(np.count_nonzero(raw <= 0.0)))
         return self._split
+
+    def _expected(self, subtopic: int) -> np.ndarray:
+        """e-hat^{x,y,t/z} of every link, in the network's CSR order.
+
+        Eq. 3.23's expected scaled link weight.  The fitted model's mixture
+        denominators are computed once per fit, so each subtopic costs one
+        gathered product per link.  Links whose mixture score degenerates
+        to zero cannot be attributed to any subtopic and are counted under
+        the ``cathy.degenerate_links`` metric instead of being dropped
+        silently.
+        """
+        model = self._require_fitted()
+        if not 0 <= subtopic < model.num_topics:
+            raise ConfigurationError(f"subtopic {subtopic} out of range")
+        left, right, weights, denom, degenerate = self._final_split()
+        if degenerate:
+            inc("cathy.degenerate_links", degenerate)
+        network = self._network
+        scores = (np.take(left[:, subtopic], network.rows)
+                  * np.take(right[:, subtopic], network.cols))
+        return weights * scores / denom
 
     def expected_link_arrays(self, subtopic: int,
                              ) -> Dict[LinkType, Tuple[np.ndarray,
                                                        np.ndarray,
                                                        np.ndarray]]:
-        """e-hat^{x,y,t/z} as ``(i_idx, j_idx, weights)`` per link type.
-
-        The sparse-array form of Eq. 3.23's expected scaled link weight,
-        aligned with the network's CSR link arrays.  The fitted model's
-        mixture denominators are computed once per fit, so each subtopic
-        costs one gathered product per link.  Links whose mixture score
-        degenerates to zero cannot be attributed to any subtopic and are
-        counted under the ``cathy.degenerate_links`` metric instead of
-        being dropped silently.
-        """
-        model = self._require_fitted()
-        if not 0 <= subtopic < model.num_topics:
-            raise ConfigurationError(f"subtopic {subtopic} out of range")
-        left, right, rows, cols, weights, denom, degenerate = \
-            self._final_split()
-        if degenerate:
-            inc("cathy.degenerate_links", degenerate)
-        scores = (np.take(left[:, subtopic], rows)
-                  * np.take(right[:, subtopic], cols))
-        expected = weights * scores / denom
-        bounds = self._links.type_starts.tolist()
-        result: Dict[LinkType, Tuple[np.ndarray, np.ndarray,
-                                     np.ndarray]] = {}
-        for link_type, a, b in zip(self._links.link_types, bounds,
-                                   bounds[1:]):
-            i_idx, j_idx, _ = self._network.link_arrays(link_type)
-            result[link_type] = (i_idx, j_idx, expected[a:b])
-        return result
+        """e-hat^{x,y,t/z} as ``(i_idx, j_idx, weights)`` per link type,
+        aligned with :meth:`HeterogeneousNetwork.link_arrays`."""
+        expected = self._expected(subtopic)
+        network = self._network
+        return {lt: network.link_arrays(lt)[:2]
+                + (expected[network.type_id == l],)
+                for l, lt in enumerate(network.link_types())}
 
     def expected_link_weights(self, subtopic: int,
                               ) -> Dict[LinkType, Dict[LinkKey, float]]:
@@ -712,7 +668,7 @@ class CathyHIN:
         """The child network G^{t/z} for recursion (Section 3.2.1)."""
         if self._network is None:
             raise NotFittedError("call fit() before extracting subnetworks")
-        return self._network.subnetwork(self.expected_link_arrays(subtopic),
+        return self._network.subnetwork(self._expected(subtopic),
                                         min_weight=min_weight)
 
     def bic(self) -> float:
@@ -723,7 +679,7 @@ class CathyHIN:
         model = self._require_fitted()
         return (-2.0 * model.log_likelihood
                 + model.num_free_parameters
-                * np.log(max(self._links.num_links, 2)))
+                * np.log(max(self._network.num_links(), 2)))
 
     def _require_fitted(self) -> HINTopicModel:
         if self.model_ is None:
@@ -735,21 +691,21 @@ def _hin_restart_task(shared, seed_seq, checkpoint=None,
                       state=None) -> HINTopicModel:
     """One random restart, runnable in a worker process.
 
-    ``shared`` carries the constructor parameters, the stacked link CSR,
-    node names, and initial alpha — shipped once per worker.
+    ``shared`` carries the constructor parameters, the network, node
+    names, and initial alpha — shipped once per worker.
     """
-    params, links, node_names, alpha = shared
+    params, network, node_names, alpha = shared
     estimator = CathyHIN(**params)
-    estimator._links = links
+    estimator._bind(network)
     return estimator._fit_once(node_names, dict(alpha),
                                rng=rng_from(seed_seq),
                                checkpoint=checkpoint, state=state)
 
 
 def _normalize_alpha(alpha: Dict[LinkType, float],
-                     links: _LinkCSR) -> Dict[LinkType, float]:
+                     network: HeterogeneousNetwork) -> Dict[LinkType, float]:
     """Rescale alpha so that prod alpha^{n_xy} = 1 (Theorem 3.2)."""
-    counts = links.link_counts()
+    counts = {lt: network.num_links(lt) for lt in network.link_types()}
     total = sum(counts.values())
     if total == 0:
         return dict(alpha)

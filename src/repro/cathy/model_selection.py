@@ -65,25 +65,22 @@ def split_network(network: HeterogeneousNetwork,
     if not 0 < holdout_fraction < 1:
         raise ConfigurationError("holdout_fraction must be in (0, 1)")
     rng = ensure_rng(seed)
-    train = HeterogeneousNetwork()
-    for node_type in network.node_types():
-        train.add_nodes(node_type, network.node_names(node_type))
+    held = np.zeros(network.num_links(), dtype=bool)
     held_out = []
-    for link_type in network.link_types():
-        type_x, type_y = link_type
+    for l, link_type in enumerate(network.link_types()):
+        # One batched draw per link type, over its links in CSR order.
         i_idx, j_idx, weights = network.link_arrays(link_type)
-        if not len(weights):
-            continue
-        # One batched draw per link type; the held-out mask selects
-        # columns out of the CSR arrays instead of testing per link.
         mask = rng.random(len(weights)) < holdout_fraction
+        held[network.type_id == l] = mask
         held_out.extend(
             (link_type, i, j, w)
             for i, j, w in zip(i_idx[mask].tolist(), j_idx[mask].tolist(),
                                weights[mask].tolist()))
-        keep = ~mask
-        train.add_links(type_x, i_idx[keep], type_y, j_idx[keep],
-                        weights=weights[keep])
+    # The training network keeps every node and the links not held out.
+    keep = ~held
+    train = HeterogeneousNetwork(
+        {t: network.node_names(t) for t in network.node_types()},
+        network.rows[keep], network.cols[keep], network.weights[keep])
     return train, held_out
 
 

@@ -8,16 +8,14 @@ Two builders are provided:
   Section 3.2 / Example 3.1: term–term co-occurrence links plus
   term–entity and entity–entity links derived from document attachments.
 
-Both assemble edge lists from flat arrays over the whole corpus: one
-:func:`numpy.unique` over (document, kept token) keys gives every
-document's distinct terms as one contiguous run, all unordered pairs of
-a run come from one cached ``triu_indices`` template per run length, and
-entity–term stars are a ``repeat`` of each entity occurrence over its
-document's run.  Tokens and entity links come straight from the corpus
-arrays, with no per-document Python work.  Each link type's whole
-column goes to :meth:`HeterogeneousNetwork.add_links` once, and the
-network's COO→CSR freeze deduplicates and sums it in a single
-vectorized pass.
+Both are one sparse Gram product.  With M the document × object
+incidence matrix over the stacked node space — a 1 for every distinct
+kept term of a document, and every entity's mention count — entry
+(a, b) of MᵀM counts the documents in which a and b co-occur, which is
+exactly Example 3.1's link weight.  The links are the strict upper
+triangle: the diagonal is dropped, because an object never links to
+itself, and stacking the node types in name order makes the upper
+triangle the canonical link-type order.
 """
 
 from __future__ import annotations
@@ -25,61 +23,69 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ..corpus import Corpus
 from ..errors import DataError
-from ..utils import run_pairs, run_positions
-from .weighted import HeterogeneousNetwork, LinkType, canonical_link_type
+from .weighted import HeterogeneousNetwork
 
 TERM_TYPE = "term"
 
-#: One (i_parts, j_parts) column accumulator per canonical link type.
-_Columns = Dict[LinkType, Tuple[List[np.ndarray], List[np.ndarray]]]
+#: One node type's names and its document × node block of M.
+_Block = Tuple[List[str], sparse.csr_matrix]
 
 
-def _add_column(columns: _Columns, type_x: str, i_idx: np.ndarray,
-                type_y: str, j_idx: np.ndarray) -> None:
-    """Append one unit-weight edge column (canonicalized by type)."""
-    link_type = canonical_link_type(type_x, type_y)
-    if (type_x, type_y) != link_type:
-        i_idx, j_idx = j_idx, i_idx
-    parts = columns.setdefault(link_type, ([], []))
-    parts[0].append(i_idx)
-    parts[1].append(j_idx)
+def _term_block(corpus: Corpus, min_count: int) -> _Block:
+    """The kept terms and the document × term 0/1 incidence.
 
-
-def _flush(columns: _Columns, network: HeterogeneousNetwork) -> None:
-    """Hand every accumulated column to the network in one call per type."""
-    for link_type, (i_parts, j_parts) in columns.items():
-        network.add_links(link_type[0], np.concatenate(i_parts),
-                          link_type[1], np.concatenate(j_parts))
-
-
-def _document_terms(corpus: Corpus, network: HeterogeneousNetwork,
-                    min_count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Register the kept terms and return every document's term run.
-
-    Returns ``(term_ids, starts)``: document ``d``'s distinct kept terms,
-    in token-id order, are the network node ids
-    ``term_ids[starts[d]:starts[d + 1]]``.  Terms register in the order
-    a per-document walk meets them: first document containing the term,
-    then token-id order within it.
+    Terms are numbered in the order a per-document walk meets them: the
+    first document containing the term, then token-id order within it.
     """
     tokens = corpus.tokens
-    docs = np.repeat(np.arange(len(corpus), dtype=np.int64),
-                     np.diff(corpus.doc_offsets))
     vocab_size = len(corpus.vocabulary)
-    kept = np.bincount(tokens, minlength=vocab_size)[tokens] >= min_count
-    keys = np.unique(docs[kept] * vocab_size + tokens[kept])
-    key_docs = keys // vocab_size
-    key_tokens = keys - key_docs * vocab_size
-    words, first_key = np.unique(key_tokens, return_index=True)
-    words = words[np.argsort(first_key, kind="stable")]
+    counts = sparse.csr_matrix(
+        (np.ones(len(tokens)), tokens, corpus.doc_offsets),
+        shape=(len(corpus), vocab_size))
+    counts.sum_duplicates()
+    kept = np.bincount(tokens, minlength=vocab_size) >= min_count
+    keep = kept[counts.indices]
+    words = counts.indices[keep]
+    used, first = np.unique(words, return_index=True)
+    order = used[np.argsort(first, kind="stable")]
     node_of = np.zeros(vocab_size, dtype=np.int64)
-    node_of[words] = network.add_nodes(
-        TERM_TYPE, [corpus.vocabulary.word_of(w) for w in words.tolist()])
-    starts = np.searchsorted(key_docs, np.arange(len(corpus) + 1))
-    return node_of[key_tokens], starts
+    node_of[order] = np.arange(len(order))
+    indptr = np.concatenate(([0], np.cumsum(keep)))[counts.indptr]
+    block = sparse.csr_matrix(
+        (np.ones(len(words)), node_of[words], indptr),
+        shape=(len(corpus), len(order)))
+    return [corpus.vocabulary.word_of(w) for w in order.tolist()], block
+
+
+def _entity_block(corpus: Corpus, entity_type: str) -> _Block:
+    """One entity type's names and its document × entity mention counts
+    (a name listed twice in a document counts twice)."""
+    links = corpus.entity_links(entity_type)
+    block = sparse.csr_matrix(
+        (np.ones(len(links.ids)), links.ids, links.indptr),
+        shape=(len(corpus), len(links.names)))
+    return links.names, block
+
+
+def _gram_network(blocks: Dict[str, _Block]) -> HeterogeneousNetwork:
+    """The network whose links are the strict upper triangle of MᵀM, for
+    M the blocks stacked in node-type name order."""
+    if not blocks:
+        return HeterogeneousNetwork()
+    types = sorted(blocks)
+    incidence = sparse.hstack([blocks[t][1] for t in types], format="csr")
+    gram = (incidence.T @ incidence).tocsr()
+    gram.sort_indices()
+    rows = np.repeat(np.arange(gram.shape[0], dtype=gram.indices.dtype),
+                     np.diff(gram.indptr))
+    upper = gram.indices > rows
+    return HeterogeneousNetwork({t: blocks[t][0] for t in types},
+                                rows[upper], gram.indices[upper],
+                                gram.data[upper])
 
 
 def build_term_network(corpus: Corpus,
@@ -91,12 +97,7 @@ def build_term_network(corpus: Corpus,
     of links e_ij ... is equal to the number of co-occurrences of the two
     terms").  Terms below ``min_count`` corpus frequency are skipped.
     """
-    network = HeterogeneousNetwork(node_types=[TERM_TYPE])
-    term_ids, starts = _document_terms(corpus, network, min_count)
-    first, second = run_pairs(starts[:-1], np.diff(starts))
-    network.add_links(TERM_TYPE, term_ids[first], TERM_TYPE,
-                      term_ids[second])
-    return network
+    return _gram_network({TERM_TYPE: _term_block(corpus, min_count)})
 
 
 def build_collapsed_network(corpus: Corpus,
@@ -115,7 +116,7 @@ def build_collapsed_network(corpus: Corpus,
     Args:
         corpus: the text-attached network (documents + entity links).
         entity_types: which entity types to include; defaults to all types
-            present in the corpus.
+            present in the corpus.  A type listed twice is included once.
         min_count: minimum corpus frequency for a term to enter the network.
         include_text: set ``False`` to build a text-absent network (the
             degenerate case G^o = H discussed in Section 3.2).
@@ -126,68 +127,15 @@ def build_collapsed_network(corpus: Corpus,
     """
     if entity_types is None:
         entity_types = corpus.entity_types()
-    entity_types = list(entity_types)
+    entity_types = list(dict.fromkeys(entity_types))
     if include_text and TERM_TYPE in entity_types:
         raise DataError(
             f"entity type {TERM_TYPE!r} clashes with the word nodes of "
             f"the collapsed network; rename it or pass include_text=False")
-
-    node_types = list(entity_types)
+    blocks = {t: _entity_block(corpus, t) for t in entity_types}
     if include_text:
-        node_types.append(TERM_TYPE)
-    network = HeterogeneousNetwork(node_types=node_types)
-    columns: _Columns = {}
-
-    if include_text:
-        term_ids, term_starts = _document_terms(corpus, network, min_count)
-        first, second = run_pairs(term_starts[:-1], np.diff(term_starts))
-        _add_column(columns, TERM_TYPE, term_ids[first], TERM_TYPE,
-                    term_ids[second])
-        term_counts = np.diff(term_starts)
-
-    # Entity occurrences of every included type, document after document;
-    # a name listed twice in one document occurs twice.  Each type's
-    # names are numbered in order of first mention, the order the
-    # network registers them in.
-    counts: List[np.ndarray] = []
-    occ_doc: List[np.ndarray] = []
-    occ_id: List[np.ndarray] = []
-    for entity_type in entity_types:
-        links = corpus.entity_links(entity_type)
-        ids = network.add_nodes(entity_type, links.names)[links.ids]
-        docs = links.documents()
-        counts.append(np.diff(links.indptr))
-        occ_doc.append(docs)
-        occ_id.append(ids)
-        if include_text:
-            reps = term_counts[docs]
-            _add_column(columns, entity_type, np.repeat(ids, reps),
-                        TERM_TYPE, term_ids[run_positions(
-                            term_starts[docs], reps)])
-
-    # Entity–entity pairs over each document's occurrences in
-    # (entity type, listing) order; an entity never links to itself.
-    if entity_types:
-        # A type listed twice in ``entity_types`` is still one node type.
-        same_type = np.asarray([entity_types.index(t) for t in entity_types])
-        occ_type = np.repeat(np.arange(len(entity_types)),
-                             [len(ids) for ids in occ_id])
-        by_doc = np.argsort(np.concatenate(occ_doc), kind="stable")
-        occ_type = occ_type[by_doc]
-        all_ids = np.concatenate(occ_id)[by_doc]
-        per_doc = np.sum(counts, axis=0, dtype=np.int64)
-        first, second = run_pairs(np.cumsum(per_doc) - per_doc, per_doc)
-        type_a, type_b = occ_type[first], occ_type[second]
-        id_a, id_b = all_ids[first], all_ids[second]
-        distinct = (same_type[type_a] != same_type[type_b]) | (id_a != id_b)
-        pair_code = type_a * len(entity_types) + type_b
-        for code in np.unique(pair_code[distinct]).tolist():
-            mask = distinct & (pair_code == code)
-            _add_column(columns, entity_types[code // len(entity_types)],
-                        id_a[mask], entity_types[code % len(entity_types)],
-                        id_b[mask])
-    _flush(columns, network)
-    return network
+        blocks[TERM_TYPE] = _term_block(corpus, min_count)
+    return _gram_network(blocks)
 
 
 def network_statistics(network: HeterogeneousNetwork) -> dict:

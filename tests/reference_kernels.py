@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Ten families live here:
+Eleven families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -18,6 +18,11 @@ Ten families live here:
 * network bookkeeping (:class:`ReferenceDictNetwork`) and the
   rescanning ToPMine merge (:func:`reference_segment_chunk`) — the
   pre-CSR / pre-heap data paths;
+* the network as per-type stores: the per-document pair collapse
+  (:func:`reference_build_collapsed_network`), the per-type COO -> CSR
+  freeze (:func:`reference_freeze`) and the name-based child rebuild
+  (:func:`reference_subnetwork`), bit-identical to the Gram-product
+  collapse and the child masks of the stacked CSR;
 * the per-document role attribution descent
   (:func:`reference_document_topic_frequencies`, bit-identical to its
   sparse kernel);
@@ -65,7 +70,7 @@ from repro.corpus import Corpus, Document, Vocabulary
 from repro.corpus.tokenize import (DEFAULT_STOPWORDS, _TOKEN_RE,
                                    split_phrase_chunks)
 from repro.errors import ConfigurationError, DataError
-from repro.network import TERM_TYPE, HeterogeneousNetwork
+from repro.network import TERM_TYPE
 from repro.network.weighted import LinkType, canonical_link_type
 from repro.obs import inc
 
@@ -1300,56 +1305,106 @@ def reference_hin_em_step(estimator: ReferenceHINEM, alpha, rho, rho0,
 
 
 # -------------------------------------------------------- network collapse
+#: A network as the per-type stores held it before the stacked CSR: each
+#: node type's names, and each non-empty link type's frozen arrays.
+ReferenceNetwork = Tuple[Dict[str, List[str]],
+                         Dict[LinkType, Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]]]
+
+
+def reference_freeze(link_type: LinkType, i_idx: np.ndarray,
+                     j_idx: np.ndarray, weights: np.ndarray,
+                     num_cols: int) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """One link type's COO -> CSR freeze, as the per-type store ran it.
+
+    Same-type pairs are ordered i <= j, duplicate pairs sum, and the links
+    come back sorted by the scalar key ``i * num_cols + j``.
+    """
+    i_idx = np.asarray(i_idx, dtype=np.int64)
+    j_idx = np.asarray(j_idx, dtype=np.int64)
+    if link_type[0] == link_type[1]:
+        i_idx, j_idx = np.minimum(i_idx, j_idx), np.maximum(i_idx, j_idx)
+    enc = max(int(num_cols), 1)
+    uniq, inverse = np.unique(i_idx * enc + j_idx, return_inverse=True)
+    summed = np.bincount(inverse, weights=np.asarray(weights, np.float64),
+                         minlength=len(uniq))
+    rows = uniq // enc
+    return rows, uniq - rows * enc, summed
+
+
 @lru_cache(maxsize=4096)
 def _reference_pair_template(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Upper-triangle index template for all unordered pairs of n items."""
     return np.triu_indices(n, k=1)
 
 
+class _ReferenceNodes:
+    """Per-type name tables with the old idempotent ``add_node``."""
+
+    def __init__(self, node_types: Sequence[str]) -> None:
+        self.names: Dict[str, List[str]] = {t: [] for t in node_types}
+        self._index: Dict[str, Dict[str, int]] = {t: {} for t in node_types}
+
+    def add_node(self, node_type: str, name: str) -> int:
+        index = self._index.setdefault(node_type, {})
+        node = index.get(name)
+        if node is None:
+            table = self.names.setdefault(node_type, [])
+            node = index[name] = len(table)
+            table.append(name)
+        return node
+
+    def add_nodes(self, node_type: str, names: Iterable[str]) -> np.ndarray:
+        return np.asarray([self.add_node(node_type, name) for name in names],
+                          dtype=np.int64).reshape(-1)
+
+
 class _ReferenceEdgeColumns:
-    """Per-link-type accumulator of (i, j, weight-1) edge-list columns."""
+    """Per-link-type accumulator of (i, j, weight) edge-list columns."""
 
     def __init__(self) -> None:
         self._parts: Dict[LinkType, Tuple[List[np.ndarray],
+                                          List[np.ndarray],
                                           List[np.ndarray]]] = {}
         self._scalars: Dict[LinkType, Tuple[List[int], List[int]]] = {}
 
     def add_arrays(self, type_x: str, i_idx: np.ndarray, type_y: str,
-                   j_idx: np.ndarray) -> None:
-        """Append one unit-weight edge column (canonicalized by type)."""
+                   j_idx: np.ndarray, weights=None) -> None:
+        """Append one edge column (canonicalized by type; unit weights
+        unless given)."""
         link_type = canonical_link_type(type_x, type_y)
         if (type_x, type_y) != link_type:
             i_idx, j_idx = j_idx, i_idx
-        parts = self._parts.get(link_type)
-        if parts is None:
-            parts = ([], [])
-            self._parts[link_type] = parts
-        parts[0].append(i_idx)
-        parts[1].append(j_idx)
+        parts = self._parts.setdefault(link_type, ([], [], []))
+        parts[0].append(np.asarray(i_idx, dtype=np.int64).reshape(-1))
+        parts[1].append(np.asarray(j_idx, dtype=np.int64).reshape(-1))
+        parts[2].append(np.ones(len(parts[0][-1])) if weights is None
+                        else np.asarray(weights, dtype=np.float64))
 
     def add_pair(self, type_x: str, i: int, type_y: str, j: int) -> None:
         """Append one unit-weight edge (sparse per-document pairs)."""
         link_type = canonical_link_type(type_x, type_y)
         if (type_x, type_y) != link_type:
             i, j = j, i
-        scalars = self._scalars.get(link_type)
-        if scalars is None:
-            scalars = ([], [])
-            self._scalars[link_type] = scalars
+        scalars = self._scalars.setdefault(link_type, ([], []))
         scalars[0].append(i)
         scalars[1].append(j)
 
-    def flush(self, network: HeterogeneousNetwork) -> None:
-        """Hand every accumulated column to the network in one call."""
-        for link_type, (i_lists, j_lists) in self._scalars.items():
-            parts = self._parts.setdefault(link_type, ([], []))
-            parts[0].append(np.asarray(i_lists, dtype=np.int64))
-            parts[1].append(np.asarray(j_lists, dtype=np.int64))
-        for link_type, (i_parts, j_parts) in self._parts.items():
-            if not i_parts:
-                continue
-            network.add_links(link_type[0], np.concatenate(i_parts),
-                              link_type[1], np.concatenate(j_parts))
+    def freeze(self, names: Dict[str, List[str]]) -> ReferenceNetwork:
+        """Every accumulated column frozen, link types sorted."""
+        for link_type, (i_list, j_list) in self._scalars.items():
+            self.add_arrays(link_type[0], np.asarray(i_list, dtype=np.int64),
+                            link_type[1], np.asarray(j_list, dtype=np.int64))
+        links = {}
+        for link_type in sorted(self._parts):
+            i_parts, j_parts, w_parts = self._parts[link_type]
+            i_idx = np.concatenate(i_parts)
+            if len(i_idx):
+                links[link_type] = reference_freeze(
+                    link_type, i_idx, np.concatenate(j_parts),
+                    np.concatenate(w_parts), len(names[link_type[1]]))
+        return names, links
 
 
 class _ReferenceTermIndex:
@@ -1360,12 +1415,12 @@ class _ReferenceTermIndex:
     sorted token order.
     """
 
-    def __init__(self, corpus: Corpus, network: HeterogeneousNetwork,
+    def __init__(self, corpus: Corpus, nodes: _ReferenceNodes,
                  min_count: int) -> None:
         counts = corpus.word_counts()
         self._keep = {w for w, c in counts.items() if c >= min_count}
         self._vocabulary = corpus.vocabulary
-        self._network = network
+        self._nodes = nodes
         self._node_of: Dict[int, int] = {}
 
     def doc_term_ids(self, tokens: Sequence[int]) -> np.ndarray:
@@ -1375,7 +1430,7 @@ class _ReferenceTermIndex:
         for tok in sorted({t for t in tokens if t in self._keep}):
             node = node_of.get(tok)
             if node is None:
-                node = self._network.add_node(
+                node = self._nodes.add_node(
                     TERM_TYPE, self._vocabulary.word_of(tok))
                 node_of[tok] = node
             ids.append(node)
@@ -1385,9 +1440,12 @@ class _ReferenceTermIndex:
 def reference_build_collapsed_network(
         corpus: Corpus, entity_types: Optional[Sequence[str]] = None,
         min_count: int = 1, include_text: bool = True,
-        ) -> HeterogeneousNetwork:
+        ) -> ReferenceNetwork:
     """The per-document Example 3.1 collapse, as shipped before the flat
-    array build (without the ``term`` entity-type clash check).
+    array build (without the ``term`` entity-type clash check): every
+    co-occurring pair of one document as a unit-weight edge, frozen per
+    link type.  Returns each node type's names (types with no nodes
+    included) and each non-empty link type's sorted arrays.
 
     Implements Example 3.1: for each document, every unordered pair of
     distinct terms gets a term–term link; every (entity, term) pair gets a
@@ -1410,9 +1468,9 @@ def reference_build_collapsed_network(
     node_types = list(entity_types)
     if include_text:
         node_types.append(TERM_TYPE)
-    network = HeterogeneousNetwork(node_types=node_types)
+    nodes = _ReferenceNodes(node_types)
 
-    index = _ReferenceTermIndex(corpus, network, min_count) \
+    index = _ReferenceTermIndex(corpus, nodes, min_count) \
         if include_text else None
     columns = _ReferenceEdgeColumns()
     empty = np.empty(0, dtype=np.int64)
@@ -1431,7 +1489,7 @@ def reference_build_collapsed_network(
         doc_entities = []  # (type, node_id) pairs
         for etype in entity_types:
             for name in doc.entity_list(etype):
-                doc_entities.append((etype, network.add_node(etype, name)))
+                doc_entities.append((etype, nodes.add_node(etype, name)))
         if len(term_ids):
             for (etype, eid) in doc_entities:
                 columns.add_arrays(
@@ -1441,8 +1499,52 @@ def reference_build_collapsed_network(
             if type_a == type_b and id_a == id_b:
                 continue
             columns.add_pair(type_a, id_a, type_b, id_b)
-    columns.flush(network)
-    return network
+    return columns.freeze(nodes.names)
+
+
+def reference_subnetwork(names: Dict[str, List[str]],
+                         link_weights: Dict[LinkType, Tuple[np.ndarray,
+                                                            np.ndarray,
+                                                            np.ndarray]],
+                         min_weight: float = 1.0) -> ReferenceNetwork:
+    """The name-based child build the network shipped before child masks.
+
+    ``link_weights`` maps each link type, in canonical order, to its
+    ``(i_idx, j_idx, expected)`` arrays over the parent's per-type ids.
+    Links below ``min_weight`` are dropped; each kept link type adds the
+    names of its sorted used ids through the idempotent ``add_nodes``
+    (first occurrence wins), and the child's links are re-frozen.
+    """
+    nodes = _ReferenceNodes(())
+    columns = _ReferenceEdgeColumns()
+    for link_type, (i_arr, j_arr, w_arr) in link_weights.items():
+        type_x, type_y = canonical_link_type(*link_type)
+        mask = np.asarray(w_arr) >= min_weight
+        if not np.any(mask):
+            continue
+        i_arr, j_arr, w_arr = i_arr[mask], j_arr[mask], w_arr[mask]
+        names_x, names_y = names[type_x], names[type_y]
+        if type_x == type_y:
+            used = np.unique(np.concatenate([i_arr, j_arr]))
+            new_ids = nodes.add_nodes(type_x,
+                                      (names_x[t] for t in used.tolist()))
+            remap = np.empty(int(used[-1]) + 1, dtype=np.int64)
+            remap[used] = new_ids
+            columns.add_arrays(type_x, remap[i_arr], type_y, remap[j_arr],
+                               w_arr)
+        else:
+            used_x, used_y = np.unique(i_arr), np.unique(j_arr)
+            new_x = nodes.add_nodes(type_x,
+                                    (names_x[t] for t in used_x.tolist()))
+            new_y = nodes.add_nodes(type_y,
+                                    (names_y[t] for t in used_y.tolist()))
+            remap_x = np.empty(int(used_x[-1]) + 1, dtype=np.int64)
+            remap_x[used_x] = new_x
+            remap_y = np.empty(int(used_y[-1]) + 1, dtype=np.int64)
+            remap_y[used_y] = new_y
+            columns.add_arrays(type_x, remap_x[i_arr], type_y,
+                               remap_y[j_arr], w_arr)
+    return columns.freeze(nodes.names)
 
 
 # -------------------------------------------------------------------- corpus

@@ -73,7 +73,9 @@ class TestSubnetworks:
         estimator = CathyEM(num_topics=2, seed=0)
         estimator.fit(two_topic_network)
         per_topic = estimator.expected_link_weights(two_topic_network)
-        for i, j, weight in two_topic_network.links((TERM_TYPE, TERM_TYPE)):
+        for i, j, weight in zip(*(a.tolist() for a in
+                                  two_topic_network.link_arrays(
+                                      (TERM_TYPE, TERM_TYPE)))):
             total = sum(bucket.get((i, j), 0.0) for bucket in per_topic)
             assert total == pytest.approx(weight, rel=1e-6)
 

@@ -1,8 +1,13 @@
 """Tests for the heterogeneous CATHYHIN model (Section 3.2)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cathy import CathyHIN
 from repro.corpus import Corpus
 from repro.errors import ConfigurationError, NotFittedError
@@ -93,7 +98,9 @@ class TestSubnetworks:
         model = estimator.fit(hetero_network)
         for link_type in hetero_network.link_types():
             alpha = model.alpha[link_type]
-            observed = hetero_network.link_dict(link_type)
+            i_idx, j_idx, weights = hetero_network.link_arrays(link_type)
+            observed = dict(zip(zip(i_idx.tolist(), j_idx.tolist()),
+                                weights.tolist()))
             for z in range(2):
                 bucket = estimator.expected_link_weights(z)[link_type]
                 for key, value in bucket.items():
@@ -163,3 +170,49 @@ class TestBayesianPriors:
             CathyHIN(num_topics=2, rho_prior=-1.0)
         with pytest.raises(ConfigurationError):
             CathyHIN(num_topics=2, phi_prior=-0.1)
+
+
+_LL_PROBE = """
+import numpy as np
+from repro.cathy import CathyEM, CathyHIN
+from repro.network import HeterogeneousNetwork
+rng = np.random.default_rng(7)
+names = {"author": [f"a{n}" for n in range(200)],
+         "term": [f"t{n}" for n in range(600)]}
+def column(size_x, size_y, count=15_000):
+    return (rng.integers(0, size_x, count), rng.integers(0, size_y, count),
+            rng.uniform(0.5, 3.0, count))
+terms = {("term", "term"): column(600, 600)}
+hin = {**terms, ("author", "term"): column(200, 600)}
+term_network = HeterogeneousNetwork.from_links({"term": names["term"]},
+                                               terms)
+network = HeterogeneousNetwork.from_links(names, hin)
+assert term_network.num_links() > 10_000
+text = CathyEM(num_topics=3, max_iter=4, seed=0).fit(term_network)
+both = CathyHIN(num_topics=3, weight_mode="learn", weight_update_every=2,
+                max_iter=4, seed=0).fit(network)
+print(repr(text.log_likelihood), repr(both.log_likelihood))
+"""
+
+
+class TestBlasThreadIndependence:
+    def test_log_likelihood_bit_equal_at_one_and_two_threads(self):
+        """The EM log-likelihoods of fits over more than 10,000 links do
+        not depend on the BLAS thread count.
+
+        A BLAS dot product over that many elements is split across
+        OpenBLAS's threads, which changes its rounding; this test can only
+        fail where OpenBLAS starts a second thread (a host with more than
+        one CPU, and a numpy linked against OpenBLAS).
+        """
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(repro.__file__)),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _LL_PROBE],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert outputs[0] == outputs[1]

@@ -1,5 +1,6 @@
 """Tests for model selection and the recursive hierarchy builder."""
 
+import numpy as np
 import pytest
 
 from repro.cathy import (BuilderConfig, HierarchyBuilder, select_num_topics,
@@ -30,6 +31,30 @@ class TestSplitNetwork:
         for node_type in three_topic_network.node_types():
             assert train.node_count(node_type) == \
                 three_topic_network.node_count(node_type)
+
+    def test_train_is_the_unmasked_links(self, three_topic_network):
+        """Same node space; each link type's links drawn in link order by
+        one batched uniform draw, held out below the fraction."""
+        network = three_topic_network
+        train, held_out = split_network(network, 0.3, seed=4)
+        assert train.node_types() == network.node_types()
+        for node_type in network.node_types():
+            assert train.node_names(node_type) == \
+                network.node_names(node_type)
+        rng = np.random.default_rng(4)
+        expected = []
+        for link_type in network.link_types():
+            i_idx, j_idx, weights = network.link_arrays(link_type)
+            held = rng.random(len(weights)) < 0.3
+            expected.extend(zip([link_type] * int(held.sum()),
+                                i_idx[held].tolist(), j_idx[held].tolist(),
+                                weights[held].tolist()))
+            kept = train.link_arrays(link_type)
+            for got, want in zip(kept, (i_idx, j_idx, weights)):
+                assert np.array_equal(got, want[~held])
+        assert held_out == expected
+        assert 0 < len(held_out) < network.num_links()
+        assert train.num_links() + len(held_out) == network.num_links()
 
     def test_invalid_fraction(self, three_topic_network):
         with pytest.raises(ConfigurationError):

@@ -10,15 +10,12 @@ from repro.network import HeterogeneousNetwork, build_collapsed_network
 
 def _scaled_network(network: HeterogeneousNetwork,
                     factor: float) -> HeterogeneousNetwork:
-    scaled = HeterogeneousNetwork()
-    for node_type in network.node_types():
-        for name in network.node_names(node_type):
-            scaled.add_node(node_type, name)
+    names = {t: network.node_names(t) for t in network.node_types()}
+    links = {}
     for link_type in network.link_types():
-        type_x, type_y = link_type
-        for i, j, weight in network.links(link_type):
-            scaled.add_link(type_x, i, type_y, j, weight * factor)
-    return scaled
+        i_idx, j_idx, weights = network.link_arrays(link_type)
+        links[link_type] = (i_idx, j_idx, weights * factor)
+    return HeterogeneousNetwork.from_links(names, links)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ import repro.obs as obs
 from repro.baselines.lda_gibbs import LDAGibbs, _ll_from_counts
 from repro.cathy import CathyHIN, HINTopicModel
 from repro.cathy.em import link_incidence
+from repro.cathy.hin_em import _scaled_weights, _sddmm
 from repro.corpus import Corpus, EntityLinks
 from repro.errors import DataError
 from repro.hierarchy import Topic, TopicalHierarchy
@@ -63,6 +64,7 @@ from .reference_kernels import (ReferenceHINEM, legacy_gibbs_sweep,
                                 reference_segment_chunk,
                                 reference_sparse_pair_moment,
                                 reference_split_frequencies,
+                                reference_subnetwork,
                                 reference_top_terms, reference_topic_detail,
                                 reference_tpfg_ranking,
                                 reference_v2_blob,
@@ -983,29 +985,27 @@ def hin_networks(draw):
     sizes = {"author": draw(st.integers(1, 5)),
              "term": draw(st.integers(1, 7)),
              "venue": draw(st.integers(1, 3))}
-    network = HeterogeneousNetwork(sorted(sizes))
-    for node_type, count in sizes.items():
-        network.add_nodes(node_type, [f"{node_type}{n}" for n in range(count)])
+    names = {node_type: [f"{node_type}{n}" for n in range(count)]
+             + [f"{node_type}_isolated"] for node_type, count in sizes.items()}
 
-    def draw_links(type_x, type_y):
+    def draw_links(type_x, type_y, first=()):
         link = st.tuples(st.integers(0, sizes[type_x] - 1),
                          st.integers(0, sizes[type_y] - 1),
                          st.floats(0.25, 4.0))
-        links = draw(st.lists(link, max_size=25))
-        if links:
-            i_idx, j_idx, weights = zip(*links)
-            network.add_links(type_x, i_idx, type_y, j_idx, weights)
+        links = list(first) + draw(st.lists(link, max_size=25))
+        return tuple(zip(*links)) if links else ((), (), ())
 
-    network.add_link("term", 0, "term", 0, draw(st.floats(0.25, 4.0)))
-    draw_links("term", "term")
-    draw_links("author", "term")
-    draw_links("author", "author")
-    network.add_link("author", draw(st.integers(0, sizes["author"] - 1)),
-                     "venue", draw(st.integers(0, sizes["venue"] - 1)),
-                     draw(st.floats(0.25, 4.0)))
-    for node_type in sizes:
-        network.add_node(node_type, f"{node_type}_isolated")
-    return network
+    links = {
+        ("term", "term"): draw_links(
+            "term", "term", [(0, 0, draw(st.floats(0.25, 4.0)))]),
+        ("author", "term"): draw_links("author", "term"),
+        ("author", "author"): draw_links("author", "author"),
+        ("author", "venue"): (
+            [draw(st.integers(0, sizes["author"] - 1))],
+            [draw(st.integers(0, sizes["venue"] - 1))],
+            [draw(st.floats(0.25, 4.0))]),
+    }
+    return HeterogeneousNetwork.from_links(names, links)
 
 
 def _assert_hin_close(new, ref, what):
@@ -1045,13 +1045,13 @@ class TestHINEMEquivalence:
                              background=background, rho_prior=rho_prior,
                              phi_prior=phi_prior)
         node_names = estimator._prepare(network)
-        links = estimator._links
+        blocks = estimator._blocks
         reference = ReferenceHINEM(network, k, background=background,
                                    rho_prior=rho_prior, phi_prior=phi_prior)
         alpha = estimator._initial_alpha()
         phi_parent = reference._parent_distributions(node_names)
         _assert_hin_close(estimator._parent_distribution(),
-                      links.stack(phi_parent), "phi_parent")
+                      blocks.stack(phi_parent), "phi_parent")
         phi = {t: rng.dirichlet(np.ones(len(names)), size=k)
                for t, names in node_names.items()}
         phi0 = {t: p.copy() for t, p in phi_parent.items()}
@@ -1063,27 +1063,28 @@ class TestHINEMEquivalence:
         rho0 = 1.0 / (k + 1) if background else 0.0
 
         for step in range(3):
-            weights = links.scaled_weights(alpha)
+            weights = _scaled_weights(network, alpha)
             ref = reference_hin_em_step(reference, alpha, rho, rho0, phi,
                                         phi0, phi_parent, node_names)
             new = estimator._em_step(
-                weights, rho, rho0, links.stack(phi), links.stack(phi0),
-                links.stack(phi_parent))
+                weights, rho, rho0, blocks.stack(phi), blocks.stack(phi0),
+                blocks.stack(phi_parent))
             # One ulp of a denominator moves ll by about its link's weight
             # times 1e-16, and a learned alpha can weigh one link 1e8.
             assert abs(new[0] - ref[0]) <= 1e-12 * weights.sum()
             _assert_hin_close(new[1], ref[1], "rho")
             _assert_hin_close(new[2], ref[2], "rho0")
-            _assert_hin_close(new[3], links.stack(ref[3]), "phi")
-            _assert_hin_close(new[4], links.stack(ref[4]), "phi0")
+            _assert_hin_close(new[3], blocks.stack(ref[3]), "phi")
+            _assert_hin_close(new[4], blocks.stack(ref[4]), "phi0")
             _, rho, rho0, phi, phi0 = ref
             if weight_mode == "learn" and step == 1:
                 ref_alpha = reference._update_alpha(rho, rho0, phi, phi0,
                                                     phi_parent)
-                new_alpha = estimator._update_alpha(links.sddmm(
-                    *estimator._factors(rho, rho0, links.stack(phi),
-                                        links.stack(phi0),
-                                        links.stack(phi_parent))))
+                new_alpha = estimator._update_alpha(_sddmm(
+                    network,
+                    *estimator._factors(rho, rho0, blocks.stack(phi),
+                                        blocks.stack(phi0),
+                                        blocks.stack(phi_parent))))
                 assert list(new_alpha) == list(ref_alpha)
                 _assert_hin_close(list(new_alpha.values()),
                               list(ref_alpha.values()), "alpha")
@@ -1125,30 +1126,124 @@ def entity_corpora(draw):
     return corpus
 
 
+def _stacked(reference):
+    """A reference network's links as the stacked CSR arrays (rows, cols,
+    weights, link-type ids), node types in name order."""
+    names, links = reference
+    types = sorted(names)
+    starts = dict(zip(types, np.cumsum(
+        [0] + [len(names[t]) for t in types]).tolist()))
+    parts = [(i_idx + starts[x], j_idx + starts[y], weights,
+              np.full(len(weights), number))
+             for number, ((x, y), (i_idx, j_idx, weights))
+             in enumerate(sorted(links.items()))]
+    if not parts:
+        return [np.empty(0, dtype=np.int64)] * 4
+    rows, cols, weights, type_id = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], weights[order], type_id[order]
+
+
+def _assert_same_network(new, reference):
+    names, links = reference
+    assert new.node_types() == sorted(names)
+    for node_type in sorted(names):
+        assert new.node_names(node_type) == names[node_type]
+    assert new.link_types() == sorted(links)
+    rows, cols, weights, type_id = _stacked(reference)
+    assert np.array_equal(new.rows, rows)
+    assert np.array_equal(new.cols, cols)
+    assert np.array_equal(new.type_id, type_id)
+    assert new.weights.dtype == np.float64
+    assert np.array_equal(new.weights, weights)
+    assert np.array_equal(new.indptr, np.searchsorted(
+        rows, np.arange(len(new.indptr))))
+    for link_type, arrays in links.items():
+        for got, want in zip(new.link_arrays(link_type), arrays):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 class TestCollapseEquivalence:
-    """The flat-array Example 3.1 collapse vs the per-document loop: the
-    same node names in the same order and bit-identical link arrays."""
+    """The Gram-product Example 3.1 collapse vs the per-document loop:
+    the same node types and names in the same order, and a bit-identical
+    stacked CSR."""
 
     @settings(max_examples=80, deadline=None)
     @given(corpus=entity_corpora(), min_count=st.integers(1, 3),
            include_text=st.booleans(),
            entity_types=st.one_of(
                st.none(),
-               st.permutations(["author", "person", "venue"]).flatmap(
-                   lambda order: st.integers(0, 3).map(
-                       lambda n: order[:n]))))
+               st.lists(st.sampled_from(["author", "person", "venue"]),
+                        max_size=4)))
     def test_matches_per_document_collapse(self, corpus, min_count,
                                            include_text, entity_types):
-        kwargs = dict(entity_types=entity_types, min_count=min_count,
-                      include_text=include_text)
-        new = build_collapsed_network(corpus, **kwargs)
-        ref = reference_build_collapsed_network(corpus, **kwargs)
-        assert new.node_types() == ref.node_types()
-        for node_type in ref.node_types():
-            assert new.node_names(node_type) == ref.node_names(node_type)
-        assert new.link_types() == ref.link_types()
-        for link_type in ref.link_types():
-            for got, want in zip(new.link_arrays(link_type),
-                                 ref.link_arrays(link_type)):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
+        new = build_collapsed_network(
+            corpus, entity_types=entity_types, min_count=min_count,
+            include_text=include_text)
+        if entity_types is not None:
+            # A type listed twice is one node type.
+            entity_types = list(dict.fromkeys(entity_types))
+        ref = reference_build_collapsed_network(
+            corpus, entity_types=entity_types, min_count=min_count,
+            include_text=include_text)
+        _assert_same_network(new, ref)
+
+    def test_documents_without_terms_or_entities(self):
+        corpus = Corpus.from_texts(
+            ["rare graph", "graph mining", "", "mining graph"],
+            entities=[{"author": ["ann", "ann", "bob"]}, {}, {"venue": []},
+                      {"author": []}])
+        for min_count in (1, 2, 3):
+            _assert_same_network(
+                build_collapsed_network(corpus, min_count=min_count),
+                reference_build_collapsed_network(corpus,
+                                                  min_count=min_count))
+
+
+@st.composite
+def child_draws(draw):
+    """A random author/term/venue network and expected weights for one
+    child: weights may sit exactly at the threshold or all below it, and
+    the network may hold a single link type."""
+    sizes = {"author": draw(st.integers(1, 6)),
+             "term": draw(st.integers(1, 8)),
+             "venue": draw(st.integers(1, 3))}
+    names = {t: [f"{t}{n}" for n in range(count)]
+             for t, count in sizes.items()}
+    pairs = [("author", "author"), ("author", "term"), ("author", "venue"),
+             ("term", "term"), ("term", "venue")]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           unique=True))
+    links = {}
+    for type_x, type_y in chosen:
+        link = st.tuples(st.integers(0, sizes[type_x] - 1),
+                         st.integers(0, sizes[type_y] - 1))
+        ends = draw(st.lists(link, min_size=1, max_size=20))
+        links[(type_x, type_y)] = tuple(zip(*ends)) + (1.0,)
+    network = HeterogeneousNetwork.from_links(names, links)
+    min_weight = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    levels = [min_weight, min_weight * 3, min_weight / 2, 0.0]
+    if draw(st.integers(0, 4)) == 4:
+        levels = levels[2:]
+    weights = np.asarray(draw(st.lists(
+        st.sampled_from(levels), min_size=network.num_links(),
+        max_size=network.num_links())), dtype=np.float64)
+    return network, names, weights, min_weight
+
+
+class TestSubnetworkEquivalence:
+    """A child as a mask over its parent's links vs the name-based
+    rebuild: the same node names in the same order and a bit-identical
+    stacked CSR."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(draw=child_draws())
+    def test_matches_name_based_subnetwork(self, draw):
+        network, names, weights, min_weight = draw
+        per_type = {lt: network.link_arrays(lt)[:2]
+                    + (weights[network.type_id == number],)
+                    for number, lt in enumerate(network.link_types())}
+        child = network.subnetwork(weights, min_weight=min_weight)
+        _assert_same_network(child, reference_subnetwork(
+            names, per_type, min_weight=min_weight))

@@ -21,7 +21,7 @@ class TestTermNetwork:
     def test_min_count_filters_rare_terms(self):
         corpus = Corpus.from_texts(["alpha beta", "alpha beta", "alpha rare"])
         net = build_term_network(corpus, min_count=2)
-        assert not net.has_node(TERM_TYPE, "rare")
+        assert net.node_names(TERM_TYPE) == ["alpha", "beta"]
 
     def test_duplicate_words_counted_once_per_doc(self):
         corpus = Corpus.from_texts(["alpha alpha beta"])
@@ -84,6 +84,34 @@ class TestCollapsedNetwork:
         net = build_collapsed_network(corpus, include_text=False)
         assert net.node_names("term") == ["graph"]
         assert net.link_weight("author", 0, "term", 0) == 1.0
+
+
+    def test_repeated_entity_type_counts_once(self):
+        corpus = Corpus.from_texts(
+            ["graph mining data", "graph data"],
+            entities=[{"author": ["Ann", "Bob"]}, {"author": ["Ann"]}])
+        once = build_collapsed_network(corpus, entity_types=["author"])
+        ann = once.node_id("author", "Ann")
+        bob = once.node_id("author", "Bob")
+        graph = once.node_id(TERM_TYPE, "graph")
+        assert once.link_weight("author", ann, "author", bob) == 1.0
+        assert once.link_weight("author", ann, TERM_TYPE, graph) == 2.0
+        assert once.total_weight() == 13.0
+        twice = build_collapsed_network(corpus,
+                                        entity_types=["author", "author"])
+        assert twice.node_types() == once.node_types()
+        assert twice.node_names("author") == once.node_names("author")
+        for name in ("rows", "cols", "weights", "type_id"):
+            assert getattr(twice, name).tolist() == \
+                getattr(once, name).tolist()
+
+    def test_name_listed_twice_counts_twice(self):
+        corpus = Corpus.from_texts(["graph", "graph"],
+                                   entities=[{"author": ["Ann", "Ann"]},
+                                             {"author": ["Ann"]}])
+        net = build_collapsed_network(corpus)
+        assert net.link_weight("author", 0, TERM_TYPE, 0) == 3.0
+        assert net.link_types() == [("author", "term")]
 
 
 class TestStatistics:

@@ -1,10 +1,11 @@
-"""Property tests: the CSR network backbone vs per-edge dict bookkeeping.
+"""Property tests: the stacked CSR network vs per-edge dict bookkeeping.
 
 Hypothesis drives random typed edge lists through three builds — the
-pre-CSR reference (:class:`ReferenceDictNetwork`), the per-edge
-``add_link`` path, and the bulk ``add_links`` path — and asserts they
-agree on every aggregate solvers consume: total weights, per-node
-degree vectors, stored link dicts, and Eq. 3.23 subnetwork splits.
+pre-CSR reference (:class:`ReferenceDictNetwork`), the array constructor
+fed each edge in its drawn type order, and the array constructor fed
+each link type's edges in canonical order — and asserts they agree on
+every aggregate solvers consume: total weights, per-node degree
+vectors, stored links, and Eq. 3.23 subnetwork splits.
 """
 
 import numpy as np
@@ -28,27 +29,37 @@ edge_lists = st.lists(
     min_size=0, max_size=40)
 
 
-def _typed_network():
-    network = HeterogeneousNetwork(NODE_TYPES)
-    for node_type in NODE_TYPES:
-        network.add_nodes(node_type,
-                          [f"{node_type}{n}" for n in range(NUM_NODES)])
-    return network
+NAMES = {node_type: [f"{node_type}{n}" for n in range(NUM_NODES)]
+         for node_type in NODE_TYPES}
+
+
+def _columns(rows):
+    return tuple(np.asarray(col) for col in zip(*rows))
+
+
+def _link_dict(network, link_type):
+    i_idx, j_idx, weights = network.link_arrays(link_type)
+    return dict(zip(zip(i_idx.tolist(), j_idx.tolist()), weights.tolist()))
 
 
 def _build_all(edges):
-    """(reference, per-edge CSR network, bulk CSR network) from one list."""
+    """(reference, per-edge CSR network, bulk CSR network) from one list.
+
+    The per-edge build keeps every edge in its drawn type order; the bulk
+    build swaps each edge into its canonical link type first.
+    """
     reference = ReferenceDictNetwork()
-    per_edge = _typed_network()
-    bulk = _typed_network()
-    by_type = {}
+    drawn, canonical = {}, {}
     for type_x, i, type_y, j, weight in edges:
         reference.add_link(type_x, i, type_y, j, weight)
-        per_edge.add_link(type_x, i, type_y, j, weight)
-        by_type.setdefault((type_x, type_y), []).append((i, j, weight))
-    for (type_x, type_y), rows in by_type.items():
-        i_idx, j_idx, weights = (np.asarray(col) for col in zip(*rows))
-        bulk.add_links(type_x, i_idx, type_y, j_idx, weights)
+        drawn.setdefault((type_x, type_y), []).append((i, j, weight))
+        if type_x > type_y:
+            type_x, type_y, i, j = type_y, type_x, j, i
+        canonical.setdefault((type_x, type_y), []).append((i, j, weight))
+    per_edge = HeterogeneousNetwork.from_links(
+        NAMES, {lt: _columns(rows) for lt, rows in drawn.items()})
+    bulk = HeterogeneousNetwork.from_links(
+        NAMES, {lt: _columns(rows) for lt, rows in canonical.items()})
     return reference, per_edge, bulk
 
 
@@ -64,7 +75,7 @@ class TestDictVsCsrAgreement:
             for link_type in link_types:
                 assert network.total_weight(link_type) == pytest.approx(
                     reference.total_weight(link_type), rel=1e-12, abs=1e-12)
-                stored = network.link_dict(link_type)
+                stored = _link_dict(network, link_type)
                 expected = {k: w for k, w in
                             reference.links[link_type].items() if w != 0}
                 assert set(stored) <= set(reference.links[link_type])
@@ -91,45 +102,45 @@ class TestDictVsCsrAgreement:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_subnetwork_splits(self, edges, min_weight):
-        """Both the mapping and the array-triple subnetwork paths keep
-        exactly the links the reference split keeps, by node name."""
+        """The link mask keeps exactly the links the reference split
+        keeps, by node name."""
         reference, per_edge, _ = _build_all(edges)
         kept = reference.subnetwork_links(reference.links, min_weight)
 
-        mapping_form = {lt: per_edge.link_dict(lt)
-                        for lt in per_edge.link_types()}
-        array_form = {lt: per_edge.link_arrays(lt)
-                      for lt in per_edge.link_types()}
-        for form in (mapping_form, array_form):
-            child = per_edge.subnetwork(form, min_weight=min_weight)
-            observed = set()
-            for link_type in child.link_types():
-                type_x, type_y = link_type
-                names_x = child.node_names(type_x)
-                names_y = child.node_names(type_y)
-                for i, j, weight in child.links(link_type):
-                    # Same-type links are undirected; the child's node
-                    # re-indexing may flip the stored endpoint order.
-                    pair = frozenset if type_x == type_y else tuple
-                    observed.add((link_type, pair((names_x[i], names_y[j])),
-                                  round(weight, 9)))
-            expected = set()
-            for link_type, bucket in kept.items():
-                pair = frozenset if link_type[0] == link_type[1] else tuple
-                for (i, j), weight in bucket.items():
-                    expected.add((link_type,
-                                  pair((f"{link_type[0]}{i}",
-                                        f"{link_type[1]}{j}")),
-                                  round(weight, 9)))
-            assert observed == expected
+        child = per_edge.subnetwork(per_edge.weights, min_weight=min_weight)
+        observed = set()
+        for link_type in child.link_types():
+            type_x, type_y = link_type
+            names_x = child.node_names(type_x)
+            names_y = child.node_names(type_y)
+            for i, j, weight in zip(*(a.tolist() for a in
+                                      child.link_arrays(link_type))):
+                # Same-type links are undirected; the child's node
+                # re-indexing may flip the stored endpoint order.
+                pair = frozenset if type_x == type_y else tuple
+                observed.add((link_type, pair((names_x[i], names_y[j])),
+                              round(weight, 9)))
+        expected = set()
+        for link_type, bucket in kept.items():
+            pair = frozenset if link_type[0] == link_type[1] else tuple
+            for (i, j), weight in bucket.items():
+                expected.add((link_type,
+                              pair((f"{link_type[0]}{i}",
+                                    f"{link_type[1]}{j}")),
+                              round(weight, 9)))
+        assert observed == expected
 
     @given(edge_lists)
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_per_edge_and_bulk_builds_identical(self, edges):
-        """add_link and add_links are two routes to one frozen store."""
+        """Edges in their drawn type order and edges swapped into their
+        canonical link type are two routes to one stacked CSR."""
         _, per_edge, bulk = _build_all(edges)
         assert per_edge.link_types() == bulk.link_types()
+        assert np.array_equal(per_edge.indptr, bulk.indptr)
+        assert np.array_equal(per_edge.cols, bulk.cols)
+        assert np.array_equal(per_edge.type_id, bulk.type_id)
         for link_type in per_edge.link_types():
             a_i, a_j, a_w = per_edge.link_arrays(link_type)
             b_i, b_j, b_w = bulk.link_arrays(link_type)

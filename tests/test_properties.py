@@ -196,15 +196,16 @@ class TestCathyEMProperties:
         from repro.network import HeterogeneousNetwork
 
         rng = np.random.default_rng(seed)
-        network = HeterogeneousNetwork(node_types=["term"])
         num_nodes = 8
-        for i in range(num_nodes):
-            network.add_node("term", f"w{i}")
+        edges = []
         for _ in range(20):
             i, j = rng.integers(0, num_nodes, size=2)
             if i != j:
-                network.add_link("term", int(i), "term", int(j),
-                                 float(rng.integers(1, 5)))
+                edges.append((int(i), int(j), float(rng.integers(1, 5))))
+        network = HeterogeneousNetwork.from_links(
+            {"term": [f"w{i}" for i in range(num_nodes)]},
+            {("term", "term"): tuple(zip(*edges)) if edges
+             else ([], [], [])})
         model = CathyEM(num_topics=k, max_iter=30, seed=0).fit(network)
         assert np.allclose(model.phi.sum(axis=1), 1.0, atol=1e-6)
         assert model.rho.sum() == pytest.approx(

@@ -522,6 +522,54 @@ class TestHierarchyKillResume:
         with pytest.raises(DataError, match="different configuration"):
             HierarchyBuilder(other, seed=7).build(dblp_network)
 
+    @pytest.mark.parametrize("with_links", [True, False])
+    def test_checkpoint_of_per_type_link_stores_rejected(
+            self, dblp_network, tmp_path, monkeypatch, with_links):
+        """A subtree checkpoint pickled while networks kept one store per
+        link type fails to resume with a DataError, not with a traceback
+        from a solver: its link stores no longer exist, and its network
+        state cannot load into the stacked network."""
+        import repro.network.weighted as weighted
+        from repro.resilience.checkpoint import (load_checkpoint,
+                                                 save_checkpoint)
+
+        class _LinkStore:
+            pass
+
+        class HeterogeneousNetwork:
+            pass
+
+        for stand_in in (_LinkStore, HeterogeneousNetwork):
+            stand_in.__module__ = weighted.__name__
+            stand_in.__qualname__ = stand_in.__name__
+        old = HeterogeneousNetwork()
+        old.__dict__.update(_names={"term": ["a", "b"]},
+                            _index={"term": {"a": 0, "b": 1}}, _links={},
+                            _version=2, _degree_cache={})
+        if with_links:
+            store = _LinkStore()
+            store.__dict__.update(rows=np.zeros(1, dtype=np.int64),
+                                  cols=np.ones(1, dtype=np.int64),
+                                  weights=np.ones(1))
+            old._links[("term", "term")] = store
+
+        ckpt_dir = tmp_path / "ckpts"
+        cfg = dict(num_children=2, max_depth=1, max_iter=30,
+                   checkpoint_dir=str(ckpt_dir))
+        HierarchyBuilder(BuilderConfig(**cfg), seed=7).build(dblp_network)
+        (path,) = ckpt_dir.glob("subtree_*.ckpt")
+        document = load_checkpoint(str(path))
+        for child in document["state"]["children"]:
+            child.network = old
+        with monkeypatch.context() as patch:
+            patch.setattr(weighted, "_LinkStore", _LinkStore, raising=False)
+            patch.setattr(weighted, "HeterogeneousNetwork",
+                          HeterogeneousNetwork)
+            save_checkpoint(str(path), document)
+        with pytest.raises(DataError, match="unreadable"):
+            HierarchyBuilder(BuilderConfig(resume=True, **cfg),
+                             seed=7).build(dblp_network)
+
     def test_miner_checkpoint_dir_matches_plain_fit(self, tiny_corpus,
                                                     tmp_path):
         miner_config = MinerConfig(num_children=2, max_depth=1,
