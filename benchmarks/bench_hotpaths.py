@@ -6,8 +6,8 @@ loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, Example 3.1 collapse and child networks,
 ToPMine merge, frequent-phrase mining, role attribution, candidate graph
 and TPFG kernels, the serving engine's uncached topic detail, the v2
-artifact writer, the STROD moments and the one-pass corpus build,
-against theirs.
+artifact writer, the STROD moments, the one-pass corpus build and the
+stream's moment sketch, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -32,7 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
 from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
-                               legacy_gibbs_sweep,
+                               ReferenceRowSketch, legacy_gibbs_sweep,
                                reference_build_candidate_graph,
                                reference_build_collapsed_network,
                                reference_corpus_token_array,
@@ -70,8 +70,8 @@ from repro.roles.analyzer import attribute_documents
 from repro.serve import ModelQueryEngine, load_model, save_model_document
 from repro.serve.artifact import parts_from_document
 from repro.serve.artifact_v2 import pack_model
-from repro.strod import (STROD, compute_whitener, first_moment,
-                         second_moment, whitened_third_moment)
+from repro.strod import (STROD, MomentSketch, compute_whitener,
+                         first_moment, second_moment, whitened_third_moment)
 from repro.strod.moments import count_matrix
 
 from bench_serve import synthetic_document
@@ -114,6 +114,10 @@ DETAIL_TERMS = NODES * 10
 #: The saved model follows the node knob too: the topic-detail model
 #: (20,000 terms x 9 topics) with 6,000 authors' role rows at full size.
 SAVE_AUTHORS = NODES * 3
+
+#: Shards of the stream-sketch bench: the ``ingest_swap`` perfbench
+#: stream's batch count, over the phrase-mining corpus.
+STREAM_SHARDS = 20
 
 #: STROD moment documents follow the node knob: 10,000 planted-LDA
 #: documents of 10 tokens over 500 words at full size.
@@ -636,6 +640,70 @@ def test_hotpath_corpus_build(benchmark):
     assert np.array_equal(corpus.doc_chunks, doc_chunks)
     assert list(corpus) == ref_documents
     assert fast <= SANITY_SECONDS
+
+
+def test_hotpath_stream_sketch(benchmark):
+    """A 20-shard stream through sketch, merge, M1 and fingerprint: the
+    flat CSR sketch, one count per shard over its token array, vs the
+    per-row sketch (one ``np.unique`` per document, every row
+    concatenated again for each M1 and fingerprint)."""
+    corpus = generate_dblp(DBLPConfig(max_authors=PHRASE_AUTHORS),
+                           seed=9).corpus
+    vocab_size = len(corpus.vocabulary)
+    bounds = np.linspace(0, len(corpus), STREAM_SHARDS + 1).astype(int)
+    offsets = corpus.doc_offsets
+    shards = [(corpus.tokens[offsets[a]:offsets[b]],
+               offsets[a:b + 1] - offsets[a])
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    token_lists = corpus.token_lists()
+    shard_docs = [token_lists[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def stream(parts, sketch_of):
+        """Per shard: sketch, merge, M1 (drift) and fingerprint
+        (checkpoint)."""
+        sketch, seen = None, []
+        for part in parts:
+            shard = sketch_of(part)
+            sketch = shard if sketch is None else sketch.merge(shard)
+            seen.append((sketch.first_moment(), sketch.fingerprint()))
+        return seen
+
+    def stream_fast():
+        return stream(shards, lambda arrays: MomentSketch.from_tokens(
+            *arrays, vocab_size))
+
+    def stream_slow():
+        return stream(shard_docs, lambda docs: ReferenceRowSketch.from_docs(
+            docs, vocab_size))
+
+    def run():
+        fast = _time(stream_fast, span_name="bench.sketch.flat")
+        slow = _time(stream_slow, repeats=1, span_name="bench.sketch.rows")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    report("hotpath_stream_sketch", [
+        fmt_row("kernel", ["seconds", "speedup"]),
+        fmt_row("flat CSR, one count/shard", [fast, 1.0]),
+        fmt_row("per-row np.unique sketch", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.sketch.flat", "bench.sketch.rows"}) + [
+        f"docs={len(corpus)} shards={STREAM_SHARDS} "
+        f"tokens={corpus.num_tokens} vocabulary={vocab_size}",
+        "timed: per shard sketch + merge + M1 + fingerprint",
+        "acceptance: >= 5x at 1,000 authors",
+    ])
+
+    for (m1, print_fast), (ref_m1, print_slow) in zip(stream_fast(),
+                                                      stream_slow()):
+        assert print_fast == print_slow
+        assert np.array_equal(m1, ref_m1)
+    assert fast <= SANITY_SECONDS
+    if CHUNKS >= FULL_CHUNKS:
+        assert speedup >= 5.0
 
 
 def test_hotpath_candidate_graph(benchmark):

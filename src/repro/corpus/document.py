@@ -255,11 +255,23 @@ class Corpus:
         """Take the token arrays; check and store every document's
         entities, year and label (parallel sequences, or None)."""
         num_docs = len(doc_chunks)
-        self._links, self._key_orders, doc_keys = _entity_relations(
-            entities, num_docs)
+        links, key_orders, doc_keys = _entity_relations(entities, num_docs)
+        self._adopt_arrays(tokens, chunk_lengths, doc_chunks, links,
+                           key_orders, doc_keys,
+                           *_year_arrays(years, num_docs),
+                           list(labels) if labels is not None
+                           else [None] * num_docs)
+
+    def _adopt_arrays(self, tokens: np.ndarray, chunk_lengths: np.ndarray,
+                      doc_chunks: np.ndarray, links: Dict[str, EntityLinks],
+                      key_orders: List[KeyOrder], doc_keys: np.ndarray,
+                      years: np.ndarray, has_year: np.ndarray,
+                      labels: List[Any]) -> None:
+        """Take every array of an already checked corpus."""
+        self._links, self._key_orders = links, key_orders
         self._doc_keys = _frozen(doc_keys)
-        self.years, self.has_year = _year_arrays(years, num_docs)
-        self.labels = list(labels) if labels is not None else [None] * num_docs
+        self.years, self.has_year = _frozen(years), _frozen(has_year)
+        self.labels = labels
         self.tokens = _frozen(tokens)
         self.chunk_lengths = _frozen(chunk_lengths)
         self.doc_chunks = _frozen(doc_chunks)
@@ -355,6 +367,62 @@ class Corpus:
         corpus = cls(vocabulary)
         corpus._adopt(tokens, chunk_lengths, doc_chunks, entities, years,
                       labels)
+        return corpus
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Corpus"],
+                    vocabulary: Vocabulary) -> "Corpus":
+        """The documents of ``parts``, in order, as one corpus over
+        ``vocabulary``.
+
+        Equal, id for id, to :meth:`from_chunks` over the parts'
+        documents: the token, chunk, year and label arrays are joined as
+        they are, and each entity type's ids are renumbered through the
+        parts' name tables into first mention order across the parts.
+        Every part's token ids must index ``vocabulary``.
+
+        Raises:
+            DataError: a token id outside ``vocabulary``.
+        """
+        parts = [part for part in parts if len(part)]
+        if not parts:
+            return cls(vocabulary)
+        tokens = np.concatenate([part.tokens for part in parts])
+        if tokens.size and (tokens.min() < 0
+                            or tokens.max() >= len(vocabulary)):
+            raise DataError(f"token id outside vocabulary of size "
+                            f"{len(vocabulary)}")
+        links: Dict[str, EntityLinks] = {}
+        for entity_type in dict.fromkeys(chain.from_iterable(
+                part._links for part in parts)):
+            typed = [part.entity_links(entity_type) for part in parts]
+            names = list(dict.fromkeys(chain.from_iterable(
+                part.names for part in typed)))
+            index = dict(zip(names, range(len(names))))
+            ids = [np.fromiter(map(index.__getitem__, part.names),
+                               dtype=np.int64,
+                               count=len(part.names))[part.ids]
+                   for part in typed]
+            links[entity_type] = EntityLinks(
+                _offsets(np.concatenate([np.diff(part.indptr)
+                                         for part in typed])),
+                _frozen(np.concatenate(ids)), names)
+        key_orders = list(dict.fromkeys(chain.from_iterable(
+            part._key_orders for part in parts)))
+        key_index = dict(zip(key_orders, range(len(key_orders))))
+        doc_keys = np.concatenate([
+            np.fromiter(map(key_index.__getitem__, part._key_orders),
+                        dtype=np.int64,
+                        count=len(part._key_orders))[part._doc_keys]
+            for part in parts])
+        corpus = cls(vocabulary)
+        corpus._adopt_arrays(
+            tokens, np.concatenate([part.chunk_lengths for part in parts]),
+            np.concatenate([part.doc_chunks for part in parts]), links,
+            key_orders, doc_keys,
+            np.concatenate([part.years for part in parts]),
+            np.concatenate([part.has_year for part in parts]),
+            list(chain.from_iterable(part.labels for part in parts)))
         return corpus
 
     def add_document(self,

@@ -5,23 +5,28 @@
 1. the raw documents are committed to the :class:`ShardStore` (shard
    file + vocab delta + manifest, atomically), keyed by a content hash
    so a retried batch is committed exactly once;
-2. the committed shard is sketched (``pmap``) and merged into the
-   running :class:`~repro.strod.MomentSketch` — an exactly-associative
-   merge, so the running sketch equals a from-scratch sketch of the
-   whole log;
+2. the committed shard — held by the store as arrays, not read back —
+   is sketched (``pmap``) and merged into the running
+   :class:`~repro.strod.MomentSketch` — an exactly-associative merge, so
+   the running sketch equals a from-scratch sketch of the whole log;
 3. the drift detectors compare the sketch against the last-solve
    baseline and, together with the ``refit_policy``
    (``drift`` / ``always`` / ``never``), decide whether to re-infer;
 4. a triggered refit patches the dirty subtrees
    (:class:`~repro.stream.refit.StreamRefitter`), bumps the model
    version, and exports a fresh artifact for the servers to hot-swap;
-5. the pipeline state (sketch, baseline, tree state, model version) is
-   checkpointed under the fingerprint-guarded
-   :class:`~repro.resilience.CheckpointWriter` protocol.
+5. the pipeline state (baseline, tree state, model version, synced
+   shard count and the sketch's fingerprint) is checkpointed under the
+   fingerprint-guarded :class:`~repro.resilience.CheckpointWriter`
+   protocol.  The sketch itself is not: the shard log already holds
+   every row of it, so the checkpoint's size follows the tree, not the
+   stream.
 
 Crash safety: the shard commit and the checkpoint are both atomic, with
-the checkpoint written *after* the commit.  A crash between the two
-leaves the store ahead of the checkpoint; on restart the pipeline
+the checkpoint written *after* the commit.  On restart the pipeline
+rebuilds the sketch from the checkpointed shard prefix and checks it
+against the recorded fingerprint.  A crash between commit and
+checkpoint leaves the store ahead of the checkpoint; the pipeline then
 **re-processes** the committed-but-unprocessed shards one by one —
 sketch merge, drift detection, refit decision and all, against the
 per-shard vocabulary recorded in the log — so a killed-and-resumed
@@ -45,7 +50,7 @@ from ..strod.hierarchy import STRODTreeConfig
 from .drift import DriftConfig, DriftReport, baseline_from_sketch, detect_drift
 from .refit import StreamRefitter, entity_role_counts
 from .shards import ShardStore
-from .sketch import build_shard_sketches, sketch_fingerprint
+from .sketch import build_shard_sketches, merge_sketches, sketch_fingerprint
 
 __all__ = [
     "PIPELINE_SOLVER",
@@ -167,11 +172,14 @@ class IngestPipeline:
         workers: worker count for the sketch ``pmap`` (None defers to
             the resolver chain).
 
-    A fresh pipeline over a non-empty store — or one resumed from a
-    checkpoint older than the store — re-processes the outstanding
-    shards (sketch, drift, refit decision) before accepting new
-    batches, so its state always describes the full committed log and
-    matches what an uninterrupted run would hold.
+    A pipeline resumed from a checkpoint rebuilds its sketch from the
+    shards the checkpoint covers and refuses a log whose sketch does not
+    match the checkpoint's fingerprint.  A fresh pipeline over a
+    non-empty store — or one resumed from a checkpoint older than the
+    store — re-processes the outstanding shards (sketch, drift, refit
+    decision) before accepting new batches, so its state always
+    describes the full committed log and matches what an uninterrupted
+    run would hold.
     """
 
     def __init__(self, store: ShardStore,
@@ -218,8 +226,6 @@ class IngestPipeline:
 
     def _state(self) -> Dict[str, Any]:
         return {
-            "sketch": (None if self._sketch is None
-                       else self._sketch.to_state()),
             "baseline": self._baseline,
             "tree_state": self._tree_state,
             "model_version": self._model_version,
@@ -232,8 +238,12 @@ class IngestPipeline:
         }
 
     def _restore(self, state: Dict[str, Any]) -> None:
-        if state.get("sketch") is not None:
-            self._sketch = MomentSketch.from_state(state["sketch"])
+        """Adopt a checkpointed state; the sketch comes from the log.
+
+        A checkpoint that still carries its sketch (written before the
+        sketch left the checkpoint) resumes the same way: the rows it
+        holds are the log's, which the fingerprint check confirms.
+        """
         self._baseline = state.get("baseline")
         self._tree_state = state.get("tree_state")
         self._model_version = int(state.get("model_version", 0))
@@ -245,10 +255,26 @@ class IngestPipeline:
                 f"pipeline checkpoint is ahead of the shard store "
                 f"({self._synced_shards} > {self.store.num_shards}); "
                 f"the store and checkpoint do not belong together")
+        if not self._synced_shards:
+            return
+        shards = [self.store.shard(shard_id)
+                  for shard_id in range(self._synced_shards)]
+        self._sketch = merge_sketches(build_shard_sketches(
+            [shard.corpus for shard in shards], shards[-1].vocab_size,
+            min_length=self.config.min_length, workers=self.workers))
+        rebuilt = sketch_fingerprint(self._sketch, self._synced_shards,
+                                     shards[-1].vocab_version)
+        if rebuilt != state.get("fingerprint"):
+            raise DataError(
+                f"pipeline checkpoint does not describe the shard store: "
+                f"its sketch fingerprint is {state.get('fingerprint')!r} "
+                f"but the first {self._synced_shards} shard(s) sketch to "
+                f"{rebuilt!r}")
 
     def _checkpoint(self) -> None:
         if self._writer is not None:
-            self._writer.save(self._synced_shards, self._state())
+            with span("stream.checkpoint"):
+                self._writer.save(self._synced_shards, self._state())
 
     # --------------------------------------------------------------- ingest
     def ingest_batch(self, documents: Sequence[Dict[str, Any]],
@@ -260,8 +286,9 @@ class IngestPipeline:
         JSONL fed twice) is not appended again.
         """
         with span("stream.ingest_batch", num_documents=len(documents)):
-            info = self.store.append_batch(documents,
-                                           batch_key=batch_key(documents))
+            with span("stream.batch_key"):
+                key = batch_key(documents)
+            info = self.store.append_batch(documents, batch_key=key)
             if info["already_committed"]:
                 inc("stream.batches_deduped")
             outcome = self._process_pending()
@@ -308,38 +335,36 @@ class IngestPipeline:
 
     def _process_shard(self, shard_id: int) -> Dict[str, Any]:
         """Sketch one shard, detect drift, maybe refit, checkpoint."""
-        payload = self.store.load_shard(shard_id)
-        docs = [[tok for chunk in record["chunks"] for tok in chunk]
-                for record in payload["documents"]]
         # The vocab as of *this* shard's commit — not the store's
         # current one — so re-processing history after a crash walks
         # through the same intermediate states as the original run.
-        vocab_size = int(payload.get("vocab_size",
-                                     len(self.store.vocabulary)))
-        shard_sketch = build_shard_sketches(
-            [docs], vocab_size, min_length=self.config.min_length,
-            workers=self.workers)[0]
-        if self._sketch is None:
-            self._sketch = shard_sketch
-        else:
-            self._sketch.expand_vocab(vocab_size)
-            self._sketch = self._sketch.merge(shard_sketch)
+        shard = self.store.shard(shard_id)
+        with span("stream.sketch"):
+            shard_sketch = build_shard_sketches(
+                [shard.corpus], shard.vocab_size,
+                min_length=self.config.min_length, workers=self.workers)[0]
+            self._sketch = (shard_sketch if self._sketch is None
+                            else self._sketch.merge(shard_sketch))
         self._synced_shards = shard_id + 1
-        self._synced_vocab_version = int(payload["vocab_version"])
+        self._synced_vocab_version = shard.vocab_version
         set_gauge("stream.sketch.num_docs", self._sketch.num_docs)
         set_gauge("stream.sketch.vocab_size", self._sketch.vocab_size)
 
-        drift = detect_drift(self._baseline, self._sketch,
-                             self.config.drift)
-        for metric, value in drift.metrics.items():
-            if value != float("inf"):
-                set_gauge(f"stream.drift.{metric}", value)
-        policy = self.config.refit_policy
-        refit_ran = (policy == "always"
-                     or (policy == "drift" and drift.triggered))
+        with span("stream.drift"):
+            drift = detect_drift(self._baseline, self._sketch,
+                                 self.config.drift)
+            for metric, value in drift.metrics.items():
+                if value != float("inf"):
+                    set_gauge(f"stream.drift.{metric}", value)
+            policy = self.config.refit_policy
+            refit_ran = (policy == "always"
+                         or (policy == "drift" and drift.triggered))
+            # The snapshot the next batch's detection compares against.
+            baseline = baseline_from_sketch(self._sketch) \
+                if refit_ran else None
         refit_stats = None
-        if refit_ran:
-            refit_stats = self._refit()
+        if baseline is not None:
+            refit_stats = self._refit(baseline)
         else:
             inc("stream.refit.skipped")
         self._checkpoint()
@@ -347,16 +372,16 @@ class IngestPipeline:
                 "refit_stats": refit_stats}
 
     # ---------------------------------------------------------------- refit
-    def _refit(self) -> Dict[str, int]:
-        """Re-infer dirty subtrees, bump the version, export."""
-        assert self._sketch is not None
+    def _refit(self, baseline: Dict[str, Any]) -> Dict[str, int]:
+        """Re-infer dirty subtrees, adopt ``baseline``, bump the version,
+        export."""
         corpus = self.store.load_corpus(num_shards=self._synced_shards)
         refitter = StreamRefitter(self.config.tree, seed=self.config.seed,
                                   dirty_threshold=self.config.dirty_threshold)
         hierarchy, tree_state, doc_notations, stats = refitter.refit(
             corpus, self._tree_state)
         self._tree_state = tree_state
-        self._baseline = baseline_from_sketch(self._sketch)
+        self._baseline = baseline
         self._model_version += 1
         inc("stream.refits")
         set_gauge("stream.model_version", self._model_version)
@@ -370,20 +395,22 @@ class IngestPipeline:
         from ..serve.artifact import model_parts, save_model_document
 
         assert self.config.export_path is not None
-        parts = model_parts(
-            vocabulary=corpus.vocabulary,
-            hierarchy=hierarchy,
-            entity_roles=entity_role_counts(corpus, doc_notations),
-            num_documents=len(corpus),
-            config=self.config.to_config(),
-            extra_manifest={
-                "model_version": self._model_version,
-                "stream": sketch_fingerprint(self._sketch,
-                                             self._synced_shards,
-                                             self._synced_vocab_version),
-            })
-        manifest = save_model_document(parts, self.config.export_path,
-                                       format=self.config.export_format)
+        with span("stream.export"):
+            parts = model_parts(
+                vocabulary=corpus.vocabulary,
+                hierarchy=hierarchy,
+                entity_roles=entity_role_counts(corpus, doc_notations),
+                num_documents=len(corpus),
+                config=self.config.to_config(),
+                extra_manifest={
+                    "model_version": self._model_version,
+                    "stream": sketch_fingerprint(
+                        self._sketch, self._synced_shards,
+                        self._synced_vocab_version),
+                })
+            manifest = save_model_document(
+                parts, self.config.export_path,
+                format=self.config.export_format)
         inc("stream.exports")
         logger.info("exported model v%d (%d topics) -> %s",
                     self._model_version, manifest["num_topics"],

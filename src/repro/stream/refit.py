@@ -20,8 +20,10 @@ refit reproduces ``STRODHierarchyBuilder(config, seed).build(corpus)``
 positive threshold the result is approximate on reused subtrees, by
 design: that is where the incremental speedup comes from.
 
-The per-node models live in a plain-data tree state (JSON/pickle safe)
-so the ingest pipeline can checkpoint and resume them.
+Every node's documents are rows sliced from one documents x words count
+matrix built from the corpus's token array.  The per-node models live
+in a plain-data tree state (JSON/pickle safe) so the ingest pipeline can
+checkpoint and resume them.
 """
 
 from __future__ import annotations
@@ -30,13 +32,15 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..corpus import Corpus
 from ..errors import ConfigurationError
 from ..hierarchy import Topic, TopicalHierarchy
 from ..obs import get_logger, inc, span
 from ..strod import STROD
-from ..strod.hierarchy import STRODTreeConfig
+from ..strod.hierarchy import STRODTreeConfig, child_topic
+from ..strod.moments import document_counts
 from ..strod.strod import STRODModel
 from ..utils import ensure_rng
 
@@ -130,27 +134,29 @@ class StreamRefitter:
         ``tree_state`` is the plain-data per-node model map to pass to
         the next refit.
         """
-        prev_nodes = (previous or {}).get("nodes", {})
-        stats = RefitStats(num_documents=len(corpus))
-        hierarchy = TopicalHierarchy()
-        docs = corpus.token_lists()
-        doc_notations = ["o"] * len(docs)
-        state: Dict[str, Any] = {"nodes": {}}
-        rng = ensure_rng(self.seed)
-        with span("stream.refit", num_documents=len(docs)):
-            self._expand(hierarchy.root, corpus, docs,
-                         np.arange(len(docs)), 0, prev_nodes, state,
+        with span("stream.refit", num_documents=len(corpus)):
+            prev_nodes = (previous or {}).get("nodes", {})
+            stats = RefitStats(num_documents=len(corpus))
+            hierarchy = TopicalHierarchy()
+            doc_notations = ["o"] * len(corpus)
+            state: Dict[str, Any] = {"nodes": {}}
+            rng = ensure_rng(self.seed)
+            counts = document_counts(corpus.tokens, corpus.doc_offsets,
+                                     len(corpus.vocabulary), min_length=0)
+            self._expand(hierarchy.root, list(corpus.vocabulary), counts,
+                         np.diff(corpus.doc_offsets),
+                         np.arange(len(corpus)), 0, prev_nodes, state,
                          doc_notations, stats, rng)
-        inc("stream.refit.nodes_solved", stats.nodes_solved)
-        inc("stream.refit.nodes_reused", stats.nodes_reused)
-        logger.info("refit over %d documents: %d nodes solved, "
-                    "%d reused", len(docs), stats.nodes_solved,
-                    stats.nodes_reused)
+            inc("stream.refit.nodes_solved", stats.nodes_solved)
+            inc("stream.refit.nodes_reused", stats.nodes_reused)
+            logger.info("refit over %d documents: %d nodes solved, "
+                        "%d reused", len(corpus), stats.nodes_solved,
+                        stats.nodes_reused)
         return hierarchy, state, doc_notations, stats
 
     # ------------------------------------------------------------ internals
-    def _expand(self, topic: Topic, corpus: Corpus,
-                docs: List[List[int]], doc_ids: np.ndarray, level: int,
+    def _expand(self, topic: Topic, words: List[str], counts: csr_matrix,
+                lengths: np.ndarray, doc_ids: np.ndarray, level: int,
                 prev_nodes: Dict[str, Any], state: Dict[str, Any],
                 doc_notations: List[str], stats: RefitStats,
                 rng) -> None:
@@ -158,13 +164,12 @@ class StreamRefitter:
         config = self.config
         if level >= config.max_depth:
             return
-        subset = [docs[i] for i in doc_ids.tolist()]
-        long_enough = [d for d in subset if len(d) >= 3]
-        if len(long_enough) < max(config.min_documents,
-                                  config.num_children):
+        if int((lengths[doc_ids] >= 3).sum()) < max(config.min_documents,
+                                                    config.num_children):
             return
 
-        vocab_size = len(corpus.vocabulary)
+        subset = counts[doc_ids]
+        vocab_size = len(words)
         notation = topic.notation
         prev = prev_nodes.get(notation)
         estimator = STROD(num_topics=config.num_children,
@@ -172,30 +177,27 @@ class StreamRefitter:
                           num_restarts=config.num_restarts,
                           num_iterations=config.num_iterations,
                           seed=rng)
-        if prev is not None and not self._is_dirty(prev, len(subset)):
+        if prev is not None and not self._is_dirty(prev, len(doc_ids)):
             estimator.model_ = _model_from_state(prev, vocab_size)
             model = estimator.model_
             stats.nodes_reused += 1
         else:
             model = estimator.fit(subset, vocab_size=vocab_size)
             stats.nodes_solved += 1
-        state["nodes"][notation] = _model_to_state(model, len(subset))
+        state["nodes"][notation] = _model_to_state(model, len(doc_ids))
         responsibilities = estimator.document_topics(subset)
         assignment = responsibilities.argmax(axis=1)
 
-        vocabulary = corpus.vocabulary
         for z in range(config.num_children):
-            phi_dict = {vocabulary.word_of(w): float(p)
-                        for w, p in enumerate(model.phi[z]) if p > 1e-6}
-            child = Topic(rho=float(model.alpha[z] / model.alpha.sum()),
-                          phi={"term": phi_dict})
+            child = child_topic(model, z, words)
             topic.add_child(child)
             child_doc_ids = doc_ids[np.flatnonzero(assignment == z)]
             child_notation = child.notation
             for doc_id in child_doc_ids.tolist():
                 doc_notations[doc_id] = child_notation
-            self._expand(child, corpus, docs, child_doc_ids, level + 1,
-                         prev_nodes, state, doc_notations, stats, rng)
+            self._expand(child, words, counts, lengths, child_doc_ids,
+                         level + 1, prev_nodes, state, doc_notations, stats,
+                         rng)
 
     def _is_dirty(self, prev: Dict[str, Any], subset_size: int) -> bool:
         """Has the node's document subset changed enough to re-solve?"""
@@ -213,23 +215,43 @@ def entity_role_counts(corpus: Corpus, doc_notations: List[str],
     shape the batch role analyzer feeds the serve artifact
     (``{etype: {name: {notation: count}}}``), derived purely from the
     refit's document assignment so the streamed artifact needs no
-    separate EM pass.
+    separate EM pass.  Per entity type, every (link, ancestor) pair is
+    one key ``entity * A + ancestor`` over the ``A`` distinct ancestors,
+    and one ``np.unique`` counts them all.
     """
-    lineages: Dict[str, List[str]] = {}
-    for notation in doc_notations:
-        if notation not in lineages:
-            parts = notation.split("/")
-            lineages[notation] = ["/".join(parts[:i + 1])
-                                  for i in range(len(parts))]
-    doc_lineage = [lineages[notation] for notation in doc_notations]
+    topics = list(dict.fromkeys(doc_notations))
+    topic_of = dict(zip(topics, range(len(topics))))
+    doc_topic = np.fromiter(map(topic_of.__getitem__, doc_notations),
+                            dtype=np.int64, count=len(doc_notations))
+    lineages = []
+    for notation in topics:
+        parts = notation.split("/")
+        lineages.append(["/".join(parts[:i + 1]) for i in range(len(parts))])
+    ancestors = list(dict.fromkeys(a for lineage in lineages
+                                   for a in lineage))
+    ancestor_of = dict(zip(ancestors, range(len(ancestors))))
+    depth = np.array([len(lineage) for lineage in lineages], dtype=np.int64)
+    starts = np.zeros(len(topics) + 1, dtype=np.int64)
+    np.cumsum(depth, out=starts[1:])
+    lineage_ids = np.array([ancestor_of[a] for lineage in lineages
+                            for a in lineage], dtype=np.int64)
+    width = max(len(ancestors), 1)
     roles: Dict[str, Dict[str, Dict[str, float]]] = {}
     for etype, links in corpus.entity_relations().items():
-        table: Dict[str, Dict[str, float]] = {}
-        roles[etype] = table
-        names = links.names
-        for doc, entity in zip(links.documents().tolist(),
-                               links.ids.tolist()):
-            counts = table.setdefault(names[entity], {})
-            for ancestor in doc_lineage[doc]:
-                counts[ancestor] = counts.get(ancestor, 0.0) + 1.0
+        link_topic = doc_topic[links.documents()]
+        per_link = depth[link_topic]
+        first = np.cumsum(per_link) - per_link
+        rank = np.arange(int(per_link.sum())) - np.repeat(first, per_link)
+        pair_ancestor = lineage_ids[np.repeat(starts[link_topic], per_link)
+                                    + rank]
+        keys, counts = np.unique(
+            np.repeat(links.ids, per_link) * width + pair_ancestor,
+            return_counts=True)
+        entities, heads = np.unique(keys // width, return_index=True)
+        held = [ancestors[a] for a in (keys % width).tolist()]
+        values = counts.astype(float).tolist()
+        edges = heads.tolist() + [len(keys)]
+        roles[etype] = {links.names[e]: dict(zip(held[lo:hi], values[lo:hi]))
+                        for e, lo, hi in zip(entities.tolist(), edges[:-1],
+                                             edges[1:])}
     return roles

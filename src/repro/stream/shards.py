@@ -17,6 +17,13 @@ pipeline instead treats the corpus as an immutable log:
   same batch deterministically rewrites them byte-for-byte, so a killed
   ingest resumes bit-identically.
 
+The store keeps every shard it writes or reads as arrays (a
+:class:`Shard`: the shard's documents as a
+:class:`~repro.corpus.Corpus` plus the vocabulary as of its commit), so
+the pipeline sketches a new shard without reading it back and
+:meth:`ShardStore.load_corpus` joins arrays instead of unpickling the
+log.
+
 Token ids are assigned in first-seen order across the whole log —
 exactly the order :meth:`repro.corpus.Corpus.from_texts` would assign
 over the concatenated batches — which is what makes a streamed corpus
@@ -27,7 +34,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..contracts import SHARD_DIR_V1, SHARD_V1, VOCAB_DELTA_V1
 from ..corpus import Corpus, Vocabulary
@@ -41,6 +49,7 @@ __all__ = [
     "SHARD_MAGIC",
     "SHARD_SCHEMA",
     "VOCAB_DELTA_SCHEMA",
+    "Shard",
     "ShardStore",
     "is_shard_dir",
 ]
@@ -68,6 +77,71 @@ def is_shard_dir(path: str) -> bool:
         return False
     return (isinstance(data, dict)
             and str(data.get("schema", "")).startswith("repro.stream/"))
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One committed shard, held in memory.
+
+    Attributes:
+        shard_id: its position in the log.
+        corpus: its documents as arrays (token ids index the store's
+            vocabulary as of the commit).
+        vocab_version / vocab_size: the vocabulary after its commit.
+    """
+
+    shard_id: int
+    corpus: Corpus
+    vocab_version: int
+    vocab_size: int
+
+
+def _is_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _check_document(position: int, raw: Any) -> None:
+    """Refuse a raw document the log cannot hold as given.
+
+    Runs before the batch touches the vocabulary or the disk, so a
+    refused batch leaves the store exactly as it was.  A bare string
+    where a list is expected would otherwise be read one character per
+    item.
+    """
+    where = f"stream document {position}"
+    if not isinstance(raw, dict):
+        raise DataError(f"{where} must be an object, "
+                        f"got {type(raw).__name__}")
+    if "text" in raw:
+        if not isinstance(raw["text"], str):
+            raise DataError(f"{where}: text is not a string: "
+                            f"{raw['text']!r}")
+    elif "chunks" in raw:
+        chunks = raw["chunks"]
+        if not _is_list(chunks) or not all(map(_is_list, chunks)):
+            raise DataError(f"{where}: 'chunks' must be a list of token "
+                            f"lists, got {chunks!r}")
+    else:
+        raise DataError(f"{where} needs a 'text' or 'chunks' field")
+    entities = raw.get("entities") or {}
+    if not isinstance(entities, dict):
+        raise DataError(f"{where}: 'entities' must be an object")
+    for entity_type, names in entities.items():
+        if isinstance(names, str):
+            raise DataError(
+                f"{where}: entity type {entity_type!r} maps to the "
+                f"string {names!r}; give a list of names")
+        if not _is_list(names):
+            raise DataError(f"{where}: entity type {entity_type!r} needs "
+                            f"a list of names, got {names!r}")
+    year = raw.get("year")
+    if year is not None:
+        if type(year) is bool or not isinstance(year, int):
+            raise DataError(f"{where}: 'year' must be an integer, "
+                            f"got {year!r}")
+        if not -2**63 <= year < 2**63:
+            raise DataError(f"{where}: 'year' {year!r} does not fit in "
+                            f"64 bits")
 
 
 class ShardStore:
@@ -104,6 +178,7 @@ class ShardStore:
             }
             atomic_write_json(self._manifest_path, self._manifest, indent=2)
         self.vocabulary = self._load_vocabulary()
+        self._shards: Dict[int, Shard] = {}
 
     # ------------------------------------------------------------ manifest
     def _read_manifest(self) -> Dict[str, Any]:
@@ -169,40 +244,32 @@ class ShardStore:
         return os.path.join(self._shards_dir, f"shard-{shard_id:06d}")
 
     def _encode_document(self, raw: Dict[str, Any]) -> Dict[str, Any]:
-        if not isinstance(raw, dict):
-            raise DataError(f"stream document must be an object, "
-                            f"got {type(raw).__name__}")
+        """One checked raw document as a shard record (grows the
+        vocabulary by its new words)."""
         if "text" in raw:
             token_chunks = tokenize_chunks(raw["text"],
                                            stopwords=DEFAULT_STOPWORDS)
-        elif "chunks" in raw:
+        else:
             token_chunks = [[str(tok) for tok in chunk]
                             for chunk in raw["chunks"]]
-        else:
-            raise DataError(
-                "stream document needs a 'text' or 'chunks' field")
-        id_chunks = [self.vocabulary.encode(chunk, add_missing=True)
-                     for chunk in token_chunks]
-        entities = raw.get("entities") or {}
-        if not isinstance(entities, dict):
-            raise DataError("stream document 'entities' must be an object")
-        for entity_type, names in entities.items():
-            if isinstance(names, str):
-                raise DataError(
-                    f"stream document entity type {entity_type!r} maps to "
-                    f"the string {names!r}; give a list of names")
-        year = raw.get("year")
-        if year is not None and (type(year) is bool
-                                 or not isinstance(year, int)):
-            raise DataError(f"stream document 'year' must be an integer, "
-                            f"got {year!r}")
         return {
-            "chunks": id_chunks,
+            "chunks": [self.vocabulary.encode(chunk, add_missing=True)
+                       for chunk in token_chunks],
             "entities": {str(k): [str(n) for n in v]
-                         for k, v in entities.items()},
+                         for k, v in (raw.get("entities") or {}).items()},
             "year": raw.get("year"),
             "label": raw.get("label"),
         }
+
+    def _shard_of(self, shard_id: int, records: List[Dict[str, Any]],
+                  vocab_version: int, vocab_size: int) -> Shard:
+        """A shard's records as arrays."""
+        corpus = Corpus.from_chunks(
+            [record["chunks"] for record in records], self.vocabulary,
+            entities=[record["entities"] for record in records],
+            years=[record.get("year") for record in records],
+            labels=[record.get("label") for record in records])
+        return Shard(shard_id, corpus, vocab_version, vocab_size)
 
     def append_batch(self, documents: Sequence[Dict[str, Any]],
                      batch_key: Optional[str] = None) -> Dict[str, Any]:
@@ -221,6 +288,11 @@ class ShardStore:
 
         Returns the committed shard record (``shard_id``, document
         count, vocab version/size after).
+
+        Raises:
+            DataError: an empty batch, a malformed document (named by
+                its position), or a first batch without a single word
+                outside the stopword list; nothing is written then.
         """
         if not documents:
             raise DataError("cannot append an empty batch")
@@ -238,9 +310,16 @@ class ShardStore:
                 "already_committed": True,
             }
         with span("stream.append_batch", num_documents=len(documents)):
+            for position, raw in enumerate(documents):
+                _check_document(position, raw)
             shard_id = self.num_shards
             old_vocab_size = len(self.vocabulary)
             encoded = [self._encode_document(raw) for raw in documents]
+            if not len(self.vocabulary):
+                raise DataError(
+                    "batch holds no word outside the stopword list and "
+                    "the stream has no vocabulary yet; its moments would "
+                    "be empty")
             new_words = [self.vocabulary.word_of(i)
                          for i in range(old_vocab_size,
                                         len(self.vocabulary))]
@@ -254,6 +333,8 @@ class ShardStore:
                     "start_id": old_vocab_size,
                     "words": new_words,
                 }, indent=2)
+            shard = self._shard_of(shard_id, encoded, vocab_version,
+                                   len(self.vocabulary))
             save_framed(self._shard_path(shard_id), {
                 "schema": SHARD_SCHEMA,
                 "shard_id": shard_id,
@@ -274,11 +355,12 @@ class ShardStore:
             }
             atomic_write_json(self._manifest_path, self._manifest,
                               indent=2)
-        inc("stream.shards_written")
-        inc("stream.docs_ingested", len(encoded))
-        logger.info("committed shard %d (%d documents, vocab %d words, "
-                    "delta v%d)", shard_id, len(encoded),
-                    len(self.vocabulary), vocab_version)
+            self._shards[shard_id] = shard
+            inc("stream.shards_written")
+            inc("stream.docs_ingested", len(encoded))
+            logger.info("committed shard %d (%d documents, vocab %d "
+                        "words, delta v%d)", shard_id, len(encoded),
+                        len(self.vocabulary), vocab_version)
         return {"shard_id": shard_id, "num_documents": len(encoded),
                 "vocab_version": vocab_version,
                 "vocab_size": len(self.vocabulary),
@@ -300,10 +382,18 @@ class ShardStore:
                 f"shard_id={payload.get('shard_id')!r})")
         return payload
 
-    def iter_shards(self, start: int = 0) -> Iterator[Dict[str, Any]]:
-        """Committed shard payloads in log order, from ``start``."""
-        for shard_id in range(start, self.num_shards):
-            yield self.load_shard(shard_id)
+    def shard(self, shard_id: int) -> Shard:
+        """A committed shard as arrays, read (CRC-verified) only the
+        first time it is asked for."""
+        shard = self._shards.get(shard_id)
+        if shard is None:
+            payload = self.load_shard(shard_id)
+            shard = self._shard_of(
+                shard_id, payload["documents"],
+                int(payload["vocab_version"]),
+                int(payload.get("vocab_size", len(self.vocabulary))))
+            self._shards[shard_id] = shard
+        return shard
 
     # -------------------------------------------------------------- corpus
     def load_corpus(self, num_shards: Optional[int] = None) -> Corpus:
@@ -311,33 +401,24 @@ class ShardStore:
 
         The rebuilt corpus is document-for-document and id-for-id
         identical to a batch corpus built over the same documents in the
-        same order.  A prefix load (``num_shards`` < committed count)
-        gets the vocabulary **as of that prefix** — the shard files
-        record their post-commit vocab size — so replaying history
-        reproduces exactly the corpora past refits saw.
+        same order: the shards' arrays are joined by
+        :meth:`~repro.corpus.Corpus.concatenate`.  A prefix load
+        (``num_shards`` < committed count) gets the vocabulary **as of
+        that prefix** — the shards record their post-commit vocab size —
+        so replaying history reproduces exactly the corpora past refits
+        saw.
         """
         upto = self.num_shards if num_shards is None else num_shards
         if not 0 <= upto <= self.num_shards:
             raise ConfigurationError(
                 f"num_shards {upto} out of range (store has "
                 f"{self.num_shards})")
-        payloads = []
-        vocab_size = 0
-        for payload in self.iter_shards():
-            if payload["shard_id"] >= upto:
-                break
-            payloads.append(payload)
-            vocab_size = int(payload.get("vocab_size",
-                                         len(self.vocabulary)))
-        if upto == self.num_shards:
-            vocabulary = self.vocabulary
-        else:
-            words = list(self.vocabulary)[:vocab_size]
-            vocabulary = Vocabulary(words)
-        records = [record for payload in payloads
-                   for record in payload["documents"]]
-        return Corpus.from_chunks(
-            [record["chunks"] for record in records], vocabulary,
-            entities=[record["entities"] for record in records],
-            years=[record.get("year") for record in records],
-            labels=[record.get("label") for record in records])
+        with span("stream.load_corpus"):
+            shards = [self.shard(shard_id) for shard_id in range(upto)]
+            if upto == self.num_shards:
+                vocabulary = self.vocabulary
+            else:
+                vocab_size = shards[-1].vocab_size if shards else 0
+                vocabulary = Vocabulary(list(self.vocabulary)[:vocab_size])
+            return Corpus.concatenate([shard.corpus for shard in shards],
+                                      vocabulary)

@@ -2,24 +2,29 @@
 
 Each shard's contribution to the STROD moments is captured by a
 :class:`~repro.strod.MomentSketch` built over that shard's documents
-alone.  Sketch construction is embarrassingly parallel and runs through
-:func:`repro.parallel.pmap` (order-preserving, graceful serial
-fallback), and because the sketch merge is **exactly associative**, the
-in-order merge of per-shard sketches is bit-identical to a sketch built
-over the whole log in one pass — for any worker count.
+alone, by one count over the shard's token array.  Sketch construction
+is embarrassingly parallel and runs through :func:`repro.parallel.pmap`
+(order-preserving, graceful serial fallback), and because the sketch
+merge is **exactly associative**, the in-order merge of per-shard
+sketches is bit-identical to a sketch built over the whole log in one
+pass — for any worker count.
 
 :func:`sketch_fingerprint` ties a sketch to the shard range and vocab
-version it was built from, so a checkpointed sketch can never be
-silently applied to a log it does not describe.
+version it was built from, so a sketch rebuilt from the log can be
+checked against the one a checkpoint or an artifact recorded.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..corpus import Corpus
 from ..errors import DataError
 from ..parallel import pmap
 from ..strod import MomentSketch
+from ..strod.moments import token_arrays
 
 __all__ = [
     "build_shard_sketches",
@@ -27,28 +32,31 @@ __all__ = [
     "sketch_fingerprint",
 ]
 
+#: A shard's documents: a corpus (its ``tokens`` and ``doc_offsets`` are
+#: read in place) or token-id documents.
+ShardDocuments = Union[Corpus, Sequence[Sequence[int]]]
+
 
 def _sketch_shard(shared: Tuple[int, int],
-                  docs: List[List[int]]) -> Dict[str, Any]:
-    """pmap worker: sketch one shard's token-id documents."""
+                  arrays: Tuple[np.ndarray, np.ndarray]) -> Dict[str, Any]:
+    """pmap worker: sketch one shard's token array."""
     vocab_size, min_length = shared
-    return MomentSketch.from_docs(docs, vocab_size,
-                                  min_length=min_length).to_state()
+    return MomentSketch.from_tokens(*arrays, vocab_size,
+                                    min_length=min_length).to_state()
 
 
-def build_shard_sketches(shard_docs: Sequence[List[List[int]]],
+def build_shard_sketches(shards: Sequence[ShardDocuments],
                          vocab_size: int, min_length: int = 3,
                          workers: Optional[int] = None,
                          ) -> List[MomentSketch]:
     """One :class:`MomentSketch` per shard, built in parallel.
 
-    ``shard_docs`` is a list of shards, each a list of token-id
-    documents.  Results come back in shard order regardless of worker
-    scheduling.
+    Results come back in shard order regardless of worker scheduling.
     """
-    states = pmap(_sketch_shard, list(shard_docs),
-                  shared=(vocab_size, min_length), workers=workers,
-                  label="stream.sketch")
+    arrays = [(shard.tokens, shard.doc_offsets) if isinstance(shard, Corpus)
+              else token_arrays(shard) for shard in shards]
+    states = pmap(_sketch_shard, arrays, shared=(vocab_size, min_length),
+                  workers=workers, label="stream.sketch")
     return [MomentSketch.from_state(state) for state in states]
 
 
@@ -60,10 +68,7 @@ def merge_sketches(sketches: Sequence[MomentSketch]) -> MomentSketch:
     """
     if not sketches:
         raise DataError("cannot merge an empty sketch list")
-    merged = sketches[0]
-    for sketch in sketches[1:]:
-        merged = merged.merge(sketch)
-    return merged
+    return MomentSketch.concatenate(sketches)
 
 
 def sketch_fingerprint(sketch: MomentSketch, num_shards: int,

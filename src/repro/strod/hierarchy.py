@@ -3,20 +3,24 @@
 Chapter 7 replaces CATHY's EM clustering with moment-based inference to
 scale the recursive hierarchy construction: STROD is run at the root,
 documents are assigned to their dominant subtopic, and the construction
-recurses into each subtopic's document subset.
+recurses into each subtopic's document subset.  Each node's documents
+are rows sliced from one documents x words count matrix built from the
+corpus's token array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..corpus import Corpus
 from ..hierarchy import Topic, TopicalHierarchy
 from ..utils import RandomState, ensure_rng
-from .strod import STROD
+from .moments import document_counts
+from .strod import STROD, STRODModel
 
 
 @dataclass
@@ -50,38 +54,47 @@ class STRODHierarchyBuilder:
     def build(self, corpus: Corpus) -> TopicalHierarchy:
         """Construct the hierarchy for ``corpus``."""
         hierarchy = TopicalHierarchy()
-        docs = corpus.token_lists()
-        doc_ids = np.arange(len(docs))
-        self._expand(hierarchy.root, corpus, docs, doc_ids, level=0)
+        counts = document_counts(corpus.tokens, corpus.doc_offsets,
+                                 len(corpus.vocabulary), min_length=0)
+        self._expand(hierarchy.root, list(corpus.vocabulary), counts,
+                     np.diff(corpus.doc_offsets), np.arange(len(corpus)),
+                     level=0)
         return hierarchy
 
-    def _expand(self, topic: Topic, corpus: Corpus,
-                docs: List[List[int]], doc_ids: np.ndarray,
+    def _expand(self, topic: Topic, words: List[str], counts: csr_matrix,
+                lengths: np.ndarray, doc_ids: np.ndarray,
                 level: int) -> None:
         config = self.config
         if level >= config.max_depth:
             return
-        subset = [docs[i] for i in doc_ids.tolist()]
-        long_enough = [d for d in subset if len(d) >= 3]
-        if len(long_enough) < max(config.min_documents,
-                                  config.num_children):
+        if int((lengths[doc_ids] >= 3).sum()) < max(config.min_documents,
+                                                    config.num_children):
             return
 
+        subset = counts[doc_ids]
         estimator = STROD(num_topics=config.num_children,
                           alpha0=config.alpha0,
                           num_restarts=config.num_restarts,
                           num_iterations=config.num_iterations,
                           seed=self._rng)
-        model = estimator.fit(subset, vocab_size=len(corpus.vocabulary))
+        model = estimator.fit(subset, vocab_size=len(words))
         responsibilities = estimator.document_topics(subset)
         assignment = responsibilities.argmax(axis=1)
 
-        vocabulary = corpus.vocabulary
         for z in range(config.num_children):
-            phi_dict = {vocabulary.word_of(w): float(p)
-                        for w, p in enumerate(model.phi[z]) if p > 1e-6}
-            child = Topic(rho=float(model.alpha[z] / model.alpha.sum()),
-                          phi={"term": phi_dict})
+            child = child_topic(model, z, words)
             topic.add_child(child)
             child_doc_ids = doc_ids[np.flatnonzero(assignment == z)]
-            self._expand(child, corpus, docs, child_doc_ids, level + 1)
+            self._expand(child, words, counts, lengths, child_doc_ids,
+                         level + 1)
+
+
+def child_topic(model: STRODModel, z: int, words: List[str]) -> Topic:
+    """Subtopic ``z`` of a node's model: weight alpha_z / sum(alpha) and
+    its word distribution, words of probability above 1e-6 only, in id
+    order."""
+    row = model.phi[z]
+    kept = np.flatnonzero(row > 1e-6)
+    phi = dict(zip([words[w] for w in kept.tolist()], row[kept].tolist()))
+    return Topic(rho=float(model.alpha[z] / model.alpha.sum()),
+                 phi={"term": phi})

@@ -15,17 +15,18 @@ identities; M3 is never materialized — it is only ever *applied* to the
 Section 7.3.2 (cost O(nnz * k + (D + V) * k^3) over D documents).
 
 Every estimator runs on one CSR count matrix C (documents x words,
-sorted word ids per row): a solve builds it once with
-:func:`count_matrix`, and a sequence of per-document ``(ids, counts)``
-rows (a :class:`MomentSketch`, :func:`word_count_rows`) is concatenated
-into one.  Each moment is then a handful of sparse and dense matrix
-products over all documents at once instead of a loop over documents.
+sorted word ids per row): :func:`document_counts` builds it from a flat
+token array and document offsets (a corpus's own arrays),
+:func:`count_matrix` from token-id documents, and a
+:class:`MomentSketch` holds its rows as one.  Each moment is then a
+handful of sparse and dense matrix products over all documents at once
+instead of a loop over documents.
 """
 
 from __future__ import annotations
 
 import zlib
-from itertools import chain, compress
+from itertools import chain
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,20 +40,36 @@ from ..errors import ConfigurationError, DataError
 CountRows = Union[csr_matrix, Sequence[Tuple[np.ndarray, np.ndarray]]]
 
 
-def count_matrix(docs: Sequence[Sequence[int]], vocab_size: int,
-                 min_length: int = 3) -> csr_matrix:
+def token_arrays(docs: Sequence[Sequence[int]],
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Token-id documents as one flat int64 token array and offsets.
+
+    Document ``d`` is ``tokens[offsets[d]:offsets[d + 1]]``, the layout
+    of a :class:`~repro.corpus.Corpus`'s ``tokens`` and ``doc_offsets``.
+    """
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, docs), dtype=np.int64, count=len(docs)),
+              out=offsets[1:])
+    tokens = np.fromiter(chain.from_iterable(docs), dtype=np.int64,
+                         count=int(offsets[-1]))
+    return tokens, offsets
+
+
+def document_counts(tokens: np.ndarray, doc_offsets: np.ndarray,
+                    vocab_size: int, min_length: int = 3) -> csr_matrix:
     """Word counts of every document of ``min_length`` or more tokens.
 
-    One CSR row per kept document, in input order, with sorted word ids
-    and float counts.  The tokens are read into one flat array; there
-    are no per-document arrays.  Token ids outside ``[0, vocab_size)``
+    Document ``d`` is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
+    (``doc_offsets[0] == 0``).  One CSR row per kept document, in
+    document order, with sorted word ids and float counts, from one
+    count over the token array.  Token ids outside ``[0, vocab_size)``
     in a kept document raise :class:`DataError`.
     """
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    lengths = np.diff(doc_offsets)
     keep = lengths >= min_length
-    lengths = lengths[keep]
-    tokens = np.fromiter(chain.from_iterable(compress(docs, keep.tolist())),
-                         dtype=np.int64, count=int(lengths.sum()))
+    if not keep.all():
+        tokens = tokens[np.repeat(keep, lengths)]
+        lengths = lengths[keep]
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise DataError("token id outside vocabulary")
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -61,6 +78,29 @@ def count_matrix(docs: Sequence[Sequence[int]], vocab_size: int,
                          indptr), shape=(len(lengths), vocab_size))
     counts.sum_duplicates()
     return counts
+
+
+def count_matrix(docs: Sequence[Sequence[int]], vocab_size: int,
+                 min_length: int = 3) -> csr_matrix:
+    """:func:`document_counts` of token-id documents."""
+    return document_counts(*token_arrays(docs), vocab_size, min_length)
+
+
+def long_documents(docs: Union[csr_matrix, Sequence[Sequence[int]]],
+                   vocab_size: int, min_length: int = 3) -> csr_matrix:
+    """The count rows of the documents of ``min_length`` or more tokens.
+
+    ``docs`` is token-id documents (counted by :func:`count_matrix`) or
+    their documents x words count CSR, whose shorter rows are dropped.
+    """
+    if not issparse(docs):
+        return count_matrix(docs, vocab_size, min_length)
+    counts: csr_matrix = docs
+    if counts.shape[1] != vocab_size:
+        raise DataError(f"count matrix has {counts.shape[1]} columns for "
+                        f"a vocabulary of {vocab_size}")
+    keep = _doc_lengths(counts) >= min_length
+    return counts if keep.all() else counts[np.flatnonzero(keep)]
 
 
 def word_count_rows(docs: Sequence[Sequence[int]], vocab_size: int,
@@ -113,9 +153,12 @@ class MomentSketch:
     in-order merge of per-shard sketches (mirroring the
     ``repro.obs.QuantileSketch`` merge contract from PR 6).
 
-    Row storage is O(total distinct words per doc); the dense moments
-    are only materialized on demand, so shard partials stay cheap to
-    build in workers, pickle, and checkpoint.
+    The rows are one CSR held as three read-only arrays: int64 word ids
+    (sorted within a row), float counts and int64 row offsets — the
+    arrays :meth:`to_state` and :meth:`fingerprint` read in place.  A
+    sketch is built by one count over a token array and merged by
+    concatenating arrays; the dense moments are only materialized on
+    demand.
     """
 
     def __init__(self, vocab_size: int, min_length: int = 3) -> None:
@@ -128,31 +171,44 @@ class MomentSketch:
         self.vocab_size = int(vocab_size)
         self.min_length = int(min_length)
         self.num_skipped = 0
-        self._rows: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._adopt(np.zeros(0, dtype=np.int64), np.zeros(0),
+                    np.zeros(1, dtype=np.int64))
+
+    def _adopt(self, ids: np.ndarray, counts: np.ndarray,
+               offsets: np.ndarray) -> None:
+        for array in (ids, counts, offsets):
+            array.flags.writeable = False
+        self._ids, self._counts, self._offsets = ids, counts, offsets
 
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def from_tokens(cls, tokens: np.ndarray, doc_offsets: np.ndarray,
+                    vocab_size: int, min_length: int = 3) -> "MomentSketch":
+        """Sketch the documents ``tokens[doc_offsets[d]:doc_offsets[d+1]]``
+        (a corpus's ``tokens`` and ``doc_offsets``) in one count."""
+        sketch = cls(vocab_size, min_length=min_length)
+        counts = document_counts(tokens, doc_offsets, vocab_size,
+                                 min_length)
+        sketch._adopt(counts.indices.astype(np.int64), counts.data,
+                      counts.indptr.astype(np.int64))
+        sketch.num_skipped = len(doc_offsets) - 1 - counts.shape[0]
+        return sketch
+
+    @classmethod
     def from_docs(cls, docs: Sequence[Sequence[int]], vocab_size: int,
                   min_length: int = 3) -> "MomentSketch":
-        sketch = cls(vocab_size, min_length=min_length)
-        sketch.update(docs)
-        return sketch
+        return cls.from_tokens(*token_arrays(docs), vocab_size,
+                               min_length=min_length)
 
     def update(self, docs: Sequence[Sequence[int]]) -> int:
         """Absorb a batch of encoded documents; returns rows added."""
-        added = 0
-        for doc in docs:
-            arr = np.asarray(doc, dtype=np.int64)
-            if len(arr) < self.min_length:
-                self.num_skipped += 1
-                continue
-            if arr.min() < 0 or arr.max() >= self.vocab_size:
-                raise DataError("token id outside vocabulary")
-            ids, counts = np.unique(arr, return_counts=True)
-            self._rows.append((ids, counts.astype(float)))
-            added += 1
-        return added
+        batch = MomentSketch.from_docs(docs, self.vocab_size,
+                                       min_length=self.min_length)
+        grown = self.merge(batch)
+        self._adopt(grown._ids, grown._counts, grown._offsets)
+        self.num_skipped = grown.num_skipped
+        return batch.num_docs
 
     def expand_vocab(self, vocab_size: int) -> None:
         """Grow the vocabulary (streams only ever append new words)."""
@@ -170,61 +226,65 @@ class MomentSketch:
         Neither input is mutated.  Vocabularies may differ (a later
         shard sees a grown vocab); the result takes the larger one.
         """
-        if other.min_length != self.min_length:
+        return MomentSketch.concatenate([self, other])
+
+    @classmethod
+    def concatenate(cls, sketches: Sequence["MomentSketch"],
+                    ) -> "MomentSketch":
+        """The rows of ``sketches`` in order: their left-to-right merge,
+        joined in one pass."""
+        if len({sketch.min_length for sketch in sketches}) != 1:
             raise ConfigurationError(
                 "cannot merge moment sketches with different min_length")
-        merged = MomentSketch(max(self.vocab_size, other.vocab_size),
-                              min_length=self.min_length)
-        merged._rows = self._rows + other._rows
-        merged.num_skipped = self.num_skipped + other.num_skipped
+        merged = cls(max(sketch.vocab_size for sketch in sketches),
+                     min_length=sketches[0].min_length)
+        ends = np.cumsum([sketch._offsets[-1] for sketch in sketches])
+        merged._adopt(
+            np.concatenate([sketch._ids for sketch in sketches]),
+            np.concatenate([sketch._counts for sketch in sketches]),
+            np.concatenate([sketches[0]._offsets] + [
+                sketch._offsets[1:] + end
+                for sketch, end in zip(sketches[1:], ends[:-1])]))
+        merged.num_skipped = sum(sketch.num_skipped for sketch in sketches)
         return merged
 
     # -- views ----------------------------------------------------------
 
     @property
     def num_docs(self) -> int:
-        return len(self._rows)
+        return len(self._offsets) - 1
 
-    @property
-    def rows(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The per-document count rows, in arrival order (do not mutate)."""
-        return self._rows
+    def count_matrix(self) -> csr_matrix:
+        """The rows, in arrival order, as one documents x words CSR."""
+        return csr_matrix((self._counts, self._ids, self._offsets),
+                          shape=(self.num_docs, self.vocab_size))
 
     # -- moments --------------------------------------------------------
 
     def first_moment(self) -> np.ndarray:
-        return first_moment(self._rows, self.vocab_size)
+        return first_moment(self.count_matrix(), self.vocab_size)
 
     def second_moment(self, alpha0: float) -> np.ndarray:
-        return second_moment(self._rows, self.vocab_size, alpha0)
+        return second_moment(self.count_matrix(), self.vocab_size, alpha0)
 
     def whitened_third_moment(self, whitener: np.ndarray,
                               alpha0: float) -> np.ndarray:
-        return whitened_third_moment(self._rows, whitener,
-                                     self.first_moment(), alpha0)
+        counts = self.count_matrix()
+        return whitened_third_moment(
+            counts, whitener, first_moment(counts, self.vocab_size), alpha0)
 
     # -- persistence ----------------------------------------------------
 
     def to_state(self) -> Dict[str, Any]:
-        """Flat-array snapshot for checkpointing (see repro.stream)."""
-        if self._rows:
-            ids = np.concatenate([ids for ids, _ in self._rows])
-            counts = np.concatenate([counts for _, counts in self._rows])
-            lengths = [len(row_ids) for row_ids, _ in self._rows]
-        else:
-            ids = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(0)
-            lengths = []
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        """Flat-array snapshot (the sketch's own read-only arrays)."""
         return {
             "schema": MOMENT_SKETCH_SCHEMA,
             "vocab_size": self.vocab_size,
             "min_length": self.min_length,
             "num_skipped": self.num_skipped,
-            "row_ids": ids,
-            "row_counts": counts,
-            "row_offsets": offsets,
+            "row_ids": self._ids,
+            "row_counts": self._counts,
+            "row_offsets": self._offsets,
         }
 
     @classmethod
@@ -236,20 +296,23 @@ class MomentSketch:
         sketch = cls(int(state["vocab_size"]),
                      min_length=int(state["min_length"]))
         sketch.num_skipped = int(state["num_skipped"])
-        ids = np.asarray(state["row_ids"], dtype=np.int64)
-        counts = np.asarray(state["row_counts"], dtype=float)
-        offsets = np.asarray(state["row_offsets"], dtype=np.int64)
-        for start, stop in zip(offsets[:-1], offsets[1:]):
-            sketch._rows.append((ids[start:stop].copy(),
-                                 counts[start:stop].copy()))
+        ids = np.array(state["row_ids"], dtype=np.int64)
+        counts = np.array(state["row_counts"], dtype=float)
+        offsets = np.array(state["row_offsets"], dtype=np.int64)
+        if (offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
+                or (np.diff(offsets) < 0).any()
+                or not offsets[-1] == len(ids) == len(counts)
+                or (len(ids) and (ids.min() < 0
+                                  or ids.max() >= sketch.vocab_size))):
+            raise DataError("moment-sketch state holds inconsistent rows")
+        sketch._adopt(ids, counts, offsets)
         return sketch
 
     def fingerprint(self) -> str:
         """Content hash tying derived artifacts to this exact sketch."""
-        state = self.to_state()
         crc = 0
-        for key in ("row_ids", "row_counts", "row_offsets"):
-            crc = zlib.crc32(np.ascontiguousarray(state[key]).tobytes(), crc)
+        for array in (self._ids, self._counts, self._offsets):
+            crc = zlib.crc32(array, crc)
         return (f"v{self.vocab_size}-d{self.num_docs}"
                 f"-s{self.num_skipped}-{crc & 0xFFFFFFFF:08x}")
 

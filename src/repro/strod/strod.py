@@ -23,7 +23,7 @@ robustness property benchmarked in Section 7.4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,12 +32,15 @@ from ..errors import ConfigurationError, NotFittedError
 from ..obs import get_logger, set_gauge, span
 from ..phrases.ranking import FlatTopicModel
 from ..utils import EPS, RandomState, ensure_rng
-from .moments import (compute_whitener, count_matrix, first_moment,
+from .moments import (compute_whitener, first_moment, long_documents,
                       second_moment, whitened_third_moment)
 from .tensor_power import (TensorEigenpair, reconstruction_error,
                            robust_tensor_decomposition)
 
 logger = get_logger("strod")
+
+#: Token-id documents, or their documents x words count CSR.
+Documents = Union[csr_matrix, Sequence[Sequence[int]]]
 
 
 @dataclass
@@ -96,12 +99,14 @@ class STROD:
         self.model_: Optional[STRODModel] = None
 
     # ------------------------------------------------------------------- fit
-    def fit(self, docs: Sequence[Sequence[int]], vocab_size: int,
+    def fit(self, docs: Documents, vocab_size: int,
             checkpoint=None, resume: bool = False) -> STRODModel:
         """Recover topics from token-id documents.
 
         Args:
-            docs: token-id documents.
+            docs: token-id documents, or their documents x words count
+                CSR (e.g. rows sliced from one corpus-wide matrix);
+                documents of fewer than three tokens are left out.
             vocab_size: V.
             checkpoint: optional
                 :class:`~repro.resilience.CheckpointWriter` for the
@@ -111,7 +116,7 @@ class STROD:
                 checkpoint file cannot disambiguate grid candidates.
             resume: continue from the checkpoint file when it exists.
         """
-        counts = count_matrix(docs, vocab_size)
+        counts = long_documents(docs, vocab_size)
         if counts.shape[0] < self.num_topics:
             raise ConfigurationError(
                 "need at least k documents of length >= 3")
@@ -196,7 +201,7 @@ class STROD:
             raise NotFittedError("call fit() first")
         return self.model_
 
-    def document_topics(self, docs: Sequence[Sequence[int]]) -> np.ndarray:
+    def document_topics(self, docs: Documents) -> np.ndarray:
         """Per-document topic responsibilities via one posterior fold-in.
 
         Words vote with p(z | w) proportional to alpha_z phi_z(w); the
@@ -206,14 +211,15 @@ class STROD:
         is unknown to the model and casts no vote; a document without a
         vote (empty, or made only of such words) gets the prior
         alpha / sum(alpha).  All documents are folded in at once: one
-        token-count CSR times the (V, k) vote weights.
+        token-count CSR (``docs`` itself, when given as one) times the
+        (V, k) vote weights.
         """
         model = self.require_model()
         weights = model.alpha[:, None] * model.phi  # (k, V)
         totals = weights.sum(axis=0)
         weights = np.where(totals >= EPS,
                            weights / np.maximum(totals, EPS), 0.0)
-        tokens = count_matrix(docs, weights.shape[1], min_length=0)
+        tokens = long_documents(docs, weights.shape[1], min_length=0)
         votes = tokens @ weights.T  # (n, k)
         num_votes = votes.sum(axis=1, keepdims=True)
         prior = model.alpha / model.alpha.sum()

@@ -1627,3 +1627,112 @@ def reference_collaboration_network(papers):
     for authors, year in papers:
         reference_add_paper(network, authors, year)
     return network
+
+
+# -------------------------------------------------------------------- stream
+class ReferenceRowSketch:
+    """The moment sketch as shipped before its flat CSR: a list of
+    per-document ``(ids, counts)`` rows, one ``np.unique`` per document,
+    merged by list concatenation, and concatenated again for M1, the
+    state and the fingerprint."""
+
+    def __init__(self, vocab_size: int, min_length: int = 3) -> None:
+        self.vocab_size = int(vocab_size)
+        self.min_length = int(min_length)
+        self.num_skipped = 0
+        self.rows: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    @classmethod
+    def from_docs(cls, docs, vocab_size: int,
+                  min_length: int = 3) -> "ReferenceRowSketch":
+        sketch = cls(vocab_size, min_length)
+        for doc in docs:
+            arr = np.asarray(doc, dtype=np.int64)
+            if len(arr) < sketch.min_length:
+                sketch.num_skipped += 1
+                continue
+            if arr.min() < 0 or arr.max() >= sketch.vocab_size:
+                raise DataError("token id outside vocabulary")
+            ids, counts = np.unique(arr, return_counts=True)
+            sketch.rows.append((ids, counts.astype(float)))
+        return sketch
+
+    def merge(self, other: "ReferenceRowSketch") -> "ReferenceRowSketch":
+        merged = ReferenceRowSketch(max(self.vocab_size, other.vocab_size),
+                                    self.min_length)
+        merged.rows = self.rows + other.rows
+        merged.num_skipped = self.num_skipped + other.num_skipped
+        return merged
+
+    @property
+    def num_docs(self) -> int:
+        return len(self.rows)
+
+    def first_moment(self) -> np.ndarray:
+        from repro.strod import first_moment
+        return first_moment(self.rows, self.vocab_size)
+
+    def to_state(self) -> Dict[str, Any]:
+        if self.rows:
+            ids = np.concatenate([ids for ids, _ in self.rows])
+            counts = np.concatenate([counts for _, counts in self.rows])
+        else:
+            ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0)
+        offsets = np.zeros(len(self.rows) + 1, dtype=np.int64)
+        np.cumsum([len(row_ids) for row_ids, _ in self.rows],
+                  out=offsets[1:])
+        return {"vocab_size": self.vocab_size, "min_length": self.min_length,
+                "num_skipped": self.num_skipped, "row_ids": ids,
+                "row_counts": counts, "row_offsets": offsets}
+
+    def fingerprint(self) -> str:
+        import zlib
+
+        state = self.to_state()
+        crc = 0
+        for key in ("row_ids", "row_counts", "row_offsets"):
+            crc = zlib.crc32(np.ascontiguousarray(state[key]).tobytes(), crc)
+        return (f"v{self.vocab_size}-d{self.num_docs}"
+                f"-s{self.num_skipped}-{crc & 0xFFFFFFFF:08x}")
+
+
+def reference_load_corpus(store, num_shards: Optional[int] = None) -> Corpus:
+    """``ShardStore.load_corpus`` as shipped before the in-memory shard
+    arrays: unpickle every shard of the prefix and rebuild the corpus
+    record by record with ``Corpus.from_chunks``."""
+    upto = store.num_shards if num_shards is None else num_shards
+    records, vocab_size = [], 0
+    for shard_id in range(upto):
+        payload = store.load_shard(shard_id)
+        records.extend(payload["documents"])
+        vocab_size = int(payload["vocab_size"])
+    vocabulary = (store.vocabulary if upto == store.num_shards
+                  else Vocabulary(list(store.vocabulary)[:vocab_size]))
+    return Corpus.from_chunks(
+        [record["chunks"] for record in records], vocabulary,
+        entities=[record["entities"] for record in records],
+        years=[record.get("year") for record in records],
+        labels=[record.get("label") for record in records])
+
+
+def reference_entity_role_counts(corpus: Corpus, doc_notations: List[str],
+                                 ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """The stream role table, one dict update per (link, ancestor)."""
+    lineages: Dict[str, List[str]] = {}
+    for notation in doc_notations:
+        if notation not in lineages:
+            parts = notation.split("/")
+            lineages[notation] = ["/".join(parts[:i + 1])
+                                  for i in range(len(parts))]
+    doc_lineage = [lineages[notation] for notation in doc_notations]
+    roles: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for etype, links in corpus.entity_relations().items():
+        table: Dict[str, Dict[str, float]] = {}
+        roles[etype] = table
+        names = links.names
+        for doc, entity in zip(links.documents().tolist(),
+                               links.ids.tolist()):
+            counts = table.setdefault(names[entity], {})
+            for ancestor in doc_lineage[doc]:
+                counts[ancestor] = counts.get(ancestor, 0.0) + 1.0
+    return roles

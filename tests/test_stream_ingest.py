@@ -8,15 +8,19 @@ reaches.  Both are pinned here, along with the pure arithmetic of the
 drift detectors and the three refit policies.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.corpus import Corpus
 from repro.errors import ConfigurationError, DataError
+from repro.resilience import CheckpointWriter
 from repro.serve import ModelQueryEngine, load_model
-from repro.stream import (DriftConfig, IngestConfig, IngestPipeline,
-                          ShardStore, StreamRefitter, baseline_from_sketch,
-                          batch_key, detect_drift)
+from repro.stream import (PIPELINE_SOLVER, DriftConfig, IngestConfig,
+                          IngestPipeline, ShardStore, StreamRefitter,
+                          baseline_from_sketch, batch_key, detect_drift)
 from repro.strod import MomentSketch
 from repro.strod.hierarchy import STRODHierarchyBuilder, STRODTreeConfig
 
@@ -224,6 +228,104 @@ class TestCrashResume:
         with pytest.raises(DataError, match="ahead of the shard store"):
             IngestPipeline(ShardStore(str(tmp_path / "other")), config,
                            checkpoint_dir=ckpt)
+
+
+    def test_checkpoint_holds_no_sketch(self, tmp_path):
+        """The log holds every sketch row, so the checkpoint carries only
+        the sketch's fingerprint."""
+        pipeline = IngestPipeline(ShardStore(str(tmp_path / "log")),
+                                  _config(),
+                                  checkpoint_dir=str(tmp_path / "ckpt"))
+        pipeline.ingest_batch(BATCHES[0])
+        state = pipeline._state()
+        assert "sketch" not in state
+        assert state["fingerprint"]["sketch"] \
+            == pipeline.sketch.fingerprint()
+
+    def test_checkpoint_with_the_sketch_inside_still_resumes(self, tmp_path):
+        """A checkpoint written while the state still carried the whole
+        sketch resumes to the same state as one written without it."""
+        config = _config(refit_policy="drift", dirty_threshold=0.25)
+        log, ckpt = str(tmp_path / "log"), str(tmp_path / "ckpt")
+        a = IngestPipeline(ShardStore(log), config, checkpoint_dir=ckpt)
+        for batch in BATCHES[:2]:
+            a.ingest_batch(batch)
+        writer = CheckpointWriter(os.path.join(ckpt, "stream-pipeline.ckpt"),
+                                  PIPELINE_SOLVER, config=config.to_config())
+        document = writer.load()
+        writer.save(document["iteration"],
+                    dict(document["state"], sketch=a.sketch.to_state()))
+        resumed = IngestPipeline(ShardStore(log), config,
+                                 checkpoint_dir=ckpt)
+        assert resumed.sketch.fingerprint() == a.sketch.fingerprint()
+        assert _deep_equal(resumed._state(), a._state())
+        a.ingest_batch(BATCHES[2])
+        resumed.ingest_batch(BATCHES[2])
+        assert _deep_equal(resumed._state(), a._state())
+
+    def test_checkpoint_of_another_log_rejected(self, tmp_path):
+        """The sketch rebuilt from the log must match the checkpoint's
+        fingerprint, even when the shard counts agree."""
+        config = _config()
+        ckpt = str(tmp_path / "ckpt")
+        IngestPipeline(ShardStore(str(tmp_path / "a")), config,
+                       checkpoint_dir=ckpt).ingest_batch(BATCHES[0])
+        other = ShardStore(str(tmp_path / "b"))
+        other.append_batch(BATCHES[1], batch_key=batch_key(BATCHES[1]))
+        with pytest.raises(DataError,
+                           match="does not describe the shard store"):
+            IngestPipeline(other, config, checkpoint_dir=ckpt)
+
+    def test_stopword_only_first_batch_leaves_store_usable(self, tmp_path):
+        """Refused before commit, so a pipeline reopened over the store
+        ingests the next real batch as the stream's first."""
+        log, ckpt = str(tmp_path / "log"), str(tmp_path / "ckpt")
+        pipeline = IngestPipeline(ShardStore(log), _config(),
+                                  checkpoint_dir=ckpt)
+        with pytest.raises(DataError, match="no word outside the stopword"):
+            pipeline.ingest_batch([{"text": "the of and"}])
+        reopened = IngestPipeline(ShardStore(log), _config(),
+                                  checkpoint_dir=ckpt)
+        report = reopened.ingest_batch(BATCHES[0])
+        assert report.shard_id == 0
+        assert report.refit_ran
+        assert report.model_version == 1
+
+
+class TestSpans:
+    def test_stage_spans_cover_each_batch(self, tmp_path):
+        """Each ``stream.ingest_batch`` span's children — batch key,
+        append, sketch, drift, corpus load, refit, export, checkpoint —
+        cover at least 90% of it."""
+        batches = _make_batches(num_batches=4, docs_per_batch=200, seed=11)
+        pipeline = IngestPipeline(
+            ShardStore(str(tmp_path / "log")),
+            _config(refit_policy="drift",
+                    drift=DriftConfig(moment_delta=1e9, vocab_growth=1e9,
+                                      doc_count=400),
+                    export_path=str(tmp_path / "model.rmv2")),
+            checkpoint_dir=str(tmp_path / "ckpt"))
+        obs.configure(spans=True)
+        refits = [pipeline.ingest_batch(batch).refit_ran
+                  for batch in batches]
+        assert refits == [True, False, True, False]
+        records = obs.get_spans()
+        batch_spans = [r for r in records
+                       if r["name"] == "stream.ingest_batch"]
+        assert len(batch_spans) == len(batches)
+        seen = set()
+        for parent in batch_spans:
+            children = [r for r in records
+                        if r["parent_id"] == parent["span_id"]]
+            seen.update(r["name"] for r in children)
+            covered = sum(r["dur_s"] for r in children)
+            assert covered >= 0.9 * parent["dur_s"], (
+                sorted((r["name"], r["dur_s"]) for r in children),
+                parent["dur_s"])
+        assert seen == {"stream.batch_key", "stream.append_batch",
+                        "stream.sketch", "stream.drift",
+                        "stream.load_corpus", "stream.refit",
+                        "stream.export", "stream.checkpoint"}
 
 
 class TestStreamEqualsBatch:

@@ -98,16 +98,55 @@ class TestAppendAndLoad:
         ({"entities": {"author": "Ann Lee"}}, "maps to the string"),
         ({"year": "2014"}, "'year' must be an integer"),
         ({"year": 2014.0}, "'year' must be an integer"),
+        ({"year": 2 ** 70}, "does not fit in 64 bits"),
+        ({"entities": {"author": 5}}, "needs a list of names"),
+        ({"text": 5}, "text is not a string: 5"),
+        ({"text": None}, "text is not a string: None"),
+        ({"chunks": "graph mining"}, "'chunks' must be a list of token"),
+        ({"chunks": ["graph", "mining"]}, "'chunks' must be a list of token"),
+        ({"chunks": [["graph"], "mining"]}, "'chunks' must be a list"),
+        ({"chunks": None}, "'chunks' must be a list of token"),
     ])
     def test_bad_metadata_rejected_before_commit(self, tmp_path, bad,
                                                  message):
-        """A bare-string name list would be stored one name per
-        character, and a year the corpus cannot hold would make every
-        later load of the log fail; both are refused at the append."""
-        store = ShardStore(str(tmp_path / "log"))
+        """A bare string where a list belongs would be stored one item
+        per character, a non-string text cannot be tokenized, and a year
+        the corpus cannot hold would make every later load of the log
+        fail; all are refused at the append, before the batch's good
+        documents grow the vocabulary."""
+        path = str(tmp_path / "log")
+        store = ShardStore(path)
+        document = {} if "chunks" in bad else {"text": "graph mining"}
+        document.update(bad)
         with pytest.raises(DataError, match=message):
-            store.append_batch([dict({"text": "graph mining"}, **bad)])
+            store.append_batch([{"text": "spectral method"}, document])
         assert store.num_shards == 0
+        assert len(store.vocabulary) == 0
+        assert ShardStore(path).num_shards == 0
+
+    def test_refused_batch_leaves_log_appendable(self, tmp_path):
+        """The next good batch gets the ids it would have had, and the
+        store still reopens."""
+        path = str(tmp_path / "log")
+        store = ShardStore(path)
+        with pytest.raises(DataError):
+            store.append_batch([{"text": "graph mining"}, {"text": 5}])
+        store.append_batch([{"text": "topic model"}])
+        assert [doc.chunks for doc in store.load_corpus()] == [[[0, 1]]]
+        assert list(ShardStore(path).vocabulary) == ["topic", "model"]
+
+    def test_stopword_only_first_batch_refused(self, tmp_path):
+        """Its shard would hold no word, and no moment sketch can be
+        built over an empty vocabulary, so every later ingest of the
+        store would fail on it."""
+        path = str(tmp_path / "log")
+        store = ShardStore(path)
+        with pytest.raises(DataError, match="no word outside the stopword"):
+            store.append_batch([{"text": "the of and"}])
+        assert ShardStore(path).num_shards == 0
+        store.append_batch([{"text": "the graph"}])
+        store.append_batch([{"text": "of and"}])  # the stream has words now
+        assert store.num_shards == 2
 
 
 class TestIntegrity:
