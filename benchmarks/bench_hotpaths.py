@@ -6,8 +6,8 @@ loop implementations kept in ``tests/reference_kernels.py``, and likewise
 the Gibbs sweep, network build, Example 3.1 collapse and child networks,
 ToPMine merge, frequent-phrase mining, role attribution, candidate graph
 and TPFG kernels, the serving engine's uncached topic detail, the v2
-artifact writer, the STROD moments, the one-pass corpus build and the
-stream's moment sketch, against theirs.
+artifact writer, the STROD moments and node solve, the one-pass corpus
+build and the stream's moment sketch, against theirs.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -45,8 +45,11 @@ from reference_kernels import (ReferenceDictNetwork, ReferenceHINEM,
                                reference_hin_em_step,
                                reference_mine_chunks,
                                reference_posterior_link_split,
+                               reference_robust_tensor_decomposition,
                                reference_second_moment,
                                reference_segment_chunk,
+                               reference_spgemm_second_moment,
+                               reference_strod_node,
                                reference_subnetwork,
                                reference_topic_detail, reference_tpfg_ranking,
                                reference_v2_blob,
@@ -71,8 +74,10 @@ from repro.serve import ModelQueryEngine, load_model, save_model_document
 from repro.serve.artifact import parts_from_document
 from repro.serve.artifact_v2 import pack_model
 from repro.strod import (STROD, MomentSketch, compute_whitener,
-                         first_moment, second_moment, whitened_third_moment)
-from repro.strod.moments import count_matrix
+                         first_moment, robust_tensor_decomposition,
+                         second_moment, whitened_third_moment)
+from repro.strod.hierarchy import STRODTreeConfig
+from repro.strod.moments import count_matrix, document_counts, long_documents
 
 from bench_serve import synthetic_document
 from conftest import fmt_row, report
@@ -124,6 +129,11 @@ STREAM_SHARDS = 20
 STROD_DOCS = NODES * 5
 STROD_VOCAB = 500
 STROD_TOPICS = 5
+
+#: The STROD node-solve bench solves the root of the phrase-mining
+#: corpus (~11k titles over ~220 words at full size, the root of an
+#: ``ingest_swap`` perfbench stream) with the stream's tree budget.
+NODE_TREE = STRODTreeConfig()
 
 #: The acceptance thresholds only bind at the full problem sizes; the CI
 #: smoke pass shrinks the knobs and asserts plain correctness instead.
@@ -1019,3 +1029,97 @@ def test_hotpath_strod_moments(benchmark):
     assert fast <= SANITY_SECONDS
     if NODES >= FULL_NODES:
         assert speedup >= 10.0
+
+
+def test_hotpath_strod_node(benchmark):
+    """One STROD node solve — moments, whitening, tensor power and the
+    fold-in — with every tensor-power restart of a component as one
+    (L, k) block, lengths and M1 computed once and the pair moment from
+    scaled CSR data, vs one power-iteration loop per restart and the
+    ``diags(w) @ C`` SpGEMM pair moment."""
+    corpus = generate_dblp(DBLPConfig(max_authors=PHRASE_AUTHORS),
+                           seed=9).corpus
+    vocab = len(corpus.vocabulary)
+    every = document_counts(corpus.tokens, corpus.doc_offsets, vocab,
+                            min_length=0)
+    k, alpha0 = NODE_TREE.num_children, NODE_TREE.alpha0
+    counts, lengths = long_documents(every, vocab)
+    m1 = first_moment(counts, vocab, lengths=lengths)
+    whitener, _ = compute_whitener(
+        second_moment(counts, vocab, alpha0, lengths=lengths, m1=m1), k)
+    tensor = whitened_third_moment(counts, whitener, m1, alpha0,
+                                   lengths=lengths)
+    budget = dict(num_restarts=NODE_TREE.num_restarts,
+                  num_iterations=NODE_TREE.num_iterations, seed=3)
+    obs.configure(spans=True)  # span rows even when run alone
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def solve():
+        estimator = STROD(num_topics=k, alpha0=alpha0,
+                          num_restarts=NODE_TREE.num_restarts,
+                          num_iterations=NODE_TREE.num_iterations, seed=3)
+        model = estimator.fit(every, vocab)
+        return model, estimator.document_topics(every)
+
+    def solve_reference():
+        with reference_strod_node():
+            return solve()
+
+    stages = [
+        ("M2 (dense)",
+         lambda: second_moment(counts, vocab, alpha0, lengths=lengths,
+                               m1=m1),
+         lambda: reference_spgemm_second_moment(counts, vocab, alpha0)),
+        ("tensor power",
+         lambda: robust_tensor_decomposition(tensor, k, **budget),
+         lambda: reference_robust_tensor_decomposition(tensor, k,
+                                                       **budget)),
+        ("node solve + fold-in", solve, solve_reference),
+    ]
+
+    def run():
+        """Best of 10 per side, the sides alternating, so neither runs
+        in the wake of the other's BLAS threads."""
+        timings = []
+        for _, fast, slow in stages:
+            pairs = [(_time(fast, repeats=1,
+                            span_name="bench.strod_node.blocks"),
+                      _time(slow, repeats=1,
+                            span_name="bench.strod_node.loops"))
+                     for _ in range(10)]
+            timings.append(tuple(map(min, zip(*pairs))))
+        return timings
+
+    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    fast = timings[-1][0]
+    power_speedup = timings[1][1] / max(timings[1][0], 1e-9)
+    report("hotpath_strod_node", [
+        fmt_row("kernel", ["blocks_s", "loops_s", "speedup"]),
+    ] + [fmt_row(name, [f, s, s / max(f, 1e-9)])
+         for (name, _, _), (f, s) in zip(stages, timings)] + [
+        "",
+    ] + _profiled_rows({"bench.strod_node.blocks",
+                        "bench.strod_node.loops"}) + [
+        f"docs={counts.shape[0]} (of {len(corpus)}) vocab={vocab} k={k} "
+        f"L={NODE_TREE.num_restarts} N={NODE_TREE.num_iterations}",
+        "timed: best of 10; the solve is STROD.fit + document_topics "
+        "on the root's count rows",
+        "acceptance: tensor power >= 1.5x at 1,000 authors",
+    ])
+
+    def bits(value):
+        return np.ascontiguousarray(value, dtype=float).tobytes()
+
+    assert bits(stages[0][1]()) == bits(stages[0][2]())
+    pairs = stages[1][1]()
+    ref_pairs, _ = stages[1][2]()
+    for pair, ref in zip(pairs, ref_pairs):
+        assert bits(pair.eigenvalue) == bits(ref.eigenvalue)
+        assert bits(pair.eigenvector) == bits(ref.eigenvector)
+    (model, theta), (ref_model, ref_theta) = solve(), solve_reference()
+    for name in ("alpha", "phi", "eigenvalues", "residual"):
+        assert bits(getattr(model, name)) == bits(getattr(ref_model, name))
+    assert bits(theta) == bits(ref_theta)
+    assert fast <= SANITY_SECONDS
+    if CHUNKS >= FULL_CHUNKS:
+        assert power_speedup >= 1.5

@@ -326,9 +326,12 @@ def _cmd_relations(args: argparse.Namespace) -> int:
 
 def _cmd_strod(args: argparse.Namespace) -> int:
     from .strod import STROD
+    from .strod.moments import document_counts
 
     dataset = load_dataset(args.dataset)
-    docs = dataset.corpus.token_lists()
+    corpus = dataset.corpus
+    counts = document_counts(corpus.tokens, corpus.doc_offsets,
+                             len(corpus.vocabulary), min_length=0)
     strod = STROD(num_topics=args.topics,
                   alpha0=args.alpha0 if args.alpha0 > 0 else None,
                   sparse=args.sparse, seed=args.seed)
@@ -337,9 +340,9 @@ def _cmd_strod(args: argparse.Namespace) -> int:
                            config={"topics": args.topics,
                                    "alpha0": args.alpha0,
                                    "seed": args.seed})
-    model = strod.fit(docs, len(dataset.corpus.vocabulary),
+    model = strod.fit(counts, len(corpus.vocabulary),
                       checkpoint=writer, resume=args.resume)
-    vocabulary = dataset.corpus.vocabulary
+    vocabulary = corpus.vocabulary
     for z in range(args.topics):
         order = model.phi[z].argsort()[::-1][:args.top]
         words = [vocabulary.word_of(int(w)) for w in order]
@@ -473,9 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fractional subset change at which a tree "
                              "node re-solves (0 = full re-solve)")
     ingest.add_argument("--drift-moment", type=float, default=0.05,
-                        help="relative L1 first-moment change trigger")
+                        help="relative L1 first-moment change trigger "
+                             "(inf disables)")
     ingest.add_argument("--drift-vocab", type=float, default=0.10,
-                        help="vocabulary growth fraction trigger")
+                        help="vocabulary growth fraction trigger "
+                             "(inf disables)")
     ingest.add_argument("--drift-docs", type=int, default=0,
                         help="new-document count trigger (0 disables)")
     ingest.add_argument("--seed", type=int, default=0)

@@ -19,6 +19,7 @@ drift is a function of data deltas, never of elapsed time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -41,9 +42,9 @@ _EPS = 1e-12
 class DriftConfig:
     """Thresholds for the three drift detectors.
 
-    A non-positive ``doc_count`` disables that detector; the two ratio
-    detectors are always active (set them to ``float("inf")`` to
-    effectively disable).
+    A non-positive ``doc_count`` disables that detector; a ratio
+    detector is disabled by an infinite threshold (``float("inf")``,
+    ``repro ingest --drift-moment inf``).  A NaN threshold is refused.
     """
 
     moment_delta: float = 0.05
@@ -51,10 +52,14 @@ class DriftConfig:
     doc_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.moment_delta < 0:
-            raise ConfigurationError("moment_delta must be >= 0")
-        if self.vocab_growth < 0:
-            raise ConfigurationError("vocab_growth must be >= 0")
+        for name in ("moment_delta", "vocab_growth"):
+            value = getattr(self, name)
+            if math.isnan(value):
+                raise ConfigurationError(
+                    f"{name} must be a number (inf disables the "
+                    f"detector), not NaN")
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
 
     def to_config(self) -> Dict[str, Any]:
         """Plain-data form for checkpoint fingerprinting."""

@@ -38,9 +38,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError, DataError
 from ..obs import get_logger, inc, set_gauge, span
@@ -134,6 +137,15 @@ class IngestConfig:
             "min_length": self.min_length,
         }
 
+    def manifest_config(self) -> Dict[str, Any]:
+        """:meth:`to_config` in the JSON form an exported artifact's
+        manifest stores: a disabled (infinite) drift threshold is
+        ``None``, since canonical JSON has no infinity."""
+        config = self.to_config()
+        config["drift"] = {name: None if math.isinf(value) else value
+                           for name, value in config["drift"].items()}
+        return config
+
 
 @dataclass
 class IngestReport:
@@ -198,9 +210,13 @@ class IngestPipeline:
         self._writer: Optional[CheckpointWriter] = None
         if checkpoint_dir is not None:
             os.makedirs(checkpoint_dir, exist_ok=True)
+            # No archive is ever read back (a checkpoint behind the
+            # store replays shards instead), so keep one, not one per
+            # batch.
             self._writer = CheckpointWriter(
                 os.path.join(checkpoint_dir, "stream-pipeline.ckpt"),
-                PIPELINE_SOLVER, config=self.config.to_config())
+                PIPELINE_SOLVER, config=self.config.to_config(),
+                keep_last=1)
             document = self._writer.load()
             if document is not None:
                 self._restore(document["state"])
@@ -378,7 +394,7 @@ class IngestPipeline:
         corpus = self.store.load_corpus(num_shards=self._synced_shards)
         refitter = StreamRefitter(self.config.tree, seed=self.config.seed,
                                   dirty_threshold=self.config.dirty_threshold)
-        hierarchy, tree_state, doc_notations, stats = refitter.refit(
+        hierarchy, tree_state, doc_topics, stats = refitter.refit(
             corpus, self._tree_state)
         self._tree_state = tree_state
         self._baseline = baseline
@@ -386,12 +402,16 @@ class IngestPipeline:
         inc("stream.refits")
         set_gauge("stream.model_version", self._model_version)
         if self.config.export_path is not None:
-            self.export(hierarchy, doc_notations, corpus)
+            self.export(hierarchy, doc_topics, corpus)
         return stats.to_dict()
 
-    def export(self, hierarchy, doc_notations: List[str],
+    def export(self, hierarchy, doc_topics: np.ndarray,
                corpus) -> Dict[str, Any]:
-        """Write the artifact the servers hot-swap to (atomic)."""
+        """Write the artifact the servers hot-swap to (atomic).
+
+        ``doc_topics`` indexes ``hierarchy.topics()`` in pre-order, one
+        entry per document of ``corpus``.
+        """
         from ..serve.artifact import model_parts, save_model_document
 
         assert self.config.export_path is not None
@@ -399,9 +419,11 @@ class IngestPipeline:
             parts = model_parts(
                 vocabulary=corpus.vocabulary,
                 hierarchy=hierarchy,
-                entity_roles=entity_role_counts(corpus, doc_notations),
+                entity_roles=entity_role_counts(
+                    corpus, doc_topics,
+                    [topic.notation for topic in hierarchy.topics()]),
                 num_documents=len(corpus),
-                config=self.config.to_config(),
+                config=self.config.manifest_config(),
                 extra_manifest={
                     "model_version": self._model_version,
                     "stream": sketch_fingerprint(

@@ -21,15 +21,16 @@ positive threshold the result is approximate on reused subtrees, by
 design: that is where the incremental speedup comes from.
 
 Every node's documents are rows sliced from one documents x words count
-matrix built from the corpus's token array.  The per-node models live
-in a plain-data tree state (JSON/pickle safe) so the ingest pipeline can
-checkpoint and resume them.
+matrix built from the corpus's token array, and the document -> topic
+assignment is one int array over the tree's topics in pre-order.  The
+per-node models live in a plain-data tree state (JSON/pickle safe) so
+the ingest pipeline can checkpoint and resume them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -128,17 +129,17 @@ class StreamRefitter:
             previous: the tree state a prior refit returned (None for a
                 from-scratch build).
 
-        Returns ``(hierarchy, tree_state, doc_notations, stats)`` where
-        ``doc_notations[i]`` is the deepest topic document ``i`` was
-        assigned to (``"o"`` when the tree has no children) and
-        ``tree_state`` is the plain-data per-node model map to pass to
-        the next refit.
+        Returns ``(hierarchy, tree_state, doc_topics, stats)`` where
+        ``doc_topics[i]`` is the index, in ``hierarchy.topics()``
+        pre-order, of the deepest topic document ``i`` was assigned to
+        (0, the root, when the tree has no children) and ``tree_state``
+        is the plain-data per-node model map to pass to the next refit.
         """
         with span("stream.refit", num_documents=len(corpus)):
             prev_nodes = (previous or {}).get("nodes", {})
             stats = RefitStats(num_documents=len(corpus))
             hierarchy = TopicalHierarchy()
-            doc_notations = ["o"] * len(corpus)
+            doc_topics = np.zeros(len(corpus), dtype=np.int64)
             state: Dict[str, Any] = {"nodes": {}}
             rng = ensure_rng(self.seed)
             counts = document_counts(corpus.tokens, corpus.doc_offsets,
@@ -146,21 +147,25 @@ class StreamRefitter:
             self._expand(hierarchy.root, list(corpus.vocabulary), counts,
                          np.diff(corpus.doc_offsets),
                          np.arange(len(corpus)), 0, prev_nodes, state,
-                         doc_notations, stats, rng)
+                         doc_topics, [hierarchy.root], stats, rng)
             inc("stream.refit.nodes_solved", stats.nodes_solved)
             inc("stream.refit.nodes_reused", stats.nodes_reused)
             logger.info("refit over %d documents: %d nodes solved, "
                         "%d reused", len(corpus), stats.nodes_solved,
                         stats.nodes_reused)
-        return hierarchy, state, doc_notations, stats
+        return hierarchy, state, doc_topics, stats
 
     # ------------------------------------------------------------ internals
     def _expand(self, topic: Topic, words: List[str], counts: csr_matrix,
                 lengths: np.ndarray, doc_ids: np.ndarray, level: int,
                 prev_nodes: Dict[str, Any], state: Dict[str, Any],
-                doc_notations: List[str], stats: RefitStats,
-                rng) -> None:
-        """The batch builder's recursion, with a solve-or-reuse gate."""
+                doc_topics: np.ndarray, topics: List[Topic],
+                stats: RefitStats, rng) -> None:
+        """The batch builder's recursion, with a solve-or-reuse gate.
+
+        ``topics`` lists the topics made so far, in pre-order, so a new
+        child's index is its position there.
+        """
         config = self.config
         if level >= config.max_depth:
             return
@@ -192,12 +197,11 @@ class StreamRefitter:
             child = child_topic(model, z, words)
             topic.add_child(child)
             child_doc_ids = doc_ids[np.flatnonzero(assignment == z)]
-            child_notation = child.notation
-            for doc_id in child_doc_ids.tolist():
-                doc_notations[doc_id] = child_notation
+            doc_topics[child_doc_ids] = len(topics)
+            topics.append(child)
             self._expand(child, words, counts, lengths, child_doc_ids,
-                         level + 1, prev_nodes, state, doc_notations, stats,
-                         rng)
+                         level + 1, prev_nodes, state, doc_topics, topics,
+                         stats, rng)
 
     def _is_dirty(self, prev: Dict[str, Any], subset_size: int) -> bool:
         """Has the node's document subset changed enough to re-solve?"""
@@ -206,23 +210,22 @@ class StreamRefitter:
         return change >= self.dirty_threshold
 
 
-def entity_role_counts(corpus: Corpus, doc_notations: List[str],
+def entity_role_counts(corpus: Corpus, doc_topics: np.ndarray,
+                       topics: Sequence[str],
                        ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Entity -> topic frequency tables from the stream assignment.
 
-    Each document votes once for every ancestor of its assigned topic
-    (root ``"o"`` included), for every entity linked to it — the same
-    shape the batch role analyzer feeds the serve artifact
-    (``{etype: {name: {notation: count}}}``), derived purely from the
-    refit's document assignment so the streamed artifact needs no
-    separate EM pass.  Per entity type, every (link, ancestor) pair is
-    one key ``entity * A + ancestor`` over the ``A`` distinct ancestors,
-    and one ``np.unique`` counts them all.
+    Document ``d`` is assigned to the topic of notation
+    ``topics[doc_topics[d]]``.  Each document votes once for every
+    ancestor of its assigned topic (root ``"o"`` included), for every
+    entity linked to it — the same shape the batch role analyzer feeds
+    the serve artifact (``{etype: {name: {notation: count}}}``), derived
+    purely from the refit's document assignment so the streamed artifact
+    needs no separate EM pass.  Per entity type, every (link, ancestor)
+    pair is one key ``entity * A + ancestor`` over the ``A`` distinct
+    ancestors, and one ``np.unique`` counts them all.
     """
-    topics = list(dict.fromkeys(doc_notations))
-    topic_of = dict(zip(topics, range(len(topics))))
-    doc_topic = np.fromiter(map(topic_of.__getitem__, doc_notations),
-                            dtype=np.int64, count=len(doc_notations))
+    doc_topic = np.asarray(doc_topics, dtype=np.int64)
     lineages = []
     for notation in topics:
         parts = notation.split("/")

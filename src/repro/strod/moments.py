@@ -20,14 +20,16 @@ token array and document offsets (a corpus's own arrays),
 :func:`count_matrix` from token-id documents, and a
 :class:`MomentSketch` holds its rows as one.  Each moment is then a
 handful of sparse and dense matrix products over all documents at once
-instead of a loop over documents.
+instead of a loop over documents.  The estimators take the documents'
+lengths (and M2 takes M1) from a caller that already has them, so one
+STROD solve sums each row once.
 """
 
 from __future__ import annotations
 
 import zlib
 from itertools import chain
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, issparse
@@ -86,21 +88,35 @@ def count_matrix(docs: Sequence[Sequence[int]], vocab_size: int,
     return document_counts(*token_arrays(docs), vocab_size, min_length)
 
 
+def count_rows(docs: Union[csr_matrix, Sequence[Sequence[int]]],
+               vocab_size: int) -> csr_matrix:
+    """Every document's count row: token-id documents counted by
+    :func:`count_matrix`, or their documents x words count CSR itself."""
+    if not issparse(docs):
+        return count_matrix(docs, vocab_size, min_length=0)
+    if docs.shape[1] != vocab_size:
+        raise DataError(f"count matrix has {docs.shape[1]} columns for "
+                        f"a vocabulary of {vocab_size}")
+    return docs
+
+
 def long_documents(docs: Union[csr_matrix, Sequence[Sequence[int]]],
-                   vocab_size: int, min_length: int = 3) -> csr_matrix:
-    """The count rows of the documents of ``min_length`` or more tokens.
+                   vocab_size: int, min_length: int = 3,
+                   ) -> Tuple[csr_matrix, np.ndarray]:
+    """The count rows of the documents of ``min_length`` or more tokens,
+    and their lengths.
 
     ``docs`` is token-id documents (counted by :func:`count_matrix`) or
     their documents x words count CSR, whose shorter rows are dropped.
     """
-    if not issparse(docs):
-        return count_matrix(docs, vocab_size, min_length)
-    counts: csr_matrix = docs
-    if counts.shape[1] != vocab_size:
-        raise DataError(f"count matrix has {counts.shape[1]} columns for "
-                        f"a vocabulary of {vocab_size}")
-    keep = _doc_lengths(counts) >= min_length
-    return counts if keep.all() else counts[np.flatnonzero(keep)]
+    counts = (count_rows(docs, vocab_size) if issparse(docs)
+              else count_matrix(docs, vocab_size, min_length))
+    lengths = _doc_lengths(counts)
+    keep = lengths >= min_length
+    if keep.all():
+        return counts, lengths
+    rows = np.flatnonzero(keep)
+    return counts[rows], lengths[rows]
 
 
 def word_count_rows(docs: Sequence[Sequence[int]], vocab_size: int,
@@ -317,18 +333,36 @@ class MomentSketch:
                 f"-s{self.num_skipped}-{crc & 0xFFFFFFFF:08x}")
 
 
-def first_moment(rows: CountRows, vocab_size: int) -> np.ndarray:
+def first_moment(rows: CountRows, vocab_size: int, *,
+                 lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """M1: the expected single-word distribution.
 
     One ``np.bincount`` adds every document's ``counts / length`` in row
     order, the order a per-document accumulation adds them in, so the
     result is bit-identical to it (drift detection compares M1s).
+    ``lengths`` are the rows' token counts, when the caller has them.
     """
     counts = _as_count_matrix(rows, vocab_size)
-    lengths = np.repeat(_doc_lengths(counts), np.diff(counts.indptr))
-    m1 = np.bincount(counts.indices, weights=counts.data / lengths,
+    if lengths is None:
+        lengths = _doc_lengths(counts)
+    per_entry = np.repeat(lengths, np.diff(counts.indptr))
+    m1 = np.bincount(counts.indices, weights=counts.data / per_entry,
                      minlength=vocab_size)
     return m1 / max(counts.shape[0], 1)
+
+
+def _pair_terms(counts: csr_matrix, lengths: np.ndarray,
+                ) -> Tuple[csr_matrix, np.ndarray]:
+    """C^T diag(w) C and C^T w for w_d = 1 / (l_d (l_d - 1) n).
+
+    diag(w) C is C with each row's data scaled by its weight — the
+    products a ``diags(w) @ C`` SpGEMM forms, without the SpGEMM.
+    """
+    weights = 1.0 / (lengths * (lengths - 1) * counts.shape[0])
+    scaled = csr_matrix(
+        (counts.data * np.repeat(weights, np.diff(counts.indptr)),
+         counts.indices, counts.indptr), shape=counts.shape)
+    return counts.T @ scaled, counts.T @ weights
 
 
 def sparse_pair_moment(rows: CountRows, vocab_size: int) -> csr_matrix:
@@ -344,29 +378,41 @@ def sparse_pair_moment(rows: CountRows, vocab_size: int) -> csr_matrix:
     counts = _as_count_matrix(rows, vocab_size)
     if counts.shape[0] == 0:
         return csr_matrix((vocab_size, vocab_size))
-    lengths = _doc_lengths(counts)
-    weights = 1.0 / (lengths * (lengths - 1) * counts.shape[0])
-    pair = counts.T @ (diags(weights) @ counts)
-    return (pair - diags(counts.T @ weights)).tocsr()
+    pair, diagonal = _pair_terms(counts, _doc_lengths(counts))
+    return (pair - diags(diagonal)).tocsr()
 
 
-def second_moment(rows: CountRows, vocab_size: int,
-                  alpha0: float) -> np.ndarray:
+def second_moment(rows: CountRows, vocab_size: int, alpha0: float, *,
+                  lengths: Optional[np.ndarray] = None,
+                  m1: Optional[np.ndarray] = None) -> np.ndarray:
     """M2 (dense, V x V): pair moment with the Dirichlet correction.
 
     E[x1 (x) x2] is estimated per document as
     (c c^T - diag(c)) / (l (l-1)) — the unbiased estimator over ordered
-    pairs of *distinct* token positions — by densifying
-    :func:`sparse_pair_moment`.
+    pairs of *distinct* token positions — as :func:`sparse_pair_moment`
+    densified, with its diagonal subtracted on the dense array.
+    ``lengths`` and ``m1`` are the rows' token counts and M1, when the
+    caller has them.
     """
     counts = _as_count_matrix(rows, vocab_size)
-    pair = sparse_pair_moment(counts, vocab_size).toarray()
-    m1 = first_moment(counts, vocab_size)
-    return pair - (alpha0 / (alpha0 + 1)) * np.outer(m1, m1)
+    if lengths is None:
+        lengths = _doc_lengths(counts)
+    if m1 is None:
+        m1 = first_moment(counts, vocab_size, lengths=lengths)
+    if counts.shape[0] == 0:
+        pair = np.zeros((vocab_size, vocab_size))
+    else:
+        sparse_pair, diagonal = _pair_terms(counts, lengths)
+        pair = sparse_pair.toarray()
+        pair[np.diag_indices(vocab_size)] -= diagonal
+    pair -= (alpha0 / (alpha0 + 1)) * np.outer(m1, m1)
+    return pair
 
 
 def whitened_third_moment(rows: CountRows, whitener: np.ndarray,
-                          m1: np.ndarray, alpha0: float) -> np.ndarray:
+                          m1: np.ndarray, alpha0: float, *,
+                          lengths: Optional[np.ndarray] = None,
+                          ) -> np.ndarray:
     """T = M3(W, W, W) in R^{k x k x k} without materializing M3.
 
     Uses the debiased per-document estimator of E[x1 (x) x2 (x) x3]
@@ -381,13 +427,15 @@ def whitened_third_moment(rows: CountRows, whitener: np.ndarray,
     sum_v w_v (x) w_v (x) z_v with Z = C^T diag(a) Y, its two
     permutations are transposes of it, and the w^(x)3 term weighs each
     word by u = C^T a.  Nothing of size documents x k^2 is built.
+    ``lengths`` are the rows' token counts, when the caller has them.
     """
     vocab_size, k = whitener.shape
     counts = _as_count_matrix(rows, vocab_size)
     num_docs = counts.shape[0]
     if num_docs == 0:
         raise DataError("no documents long enough for third-moment estimation")
-    lengths = _doc_lengths(counts)
+    if lengths is None:
+        lengths = _doc_lengths(counts)
     inv_pairs = 1.0 / (lengths * (lengths - 1))
     inv_triples = 1.0 / (lengths * (lengths - 1) * (lengths - 2))
     w_outer = (whitener[:, :, None] * whitener[:, None, :]).reshape(

@@ -32,8 +32,8 @@ from ..errors import ConfigurationError, NotFittedError
 from ..obs import get_logger, set_gauge, span
 from ..phrases.ranking import FlatTopicModel
 from ..utils import EPS, RandomState, ensure_rng
-from .moments import (compute_whitener, first_moment, long_documents,
-                      second_moment, whitened_third_moment)
+from .moments import (compute_whitener, count_rows, first_moment,
+                      long_documents, second_moment, whitened_third_moment)
 from .tensor_power import (TensorEigenpair, reconstruction_error,
                            robust_tensor_decomposition)
 
@@ -115,15 +115,19 @@ class STROD:
                 ``alpha0=None`` the grid search ignores it — a single
                 checkpoint file cannot disambiguate grid candidates.
             resume: continue from the checkpoint file when it exists.
+
+        The documents' lengths and M1 are computed once and shared by
+        M2, the whitened M3 and every alpha0 candidate.
         """
-        counts = long_documents(docs, vocab_size)
+        counts, lengths = long_documents(docs, vocab_size)
         if counts.shape[0] < self.num_topics:
             raise ConfigurationError(
                 "need at least k documents of length >= 3")
 
         with span("strod.fit"):
+            m1 = first_moment(counts, vocab_size, lengths=lengths)
             if self.alpha0 is not None:
-                model = self._fit_alpha0(counts, vocab_size, self.alpha0,
+                model = self._fit_alpha0(counts, lengths, m1, self.alpha0,
                                          checkpoint=checkpoint,
                                          resume=resume)
             else:
@@ -131,7 +135,8 @@ class STROD:
                     logger.debug("alpha0 grid search ignores checkpointing")
                 best = None
                 for alpha0 in self.alpha0_grid:
-                    candidate = self._fit_alpha0(counts, vocab_size, alpha0)
+                    candidate = self._fit_alpha0(counts, lengths, m1,
+                                                 alpha0)
                     if best is None or candidate.residual < best.residual:
                         best = candidate
                 model = best
@@ -140,20 +145,22 @@ class STROD:
         self.model_ = model
         return model
 
-    def _fit_alpha0(self, counts: csr_matrix, vocab_size: int,
-                    alpha0: float, checkpoint=None,
+    def _fit_alpha0(self, counts: csr_matrix, lengths: np.ndarray,
+                    m1: np.ndarray, alpha0: float, checkpoint=None,
                     resume: bool = False) -> STRODModel:
+        vocab_size = counts.shape[1]
         with span("strod.whitening"):
             if self.sparse:
                 from .sparse import compute_whitener_sparse
-                whitener, unwhitener, m1 = compute_whitener_sparse(
+                whitener, unwhitener, _ = compute_whitener_sparse(
                     counts, vocab_size, alpha0, self.num_topics)
             else:
-                m1 = first_moment(counts, vocab_size)
-                m2 = second_moment(counts, vocab_size, alpha0)
+                m2 = second_moment(counts, vocab_size, alpha0,
+                                   lengths=lengths, m1=m1)
                 whitener, unwhitener = compute_whitener(m2, self.num_topics)
         with span("strod.third_moment"):
-            tensor = whitened_third_moment(counts, whitener, m1, alpha0)
+            tensor = whitened_third_moment(counts, whitener, m1, alpha0,
+                                           lengths=lengths)
         with span("strod.tensor_decomposition"):
             pairs = robust_tensor_decomposition(
                 tensor, self.num_topics, num_restarts=self.num_restarts,
@@ -219,8 +226,7 @@ class STROD:
         totals = weights.sum(axis=0)
         weights = np.where(totals >= EPS,
                            weights / np.maximum(totals, EPS), 0.0)
-        tokens = long_documents(docs, weights.shape[1], min_length=0)
-        votes = tokens @ weights.T  # (n, k)
+        votes = count_rows(docs, weights.shape[1]) @ weights.T  # (n, k)
         num_votes = votes.sum(axis=1, keepdims=True)
         prior = model.alpha / model.alpha.sum()
         return np.where(num_votes > 0, votes / np.maximum(num_votes, EPS),

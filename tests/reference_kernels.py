@@ -7,7 +7,7 @@ ground-truth semantics: the equivalence tests assert the fast kernels
 match them to 1e-12 (or bit-identically, for integer count state), and
 ``benchmarks/bench_hotpaths.py`` times the fast kernels against them.
 
-Eleven families live here:
+Twelve families live here:
 
 * CATHY EM kernels (scatter, posterior split, expected weights) — from
   PR 2's vectorization;
@@ -40,6 +40,14 @@ Eleven families live here:
   :func:`reference_whitened_third_moment`,
   :func:`reference_document_topics`): counts equal and M1 bit-identical
   to the count-matrix kernels, M2, T and fold-in rows within 1e-12;
+* the STROD node solve as shipped before its blocks: one
+  power-iteration loop per tensor-power restart
+  (:func:`reference_robust_tensor_decomposition`, eigenpairs and
+  generator states bit-identical to the (L, k) block) and the pair
+  moment through a ``diags(w) @ C`` SpGEMM with its diagonal subtracted
+  as a sparse matrix (:func:`reference_spgemm_pair_moment`,
+  :func:`reference_spgemm_second_moment`, bit-identical to the scaled
+  CSR data and the dense diagonal);
 * the per-item phrase, role and relation loops of the mining pipeline:
   Algorithm 1 per chunk and position (:func:`reference_mine_chunks`),
   per-span instance lookup (:func:`reference_document_phrase_instances`),
@@ -59,12 +67,14 @@ Eleven families live here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from repro.corpus import Corpus, Document, Vocabulary
 from repro.corpus.tokenize import (DEFAULT_STOPWORDS, _TOKEN_RE,
@@ -73,6 +83,8 @@ from repro.errors import ConfigurationError, DataError
 from repro.network import TERM_TYPE
 from repro.network.weighted import LinkType, canonical_link_type
 from repro.obs import inc
+from repro.strod import TensorEigenpair, first_moment
+from repro.utils import ensure_rng
 
 EPS = 1e-12
 
@@ -1085,6 +1097,102 @@ def reference_document_topics(alpha: np.ndarray, phi: np.ndarray,
         else:
             result[d] = alpha / alpha.sum()
     return result
+
+
+def reference_spgemm_pair_moment(counts: csr_matrix,
+                                 vocab_size: int) -> csr_matrix:
+    """Sparse E[x1 (x) x2] as C^T (diags(w) @ C) - diags(C^T w), each
+    document's length summed again from its row."""
+    if counts.shape[0] == 0:
+        return csr_matrix((vocab_size, vocab_size))
+    lengths = np.asarray(counts.sum(axis=1), dtype=float).ravel()
+    weights = 1.0 / (lengths * (lengths - 1) * counts.shape[0])
+    pair = counts.T @ (diags(weights) @ counts)
+    return (pair - diags(counts.T @ weights)).tocsr()
+
+
+def reference_spgemm_second_moment(counts: csr_matrix, vocab_size: int,
+                                   alpha0: float) -> np.ndarray:
+    """Dense M2: :func:`reference_spgemm_pair_moment` densified, with M1
+    computed again from the rows."""
+    pair = reference_spgemm_pair_moment(counts, vocab_size).toarray()
+    m1 = first_moment(counts, vocab_size)
+    return pair - (alpha0 / (alpha0 + 1)) * np.outer(m1, m1)
+
+
+def reference_power_iteration(tensor: np.ndarray, start: np.ndarray,
+                              num_iterations: int,
+                              ) -> Tuple[np.ndarray, float]:
+    """One restart's power updates: a 1-D ``einsum`` per step, stopping
+    once an update's norm falls below 1e-12."""
+    vector = start / max(np.linalg.norm(start), 1e-12)
+    for _ in range(num_iterations):
+        candidate = np.einsum("ijl,j,l->i", tensor, vector, vector)
+        norm = np.linalg.norm(candidate)
+        if norm < 1e-12:
+            break
+        vector = candidate / norm
+    return vector, float(np.einsum("ijl,i,j,l->", tensor, vector, vector,
+                                   vector))
+
+
+def reference_robust_tensor_decomposition(
+        tensor: np.ndarray, num_components: int, num_restarts: int = 10,
+        num_iterations: int = 30, seed=None,
+) -> Tuple[List[TensorEigenpair], List[Dict[str, Any]]]:
+    """Deflation with one power-iteration loop per restart.
+
+    Each restart draws its own ``standard_normal(k)`` start; the first
+    restart of the highest T(v, v, v) is polished by ``num_iterations``
+    more updates.  Returns the eigenpairs and the generator state after
+    each component.
+    """
+    rng = ensure_rng(seed)
+    k = tensor.shape[0]
+    work = np.array(tensor)
+    pairs: List[TensorEigenpair] = []
+    states: List[Dict[str, Any]] = []
+    for _ in range(num_components):
+        best_vector, best_value = None, -np.inf
+        for _ in range(num_restarts):
+            vector, value = reference_power_iteration(
+                work, rng.standard_normal(k), num_iterations)
+            if value > best_value:
+                best_vector, best_value = vector, value
+        best_vector, best_value = reference_power_iteration(
+            work, best_vector, num_iterations)
+        pairs.append(TensorEigenpair(eigenvalue=best_value,
+                                     eigenvector=best_vector))
+        work = work - best_value * np.einsum(
+            "i,j,l->ijl", best_vector, best_vector, best_vector)
+        states.append(rng.bit_generator.state)
+    return pairs, states
+
+
+@contextmanager
+def reference_strod_node() -> Iterator[None]:
+    """Within the block, :class:`~repro.strod.STROD` solves a node with
+    :func:`reference_robust_tensor_decomposition` and
+    :func:`reference_spgemm_second_moment` in place of its kernels."""
+    import repro.strod.strod as strod_module
+
+    def decomposition(tensor, num_components, num_restarts, num_iterations,
+                      seed, checkpoint=None, resume=False):
+        return reference_robust_tensor_decomposition(
+            tensor, num_components, num_restarts, num_iterations, seed)[0]
+
+    def second(counts, vocab_size, alpha0, lengths=None, m1=None):
+        return reference_spgemm_second_moment(counts, vocab_size, alpha0)
+
+    saved = (strod_module.robust_tensor_decomposition,
+             strod_module.second_moment)
+    strod_module.robust_tensor_decomposition = decomposition
+    strod_module.second_moment = second
+    try:
+        yield
+    finally:
+        (strod_module.robust_tensor_decomposition,
+         strod_module.second_moment) = saved
 
 
 # ---------------------------------------------------------------- CATHYHIN

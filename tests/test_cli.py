@@ -150,6 +150,26 @@ class TestStrod:
         assert code == 0
         assert capsys.readouterr().out.count("alpha=") == 3
 
+    def test_count_rows_print_the_token_list_topics(self, dataset_path,
+                                                    capsys):
+        """`repro strod` fits the corpus's count CSR; it prints the
+        topics a fit on the corpus's token lists finds."""
+        from repro.datasets import load_dataset
+        from repro.strod import STROD
+
+        code = main(["strod", dataset_path, "--topics", "4", "--top", "6",
+                     "--seed", "5"])
+        assert code == 0
+        corpus = load_dataset(dataset_path).corpus
+        model = STROD(num_topics=4, alpha0=1.0, seed=5).fit(
+            corpus.token_lists(), len(corpus.vocabulary))
+        expected = [
+            f"topic {z} (alpha={model.alpha[z]:.3f}): " + ", ".join(
+                corpus.vocabulary.word_of(int(w))
+                for w in model.phi[z].argsort()[::-1][:6])
+            for z in range(4)]
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):

@@ -7,7 +7,8 @@
   the corpus record by record, id for id;
 * the count matrix built from a corpus's token array against
   ``count_matrix`` over its token lists;
-* the one-``np.unique`` role table against the per-link loop.
+* the one-``np.unique`` role table, read from the refit's int
+  assignment, against the per-link loop over notation strings.
 """
 
 import tempfile
@@ -257,11 +258,13 @@ class TestEntityRoles:
             [[vocabulary.encode(chunk) for chunk in doc["chunks"]]
              for doc in documents], vocabulary,
             entities=[doc.get("entities") for doc in documents])
-        notations = data.draw(st.lists(st.sampled_from(_NOTATIONS),
-                                       min_size=len(documents),
-                                       max_size=len(documents)))
-        roles = entity_role_counts(corpus, notations)
-        expected = reference_entity_role_counts(corpus, notations)
+        doc_topics = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(_NOTATIONS) - 1),
+            min_size=len(documents), max_size=len(documents))),
+            dtype=np.int64)
+        roles = entity_role_counts(corpus, doc_topics, _NOTATIONS)
+        expected = reference_entity_role_counts(
+            corpus, [_NOTATIONS[t] for t in doc_topics.tolist()])
         assert roles == expected
         assert list(roles) == list(expected)
         for table in roles.values():

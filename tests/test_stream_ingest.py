@@ -129,6 +129,11 @@ class TestDriftArithmetic:
         with pytest.raises(ConfigurationError):
             DriftConfig(vocab_growth=-0.1)
 
+    def test_nan_thresholds_rejected(self):
+        for name in ("moment_delta", "vocab_growth"):
+            with pytest.raises(ConfigurationError, match="NaN"):
+                DriftConfig(**{name: float("nan")})
+
 
 class TestRefitPolicies:
     def test_invalid_policy_rejected(self):
@@ -275,6 +280,48 @@ class TestCrashResume:
         with pytest.raises(DataError,
                            match="does not describe the shard store"):
             IngestPipeline(other, config, checkpoint_dir=ckpt)
+
+    def test_disabled_ratio_detectors_export_and_resume(self, tmp_path):
+        """An infinite threshold disables a ratio detector.  The export's
+        manifest stores it as null (canonical JSON has no infinity) and
+        the checkpoint keeps the float, so the stream exports every
+        refit and a reopened pipeline resumes without replaying."""
+        export = str(tmp_path / "model.rmv2")
+        config = _config(refit_policy="drift", export_path=export,
+                         drift=DriftConfig(moment_delta=float("inf"),
+                                           vocab_growth=float("inf"),
+                                           doc_count=1))
+        log, ckpt = str(tmp_path / "log"), str(tmp_path / "ckpt")
+        pipeline = IngestPipeline(ShardStore(log), config,
+                                  checkpoint_dir=ckpt)
+        for batch in BATCHES:
+            assert pipeline.ingest_batch(batch).refit_ran
+        model = load_model(export)
+        try:
+            assert model.manifest["model_version"] == 3
+            assert model.manifest["config"]["drift"] == {
+                "moment_delta": None, "vocab_growth": None, "doc_count": 1}
+        finally:
+            model.close()
+        resumed = IngestPipeline(ShardStore(log), config,
+                                 checkpoint_dir=ckpt)
+        assert resumed.synced_shards == len(BATCHES)
+        assert _deep_equal(resumed._state(), pipeline._state())
+        assert resumed.ingest_batch(BATCHES[-1]).deduplicated
+
+    def test_checkpoint_history_keeps_one_archive(self, tmp_path):
+        """No superseded checkpoint is ever read back, so a stream keeps
+        the latest one and at most one archive, not one per batch."""
+        ckpt = str(tmp_path / "ckpt")
+        pipeline = IngestPipeline(ShardStore(str(tmp_path / "log")),
+                                  _config(), checkpoint_dir=ckpt)
+        for batch in _make_batches(num_batches=6, seed=5):
+            pipeline.ingest_batch(batch)
+        names = sorted(os.listdir(ckpt))
+        assert names[0] == "stream-pipeline.ckpt"
+        assert len(names) <= 2
+        assert all(name.startswith("stream-pipeline.ckpt.v")
+                   for name in names[1:])
 
     def test_stopword_only_first_batch_leaves_store_usable(self, tmp_path):
         """Refused before commit, so a pipeline reopened over the store
