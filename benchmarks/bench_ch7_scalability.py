@@ -10,14 +10,11 @@ Gibbs run at every size, with the gap widening as the corpus grows, and
 STROD's own runtime growing near-linearly.
 """
 
-import os
 import time
 
 from repro.baselines import (LDAGibbs, PLSA, VariationalLDA,
                              docs_to_count_matrix)
-from repro.cathy import BuilderConfig, HierarchyBuilder
 from repro.datasets import generate_planted_lda
-from repro.network import build_collapsed_network
 from repro.strod import STROD
 
 from conftest import fmt_row, report
@@ -98,52 +95,3 @@ def test_ch7_scalability_in_k(benchmark):
         lines.append(fmt_row(str(k), [value]))
     report("ch7_scalability_in_k", lines)
     assert timings[8] < timings[3] * 20
-
-
-WORKER_COUNTS = (1, 2, 4)
-
-
-def test_ch7_hierarchy_workers(benchmark, dblp):
-    """Workers axis: CATHY hierarchy construction on the process backend.
-
-    Sibling subtrees and EM restarts fan out over ``repro.parallel``;
-    per-task seeds are spawned deterministically in the parent, so every
-    worker count must build the bit-identical hierarchy.  The >= 2x
-    speedup assertion only binds on machines with >= 4 cores — the
-    process backend cannot beat serial on a single-core box, but the
-    determinism contract must hold everywhere.
-    """
-    network = build_collapsed_network(dblp.corpus)
-
-    def build(workers):
-        config = BuilderConfig(num_children=[6, 3], max_depth=2,
-                               weight_mode="learn", max_iter=60,
-                               restarts=2, workers=workers)
-        return HierarchyBuilder(config, seed=0).build(network)
-
-    def run():
-        timings = {}
-        hierarchies = {}
-        for workers in WORKER_COUNTS:
-            start = time.perf_counter()
-            hierarchies[workers] = build(workers)
-            timings[workers] = time.perf_counter() - start
-        return timings, hierarchies
-
-    timings, hierarchies = benchmark.pedantic(run, rounds=1, iterations=1)
-    cores = os.cpu_count() or 1
-    serial_time = timings[1]
-    lines = [fmt_row("workers", ["wall (s)", "speedup"])]
-    for workers in WORKER_COUNTS:
-        lines.append(fmt_row(str(workers),
-                             [timings[workers],
-                              serial_time / max(timings[workers], 1e-9)]))
-    lines.append(f"cores={cores}; determinism: identical hierarchies "
-                 "for every worker count")
-    report("ch7_hierarchy_workers", lines)
-
-    reference = hierarchies[1].to_json()
-    for workers in WORKER_COUNTS[1:]:
-        assert hierarchies[workers].to_json() == reference
-    if cores >= 4:
-        assert serial_time / max(timings[4], 1e-9) >= 2.0

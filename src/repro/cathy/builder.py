@@ -8,17 +8,16 @@ per-type ranking distributions and their subnetworks — ready for phrase
 ranking (Chapter 4) and role analysis (Chapter 5).
 
 Sibling subtopic subproblems are independent (the STROD chapter's
-scalability observation), so each child's entire subtree expansion fans
-out over :func:`repro.parallel.pmap`.  Every expansion draws its
-randomness from a :class:`~numpy.random.SeedSequence` spawned in the
-parent before dispatch, which makes the built hierarchy identical for
-every worker count under the same seed.
+scalability observation): each child's subtree is expanded in turn, in
+rho order, and draws its randomness from a
+:class:`~numpy.random.SeedSequence` spawned off its parent's, so a
+resumed build replays exactly the draws of the uninterrupted one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,9 +25,8 @@ from ..errors import ConfigurationError
 from ..hierarchy import Topic, TopicalHierarchy
 from ..network import HeterogeneousNetwork
 from ..obs import get_logger, span
-from ..parallel import pmap, pool_scope, rng_from, spawn_seed_sequences
 from ..resilience import checkpoint_in
-from ..utils import RandomState, ensure_rng
+from ..utils import RandomState, ensure_rng, rng_from, spawn_seed_sequences
 from .hin_em import CathyHIN
 from .model_selection import select_num_topics
 
@@ -53,10 +51,6 @@ class BuilderConfig:
         max_iter / restarts / tol: forwarded to the EM.
         subnetwork_min_weight: threshold for dropping links when extracting
             child networks (the "expected weight >= 1" rule).
-        workers: parallel workers for sibling subtree expansion and EM
-            restarts; None defers to the process default /
-            ``REPRO_WORKERS`` (see :mod:`repro.parallel`).  The built
-            hierarchy is identical for every worker count.
         checkpoint_dir: directory for crash-recovery checkpoints; every
             topic node gets a subtree checkpoint (finished expansions)
             and an EM checkpoint (the in-flight fit), so a killed build
@@ -82,13 +76,12 @@ class BuilderConfig:
     restarts: int = 1
     tol: float = 1e-6
     subnetwork_min_weight: float = 1.0
-    workers: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 1
     resume: bool = False
 
     #: Parameters that must match for a checkpoint to be resumable
-    #: (execution-only knobs like ``workers`` excluded on purpose).
+    #: (the checkpoint knobs themselves excluded on purpose).
     _GUARDED = ("num_children", "max_depth", "auto_candidates",
                 "selection_method", "min_network_weight", "min_nodes",
                 "weight_mode", "max_iter", "restarts", "tol",
@@ -98,18 +91,6 @@ class BuilderConfig:
 def _safe_name(notation: str) -> str:
     """A topic notation as a filesystem-safe checkpoint file stem."""
     return notation.replace("/", "-")
-
-
-def _expand_subtree_task(config: BuilderConfig, item: Tuple) -> Topic:
-    """Expand one child topic's whole subtree (worker-process task).
-
-    Inside a pool worker all nested pmaps resolve to the serial backend,
-    so the recursion below this point never creates nested pools.
-    """
-    topic, network, level, seed_seq = item
-    builder = HierarchyBuilder(config)
-    builder._expand(topic, network, level, seed_seq)
-    return topic
 
 
 class HierarchyBuilder:
@@ -127,8 +108,7 @@ class HierarchyBuilder:
         hierarchy.root.network = network
         self._set_parent_phi(hierarchy.root, network)
         root_seq = spawn_seed_sequences(self._rng, 1)[0]
-        with pool_scope():
-            self._expand(hierarchy.root, network, 0, root_seq)
+        self._expand(hierarchy.root, network, 0, root_seq)
         return hierarchy
 
     def expand_topic(self, hierarchy: TopicalHierarchy, topic: Topic,
@@ -214,7 +194,6 @@ class HierarchyBuilder:
                              restarts=config.restarts,
                              tol=config.tol,
                              seed=rng_from(fit_seq),
-                             workers=config.workers,
                              checkpoint=em_writer,
                              resume=config.resume)
         model = estimator.fit(network)
@@ -222,7 +201,6 @@ class HierarchyBuilder:
         # Order children by descending rho so child index 0 is the largest
         # subtopic — stable, readable hierarchies.
         order = np.argsort(-model.rho, kind="stable")
-        child_items = []
         child_seqs = seed_seq.spawn(len(order))
         for z, child_seq in zip(order, child_seqs):
             z = int(z)
@@ -234,15 +212,7 @@ class HierarchyBuilder:
                      for t in model.node_names},
                 network=subnetwork)
             topic.add_child(child)
-            child_items.append((child, subnetwork, level + 1, child_seq))
-        if not child_items:
-            return
-        # Each sibling subtree is an independent subproblem: fan the whole
-        # recursions out, then reattach in rho order.  Serial and parallel
-        # paths run identical code with identical seeds.
-        topic.children = pmap(_expand_subtree_task, child_items,
-                              workers=config.workers, shared=config,
-                              label="cathy.builder.children")
+            self._expand(child, subnetwork, level + 1, child_seq)
         if subtree_writer is not None:
             subtree_writer.save(level, {"children": topic.children})
             if em_writer is not None:

@@ -9,9 +9,9 @@ Both hot kernels are fully vectorized: the M-step scatters all subtopic
 expectations onto the nodes in one sparse product with the link
 incidence matrix (:func:`link_incidence`), and the posterior link split
 (Eq. 3.5) is computed for every link and subtopic in a single ``(k, E)``
-pass.  Random restarts fan out over :func:`repro.parallel.pmap` with
-per-restart seeds derived via :meth:`numpy.random.SeedSequence.spawn`,
-so any worker count reproduces the serial result exactly.
+pass.  Random restarts run in turn, each from a seed derived via
+:meth:`numpy.random.SeedSequence.spawn`, so a resumed restart loop
+replays exactly the runs of the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from scipy import sparse
 
 from ..errors import ConfigurationError, NotFittedError
 from ..obs import inc, span, trace
-from ..parallel import pmap, rng_from, spawn_seed_sequences
 from ..resilience import CheckpointWriter
-from ..utils import EPS, RandomState, ensure_rng
+from ..utils import (EPS, RandomState, ensure_rng, rng_from,
+                     spawn_seed_sequences)
 from ..network import HeterogeneousNetwork, TERM_TYPE
 
 
@@ -60,32 +60,34 @@ class RestartCheckpoint:
         return True
 
 
-def run_restarts_checkpointed(writer: CheckpointWriter, resume: bool,
-                              shared, seeds, task) -> List:
-    """Serial restart loop with checkpoint/resume.
+def run_restarts(seeds: List[np.random.SeedSequence], task,
+                 writer: Optional[CheckpointWriter] = None,
+                 resume: bool = False) -> List:
+    """The restart loop: one ``task(seed_seq, checkpoint=..., state=...)``
+    call per spawned seed, in order.
 
-    Bit-identical to the :func:`repro.parallel.pmap` fan-out: the same
-    deterministically spawned seeds drive the same per-restart kernels,
-    only sequentially so there is a single well-ordered resume point.
-    ``task(shared, seed_seq, checkpoint=..., state=...)`` must accept the
-    extra keywords (the pmap path calls it without them).
+    With a ``writer``, the loop state is persisted after every restart
+    and the live restart checkpoints at the writer's cadence, so a
+    resumed loop skips finished restarts and continues the live one.
     """
     completed: List = []
     start = 0
     inner_state = None
-    document = writer.load() if resume else None
+    document = writer.load() if writer is not None and resume else None
     if document is not None:
         outer = document["state"]
         completed = list(outer["completed"])
         start = int(outer["restart"])
         inner_state = outer["current"]
     for index in range(start, len(seeds)):
-        inner = RestartCheckpoint(writer, completed, index)
-        run = task(shared, seeds[index], checkpoint=inner, state=inner_state)
+        inner = (None if writer is None
+                 else RestartCheckpoint(writer, completed, index))
+        run = task(seeds[index], checkpoint=inner, state=inner_state)
         inner_state = None
         completed.append(run)
-        writer.save(index, {"completed": list(completed),
-                            "restart": index + 1, "current": None})
+        if writer is not None:
+            writer.save(index, {"completed": list(completed),
+                                "restart": index + 1, "current": None})
     return completed
 
 
@@ -185,12 +187,11 @@ def _fit_kernel(i_idx: np.ndarray, j_idx: np.ndarray, weights: np.ndarray,
                                                        np.ndarray, float]:
     """One EM run (Eq. 3.5–3.7) from a random start; returns (rho, phi, ll).
 
-    Module-level (rather than a method) so restart tasks are picklable
-    for the process backend.  With ``checkpoint``, the post-iteration
-    state — including the convergence decision, so a resumed run never
-    iterates past where the original stopped — is persisted at the
-    writer's cadence; ``state`` restores such a snapshot (the RNG only
-    seeds the initialization, so the replay is bit-identical).
+    With ``checkpoint``, the post-iteration state — including the
+    convergence decision, so a resumed run never iterates past where the
+    original stopped — is persisted at the writer's cadence; ``state``
+    restores such a snapshot (the RNG only seeds the initialization, so
+    the replay is bit-identical).
     """
     k = num_topics
     total = weights.sum()
@@ -255,15 +256,6 @@ def _fit_kernel(i_idx: np.ndarray, j_idx: np.ndarray, weights: np.ndarray,
     return rho, phi, ll
 
 
-def _restart_task(shared, seed_seq, checkpoint=None,
-                  state=None) -> Tuple[np.ndarray, np.ndarray, float]:
-    """One random restart; ``shared`` carries the static problem arrays."""
-    i_idx, j_idx, weights, num_nodes, num_topics, max_iter, tol = shared
-    return _fit_kernel(i_idx, j_idx, weights, num_nodes, num_topics,
-                       max_iter, tol, rng_from(seed_seq),
-                       checkpoint=checkpoint, state=state)
-
-
 class CathyEM:
     """EM estimator for the homogeneous Poisson link-clustering model.
 
@@ -273,21 +265,16 @@ class CathyEM:
         tol: relative log-likelihood improvement below which EM stops.
         restarts: random restarts; the best-likelihood solution is kept.
         seed: RNG seed or generator.  Each restart draws its start from a
-            seed spawned deterministically off this, so results do not
-            depend on the worker count.
-        workers: parallel workers for the restarts; None defers to the
-            process default / ``REPRO_WORKERS`` (see :mod:`repro.parallel`).
+            seed spawned deterministically off this.
         checkpoint: optional :class:`~repro.resilience.CheckpointWriter`;
-            when given, restarts run serially (with the same spawned
-            seeds as the parallel path, so results are bit-identical)
-            and the fit state is persisted at the writer's cadence.
+            when given, the fit state is persisted at the writer's
+            cadence.
         resume: continue from the checkpoint file when it exists.
     """
 
     def __init__(self, num_topics: int, max_iter: int = 200,
                  tol: float = 1e-6, restarts: int = 1,
                  seed: RandomState = None,
-                 workers: Optional[int] = None,
                  checkpoint: Optional[CheckpointWriter] = None,
                  resume: bool = False) -> None:
         if num_topics < 1:
@@ -298,7 +285,6 @@ class CathyEM:
         self.max_iter = max_iter
         self.tol = tol
         self.restarts = restarts
-        self.workers = workers
         self.checkpoint = checkpoint
         self.resume = resume
         self._rng = ensure_rng(seed)
@@ -316,17 +302,16 @@ class CathyEM:
         if not len(weights):
             raise ConfigurationError("network has no links to cluster")
 
+        def restart(seed_seq, checkpoint=None, state=None):
+            return _fit_kernel(i_idx, j_idx, weights, num_nodes,
+                               self.num_topics, self.max_iter, self.tol,
+                               rng_from(seed_seq), checkpoint=checkpoint,
+                               state=state)
+
         with span("cathy.em.fit"):
-            shared = (i_idx, j_idx, weights, num_nodes, self.num_topics,
-                      self.max_iter, self.tol)
             seeds = spawn_seed_sequences(self._rng, self.restarts)
-            if self.checkpoint is not None:
-                runs = run_restarts_checkpointed(
-                    self.checkpoint, self.resume, shared, seeds,
-                    _restart_task)
-            else:
-                runs = pmap(_restart_task, seeds, workers=self.workers,
-                            shared=shared, label="cathy.em.restarts")
+            runs = run_restarts(seeds, restart, self.checkpoint,
+                                self.resume)
             best: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
             for run in runs:
                 if best is None or run[2] > best[2]:

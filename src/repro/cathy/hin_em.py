@@ -27,9 +27,8 @@ With S the CSR carrying ``w * alpha / denominator``, the M-step's expected
 counts are two SpMMs: ``A * (S B)`` credits each link's first endpoint and
 ``B * (S^T A)`` its second, and rho and the background counts are read off
 the same products.  No (k, E) posterior, incidence matrix or per-link-type
-loop is materialized.  Random restarts fan out over
-:func:`repro.parallel.pmap` with deterministically spawned seeds, so any
-worker count reproduces the serial result exactly.
+loop is materialized.  Random restarts run in turn on the bound
+estimator, each from a deterministically spawned seed.
 """
 
 from __future__ import annotations
@@ -42,12 +41,12 @@ from scipy.sparse import csr_matrix
 
 from ..errors import ConfigurationError, NotFittedError
 from ..network import HeterogeneousNetwork
-from .em import run_restarts_checkpointed
+from .em import run_restarts
 from ..network.weighted import LinkType, canonical_link_type
 from ..obs import inc, span, trace
-from ..parallel import pmap, rng_from, spawn_seed_sequences
 from ..resilience import CheckpointWriter
-from ..utils import EPS, RandomState, ensure_rng, run_positions
+from ..utils import (EPS, RandomState, ensure_rng, rng_from, run_positions,
+                     spawn_seed_sequences)
 
 LinkKey = Tuple[int, int]
 
@@ -229,14 +228,10 @@ class CathyHIN:
         phi_prior: Dirichlet pseudo-count on every ranking distribution
             (smooths away zero probabilities in small subnetworks).
         seed: RNG seed or generator.  Restart starting points are drawn
-            from seeds spawned deterministically off this, so results do
-            not depend on the worker count.
-        workers: parallel workers for the restarts; None defers to the
-            process default / ``REPRO_WORKERS`` (see :mod:`repro.parallel`).
+            from seeds spawned deterministically off this.
         checkpoint: optional :class:`~repro.resilience.CheckpointWriter`;
-            when given, restarts run serially (with the same spawned
-            seeds as the parallel path, so results are bit-identical)
-            and the fit state is persisted at the writer's cadence.
+            when given, the fit state is persisted at the writer's
+            cadence.
         resume: continue from the checkpoint file when it exists.
     """
 
@@ -250,11 +245,12 @@ class CathyHIN:
                  rho_prior: float = 0.0,
                  phi_prior: float = 0.0,
                  seed: RandomState = None,
-                 workers: Optional[int] = None,
                  checkpoint: Optional[CheckpointWriter] = None,
                  resume: bool = False) -> None:
         if num_topics < 1:
             raise ConfigurationError("num_topics must be >= 1")
+        if restarts < 1:
+            raise ConfigurationError("restarts must be >= 1")
         if isinstance(weight_mode, str) and weight_mode not in (
                 "equal", "norm", "learn"):
             raise ConfigurationError(
@@ -270,7 +266,6 @@ class CathyHIN:
         self.restarts = restarts
         self.rho_prior = rho_prior
         self.phi_prior = phi_prior
-        self.workers = workers
         self.checkpoint = checkpoint
         self.resume = resume
         self._rng = ensure_rng(seed)
@@ -279,38 +274,20 @@ class CathyHIN:
         self._blocks: Optional[_NodeBlocks] = None
         self._split: Optional[Tuple] = None
 
-    def _constructor_params(self) -> Dict[str, object]:
-        """The constructor arguments needed to rebuild this estimator in a
-        worker process (seed, workers, and checkpointing excluded on
-        purpose)."""
-        return {
-            "num_topics": self.num_topics,
-            "weight_mode": self.weight_mode,
-            "background": self.background,
-            "max_iter": self.max_iter,
-            "weight_update_every": self.weight_update_every,
-            "tol": self.tol,
-            "rho_prior": self.rho_prior,
-            "phi_prior": self.phi_prior,
-        }
-
     # ------------------------------------------------------------------- fit
     def fit(self, network: HeterogeneousNetwork) -> HINTopicModel:
         """Fit the model to all links of ``network``."""
         node_names = self._prepare(network)
         alpha = self._initial_alpha()
 
+        def restart(seed_seq, checkpoint=None, state=None):
+            return self._fit_once(node_names, alpha, rng=rng_from(seed_seq),
+                                  checkpoint=checkpoint, state=state)
+
         with span("cathy.hin_em.fit"):
-            shared = (self._constructor_params(), self._network,
-                      node_names, alpha)
             seeds = spawn_seed_sequences(self._rng, self.restarts)
-            if self.checkpoint is not None:
-                runs = run_restarts_checkpointed(
-                    self.checkpoint, self.resume, shared, seeds,
-                    _hin_restart_task)
-            else:
-                runs = pmap(_hin_restart_task, seeds, workers=self.workers,
-                            shared=shared, label="cathy.hin_em.restarts")
+            runs = run_restarts(seeds, restart, self.checkpoint,
+                                self.resume)
             best: Optional[HINTopicModel] = None
             for model in runs:
                 if best is None or model.log_likelihood > best.log_likelihood:
@@ -324,15 +301,10 @@ class CathyHIN:
         (the types with nodes, in sorted order)."""
         if not network.link_types():
             raise ConfigurationError("network has no links to cluster")
-        blocks = self._bind(network)
-        self._split = None
-        return {t: network.node_names(t) for t in blocks.types}
-
-    def _bind(self, network: HeterogeneousNetwork) -> _NodeBlocks:
-        """Fit on ``network``'s own stacked arrays."""
         self._network = network
         self._blocks = _NodeBlocks(network)
-        return self._blocks
+        self._split = None
+        return {t: network.node_names(t) for t in self._blocks.types}
 
     def _initial_alpha(self) -> Dict[LinkType, float]:
         if isinstance(self.weight_mode, Mapping):
@@ -366,15 +338,12 @@ class CathyHIN:
         return degrees / blocks.per_node(blocks.type_totals(degrees))
 
     def _fit_once(self, node_names: Dict[str, List[str]],
-                  alpha: Dict[LinkType, float],
-                  rng: Optional[np.random.Generator] = None,
+                  alpha: Dict[LinkType, float], rng: np.random.Generator,
                   checkpoint=None,
                   state: Optional[Dict] = None) -> HINTopicModel:
         k = self.num_topics
         network = self._network
         blocks = self._blocks
-        if rng is None:
-            rng = self._rng
         phi_parent = self._parent_distribution()
         learn = self.weight_mode == "learn"
 
@@ -685,21 +654,6 @@ class CathyHIN:
         if self.model_ is None:
             raise NotFittedError("call fit() before using the model")
         return self.model_
-
-
-def _hin_restart_task(shared, seed_seq, checkpoint=None,
-                      state=None) -> HINTopicModel:
-    """One random restart, runnable in a worker process.
-
-    ``shared`` carries the constructor parameters, the network, node
-    names, and initial alpha — shipped once per worker.
-    """
-    params, network, node_names, alpha = shared
-    estimator = CathyHIN(**params)
-    estimator._bind(network)
-    return estimator._fit_once(node_names, dict(alpha),
-                               rng=rng_from(seed_seq),
-                               checkpoint=checkpoint, state=state)
 
 
 def _normalize_alpha(alpha: Dict[LinkType, float],

@@ -33,15 +33,14 @@ Commands:
 ``repro --version`` prints the library version (the same one stamped
 into run reports, datasets, and model manifests).
 
-Every command accepts ``--seed`` for reproducibility, ``--workers N``
-for parallel execution (falling back to the ``REPRO_WORKERS``
-environment variable; results are identical for every worker count
-under the same seed), plus the observability flags ``--log-level``,
-``--trace PATH`` (JSON-lines convergence traces and phase spans),
-``--report PATH`` (aggregated run report; see :mod:`repro.obs.report`
-for the schema), and ``--profile PATH`` (per-span peak-RSS and
-allocation profiling; writes a ``repro.obs/profile/v1`` report ranking
-spans by self time — see :mod:`repro.obs.profile`).
+Every command accepts ``--seed`` for reproducibility (the same seed
+prints the same output, byte for byte), plus the observability flags
+``--log-level``, ``--trace PATH`` (JSON-lines convergence traces and
+phase spans), ``--report PATH`` (aggregated run report; see
+:mod:`repro.obs.report` for the schema), and ``--profile PATH``
+(per-span peak-RSS and allocation profiling; writes a
+``repro.obs/profile/v1`` report ranking spans by self time — see
+:mod:`repro.obs.profile`).
 
 Crash recovery: ``--checkpoint-dir DIR`` makes the iterative solvers
 persist their state there (atomically, at every iteration), and
@@ -60,7 +59,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import get_version, obs, parallel
+from . import get_version, obs
 from .datasets import (DBLPConfig, NewsConfig, generate_dblp,
                        generate_news, load_dataset, save_dataset)
 from .errors import ReproError
@@ -73,15 +72,8 @@ def _add_dataset_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _obs_parent() -> argparse.ArgumentParser:
-    """Observability and execution flags shared by every subcommand."""
+    """Observability and resilience flags shared by every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
-    execution = parent.add_argument_group("execution")
-    execution.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel worker processes for hierarchy construction, EM "
-             "restarts, and segmentation (default: the REPRO_WORKERS "
-             "environment variable, else serial); results are identical "
-             "for every worker count under the same seed")
     resilience = parent.add_argument_group("resilience")
     resilience.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -207,8 +199,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     # `repro ingest` invocations accumulate onto one stream.
     pipeline = IngestPipeline(
         store, config,
-        checkpoint_dir=_os.path.join(args.shard_dir, "pipeline"),
-        workers=args.workers)
+        checkpoint_dir=_os.path.join(args.shard_dir, "pipeline"))
     report = pipeline.ingest_batch(documents)
     print(_json.dumps(report.to_dict(), indent=2))
     return 0
@@ -442,9 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="destination format: v2 (default) or v1 "
                               "(legacy canonical JSON)")
     # Pure file transformation: default the shared run flags away.
-    migrate.set_defaults(func=_cmd_migrate_model, workers=None,
-                         report=None, trace=None, profile=None,
-                         log_level=None, log_json=False)
+    migrate.set_defaults(func=_cmd_migrate_model, report=None, trace=None,
+                         profile=None, log_level=None, log_json=False)
 
     ingest = sub.add_parser(
         "ingest",
@@ -520,20 +510,19 @@ def build_parser() -> argparse.ArgumentParser:
                               help="where to write the Chrome trace "
                                    "(open in chrome://tracing)")
     # Pure file transformation: default the shared run flags away.
-    export_trace.set_defaults(func=_cmd_trace_export, workers=None,
-                              report=None, trace=None, profile=None,
-                              log_level=None, log_json=False)
+    export_trace.set_defaults(func=_cmd_trace_export, report=None,
+                              trace=None, profile=None, log_level=None,
+                              log_json=False)
 
     lint = sub.add_parser(
         "lint", help="enforce the codebase's invariants (rules "
                      "RL000-RL402) in one whole-program pass")
     from .lint.cli import add_lint_arguments
     add_lint_arguments(lint)
-    # The lint subcommand takes none of the run-telemetry or execution
-    # flags; default them so main()'s shared plumbing stays oblivious.
-    lint.set_defaults(func=_cmd_lint, workers=None, report=None,
-                      trace=None, profile=None, log_level=None,
-                      log_json=False)
+    # The lint subcommand takes none of the run-telemetry flags; default
+    # them so main()'s shared plumbing stays oblivious.
+    lint.set_defaults(func=_cmd_lint, report=None, trace=None,
+                      profile=None, log_level=None, log_json=False)
     return parser
 
 
@@ -571,20 +560,16 @@ def _write_profile_report(args: argparse.Namespace) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Library (:class:`~repro.errors.ReproError`) and file-system errors —
-    including :class:`~repro.errors.ExecutionError`, the typed wrapper a
-    broken worker pool surfaces as — are reported as a one-line message
-    on stderr with exit status 2.  A keyboard interrupt flushes the run
-    report (checkpoints are already on disk) and exits with the
-    conventional status 130.
+    Library (:class:`~repro.errors.ReproError`) and file-system errors
+    are reported as a one-line message on stderr with exit status 2.  A
+    keyboard interrupt flushes the run report (checkpoints are already
+    on disk) and exits with the conventional status 130.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_observability(args)
     try:
-        parallel.set_workers(args.workers)
-        with parallel.pool_scope():
-            code = args.func(args)
+        code = args.func(args)
         if code == 0 and args.report:
             _write_run_report(args)
         if code == 0 and args.profile:

@@ -22,7 +22,6 @@ from ..hierarchy import TopicalHierarchy
 from ..network import HeterogeneousNetwork, build_collapsed_network
 from ..obs import (build_run_report, get_logger, get_report_path,
                    is_enabled, span, write_report)
-from ..parallel import pool_scope
 from ..phrases import (PhraseCounts, attach_entity_rankings, attach_phrases)
 from ..relations import (CandidateGraph, CollaborationNetwork, TPFG,
                          TPFGResult, build_candidate_graph)
@@ -47,10 +46,6 @@ class MinerConfig:
         entity_types: which entity types to use (default: all present).
         min_count: minimum term frequency to enter the network.
         top_k: phrases / entities retained per topic.
-        workers: parallel workers for hierarchy construction (sibling
-            subtrees, EM restarts); None defers to the process default /
-            ``REPRO_WORKERS`` (see :mod:`repro.parallel`).  Results are
-            identical for every worker count under the same seed.
     """
 
     num_children: Union[int, Sequence[int], str] = 4
@@ -61,7 +56,6 @@ class MinerConfig:
     entity_types: Optional[Sequence[str]] = None
     min_count: int = 1
     top_k: int = 20
-    workers: Optional[int] = None
     builder_overrides: Dict[str, object] = field(default_factory=dict)
 
 
@@ -123,7 +117,7 @@ class LatentEntityMiner:
         config = self.config
         logger.info("fit: %d documents, %d terms", len(corpus),
                     len(corpus.vocabulary))
-        with span("miner.fit"), pool_scope():
+        with span("miner.fit"):
             with span("miner.network_collapse"):
                 network = build_collapsed_network(
                     corpus, entity_types=config.entity_types,
@@ -132,7 +126,6 @@ class LatentEntityMiner:
                 "num_children": config.num_children,
                 "max_depth": config.max_depth,
                 "weight_mode": config.weight_mode,
-                "workers": config.workers,
             }
             if checkpoint_dir is not None:
                 builder_kwargs["checkpoint_dir"] = checkpoint_dir

@@ -6,8 +6,6 @@ catch a single base class at API boundaries.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -27,17 +25,3 @@ class NotFittedError(ReproError):
 
 class ConvergenceError(ReproError):
     """An iterative algorithm failed to make progress or produce a result."""
-
-
-class ExecutionError(ReproError):
-    """A parallel execution resource failed (dead worker, broken pool,
-    or a map that exceeded its timeout) and the work could not be
-    completed serially either.
-
-    Attributes:
-        label: the pmap label of the failing map, when known.
-    """
-
-    def __init__(self, message: str, label: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.label = label

@@ -2,7 +2,7 @@
 
 PRs 1–4 established the contracts that make this reproduction
 trustworthy at scale: bit-deterministic seeding through
-:mod:`repro.parallel.seeding` (worker-count invariance), atomic-only
+:mod:`repro.utils` (one run per seed), atomic-only
 persistence through :mod:`repro.resilience.atomic`, typed error
 surfaces from :mod:`repro.errors`, dotted-lowercase metric names in
 :mod:`repro.obs`, and config-fingerprint-guarded checkpoints.  Every

@@ -5,8 +5,8 @@ rather than over single files:
 
 ========  =============================================================
 RL101     Layering.  The subsystems form a declared dependency DAG —
-          ``errors/contracts < utils < obs < parallel < resilience <
-          solvers < serve/stream/lint < cli`` — and every
+          ``errors/contracts < utils < obs < resilience < solvers <
+          serve/stream/lint < cli`` — and every
           *module-scope* import must point sideways or downward.
           Deferred imports (function-local, ``TYPE_CHECKING``) are
           exempt: they execute late or never, so they cannot couple
@@ -66,17 +66,16 @@ LAYERS: Dict[str, int] = {
     "root": 0, "errors": 0, "contracts": 0,
     "utils": 1,
     "obs": 2,
-    # Execution substrate (solvers import it).
-    "parallel": 3,
-    "resilience": 4,
+    # Persistence substrate (solvers import it).
+    "resilience": 3,
     # The solver band.
-    "core": 5, "corpus": 5, "datasets": 5, "network": 5,
-    "hierarchy": 5, "phrases": 5, "baselines": 5, "cathy": 5,
-    "strod": 5, "relations": 5, "roles": 5, "eval": 5,
+    "core": 4, "corpus": 4, "datasets": 4, "network": 4,
+    "hierarchy": 4, "phrases": 4, "baselines": 4, "cathy": 4,
+    "strod": 4, "relations": 4, "roles": 4, "eval": 4,
     # Products over solvers.
-    "serve": 6, "stream": 6, "lint": 6,
+    "serve": 5, "stream": 5, "lint": 5,
     # Entry points see everything.
-    "cli": 7, "main": 7,
+    "cli": 6, "main": 6,
 }
 
 

@@ -12,10 +12,10 @@ The catalogue (the PR-1–4 contract each rule guards):
 ========  =============================================================
 RL001     No global RNG.  Legacy ``numpy.random.*`` draws and the
           stdlib :mod:`random` module carry hidden process-wide state
-          that breaks worker-count invariance; randomness must route
-          through :func:`repro.utils.ensure_rng` or
-          :mod:`repro.parallel.seeding` (which alone may construct
-          generators).
+          that breaks seed determinism; randomness must route through
+          :func:`repro.utils.ensure_rng` or
+          :func:`repro.utils.spawn_seed_sequences` (:mod:`repro.utils`
+          alone may construct generators).
 RL002     No wall clock or OS entropy in solver code.  ``time.time``,
           ``datetime.now`` and ``os.urandom`` make solver output depend
           on when/where it ran; only the observability and serving
@@ -177,11 +177,11 @@ _NUMPY_LEGACY = frozenset({
     "multivariate_normal", "poisson", "power", "RandomState",
 })
 
-#: Sanctioned generator constructors; allowed only in the two modules
-#: that own seeding (everything else receives a Generator/SeedSequence).
+#: Sanctioned generator constructors; allowed only in the module that
+#: owns seeding (everything else receives a Generator/SeedSequence).
 #: Raw bit-generator classes are included: a blocked kernel that builds
-#: its own ``PCG64`` for batched draws sidesteps the per-task
-#: ``SeedSequence.spawn`` discipline and breaks worker-count invariance.
+#: its own ``PCG64`` for batched draws sidesteps the per-subproblem
+#: ``SeedSequence.spawn`` discipline and breaks seed determinism.
 _NUMPY_CONSTRUCTORS = frozenset({
     "default_rng", "SeedSequence", "Generator",
     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
@@ -194,9 +194,9 @@ class NoGlobalRng(Rule):
     id = "RL001"
     title = "no global RNG"
     guards = ("PR-2 bit-deterministic seeding: SeedSequence.spawn per "
-              "task, worker-count invariance")
-    #: Constructor calls are additionally confined to these two modules.
-    constructor_allow = ("src/repro/utils.py", "src/repro/parallel/seeding.py")
+              "subproblem, one run per seed")
+    #: Constructor calls are additionally confined to this module.
+    constructor_allow = ("src/repro/utils.py",)
     constructor_scope = ("src/repro/",)
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
@@ -214,13 +214,13 @@ class NoGlobalRng(Rule):
                     yield self.violation(
                         ctx, node,
                         "stdlib 'random' is process-global state; use "
-                        "repro.utils.ensure_rng / repro.parallel.seeding")
+                        "repro.utils.ensure_rng / spawn_seed_sequences")
         elif isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module == "random":
             yield self.violation(
                 ctx, node,
                 "stdlib 'random' is process-global state; use "
-                "repro.utils.ensure_rng / repro.parallel.seeding")
+                "repro.utils.ensure_rng / spawn_seed_sequences")
 
     def _check_call(self, ctx: "FileContext",
                     node: ast.Call) -> Iterator[Violation]:
@@ -241,14 +241,14 @@ class NoGlobalRng(Rule):
                     and not _match_any(ctx.path, self.constructor_allow):
                 yield self.violation(
                     ctx, node,
-                    f"numpy.random.{name} constructed outside the seeding "
-                    f"modules; accept a seed and call "
-                    f"repro.utils.ensure_rng / repro.parallel.seeding")
+                    f"numpy.random.{name} constructed outside repro.utils; "
+                    f"accept a seed and call "
+                    f"repro.utils.ensure_rng / spawn_seed_sequences")
         elif resolved.startswith("random."):
             yield self.violation(
                 ctx, node,
                 f"{resolved} draws from the process-global stdlib RNG; "
-                f"use repro.utils.ensure_rng / repro.parallel.seeding")
+                f"use repro.utils.ensure_rng / spawn_seed_sequences")
 
 
 # --------------------------------------------------------------------- RL002

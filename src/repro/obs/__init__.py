@@ -4,11 +4,10 @@ Five pillars, all inert until configured:
 
 * a process-wide **metrics registry** (:mod:`repro.obs.registry`) with
   counters, gauges, and quantile-sketch timers (p50/p90/p99) plus a
-  near-zero-overhead :func:`timed` context manager; registries merge
-  across processes via :meth:`MetricsRegistry.merge_snapshot`;
+  near-zero-overhead :func:`timed` context manager;
 * **span tracing** (:mod:`repro.obs.spans`): nested wall/CPU-time spans
-  with stable IDs and parent links, merged across pmap workers and
-  exportable to Chrome ``trace_event`` JSON (``repro trace-export``);
+  with stable IDs and parent links, exportable to Chrome
+  ``trace_event`` JSON (``repro trace-export``);
 * a **convergence tracer** (:mod:`repro.obs.tracer`) recording
   per-iteration log-likelihood / residual, iteration wall-time, and the
   termination reason of every iterative loop;
@@ -49,8 +48,6 @@ from .profile import (PROFILE_SCHEMA, build_profile_report, cpu_time_s,
                       write_profile_report)
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import render_prometheus
-from .propagate import (apply_observability_state, capture_telemetry,
-                        merge_telemetry, observability_state)
 from .registry import (MetricsRegistry, QuantileSketch, TimerStats,
                        get_registry, inc, is_enabled, observe,
                        reset_metrics, set_enabled, set_gauge, timed,
@@ -60,12 +57,11 @@ from .report import (REPORT_SCHEMA, build_run_report, cache_ratios,
                      write_report)
 from .spans import (SpanHandle, clear_spans, current_span_id,
                     current_trace_id, from_chrome_trace, get_spans,
-                    merge_spans, reset_spans, self_times,
-                    set_spans_enabled, set_trace_id, span, span_totals,
-                    spans_enabled, spans_from_jsonl, to_chrome_trace,
-                    top_spans)
+                    reset_spans, self_times, set_spans_enabled,
+                    set_trace_id, span, span_totals, spans_enabled,
+                    spans_from_jsonl, to_chrome_trace, top_spans)
 from .tracer import (ConvergenceTrace, clear_traces, get_trace_path,
-                     get_traces, register_trace, set_trace_path, trace)
+                     get_traces, set_trace_path, trace)
 
 __all__ = [
     "ConvergenceTrace",
@@ -77,11 +73,9 @@ __all__ = [
     "REPORT_SCHEMA",
     "SpanHandle",
     "TimerStats",
-    "apply_observability_state",
     "build_profile_report",
     "build_run_report",
     "cache_ratios",
-    "capture_telemetry",
     "clear_spans",
     "clear_traces",
     "configure",
@@ -98,13 +92,9 @@ __all__ = [
     "get_traces",
     "inc",
     "is_enabled",
-    "merge_spans",
-    "merge_telemetry",
-    "observability_state",
     "observe",
     "peak_rss_bytes",
     "profiling_enabled",
-    "register_trace",
     "render_prometheus",
     "reset",
     "reset_metrics",

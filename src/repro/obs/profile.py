@@ -57,7 +57,7 @@ def peak_rss_bytes() -> int:
 
 def cpu_time_s() -> float:
     """Total CPU seconds (user+system) of this process and its reaped
-    children — worker CPU counts once the pool has shut down."""
+    children."""
     own = resource.getrusage(resource.RUSAGE_SELF)
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
     return (own.ru_utime + own.ru_stime

@@ -7,11 +7,7 @@ solvers emit.  Instrumentation is free when observability is disabled
 more than a module-global check per call and allocate nothing.
 
 Every :class:`TimerStats` carries a :class:`QuantileSketch` — a
-fixed-memory log-bucketed histogram exposing p50/p90/p99 — and both are
-**mergeable**: :meth:`MetricsRegistry.merge_snapshot` folds a snapshot
-taken in another process into this registry (the worker-telemetry path
-of :mod:`repro.parallel`), with counter addition and bucket-count
-addition, so merged totals are exact and merge order never matters.
+fixed-memory log-bucketed histogram exposing p50/p90/p99.
 """
 
 from __future__ import annotations
@@ -62,11 +58,6 @@ class QuantileSketch:
     integers regardless of observation count.  Buckets are stored
     sparsely (``index -> count``), which keeps snapshots tiny for the
     typical timer that spans a few decades.
-
-    Merging two sketches adds their bucket counts — integer addition, so
-    the merge is exact, commutative, and associative: folding worker
-    sketches into the parent registry gives the same p50/p99 regardless
-    of worker count or merge order.
     """
 
     #: Lower edge of bucket 0 (100 ns — below any duration we time).
@@ -116,11 +107,6 @@ class QuantileSketch:
                 lower = self.MIN_VALUE * self.GROWTH ** index
                 return lower * math.sqrt(self.GROWTH)
         return self.MIN_VALUE * self.GROWTH ** self.NUM_BUCKETS
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold ``other``'s buckets into this sketch (exact addition)."""
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
 
     def to_dict(self) -> Dict[str, int]:
         """Sparse bucket map with string keys (JSON/snapshot currency)."""
@@ -179,21 +165,8 @@ class TimerStats:
         """Estimated ``q``-quantile of the observed durations."""
         return self.sketch.quantile(q)
 
-    def merge(self, other: "TimerStats") -> None:
-        """Fold another timer's aggregate into this one (cross-process)."""
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.last = other.last
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.sketch.merge(other.sketch)
-
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form used by run reports and snapshot merging."""
+        """Plain-data form used by run reports and metric snapshots."""
         return {
             "count": self.count,
             "total_s": self.total,
@@ -206,26 +179,6 @@ class TimerStats:
             "p99_s": self.quantile(0.99),
             "sketch": self.sketch.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TimerStats":
-        """Rebuild timer stats from :meth:`to_dict` output.
-
-        Tolerates sketch-less dicts (pre-quantile snapshots): the sketch
-        then starts empty and quantiles read as 0 until new observations
-        arrive.
-        """
-        stats = cls()
-        stats.count = int(data.get("count", 0))
-        stats.total = float(data.get("total_s", 0.0))
-        stats.min = float(data.get("min_s", 0.0)) if stats.count \
-            else float("inf")
-        stats.max = float(data.get("max_s", 0.0))
-        stats.last = float(data.get("last_s", 0.0))
-        sketch = data.get("sketch")
-        if isinstance(sketch, Mapping):
-            stats.sketch = QuantileSketch.from_dict(sketch)
-        return stats
 
 
 class MetricsRegistry:
@@ -288,30 +241,6 @@ class MetricsRegistry:
                 "timers": {name: stats.to_dict()
                            for name, stats in self._timers.items()},
             }
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` from another process into this registry.
-
-        Counters add, gauges take the incoming value (last write wins, as
-        for a local ``set_gauge``), and timers merge count/sum/extremes
-        plus their quantile sketches.  Counter and sketch merging are
-        exact integer/float addition, so folding N worker snapshots gives
-        the same totals as running the same work in-process.
-        """
-        counters = snapshot.get("counters", {})
-        gauges = snapshot.get("gauges", {})
-        timers = snapshot.get("timers", {})
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) \
-                    + float(value)
-            for name, value in gauges.items():
-                self._gauges[name] = float(value)
-            for name, data in timers.items():
-                stats = self._timers.get(name)
-                if stats is None:
-                    stats = self._timers[name] = TimerStats()
-                stats.merge(TimerStats.from_dict(data))
 
 
 _REGISTRY = MetricsRegistry()

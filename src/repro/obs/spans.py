@@ -1,4 +1,4 @@
-"""Nested span tracing with cross-process merge and Chrome export.
+"""Nested span tracing with Chrome export.
 
 A *span* is one timed region of the pipeline — a solver phase, one
 E-step, one Gibbs sweep, one HTTP request — carrying wall-clock start
@@ -20,11 +20,7 @@ Three activity tiers keep the hot path free:
 Wall-clock timestamps come from a per-process anchor
 (``time.time() - time.perf_counter()`` sampled at import) plus
 ``perf_counter`` offsets, so sibling and nested spans within a process
-are perfectly ordered even when the system clock steps.  Worker
-processes ship their finished spans back through
-:mod:`repro.obs.propagate`; :func:`merge_spans` re-parents each worker's
-root spans under the parent-side ``parallel.*`` span and rewrites trace
-IDs, so one run yields one connected tree across every process.
+are perfectly ordered even when the system clock steps.
 
 Finished spans stream to the configured trace path (one
 ``{"event": "span", ...}`` JSON line each) and export to Chrome
@@ -50,7 +46,6 @@ __all__ = [
     "current_trace_id",
     "from_chrome_trace",
     "get_spans",
-    "merge_spans",
     "reset_spans",
     "self_times",
     "set_profile_hooks",
@@ -77,8 +72,7 @@ _NEXT_ID = 0
 
 #: Trace ID shared by every span of this process unless a thread
 #: overrides it (e.g. one ID per HTTP request).  Derived from pid and
-#: the anchor, so forked workers inherit a distinct-enough default that
-#: :func:`merge_spans` then rewrites to the parent's.
+#: the anchor.
 _PROCESS_TRACE_ID = f"{os.getpid():x}-{int(_ANCHOR_UNIX * 1e6):x}"
 
 #: Optional profiling hooks installed by :mod:`repro.obs.profile`
@@ -242,7 +236,7 @@ class _LiveSpan(SpanHandle):
             record["attrs"] = self.attrs
         if _PROFILE_END is not None:
             record.update(_PROFILE_END(self._profile_token))
-        _record_finished([record])
+        _record_finished(record)
         if is_enabled():
             get_registry().observe(self.name, record["dur_s"])
         return False
@@ -270,21 +264,18 @@ def span(name: str, **attrs: Any) -> SpanHandle:
     return _NULL_SPAN
 
 
-def _record_finished(records: List[Dict[str, Any]]) -> None:
-    """Register finished records and stream them to the trace path."""
+def _record_finished(record: Dict[str, Any]) -> None:
+    """Register a finished record and stream it to the trace path."""
     with _FINISHED_LOCK:
-        _FINISHED.extend(records)
+        _FINISHED.append(record)
     path = get_trace_path()
     if path is not None:
-        lines = []
-        for record in records:
-            event = {"event": "span"}
-            event.update(record)
-            lines.append(json.dumps(event, default=repr))
+        event = {"event": "span"}
+        event.update(record)
         # repro: noqa-RL003  append-only JSONL stream shared with the
         # convergence tracer: each finished span is one appended line.
         with open(path, "a") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(json.dumps(event, default=repr) + "\n")
 
 
 def get_spans(name: Optional[str] = None) -> List[Dict[str, Any]]:
@@ -308,34 +299,6 @@ def reset_spans() -> None:
     clear_spans()
     set_trace_id(None)
     _LOCAL.stack = []
-
-
-def merge_spans(records: Iterable[Dict[str, Any]],
-                parent_id: Optional[str] = None,
-                trace_id: Optional[str] = None) -> int:
-    """Fold span records shipped from another process into this one.
-
-    Records whose parent is not among the shipped records (the worker's
-    roots) are re-parented under ``parent_id``, and every record's trace
-    ID is rewritten to ``trace_id`` (both default to the caller's
-    current span/trace), so worker spans graft into the parent tree
-    instead of forming orphan forests.  Returns the number of records
-    merged.
-    """
-    batch = [dict(r) for r in records]
-    if not batch:
-        return 0
-    if parent_id is None:
-        parent_id = current_span_id()
-    if trace_id is None:
-        trace_id = current_trace_id()
-    shipped_ids = {r["span_id"] for r in batch}
-    for record in batch:
-        if record.get("parent_id") not in shipped_ids:
-            record["parent_id"] = parent_id
-        record["trace_id"] = trace_id
-    _record_finished(batch)
-    return len(batch)
 
 
 # ------------------------------------------------------------ span analysis

@@ -32,7 +32,6 @@ __all__ = [
     "clear_traces",
     "get_trace_path",
     "get_traces",
-    "register_trace",
     "set_trace_path",
     "trace",
 ]
@@ -85,17 +84,6 @@ class ConvergenceTrace:
             "total_time_s": self.total_time_s,
             "iterations": [dict(rec) for rec in self.iterations],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConvergenceTrace":
-        """Rebuild a trace from :meth:`to_dict` output (worker shipping)."""
-        return cls(
-            name=str(data["name"]),
-            context=dict(data.get("context", {})),
-            iterations=[dict(rec) for rec in data.get("iterations", [])],
-            termination=str(data.get("termination", "unknown")),
-            total_time_s=float(data.get("total_time_s", 0.0)),
-        )
 
 
 class Tracer:
@@ -184,18 +172,6 @@ def get_traces(name: Optional[str] = None) -> List[ConvergenceTrace]:
 def clear_traces() -> None:
     """Forget every finished trace."""
     del _TRACES[:]
-
-
-def register_trace(result: ConvergenceTrace) -> None:
-    """Add an externally built trace to the collected list and stream it.
-
-    Used by :mod:`repro.obs.propagate` when a worker ships its finished
-    traces back: the parent registers them once, so run reports see
-    worker-side convergence data exactly as if the loop ran in-process.
-    """
-    _TRACES.append(result)
-    if _TRACE_PATH is not None:
-        _write_jsonl(result, _TRACE_PATH)
 
 
 def set_trace_path(path: Optional[str]) -> None:

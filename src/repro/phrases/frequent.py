@@ -48,8 +48,7 @@ class PhraseCounts:
         merge_cache: LRU memo for :func:`~repro.phrases.significance.
             merge_significance` — adjacent phrase pairs repeat heavily
             across a corpus, so segmentation hits it constantly.  It is
-            derived state: dropped when pickling (cheap worker shipping)
-            and rebuilt lazily in each process.
+            derived state: dropped when pickling and rebuilt lazily.
     """
 
     def __init__(self, counts: Dict[Phrase, int], min_support: int,

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..corpus import Corpus, Document
 from ..obs import inc, timed
-from ..parallel import pmap
 from .frequent import PhraseCounts
 from .significance import NEVER, MergeScorer, make_merge_scorer
 
@@ -106,28 +105,13 @@ def segment_document(doc: Document,
     return result
 
 
-def _segment_task(shared, doc: Document) -> List[Phrase]:
-    """Segment one document in a worker; ``shared`` is (counts, alpha)."""
-    counts, alpha = shared
-    return segment_document(doc, counts, alpha=alpha)
-
-
 def segment_corpus(corpus: Corpus,
                    counts: PhraseCounts,
-                   alpha: float = 2.0,
-                   workers: Optional[int] = None) -> List[List[Phrase]]:
-    """Bag-of-phrases partition for every document of ``corpus``.
-
-    Documents are independent, so the corpus fans out in batches over
-    :func:`repro.parallel.pmap`; ``counts`` ships once per worker (its
-    significance cache is dropped on pickling and rebuilt locally).
-    Segmentation is deterministic, so any worker count yields the exact
-    serial partitions.
-    """
+                   alpha: float = 2.0) -> List[List[Phrase]]:
+    """Bag-of-phrases partition for every document of ``corpus``."""
     with timed("topmine.segmentation"):
-        partitions = pmap(_segment_task, list(corpus), workers=workers,
-                          shared=(counts, alpha),
-                          label="topmine.segmentation")
+        partitions = [segment_document(doc, counts, alpha=alpha)
+                      for doc in corpus]
     inc("topmine.segmented_documents", len(partitions))
     inc("topmine.phrase_instances",
         sum(len(partition) for partition in partitions))

@@ -44,9 +44,6 @@ class ToPMineConfig:
         merge_cache_capacity: LRU bound of the merge-significance memo
             (``topmine.merge_cache.{hits,misses}`` metrics track its
             effectiveness; run reports derive the hit ratio).
-        workers: parallel workers for document segmentation; None defers
-            to the process default / ``REPRO_WORKERS``
-            (see :mod:`repro.parallel`).
     """
 
     num_topics: int = 5
@@ -58,7 +55,6 @@ class ToPMineConfig:
     lda_beta: float = 0.01
     lda_iterations: int = 100
     merge_cache_capacity: int = MERGE_CACHE_CAPACITY
-    workers: Optional[int] = None
 
 
 @dataclass
@@ -107,8 +103,7 @@ class ToPMine:
             max_length=self.config.max_phrase_length,
             merge_cache_capacity=self.config.merge_cache_capacity)
         partitions = segment_corpus(
-            corpus, counts, alpha=self.config.merge_threshold,
-            workers=self.config.workers)
+            corpus, counts, alpha=self.config.merge_threshold)
         return counts, partitions
 
     def fit(self, corpus: Corpus, checkpoint_dir: Optional[str] = None,

@@ -16,8 +16,7 @@ Every iterative solver — CATHY EM, CATHYHIN EM, the hierarchy builder,
 ToPMine's phrase-constrained Gibbs sampler, the STROD tensor power
 method, and TPFG — accepts ``checkpoint=`` / ``resume=`` (or a
 ``checkpoint_dir``), surfaced on the CLI as ``--checkpoint-dir`` and
-``--resume``.  Fault tolerance for the process pool itself lives in
-:mod:`repro.parallel`.
+``--resume``.
 
 Both pillars are machine-enforced by ``repro lint``: rule RL003 routes
 every file write in ``src/repro`` through :mod:`repro.resilience.atomic`,

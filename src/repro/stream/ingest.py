@@ -6,7 +6,7 @@
    file + vocab delta + manifest, atomically), keyed by a content hash
    so a retried batch is committed exactly once;
 2. the committed shard — held by the store as arrays, not read back —
-   is sketched (``pmap``) and merged into the running
+   is sketched and merged into the running
    :class:`~repro.strod.MomentSketch` — an exactly-associative merge, so
    the running sketch equals a from-scratch sketch of the whole log;
 3. the drift detectors compare the sketch against the last-solve
@@ -181,8 +181,6 @@ class IngestPipeline:
         config: loop parameters.
         checkpoint_dir: directory for the pipeline checkpoint (None
             keeps the state in memory only).
-        workers: worker count for the sketch ``pmap`` (None defers to
-            the resolver chain).
 
     A pipeline resumed from a checkpoint rebuilds its sketch from the
     shards the checkpoint covers and refuses a log whose sketch does not
@@ -196,11 +194,9 @@ class IngestPipeline:
 
     def __init__(self, store: ShardStore,
                  config: Optional[IngestConfig] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 workers: Optional[int] = None) -> None:
+                 checkpoint_dir: Optional[str] = None) -> None:
         self.store = store
         self.config = config or IngestConfig()
-        self.workers = workers
         self._sketch: Optional[MomentSketch] = None
         self._baseline: Optional[Dict[str, Any]] = None
         self._tree_state: Optional[Dict[str, Any]] = None
@@ -277,7 +273,7 @@ class IngestPipeline:
                   for shard_id in range(self._synced_shards)]
         self._sketch = merge_sketches(build_shard_sketches(
             [shard.corpus for shard in shards], shards[-1].vocab_size,
-            min_length=self.config.min_length, workers=self.workers))
+            min_length=self.config.min_length))
         rebuilt = sketch_fingerprint(self._sketch, self._synced_shards,
                                      shards[-1].vocab_version)
         if rebuilt != state.get("fingerprint"):
@@ -358,7 +354,7 @@ class IngestPipeline:
         with span("stream.sketch"):
             shard_sketch = build_shard_sketches(
                 [shard.corpus], shard.vocab_size,
-                min_length=self.config.min_length, workers=self.workers)[0]
+                min_length=self.config.min_length)[0]
             self._sketch = (shard_sketch if self._sketch is None
                             else self._sketch.merge(shard_sketch))
         self._synced_shards = shard_id + 1

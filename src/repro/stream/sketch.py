@@ -1,13 +1,11 @@
-"""Per-shard moment sketches: parallel build, in-order merge.
+"""Per-shard moment sketches: one count per shard, in-order merge.
 
 Each shard's contribution to the STROD moments is captured by a
 :class:`~repro.strod.MomentSketch` built over that shard's documents
-alone, by one count over the shard's token array.  Sketch construction
-is embarrassingly parallel and runs through :func:`repro.parallel.pmap`
-(order-preserving, graceful serial fallback), and because the sketch
+alone, by one count over the shard's token array.  Because the sketch
 merge is **exactly associative**, the in-order merge of per-shard
 sketches is bit-identical to a sketch built over the whole log in one
-pass — for any worker count.
+pass.
 
 :func:`sketch_fingerprint` ties a sketch to the shard range and vocab
 version it was built from, so a sketch rebuilt from the log can be
@@ -16,13 +14,10 @@ checked against the one a checkpoint or an artifact recorded.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Sequence, Union
 
 from ..corpus import Corpus
 from ..errors import DataError
-from ..parallel import pmap
 from ..strod import MomentSketch
 from ..strod.moments import token_arrays
 
@@ -37,27 +32,18 @@ __all__ = [
 ShardDocuments = Union[Corpus, Sequence[Sequence[int]]]
 
 
-def _sketch_shard(shared: Tuple[int, int],
-                  arrays: Tuple[np.ndarray, np.ndarray]) -> Dict[str, Any]:
-    """pmap worker: sketch one shard's token array."""
-    vocab_size, min_length = shared
-    return MomentSketch.from_tokens(*arrays, vocab_size,
-                                    min_length=min_length).to_state()
-
-
 def build_shard_sketches(shards: Sequence[ShardDocuments],
                          vocab_size: int, min_length: int = 3,
-                         workers: Optional[int] = None,
                          ) -> List[MomentSketch]:
-    """One :class:`MomentSketch` per shard, built in parallel.
-
-    Results come back in shard order regardless of worker scheduling.
-    """
-    arrays = [(shard.tokens, shard.doc_offsets) if isinstance(shard, Corpus)
-              else token_arrays(shard) for shard in shards]
-    states = pmap(_sketch_shard, arrays, shared=(vocab_size, min_length),
-                  workers=workers, label="stream.sketch")
-    return [MomentSketch.from_state(state) for state in states]
+    """One :class:`MomentSketch` per shard, in shard order."""
+    sketches = []
+    for shard in shards:
+        tokens, offsets = ((shard.tokens, shard.doc_offsets)
+                           if isinstance(shard, Corpus)
+                           else token_arrays(shard))
+        sketches.append(MomentSketch.from_tokens(
+            tokens, offsets, vocab_size, min_length=min_length))
+    return sketches
 
 
 def merge_sketches(sketches: Sequence[MomentSketch]) -> MomentSketch:

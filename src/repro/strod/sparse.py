@@ -21,17 +21,22 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ..errors import ConfigurationError
+from ..utils import RandomState, ensure_rng
 from .moments import CountRows, first_moment, sparse_pair_moment
 
 
 def compute_whitener_sparse(rows: CountRows, vocab_size: int,
                             alpha0: float,
                             num_topics: int,
+                            seed: RandomState = None,
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whitening matrices from the implicit (sparse + rank-one) M2.
 
     Returns (whitener W, unwhitener B, m1); W and B satisfy the same
-    contracts as :func:`repro.strod.moments.compute_whitener`.
+    contracts as :func:`repro.strod.moments.compute_whitener`.  The
+    Lanczos start vector is drawn from ``seed``, so a fixed seed gives
+    the same bits on every call (ARPACK's own start vector comes from
+    state it keeps across calls).
     """
     if num_topics >= vocab_size:
         raise ConfigurationError("num_topics must be < vocab_size")
@@ -45,7 +50,9 @@ def compute_whitener_sparse(rows: CountRows, vocab_size: int,
 
     operator = LinearOperator((vocab_size, vocab_size), matvec=matvec,
                               rmatvec=matvec, dtype=float)
-    eigenvalues, eigenvectors = eigsh(operator, k=num_topics, which="LA")
+    start = ensure_rng(seed).uniform(-1.0, 1.0, size=vocab_size)
+    eigenvalues, eigenvectors = eigsh(operator, k=num_topics, which="LA",
+                                      v0=start)
     order = np.argsort(eigenvalues)[::-1]
     top_values = np.maximum(eigenvalues[order], 1e-12)
     top_vectors = eigenvectors[:, order]

@@ -31,7 +31,8 @@ from scipy.sparse import csr_matrix
 from ..errors import ConfigurationError, NotFittedError
 from ..obs import get_logger, set_gauge, span
 from ..phrases.ranking import FlatTopicModel
-from ..utils import EPS, RandomState, ensure_rng
+from ..utils import (EPS, RandomState, ensure_rng, rng_from,
+                     spawn_seed_sequences)
 from .moments import (compute_whitener, count_rows, first_moment,
                       long_documents, second_moment, whitened_third_moment)
 from .tensor_power import (TensorEigenpair, reconstruction_error,
@@ -79,7 +80,8 @@ class STROD:
             (L and N of Section 7.3.1).
         sparse: use the sparse-plus-rank-one whitening of Section 7.3.2
             (O(nnz) memory instead of O(V^2); required for large V).
-        seed: RNG seed (tensor power restarts only).
+        seed: RNG seed (tensor power restarts, and the Lanczos start
+            vector of the sparse whitening).
     """
 
     def __init__(self, num_topics: int, alpha0: Optional[float] = 1.0,
@@ -152,8 +154,12 @@ class STROD:
         with span("strod.whitening"):
             if self.sparse:
                 from .sparse import compute_whitener_sparse
+                # A spawned child leaves the generator's own draws (the
+                # tensor-power starts) as they are.
+                start_seq = spawn_seed_sequences(self._rng, 1)[0]
                 whitener, unwhitener, _ = compute_whitener_sparse(
-                    counts, vocab_size, alpha0, self.num_topics)
+                    counts, vocab_size, alpha0, self.num_topics,
+                    seed=rng_from(start_seq))
             else:
                 m2 = second_moment(counts, vocab_size, alpha0,
                                    lengths=lengths, m1=m1)

@@ -27,6 +27,44 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def seed_sequence_of(rng: np.random.Generator) -> np.random.SeedSequence:
+    """The :class:`~numpy.random.SeedSequence` driving ``rng``.
+
+    Spawning children from it advances its spawn counter, so repeated
+    calls on the same generator yield fresh, non-overlapping streams.
+    """
+    bit_generator = rng.bit_generator
+    seed_seq = getattr(bit_generator, "seed_seq", None)
+    if seed_seq is None:  # numpy < 1.24 keeps it private
+        seed_seq = bit_generator._seed_seq
+    return seed_seq
+
+
+def spawn_seed_sequences(seed: Union[RandomState, np.random.SeedSequence],
+                         n: int) -> List[np.random.SeedSequence]:
+    """Derive ``n`` independent child seed sequences from ``seed``.
+
+    ``seed`` may be anything :func:`ensure_rng` accepts, or a
+    SeedSequence.  Deriving from a Generator consumes spawn state on its
+    underlying sequence, not random draws, so interleaved ``.random()``
+    calls do not perturb the derived seeds, and the derivation does not
+    perturb the generator's own draws.  Every subproblem (a hierarchy
+    node, an EM restart) takes its stream from one such child, so a
+    resumed or re-grown subtree replays exactly the draws of the
+    original run.
+    """
+    if n <= 0:
+        return []
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.spawn(n)
+    return seed_sequence_of(ensure_rng(seed)).spawn(n)
+
+
+def rng_from(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    """The generator of one spawned seed sequence."""
+    return np.random.default_rng(seed_seq)
+
+
 def normalize(values: Iterable[float]) -> np.ndarray:
     """Normalize non-negative ``values`` into a probability vector.
 

@@ -1,64 +1,18 @@
 """Fault-injection harness for the resilience test suite.
 
-Provides module-level work functions that misbehave *only inside pool
-workers* (so the serial fallback re-run in the parent succeeds and the
-degraded map can be compared against the healthy result), a
-:class:`CrashingCheckpoint` writer that kills a fit after a chosen
-checkpoint write (simulating a SIGKILL mid-run with the checkpoint
-already on disk), and helpers that damage checkpoint files the way real
-crashes and bit rot do.
-
-Everything here must stay importable by pool workers under any start
-method, hence the module-level functions.
+Provides a :class:`CrashingCheckpoint` writer that kills a fit after a
+chosen checkpoint write (simulating a SIGKILL mid-run with the
+checkpoint already on disk), and helpers that damage checkpoint files
+the way real crashes and bit rot do.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-
-from repro.parallel import in_worker
 from repro.resilience import CheckpointWriter
 
 
 class FaultInjected(RuntimeError):
     """Raised by :class:`CrashingCheckpoint` to simulate a hard kill."""
-
-
-def echo(item):
-    """Control function: well-behaved everywhere."""
-    return item
-
-
-def die_in_worker(item):
-    """SIGKILL the hosting process when run inside a pool worker.
-
-    In the parent (serial fallback) it behaves like :func:`echo`, so a
-    degraded map must return exactly what a healthy one would.
-    """
-    if in_worker():
-        os.kill(os.getpid(), signal.SIGKILL)
-    return item
-
-
-def die_on_odd_items(item):
-    """SIGKILL the worker only for odd items; even items succeed."""
-    if in_worker() and item % 2 == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return item
-
-
-def raise_value_error(item):
-    """Deterministic work-function failure (not an infrastructure fault)."""
-    raise ValueError(f"injected work error on item {item!r}")
-
-
-def hang_in_worker(item):
-    """Sleep far past any test timeout when run inside a pool worker."""
-    if in_worker():
-        time.sleep(30.0)
-    return item
 
 
 class CrashingCheckpoint(CheckpointWriter):

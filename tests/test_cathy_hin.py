@@ -58,6 +58,12 @@ class TestBasicModel:
         with pytest.raises(ConfigurationError):
             CathyHIN(num_topics=2, weight_mode="bogus")
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, hetero_network, restarts):
+        # Zero restarts would fit nothing and return no model.
+        with pytest.raises(ConfigurationError, match="restarts"):
+            CathyHIN(num_topics=3, restarts=restarts).fit(hetero_network)
+
     def test_requires_fit_for_subnetwork(self, hetero_network):
         with pytest.raises(NotFittedError):
             CathyHIN(num_topics=2).subnetwork(0)

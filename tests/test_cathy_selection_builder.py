@@ -86,6 +86,14 @@ class TestSelectNumTopics:
 
 
 class TestHierarchyBuilder:
+    def test_zero_restarts_rejected(self, three_topic_network):
+        # A typed error at the estimator, not an AttributeError on a
+        # missing model deep in the recursion.
+        builder = HierarchyBuilder(BuilderConfig(num_children=3, max_depth=1,
+                                                 restarts=0))
+        with pytest.raises(ConfigurationError, match="restarts"):
+            builder.build(three_topic_network)
+
     def test_builds_requested_shape(self, dblp_network):
         builder = HierarchyBuilder(
             BuilderConfig(num_children=[4, 2], max_depth=2, max_iter=40),

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.datasets import DBLPConfig, generate_dblp, save_dataset
 
@@ -150,6 +154,17 @@ class TestStrod:
         assert code == 0
         assert capsys.readouterr().out.count("alpha=") == 3
 
+    def test_sparse_topics_repeat_in_one_process(self, dataset_path,
+                                                 capsys):
+        outputs = []
+        for _ in range(2):
+            code = main(["strod", dataset_path, "--topics", "3",
+                         "--sparse", "--seed", "0"])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("alpha=") == 3
+
     def test_count_rows_print_the_token_list_topics(self, dataset_path,
                                                     capsys):
         """`repro strod` fits the corpus's count CSR; it prints the
@@ -169,6 +184,27 @@ class TestStrod:
                 for w in model.phi[z].argsort()[::-1][:6])
             for z in range(4)]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+_IMPORT_PROBE = """
+import sys
+import repro, repro.obs, repro.core, repro.corpus, repro.stream, repro.cli
+print(sorted(name for name in ("multiprocessing", "concurrent.futures.process")
+             if name in sys.modules))
+"""
+
+
+class TestImportFootprint:
+    def test_no_process_pool_machinery_is_imported(self):
+        """Every fan-out runs in process, so the package (CLI included)
+        imports neither multiprocessing nor the process-pool executor."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestVersion:

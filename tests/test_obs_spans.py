@@ -4,14 +4,11 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.errors import DataError
 from repro.obs.registry import QuantileSketch
 from repro.obs.spans import _NULL_SPAN
-from repro.parallel import pmap
 
 
 def _enable_spans():
@@ -70,20 +67,6 @@ class TestSpanTree:
         (record,) = obs.get_spans("attrs")
         assert record["attrs"] == {"iteration": 3, "extra": "yes"}
 
-    def test_merge_spans_grafts_orphans_under_current(self):
-        _enable_spans()
-        with obs.span("worker.task"):
-            pass
-        shipped = obs.get_spans()
-        obs.clear_spans()
-        with obs.span("parent") as parent:
-            obs.merge_spans(shipped, parent_id=parent.span_id,
-                            trace_id=parent.trace_id)
-        records = {r["name"]: r for r in obs.get_spans()}
-        grafted = records["worker.task"]
-        assert grafted["parent_id"] == records["parent"]["span_id"]
-        assert grafted["trace_id"] == records["parent"]["trace_id"]
-
 
 def _by_id(records):
     """Chrome export reorders by start time; compare records by identity."""
@@ -111,13 +94,6 @@ class TestChromeTrace:
         assert _by_id(obs.from_chrome_trace(chrome)) == _by_id(records)
 
 
-def sketches():
-    return st.lists(
-        st.floats(min_value=1e-8, max_value=1e4,
-                  allow_nan=False, allow_infinity=False),
-        max_size=30).map(lambda values: _sketch_of(values))
-
-
 def _sketch_of(values):
     sketch = QuantileSketch()
     for value in values:
@@ -126,34 +102,6 @@ def _sketch_of(values):
 
 
 class TestQuantileSketch:
-    @settings(max_examples=50, deadline=None)
-    @given(sketches(), sketches(), sketches())
-    def test_merge_is_associative(self, a, b, c):
-        left = _sketch_of([])
-        left.merge(a)
-        left.merge(b)
-        left.merge(c)
-
-        bc = _sketch_of([])
-        bc.merge(b)
-        bc.merge(c)
-        right = _sketch_of([])
-        right.merge(a)
-        right.merge(bc)
-
-        assert left.to_dict() == right.to_dict()
-
-    @settings(max_examples=50, deadline=None)
-    @given(sketches(), sketches())
-    def test_merge_is_commutative(self, a, b):
-        ab = _sketch_of([])
-        ab.merge(a)
-        ab.merge(b)
-        ba = _sketch_of([])
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.to_dict() == ba.to_dict()
-
     def test_quantile_relative_error_bound(self):
         sketch = _sketch_of([float(i) for i in range(1, 1001)])
         for q, exact in ((0.5, 500.0), (0.9, 900.0), (0.99, 990.0)):
@@ -185,54 +133,6 @@ class TestDisabledFastPath:
             tracemalloc.stop()
         assert after - before == 0
         assert obs.get_spans() == []
-
-
-def _count_and_span(x):
-    obs.inc("spanless.worker.items")
-    with obs.span("spanless.worker.task"):
-        return x * 2
-
-
-class TestCrossProcess:
-    def test_counter_totals_identical_across_worker_counts(self):
-        """Worker metrics must not vanish even with spans disabled."""
-        items = list(range(12))
-        totals = {}
-        for workers in (1, 4):
-            obs.reset()
-            obs.set_enabled(True)
-            assert not obs.spans_enabled()
-            result = pmap(_count_and_span, items, workers=workers)
-            assert result == [x * 2 for x in items]
-            counters = obs.get_registry().snapshot()["counters"]
-            totals[workers] = counters["spanless.worker.items"]
-        assert totals[1] == totals[4] == float(len(items))
-
-    def test_worker_spans_graft_into_one_tree(self):
-        obs.reset()
-        _enable_spans()
-        pmap(_count_and_span, list(range(6)), workers=3,
-             label="spans.demo")
-        records = obs.get_spans()
-        by_id = {r["span_id"]: r for r in records}
-        worker_spans = [r for r in records
-                        if r["name"] == "spanless.worker.task"]
-        assert len(worker_spans) == 6
-        (root,) = [r for r in records
-                   if r["name"] == "parallel.spans.demo"]
-        for record in worker_spans:
-            assert record["parent_id"] == root["span_id"]
-            assert record["trace_id"] == root["trace_id"]
-        assert all(r["parent_id"] is None or r["parent_id"] in by_id
-                   for r in records)
-
-    def test_timer_quantiles_merge_from_workers(self):
-        obs.reset()
-        obs.set_enabled(True)
-        pmap(_count_and_span, list(range(8)), workers=2)
-        stats = obs.get_registry().timer("spanless.worker.task")
-        assert stats.count == 8
-        assert stats.quantile(0.5) > 0.0
 
 
 class TestPrometheus:

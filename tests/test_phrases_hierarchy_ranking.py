@@ -17,8 +17,8 @@ def decorated():
     dataset = generate_dblp(DBLPConfig(max_authors=100), seed=3)
     network = build_collapsed_network(dataset.corpus)
     # The builder seed picks which local optimum single-restart EM reaches;
-    # this one is calibrated to the SeedSequence-spawn derivation used by
-    # repro.parallel (worker-count-invariant streams).
+    # this one is calibrated to the SeedSequence-spawn derivation of
+    # repro.utils.spawn_seed_sequences (one stream per subproblem).
     builder = HierarchyBuilder(
         BuilderConfig(num_children=[6, 3], max_depth=2,
                       weight_mode="learn", max_iter=60), seed=1)

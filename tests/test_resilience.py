@@ -1,9 +1,8 @@
-"""Crash-safety tests: atomic writes, checkpoints, resume, degradation.
+"""Crash-safety tests: atomic writes, checkpoints, resume.
 
-The central promise under test: a run killed at any point — mid-write,
-mid-iteration, or by a dying pool worker — either resumes bit-for-bit
-from its checkpoints or degrades to serial execution with identical
-results.  Faults are injected with :mod:`tests.faults`.
+The central promise under test: a run killed at any point — mid-write
+or mid-iteration — resumes bit-for-bit from its checkpoints.  Faults
+are injected with :mod:`tests.faults`.
 """
 
 import json
@@ -17,10 +16,9 @@ from repro.baselines import LDAGibbs
 from repro.cathy import BuilderConfig, CathyEM, CathyHIN, HierarchyBuilder
 from repro.core import LatentEntityMiner, MinerConfig
 from repro.corpus import Corpus
-from repro.errors import DataError, ExecutionError, ReproError
+from repro.errors import DataError
 from repro.eval import held_out_perplexity
 from repro.network import build_collapsed_network, build_term_network
-from repro.parallel import pmap, pool_scope
 from repro.phrases.ranking import FlatTopicModel
 from repro.relations import ROOT, TPFG
 from repro.resilience import (CheckpointWriter, atomic_write_bytes,
@@ -29,8 +27,7 @@ from repro.resilience import (CheckpointWriter, atomic_write_bytes,
 from repro.strod import robust_tensor_decomposition
 
 from .faults import (CrashingCheckpoint, FaultInjected, corrupt_file,
-                     die_in_worker, die_on_odd_items, echo, hang_in_worker,
-                     raise_value_error, truncate_file)
+                     truncate_file)
 
 
 # --------------------------------------------------------------- fixtures
@@ -466,15 +463,13 @@ def _topics_equal(a, b):
 
 
 class TestHierarchyKillResume:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_build_resumes_bit_identical(self, dblp_network,
-                                                tmp_path, monkeypatch,
-                                                workers):
+                                                tmp_path, monkeypatch):
         import repro.cathy.builder as builder_mod
 
         def config(**overrides):
             return BuilderConfig(num_children=2, max_depth=2, max_iter=40,
-                                 workers=workers, **overrides)
+                                 **overrides)
 
         reference = HierarchyBuilder(config(), seed=7).build(dblp_network)
 
@@ -580,42 +575,6 @@ class TestHierarchyKillResume:
         _topics_equal(checkpointed.hierarchy, plain.hierarchy)
 
 
-# ------------------------------------------------ fault-tolerant parallel
-class TestFaultTolerantPmap:
-    def test_dead_workers_degrade_to_serial(self):
-        obs.configure()
-        assert pmap(die_in_worker, range(8), workers=2) == list(range(8))
-        counters = obs.get_registry().snapshot()["counters"]
-        assert counters.get("parallel.degraded", 0) >= 1
-        assert counters.get("parallel.degraded_chunks", 0) >= 1
-
-    def test_partial_failure_keeps_order(self):
-        assert pmap(die_on_odd_items, range(8), workers=2) == list(range(8))
-
-    def test_raise_mode_is_typed_and_labelled(self):
-        with pytest.raises(ExecutionError) as err:
-            pmap(die_in_worker, range(8), workers=2, on_failure="raise",
-                 label="doomed")
-        assert err.value.label == "doomed"
-        assert isinstance(err.value, ReproError)
-        assert "doomed" in str(err.value)
-
-    def test_timeout_degrades_to_serial(self):
-        assert pmap(hang_in_worker, range(4), workers=2,
-                    timeout=0.5) == list(range(4))
-
-    def test_degradation_inside_pool_scope_recovers(self):
-        with pool_scope():
-            assert pmap(die_in_worker, range(4),
-                        workers=2) == list(range(4))
-            # The broken reusable pool was dropped; the next map works.
-            assert pmap(echo, range(4), workers=2) == list(range(4))
-
-    def test_work_function_errors_propagate_unwrapped(self):
-        with pytest.raises(ValueError, match="injected work error"):
-            pmap(raise_value_error, range(4), workers=2)
-
-
 # -------------------------------------------------------- CLI failure modes
 class TestCLIFailureModes:
     def test_keyboard_interrupt_exits_130(self, monkeypatch, tmp_path,
@@ -644,20 +603,6 @@ class TestCLIFailureModes:
         assert code == 130
         data = json.loads(report.read_text())
         assert data["schema"] == "repro.obs/run-report/v2"
-
-    def test_execution_error_exits_2(self, monkeypatch, tmp_path, capsys):
-        import repro.cli as cli
-
-        def broken(args):
-            raise ExecutionError("parallel map 'em' failed: pool died",
-                                 label="em")
-
-        monkeypatch.setattr(cli, "_cmd_generate", broken)
-        code = cli.main(["generate", "dblp", str(tmp_path / "x.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "repro: error" in err
-        assert "pool died" in err
 
 
 # ------------------------------------------------------- perplexity edges

@@ -75,24 +75,13 @@ class TestMergeAlgebra:
     def test_merge_of_shards_is_bit_identical_to_whole(self, shards):
         whole = MomentSketch.from_docs(
             [doc for shard in shards for doc in shard], VOCAB)
-        merged = merge_sketches(
-            [MomentSketch.from_docs(shard, VOCAB) for shard in shards])
+        merged = merge_sketches(build_shard_sketches(shards, VOCAB))
         assert whole.fingerprint() == merged.fingerprint()
         if whole.num_docs:
             assert np.array_equal(whole.first_moment(),
                                   merged.first_moment())
             assert np.array_equal(whole.second_moment(1.0),
                                   merged.second_moment(1.0))
-
-    def test_parallel_shard_sketches_match_serial(self):
-        rng = np.random.default_rng(5)
-        shards = [[list(rng.integers(0, VOCAB, size=rng.integers(3, 9)))
-                   for _ in range(10)] for _ in range(4)]
-        serial = merge_sketches(
-            [MomentSketch.from_docs(s, VOCAB) for s in shards])
-        parallel = merge_sketches(
-            build_shard_sketches(shards, VOCAB, workers=2))
-        assert serial.fingerprint() == parallel.fingerprint()
 
 
 class TestMomentDelegation:

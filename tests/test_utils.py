@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils import (EPS, ensure_rng, is_distribution, normalize,
-                         pointwise_kl, safe_log, top_k_indices,
+                         pointwise_kl, rng_from, safe_log, seed_sequence_of,
+                         spawn_seed_sequences, top_k_indices,
                          weighted_sample)
 
 
@@ -21,6 +22,45 @@ class TestEnsureRng:
     def test_generator_passthrough(self):
         rng = np.random.default_rng(0)
         assert ensure_rng(rng) is rng
+
+
+class TestSeeding:
+    def test_spawn_is_deterministic(self):
+        a = spawn_seed_sequences(42, 4)
+        b = spawn_seed_sequences(42, 4)
+        for seq_a, seq_b in zip(a, b):
+            assert rng_from(seq_a).random(8).tolist() \
+                == rng_from(seq_b).random(8).tolist()
+
+    def test_spawned_streams_are_distinct(self):
+        draws = [rng_from(seq).random()
+                 for seq in spawn_seed_sequences(0, 6)]
+        assert len(set(draws)) == 6
+
+    def test_generator_spawn_consumes_spawn_state(self):
+        rng = np.random.default_rng(7)
+        first = spawn_seed_sequences(rng, 2)
+        second = spawn_seed_sequences(rng, 2)
+        assert first[0].spawn_key != second[0].spawn_key
+
+    def test_interleaved_draws_do_not_perturb_spawns(self):
+        plain = np.random.default_rng(3)
+        noisy = np.random.default_rng(3)
+        noisy.random(100)  # spawn keys depend only on spawn call order
+        a = spawn_seed_sequences(plain, 3)
+        b = spawn_seed_sequences(noisy, 3)
+        assert [s.spawn_key for s in a] == [s.spawn_key for s in b]
+
+    def test_seed_sequence_passthrough(self):
+        root = np.random.SeedSequence(5)
+        children = spawn_seed_sequences(root, 2)
+        assert children[0].spawn_key == (0,)
+        assert children[1].spawn_key == (1,)
+
+    def test_seed_sequence_of_roundtrip(self):
+        seq = np.random.SeedSequence(9)
+        rng = np.random.default_rng(seq)
+        assert seed_sequence_of(rng) is seq
 
 
 class TestNormalize:
